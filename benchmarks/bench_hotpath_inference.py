@@ -87,6 +87,30 @@ MIN_BATCHED_SPEEDUP_F32 = 1.5  # raw, batch >= 64, vs same-run scalar f32
 MIN_STEADY_SPEEDUP = 4.0  # memoized steady state vs same-run scalar f32
 MIN_STEADY_HIT_RATE = 0.8
 
+#: The model-packet budget across the one-pass rebuild of the per-packet
+#: path, by the method of :func:`_bench_model_packet_budget`: medians of 5
+#: runs per side, the commit before (1e0a61f: ``extract`` into a fresh
+#: vector, ``predict`` with its copy, two hand-copied post-model bodies)
+#: alternating with the commit after on one host.  Host speed drifts by
+#: tens of percent within minutes, so the row a later run measures
+#: ("this_run") is comparable with these only loosely.
+MODEL_PACKET_BUDGET_PAIRED = {
+    "protocol": "median of 5 runs per side, sides alternating, one host",
+    "before": {
+        "commit": "1e0a61f",
+        "receive_us": 26.86,
+        "extract_us": 6.21,
+        "step_us": 10.98,
+        "bookkeeping_us": 9.69,
+    },
+    "after": {
+        "receive_us": 16.75,
+        "extract_us": 2.79,
+        "step_us": 8.02,
+        "bookkeeping_us": 5.94,
+    },
+}
+
 
 def _model_and_standardizer(cell: str, heads: str) -> tuple[MicroModel, Standardizer]:
     config = MicroModelConfig(cell=cell, heads=heads, seed=5)
@@ -573,6 +597,84 @@ def _bench_trace_overhead() -> dict[str, float]:
     }
 
 
+def _bench_model_packet_budget() -> dict:
+    """Where one model packet's time goes inside a real hybrid run.
+
+    Runs the ledger's ``hybrid_clos16`` workload (16-cluster Clos,
+    matched load, float64, the ledger's own trained bundle; trial 0 of
+    seed 42) untraced, with ``perf_counter`` pairs around the calls of
+    the per-packet path: ``ApproximatedCluster.receive`` (the whole
+    packet), ``RegionFeatureExtractor.extract_into`` (header ->
+    features, written into the engine's input buffer) and the model
+    step (the pair ``receive`` itself keeps for ``inference_seconds``).
+    Bookkeeping is the remainder: drop Bernoulli, macro observation,
+    statistics, conflict resolution, the delivery event — and the two
+    added clock pairs, ~0.3 us.  Unlike the synthetic sections above,
+    every phase runs in the cache state a simulation gives it, 1.3-2x the
+    cost of the same call in a tight loop.  The
+    median over three runs is reported per phase.
+    """
+    import statistics
+    from unittest import mock
+
+    from benchmarks.ledger import adapter, measure, workloads
+    from repro.core.cluster_model import ApproximatedCluster
+    from repro.core.features import RegionFeatureExtractor
+
+    workload = workloads.BY_NAME["hybrid_clos16"]
+    profile = measure.PROFILES["full" if FULL_SIZE else "quick"]
+    if profile.sim_s is not None:
+        workload = workloads.at_duration(workload, profile.sim_s)
+    measure.CACHE_DIR.mkdir(exist_ok=True)
+    model_dir, _ = adapter.ensure_model(measure.CACHE_DIR, profile.train_batches)
+    seed = measure.trial_seed(42, 0)
+
+    def clocked(function, total):
+        def timed(*args):
+            start = time.perf_counter()
+            result = function(*args)
+            total[0] += time.perf_counter() - start
+            return result
+
+        return timed
+
+    samples = []
+    for _ in range(3 if FULL_SIZE else 1):
+        receive_s, extract_s = [0.0], [0.0]
+        with mock.patch.object(
+            ApproximatedCluster, "receive",
+            clocked(ApproximatedCluster.receive, receive_s),
+        ), mock.patch.object(
+            RegionFeatureExtractor, "extract_into",
+            clocked(RegionFeatureExtractor.extract_into, extract_s),
+        ):
+            _, hybrid_sim = adapter.execute(workload, seed, model_dir)
+        packets = hybrid_sim.model_packets_handled()
+        receive_us = receive_s[0] / packets * 1e6
+        extract_us = extract_s[0] / packets * 1e6
+        step_us = hybrid_sim.inference_seconds() / packets * 1e6
+        samples.append(
+            (receive_us, extract_us, step_us, receive_us - extract_us - step_us)
+        )
+    receive_us, extract_us, step_us, bookkeeping_us = (
+        statistics.median(column) for column in zip(*samples)
+    )
+    return {
+        "workload": f"ledger {workload.name}, traffic seed {seed}, float64",
+        "model_packets": packets,
+        "method": "in-run perf_counter pairs around receive / extract_into / "
+        f"the model step; median of {len(samples)} untraced run(s); "
+        "bookkeeping = remainder",
+        "paired": MODEL_PACKET_BUDGET_PAIRED,
+        "this_run": {
+            "receive_us": receive_us,
+            "extract_us": extract_us,
+            "step_us": step_us,
+            "bookkeeping_us": bookkeeping_us,
+        },
+    }
+
+
 def test_hotpath_inference_speedup():
     """Fused vs. reference single-packet latency across model variants."""
     variants = {
@@ -584,6 +686,7 @@ def test_hotpath_inference_speedup():
     batched = _bench_batched()
     overhead = _bench_metrics_overhead()
     trace_overhead = _bench_trace_overhead()
+    budget = _bench_model_packet_budget()
 
     default = results["lstm"]
     payload = {
@@ -601,6 +704,7 @@ def test_hotpath_inference_speedup():
         "batched": batched,
         "metrics_overhead": overhead,
         "trace_overhead": trace_overhead,
+        "model_packet_budget": budget,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -671,6 +775,18 @@ def test_hotpath_inference_speedup():
             ],
         ],
     )
+    budget_table = format_table(
+        ["model packet (in a run)", "receive", "extract", "step", "bookkeeping"],
+        [
+            [label] + [f"{row[key]:.2f}" for key in
+                       ("receive_us", "extract_us", "step_us", "bookkeeping_us")]
+            for label, row in (
+                ("before (1e0a61f), paired us/pkt", budget["paired"]["before"]),
+                ("after, paired us/pkt", budget["paired"]["after"]),
+                ("this run us/pkt", budget["this_run"]),
+            )
+        ],
+    ) + f"\n({budget['workload']}; {budget['method']})"
     write_result(
         "hotpath_inference",
         format_table(
@@ -681,7 +797,9 @@ def test_hotpath_inference_speedup():
         + "\n\n"
         + batched_table
         + "\n\n"
-        + overhead_table,
+        + overhead_table
+        + "\n\n"
+        + budget_table,
     )
 
     for name, r in results.items():

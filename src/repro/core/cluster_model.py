@@ -28,13 +28,19 @@ event-count savings come from (counted in ``fabric_events_elided``).
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.analysis.streaming import StreamingStats
-from repro.core.features import Direction, RegionFeatureExtractor
+from repro.core.features import (
+    FEATURE_COUNT,
+    Direction,
+    FlowTemplate,
+    RegionFeatureExtractor,
+)
 from repro.core.macro import AutoRegressiveMacroClassifier
 from repro.core.region import Region
 from repro.core.training import TrainedClusterModel
@@ -53,15 +59,9 @@ MAX_REGION_LATENCY_S = 1.0
 
 
 class _Delivery:
-    """Prebound egress delivery callback.
-
-    The hot path used to schedule ``lambda e=.., p=.., b=..: ...`` —
-    one fresh closure (code object + cell-free function + 3 defaults)
-    per delivered packet.  This is the same callable as a plain
-    instance: three slot stores at schedule time, one bound call at
-    fire time, and it shows up named in profiles instead of
-    ``<lambda>``.
-    """
+    """Prebound egress delivery callback: three slot stores at schedule
+    time and one bound call at fire time instead of a fresh closure per
+    delivered packet, and named in profiles instead of ``<lambda>``."""
 
     __slots__ = ("entity", "packet", "boundary")
 
@@ -72,6 +72,60 @@ class _Delivery:
 
     def __call__(self) -> None:
         self.entity.receive(self.packet, self.boundary)
+
+
+class _Lane:
+    """One direction's model, resolved once at construction.
+
+    ``input`` is where the feature extractor writes: the fused
+    ``engine``'s own input buffer, or a plain vector for the reference
+    ``predict_step`` path (``engine`` None), whose hidden state is
+    ``state``.
+    """
+
+    __slots__ = (
+        "direction", "bundle", "engine", "input", "state",
+        "batch_engine", "batch_row",
+    )
+
+    def __init__(self, direction: Direction, bundle, engine) -> None:
+        self.direction = direction
+        self.bundle = bundle
+        self.engine = engine
+        if engine is not None:
+            self.input, self.state = engine.input, None
+        else:
+            self.input = np.empty(FEATURE_COUNT)
+            self.state = bundle.model.initial_state()
+        self.batch_engine = None
+        self.batch_row = -1
+
+
+class _EgressTarget:
+    """One node where packets re-enter full-fidelity simulation.
+
+    Built on the first delivery to ``name`` (entities are late-bound:
+    the network is constructed after the models) and kept for the run —
+    ``last_delivery`` is the conflict-resolution state of Section 4.2.
+    """
+
+    __slots__ = ("name", "entity", "boundary", "rate_bps", "remote", "last_delivery")
+
+    def __init__(self, name: str, entity, boundary: str, rate_bps: float) -> None:
+        self.name = name
+        self.entity = entity
+        #: The region node the packet notionally arrives *from*.
+        #: Receivers use it only as the ``from_node`` argument; any
+        #: adjacent region node is equivalent because forwarding is
+        #: destination-based.
+        self.boundary = boundary
+        #: Rate of the link the packet would use to leave the region.
+        self.rate_bps = rate_bps
+        #: PDES shard boundary: the owning worker is remote, and the
+        #: message must be captured now (decision time), not when a
+        #: local event fires — see repro.pdes.stub.RemoteEntityProxy.
+        self.remote = getattr(entity, "schedule_model_delivery", None)
+        self.last_delivery = -math.inf
 
 
 class ApproximatedCluster(Entity):
@@ -165,27 +219,30 @@ class ApproximatedCluster(Entity):
         self.macro = AutoRegressiveMacroClassifier(
             trained.calibration, bucket_s=macro_bucket_s
         )
-        if use_fused:
-            # Compiled weights are cached on (and shared via) the
-            # trained bundle; each cluster owns only its per-direction
-            # hidden states and scratch.
-            compiled = trained.compiled(inference_dtype)
-            self._engines = {
-                direction: compiled.engine(direction)
-                for direction in trained.directions
-            }
-            self._states = None
-        else:
-            self._engines = None
-            self._states = {
-                direction: bundle.model.initial_state()
-                for direction, bundle in trained.directions.items()
-            }
-        # Conflict resolution state: last scheduled delivery per egress node.
-        self._last_delivery: dict[str, float] = {}
-        self._egress_cache: dict[tuple[str, str, int, int], str] = {}
-        self._boundary_cache: dict[str, str] = {}
-        self._rate_cache: dict[str, float] = {}
+        # Compiled weights are cached on (and shared via) the trained
+        # bundle; each cluster owns only its per-direction hidden
+        # states and scratch.
+        compiled = trained.compiled(inference_dtype) if use_fused else None
+        lanes = {
+            direction: _Lane(
+                direction,
+                bundle,
+                compiled.engine(direction) if compiled is not None else None,
+            )
+            for direction, bundle in trained.directions.items()
+        }
+        # A direction unseen in training (possible in tiny traces) is
+        # handled by the other direction's model.
+        fallback = next(iter(lanes.values()))
+        #: Indexed by "the packet terminates behind this region".
+        self._lanes = (
+            lanes.get(Direction.EGRESS, fallback),
+            lanes.get(Direction.INGRESS, fallback),
+        )
+        self._shadow_servers = region.shadow_servers
+        #: Egress node name -> record.  Which record a flow uses follows
+        #: routing and is kept on the extractor's per-flow template.
+        self._targets: dict[str, _EgressTarget] = {}
 
         # Statistics.
         self.packets_handled = 0
@@ -196,15 +253,13 @@ class ApproximatedCluster(Entity):
         self.inference_seconds = 0.0
         self.latency_stats = StreamingStats()
 
-        #: Per-packet outcome tap (see class docstring); resolved to a
-        #: local in ``receive`` so the disabled cost is one branch.
+        #: Per-packet outcome tap (see class docstring).
         self.on_outcome = None
         #: Event-horizon batching (see :mod:`repro.core.batcher`):
         #: ``receive`` hands packets to the batcher instead of running
         #: inference inline.  Wired by :meth:`enable_batching`; the
         #: default costs one ``is not None`` branch per packet.
         self._batcher = None
-        self._batch_engines: dict[Direction, tuple] = {}
         self._invariants = invariants
         self._tracer = tracer
         if invariants is not None:
@@ -261,7 +316,7 @@ class ApproximatedCluster(Entity):
                 "(use_fused=True)"
             )
         missing = [
-            d for d in self.trained.directions if d not in self._batch_engines
+            lane.direction for lane in set(self._lanes) if lane.batch_engine is None
         ]
         if missing:
             raise ValueError(f"{self.name}: no batch engine for {missing}")
@@ -270,7 +325,9 @@ class ApproximatedCluster(Entity):
 
     def set_batch_engine(self, direction: Direction, engine, row: int) -> None:
         """Assign this cluster's lane in a shared batched engine."""
-        self._batch_engines[direction] = (engine, row)
+        lane = self._lanes[direction is Direction.INGRESS]
+        lane.batch_engine = engine
+        lane.batch_row = row
 
     def add_inference_time(self, seconds: float) -> None:
         """Attribute a share of a batched inference round to this
@@ -289,16 +346,13 @@ class ApproximatedCluster(Entity):
         clock is the packet's *arrival* time, not the flush time.
         """
         self.packets_handled += 1
-        direction = self.extractor.direction_of(packet)
-        bundle = self.trained.directions.get(direction)
-        if bundle is None:
-            direction = next(iter(self.trained.directions))
-            bundle = self.trained.directions[direction]
-        features = self.extractor.extract(
-            packet, arrival, self.macro.state, direction=direction
+        lane = self._lanes[packet.dst in self._shadow_servers]
+        macro = self.macro
+        features = self.extractor.extract(packet, arrival, macro.state, lane.direction)
+        return (
+            lane.direction, lane.bundle, features, macro.index,
+            lane.batch_engine, lane.batch_row,
         )
-        engine, row = self._batch_engines[direction]
-        return direction, bundle, features, self.macro.index, engine, row
 
     def batch_finalize(
         self,
@@ -309,65 +363,11 @@ class ApproximatedCluster(Entity):
         drop_prob: float,
         latency_norm: float,
     ) -> None:
-        """Apply one batched model outcome.
-
-        Mirrors :meth:`receive` after the model step, with every clock
-        read replaced by the packet's arrival time: the drop Bernoulli
-        uses the same per-cluster stream in the same order, macro
-        observations and outcome taps carry arrival timestamps, and
-        conflict resolution serializes from ``arrival + latency`` —
-        bit-identical bookkeeping to the inline float64 path.
-        """
-        now = arrival
-        if self.rng.random() < drop_prob:
-            self.packets_dropped += 1
-            if self._m_drops is not None:
-                self._m_drops.inc()
-            if self._tracer is not None:
-                self._tracer.event(
-                    "model.drop",
-                    trace=self._tracer.trace_for_packet(packet),
-                    t=now,
-                    cluster=self.region.name,
-                )
-            self.macro.observe(now, dropped=True)
-            if self.on_outcome is not None:
-                self.on_outcome(now, None, True)
-            return
-
-        latency = bundle.latency_from_norm(latency_norm)
-        latency = min(max(latency, MIN_REGION_LATENCY_S), MAX_REGION_LATENCY_S)
-        self.latency_stats.add(latency)
-        if self._m_latency is not None:
-            self._m_latency.observe(latency)
-        self.macro.observe(now, latency_s=latency)
-        if self.on_outcome is not None:
-            self.on_outcome(now, latency, False)
-
-        target = self._egress_node(packet, direction)
-        boundary = self._boundary_node(target)
-        deliver_at = self._resolve_conflict(target, now + latency, packet)
-        entity = self.resolve_entity(target)
-        self.packets_delivered += 1
-        trace = None
-        if self._tracer is not None:
-            trace = self._tracer.packet_span(
-                "model.decide", now, deliver_at, packet,
-                self.region.name, target, True,
-            )
-        if self._invariants is not None:
-            self._invariants.check_latency(self.name, now, latency, trace=trace)
-            self._invariants.check_delivery(
-                self.name, target, now, deliver_at, trace=trace
-            )
-        remote = getattr(entity, "schedule_model_delivery", None)
-        if remote is None:
-            self.sim.schedule_at(deliver_at, _Delivery(entity, packet, boundary))
-        else:
-            # PDES shard boundary: the owning worker is remote, and the
-            # message must be captured now (decision time), not when a
-            # local event fires — see repro.pdes.stub.RemoteEntityProxy.
-            remote(deliver_at, packet, boundary)
+        """Apply one batched model outcome: :meth:`_finalize` with every
+        clock read replaced by the packet's arrival time — bit-identical
+        bookkeeping to the inline float64 path."""
+        flow = self.extractor.flow(packet)
+        self._finalize(packet, arrival, bundle, flow, drop_prob, latency_norm, True)
 
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, from_node: str) -> None:
@@ -376,37 +376,43 @@ class ApproximatedCluster(Entity):
             self._batcher.enqueue(self, packet)
             return
         self.packets_handled += 1
-        now = self.now
-        direction = self.extractor.direction_of(packet)
-        bundle = self.trained.directions.get(direction)
-        if bundle is None:
-            # Direction unseen in training (possible in tiny traces):
-            # fall back to the other direction's model.
-            direction = next(iter(self.trained.directions))
-            bundle = self.trained.directions[direction]
-        features = self.extractor.extract(packet, now, self.macro.state, direction=direction)
+        now = self.sim.now
+        lane = self._lanes[packet.dst in self._shadow_servers]
         macro_index = self.macro.index
-        if self.use_fused:
-            # The engine consumes raw features (the standardizer is
-            # folded into its layer-0 weights) and keeps its hidden
-            # state in place.
-            start = perf_counter()
-            drop_prob, latency_norm = self._engines[direction].predict(
-                features, macro_index=macro_index
-            )
-            elapsed = perf_counter() - start
+        # Features land in the lane's input buffer — the fused engine's
+        # own GEMV input, which it consumes raw (the standardizer is
+        # folded into its layer-0 weights).
+        flow = self.extractor.extract_into(
+            lane.input, packet, now, macro_index, lane.direction
+        )
+        start = perf_counter()
+        if lane.engine is not None:
+            drop_prob, latency_norm = lane.engine.step(macro_index)
         else:
-            start = perf_counter()
-            normalized = bundle.feature_standardizer.transform(features)
-            drop_prob, latency_norm, new_state = bundle.model.predict_step(
-                normalized, self._states[direction], macro_index=macro_index
+            bundle = lane.bundle
+            normalized = bundle.feature_standardizer.transform(lane.input)
+            drop_prob, latency_norm, lane.state = bundle.model.predict_step(
+                normalized, lane.state, macro_index=macro_index
             )
-            elapsed = perf_counter() - start
-            self._states[direction] = new_state
+        elapsed = perf_counter() - start
         self.inference_seconds += elapsed
         if self._m_infer is not None:
             self._m_infer.observe(elapsed)
+        self._finalize(packet, now, lane.bundle, flow, drop_prob, latency_norm, False)
 
+    def _finalize(
+        self,
+        packet: Packet,
+        now: float,
+        bundle,
+        flow: FlowTemplate,
+        drop_prob: float,
+        latency_norm: float,
+        batched: bool,
+    ) -> None:
+        """Apply one model outcome for a packet that arrived at ``now``:
+        the drop Bernoulli, the macro observation and outcome tap, then
+        conflict resolution and the single egress event."""
         if self.rng.random() < drop_prob:
             self.packets_dropped += 1
             if self._m_drops is not None:
@@ -418,100 +424,78 @@ class ApproximatedCluster(Entity):
                     t=now,
                     cluster=self.region.name,
                 )
-            self.macro.observe(now, dropped=True)
+            self.macro.observe(now, None, True)
             if self.on_outcome is not None:
                 self.on_outcome(now, None, True)
             return
 
         latency = bundle.latency_from_norm(latency_norm)
-        latency = min(max(latency, MIN_REGION_LATENCY_S), MAX_REGION_LATENCY_S)
+        if latency < MIN_REGION_LATENCY_S:
+            latency = MIN_REGION_LATENCY_S
+        elif latency > MAX_REGION_LATENCY_S:
+            latency = MAX_REGION_LATENCY_S
         self.latency_stats.add(latency)
         if self._m_latency is not None:
             self._m_latency.observe(latency)
-        self.macro.observe(now, latency_s=latency)
+        self.macro.observe(now, latency)
         if self.on_outcome is not None:
             self.on_outcome(now, latency, False)
 
-        target = self._egress_node(packet, direction)
-        boundary = self._boundary_node(target)
-        deliver_at = self._resolve_conflict(target, now + latency, packet)
-        entity = self.resolve_entity(target)
+        target = flow.egress
+        if target is None:
+            target = flow.egress = self._egress_target(packet)
+        # Conflict resolution: first come, first served — a delivery
+        # lands no sooner than one serialization time after the last
+        # one scheduled to the same egress node.
+        deliver_at = now + latency
+        earliest = target.last_delivery + packet.size_bytes * 8.0 / target.rate_bps
+        if deliver_at < earliest:
+            deliver_at = earliest
+            self.conflicts_resolved += 1
+            if self._m_conflicts is not None:
+                self._m_conflicts.inc()
+        target.last_delivery = deliver_at
         self.packets_delivered += 1
         trace = None
         if self._tracer is not None:
             trace = self._tracer.packet_span(
                 "model.decide", now, deliver_at, packet,
-                self.region.name, target, False,
+                self.region.name, target.name, batched,
             )
         if self._invariants is not None:
             self._invariants.check_latency(self.name, now, latency, trace=trace)
             self._invariants.check_delivery(
-                self.name, target, now, deliver_at, trace=trace
+                self.name, target.name, now, deliver_at, trace=trace
             )
-        remote = getattr(entity, "schedule_model_delivery", None)
-        if remote is None:
-            self.sim.schedule_at(deliver_at, _Delivery(entity, packet, boundary))
+        if target.remote is None:
+            self.sim.schedule_at(
+                deliver_at, _Delivery(target.entity, packet, target.boundary)
+            )
         else:
-            remote(deliver_at, packet, boundary)
+            target.remote(deliver_at, packet, target.boundary)
 
     # ------------------------------------------------------------------
-    def _egress_node(self, packet: Packet, direction: Direction) -> str:
-        """Where the packet re-enters full-fidelity simulation.
+    def _egress_target(self, packet: Packet) -> _EgressTarget:
+        """Where the flow's packets re-enter full-fidelity simulation.
 
         Destination inside the cluster -> its server host.  Otherwise
-        -> the core switch on the packet's (deterministic) ECMP path.
+        -> the core switch on the flow's (deterministic) ECMP path.
         """
-        if direction is Direction.INGRESS:
-            return packet.dst
-        key = packet.flow_tuple
-        cached = self._egress_cache.get(key)
-        if cached is not None:
-            return cached
+        if packet.dst in self._shadow_servers:
+            return self._target(packet.dst)
         path = self.routing.path(packet.src, packet.dst, packet.flow_hash())
-        egress = self.region.egress_node_on_path(path)
-        self._egress_cache[key] = egress
-        return egress
+        return self._target(self.region.egress_node_on_path(path))
 
-    def _boundary_node(self, target: str) -> str:
-        """The region node the packet notionally arrives *from*.
-
-        Receivers use it only as the ``from_node`` argument; any
-        adjacent region node is equivalent because forwarding is
-        destination-based.
-        """
-        cached = self._boundary_cache.get(target)
-        if cached is not None:
-            return cached
-        result = self.name
-        for neighbor in self.topology.neighbors(target):
+    def _target(self, name: str) -> _EgressTarget:
+        """The (lazily built) egress record of node ``name``."""
+        target = self._targets.get(name)
+        if target is not None:
+            return target
+        boundary, rate = self.name, None
+        for neighbor in self.topology.neighbors(name):
             if self.region.contains_switch(neighbor):
-                result = neighbor
-                break
-        self._boundary_cache[target] = result
-        return result
-
-    def _resolve_conflict(self, target: str, deliver_at: float, packet: Packet) -> float:
-        """First-come-first-served serialization of same-time egresses."""
-        link_rate = self._egress_link_rate(target)
-        serialization = packet.size_bytes * 8.0 / link_rate
-        last = self._last_delivery.get(target)
-        if last is not None and deliver_at < last + serialization:
-            deliver_at = last + serialization
-            self.conflicts_resolved += 1
-            if self._m_conflicts is not None:
-                self._m_conflicts.inc()
-        self._last_delivery[target] = deliver_at
-        return deliver_at
-
-    def _egress_link_rate(self, target: str) -> float:
-        """Rate of the link the packet would use to leave the region."""
-        cached = self._rate_cache.get(target)
-        if cached is not None:
-            return cached
-        rate = None
-        for neighbor in self.topology.neighbors(target):
-            if self.region.contains_switch(neighbor):
-                rate = self.topology.link_between(target, neighbor).rate_bps
+                boundary = neighbor
+                rate = self.topology.link_between(name, neighbor).rate_bps
                 break
         if rate is None:
             # No region-facing link at this egress node.  Fall back to
@@ -521,18 +505,20 @@ class ApproximatedCluster(Entity):
             # count the hit so divergence here is observable.
             rate = min(
                 (
-                    self.topology.link_between(target, neighbor).rate_bps
-                    for neighbor in self.topology.neighbors(target)
+                    self.topology.link_between(name, neighbor).rate_bps
+                    for neighbor in self.topology.neighbors(name)
                 ),
                 default=None,
             )
             if rate is None:
                 raise ValueError(
-                    f"egress node {target!r} has no links; cannot size "
+                    f"egress node {name!r} has no links; cannot size "
                     "conflict-resolution serialization"
                 )
             self.rate_fallbacks += 1
             if self._m_rate_fallbacks is not None:
                 self._m_rate_fallbacks.inc()
-        self._rate_cache[target] = rate
-        return rate
+        target = self._targets[name] = _EgressTarget(
+            name, self.resolve_entity(name), boundary, rate
+        )
+        return target

@@ -16,7 +16,6 @@ two phases can never drift apart on feature semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -54,6 +53,8 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 FEATURE_COUNT = len(FEATURE_NAMES)
+_DIRECTION_FLAG = FEATURE_NAMES.index("direction_ingress")
+_MACRO_BASE = FEATURE_NAMES.index("macro_minimal")
 
 
 class Direction(Enum):
@@ -65,21 +66,51 @@ class Direction(Enum):
     EGRESS = "egress"  # destination is outside: packet exits via core
 
 
-@dataclass
 class _DirectionClock:
     """Inter-arrival state for one direction of one cluster."""
 
-    last_arrival: Optional[float] = None
-    gap_ema: Optional[float] = None
+    __slots__ = ("last_arrival", "gap_ema")
+
+    def __init__(self) -> None:
+        self.last_arrival: Optional[float] = None
+        self.gap_ema: Optional[float] = None
 
 
-def _log_us(gap_s: float) -> float:
-    """Compress a time gap to a well-scaled feature: log1p(microseconds)."""
-    return math.log1p(max(gap_s, 0.0) * 1e6)
+class FlowTemplate:
+    """What one extractor knows about one flow tuple.
+
+    Attributes
+    ----------
+    row:
+        A read-only feature vector with everything the flow tuple
+        fixes — features 0-10 and the direction flag — filled in and
+        0.0 at every per-packet position.
+    direction:
+        The flow's own direction at this region.
+    egress:
+        Free slot for the extractor's owner (the approximated cluster
+        keeps the flow's egress target here): per-flow state that, like
+        ``row``, is derived from routing and must not outlive it.
+    """
+
+    __slots__ = ("row", "direction", "egress")
+
+    def __init__(self, row: np.ndarray, direction: Direction) -> None:
+        self.row = row
+        self.direction = direction
+        self.egress = None
 
 
 class RegionFeatureExtractor:
     """Feature computation for one approximated cluster.
+
+    Everything about a packet that is fixed by its flow tuple — the six
+    endpoint coordinates, the five routing features and the direction
+    flag — is computed once per flow into a :class:`FlowTemplate`; per
+    packet the extractor copies that row and stores only what changes
+    (gap, gap EMA, size, ACK / retransmission flags, macro state).
+    Templates are derived from routing, so they are dropped whenever
+    ``routing.table_rebuilds`` moves (a link failed or recovered).
 
     Parameters
     ----------
@@ -133,8 +164,11 @@ class RegionFeatureExtractor:
         self._max_agg = max((node.index + 1 for node in aggs), default=1)
         cores = topology.nodes_with_role(NodeRole.CORE)
         self._num_cores = max(len(cores), 1)
-        self._clocks = {Direction.INGRESS: _DirectionClock(), Direction.EGRESS: _DirectionClock()}
-        self._path_cache: dict[tuple[str, str, int, int], tuple[float, float, float, float, float]] = {}
+        self._ingress_clock = _DirectionClock()
+        self._egress_clock = _DirectionClock()
+        #: Valid for the routing tables of ``_routing_epoch`` only.
+        self._flows: dict[tuple[str, str, int, int], FlowTemplate] = {}
+        self._routing_epoch = routing.table_rebuilds
 
     # ------------------------------------------------------------------
     def direction_of(self, packet: Packet) -> Direction:
@@ -149,10 +183,6 @@ class RegionFeatureExtractor:
         Returns (tor_in, agg, core, tor_out, has_core) where absent
         hops are encoded as 0 with ``has_core`` flagging core usage.
         """
-        key = packet.flow_tuple
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
         path = self.routing.path(packet.src, packet.dst, packet.flow_hash())
         tor_in = agg = core = tor_out = 0.0
         has_core = 0.0
@@ -172,9 +202,90 @@ class RegionFeatureExtractor:
                         tor_out = value
                 elif node.role is NodeRole.CLUSTER:
                     agg = (node.index + 1) / self._max_agg
-        result = (tor_in, agg, core, tor_out, has_core)
-        self._path_cache[key] = result
-        return result
+        return (tor_in, agg, core, tor_out, has_core)
+
+    def flow(self, packet: Packet) -> FlowTemplate:
+        """The (cached) template of the packet's flow under current routing."""
+        if self._routing_epoch != self.routing.table_rebuilds:
+            self._flows.clear()
+            self._routing_epoch = self.routing.table_rebuilds
+        key = packet.flow_tuple
+        flow = self._flows.get(key)
+        if flow is not None:
+            return flow
+        src_cluster, src_tor, src_slot = self._server_info[packet.src]
+        dst_cluster, dst_tor, dst_slot = self._server_info[packet.dst]
+        direction = self.direction_of(packet)
+        row = np.zeros(FEATURE_COUNT)
+        row[0] = (src_cluster + 1) / self._num_clusters
+        row[1] = (src_tor + 1) / self._max_tor
+        row[2] = (src_slot + 1) / self._max_slot
+        row[3] = (dst_cluster + 1) / self._num_clusters
+        row[4] = (dst_tor + 1) / self._max_tor
+        row[5] = (dst_slot + 1) / self._max_slot
+        row[6:11] = self._path_features(packet)
+        row[_DIRECTION_FLAG] = 1.0 if direction is Direction.INGRESS else 0.0
+        row.flags.writeable = False
+        flow = self._flows[key] = FlowTemplate(row, direction)
+        return flow
+
+    def extract_into(
+        self,
+        out: np.ndarray,
+        packet: Packet,
+        now: float,
+        macro_index: int,
+        direction: Optional[Direction] = None,
+    ) -> FlowTemplate:
+        """Write the feature vector of a packet arriving at ``now`` to ``out``.
+
+        ``out`` is any writable float vector of length
+        :data:`FEATURE_COUNT` — the hybrid hot path passes an inference
+        engine's input buffer, so features land where the model reads
+        them.  ``macro_index`` is the macro state's zero-based index
+        (``state - 1``).  Advances the direction's inter-arrival clock
+        as a side effect (each packet *is* an arrival).  A caller that
+        handles the packet under the other direction's model (a bundle
+        trained on one direction only) passes that ``direction``; its
+        clock and flag are then used.  Returns the flow's template, so
+        the caller's own per-flow state costs no second lookup.
+        """
+        flow = self.flow(packet)
+        out[...] = flow.row
+        if direction is None:
+            direction = flow.direction
+        elif direction is not flow.direction:
+            out[_DIRECTION_FLAG] = 1.0 if direction is Direction.INGRESS else 0.0
+        clock = (
+            self._ingress_clock
+            if direction is Direction.INGRESS
+            else self._egress_clock
+        )
+        last = clock.last_arrival
+        clock.last_arrival = now
+        if last is not None:
+            # On a first arrival both gap features stay at the row's
+            # 0.0: that gap is a "no previous packet" sentinel, not a
+            # real inter-arrival time — it must not seed the moving
+            # average, or the EMA starts biased low for the whole warm-up.
+            gap = now - last
+            ema = clock.gap_ema
+            if ema is None:
+                ema = gap
+            else:
+                ema += self.ema_alpha * (gap - ema)
+            clock.gap_ema = ema
+            # Time gaps compressed to a well-scaled feature:
+            # log1p(microseconds), negative gaps clamped to 0.
+            out[11] = math.log1p((0.0 if 0.0 > gap else gap) * 1e6)
+            out[12] = math.log1p((0.0 if 0.0 > ema else ema) * 1e6)
+        out[13] = packet.size_bytes / 1500.0
+        if packet.payload_bytes == 0:
+            out[14] = 1.0  # pure ACK
+        if packet.retransmission:
+            out[15] = 1.0
+        out[_MACRO_BASE + macro_index] = 1.0
+        return flow
 
     def extract(
         self,
@@ -183,49 +294,8 @@ class RegionFeatureExtractor:
         macro_state: MacroState,
         direction: Optional[Direction] = None,
     ) -> np.ndarray:
-        """Compute the feature vector for a packet arriving at ``now``.
-
-        Advances the direction's inter-arrival clock as a side effect
-        (each packet *is* an arrival).  Callers that already classified
-        the packet pass ``direction`` to skip the second lookup.
-        """
-        if direction is None:
-            direction = self.direction_of(packet)
-        clock = self._clocks[direction]
-        if clock.last_arrival is None:
-            # First arrival: 0.0 is a "no previous packet" sentinel, not
-            # a real inter-arrival gap — it must not seed the moving
-            # average, or the EMA starts biased low for the whole warm-up.
-            gap = 0.0
-        else:
-            gap = now - clock.last_arrival
-            if clock.gap_ema is None:
-                clock.gap_ema = gap
-            else:
-                clock.gap_ema += self.ema_alpha * (gap - clock.gap_ema)
-        clock.last_arrival = now
-
-        src_cluster, src_tor, src_slot = self._server_info[packet.src]
-        dst_cluster, dst_tor, dst_slot = self._server_info[packet.dst]
-        tor_in, agg, core, tor_out, has_core = self._path_features(packet)
-
+        """:meth:`extract_into` a fresh vector (training, evaluation and
+        batched inference, which all keep the vectors they are given)."""
         features = np.empty(FEATURE_COUNT)
-        features[0] = (src_cluster + 1) / self._num_clusters
-        features[1] = (src_tor + 1) / self._max_tor
-        features[2] = (src_slot + 1) / self._max_slot
-        features[3] = (dst_cluster + 1) / self._num_clusters
-        features[4] = (dst_tor + 1) / self._max_tor
-        features[5] = (dst_slot + 1) / self._max_slot
-        features[6] = tor_in
-        features[7] = agg
-        features[8] = core
-        features[9] = tor_out
-        features[10] = has_core
-        features[11] = _log_us(gap)
-        features[12] = _log_us(clock.gap_ema) if clock.gap_ema is not None else 0.0
-        features[13] = packet.size_bytes / 1500.0
-        features[14] = 1.0 if packet.is_ack_only() else 0.0
-        features[15] = 1.0 if packet.retransmission else 0.0
-        features[16] = 1.0 if direction is Direction.INGRESS else 0.0
-        features[17:21] = macro_state.one_hot()
+        self.extract_into(features, packet, now, macro_state - 1, direction)
         return features

@@ -165,7 +165,8 @@ class AutoRegressiveMacroClassifier:
         simulation it receives the micro model's own predictions, so
         the macro state reflects what the approximation is doing.
         """
-        self.advance(now)
+        if int(now / self.bucket_s) != self._bucket_index:
+            self.advance(now)  # else: same bucket, nothing to step
         a = self.ema_alpha
         if latency_s is not None:
             if self._latency_ema is None:

@@ -41,10 +41,21 @@ from typing import Union
 
 import numpy as np
 
+try:  # the clip ufunc itself; ``np.clip`` is a Python wrapper around it
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 from repro.nn.gru import GRU
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTM
 from repro.nn.selective import SelectiveLinear
+
+# Bound once for the per-packet loops, which pass ``out`` positionally
+# where they can: at ~0.3 us per ufunc call, attribute lookups and
+# keyword parsing are a measurable share.
+_dot, _add, _multiply = np.dot, np.add, np.multiply
+_tanh, _exp, _reciprocal = np.tanh, np.exp, np.reciprocal
 
 #: Pre-activation clip used by the reference inference path
 #: (``step_inference``); replicated exactly so outputs match.
@@ -266,15 +277,25 @@ class FusedInferenceEngine:
     """Base of the per-simulation hot-path executors.
 
     Subclasses preallocate every buffer in ``__init__`` and implement
-    :meth:`predict` with in-place ``out=`` ufuncs only — after
-    construction, a steady-state ``predict`` call allocates nothing.
+    :meth:`step` with in-place ``out=`` ufuncs only — after
+    construction, a steady-state ``step`` call allocates nothing.
+
+    Attributes
+    ----------
+    input:
+        The ``(input_size,)`` buffer :meth:`step` reads the packet's
+        raw features from.  It is the model's own GEMV input, so a
+        caller that writes features here (the hybrid hot path does, via
+        ``extract_into``) pays no copy; nothing but the caller ever
+        writes to it.
     """
 
-    __slots__ = ("compiled", "steps", "_head_out", "_head_w")
+    __slots__ = ("compiled", "steps", "input", "_head_out", "_head_w")
 
-    def __init__(self, compiled: CompiledRecurrentModel) -> None:
+    def __init__(self, compiled: CompiledRecurrentModel, input: np.ndarray) -> None:
         self.compiled = compiled
         self.steps = 0
+        self.input = input
         self._head_out = np.empty(2, dtype=compiled.dtype)
         if compiled.per_macro:
             # Pre-split the per-macro head stack into a tuple of 2D
@@ -286,10 +307,16 @@ class FusedInferenceEngine:
         else:
             self._head_w = None
 
-    def predict(self, features: np.ndarray, macro_index: int = 0) -> tuple[float, float]:
-        """One packet: raw (unstandardized) features in, state advanced
-        in place, ``(drop_probability, latency_norm)`` out."""
+    def step(self, macro_index: int = 0) -> tuple[float, float]:
+        """One packet: consume the raw (unstandardized) features in
+        :attr:`input`, advance the state in place, return
+        ``(drop_probability, latency_norm)``."""
         raise NotImplementedError
+
+    def predict(self, features: np.ndarray, macro_index: int = 0) -> tuple[float, float]:
+        """:meth:`step` on a feature vector held elsewhere (one copy)."""
+        self.input[...] = features
+        return self.step(macro_index)
 
     def reset(self) -> None:
         """Zero the hidden state (fresh packet stream)."""
@@ -309,9 +336,9 @@ class FusedInferenceEngine:
             np.dot(hidden, head_w[macro_index], out=out)
         else:
             np.dot(hidden, self.compiled.head_weight, out=out)
-        logit = float(out[0])
+        logit, latency_norm = out.tolist()
         drop_prob = 1.0 / (1.0 + math.exp(-logit)) if logit > _LOGIT_FLOOR else 0.0
-        return drop_prob, float(out[1])
+        return drop_prob, latency_norm
 
 
 class _LstmEngine(FusedInferenceEngine):
@@ -324,29 +351,32 @@ class _LstmEngine(FusedInferenceEngine):
     updates the recurrent input of layer ``k`` and the feed-forward
     input of layer ``k+1``.  The constant trailing 1.0 extends the top
     hidden state so the head GEMV adds its folded bias row for free.
-    Per-layer scratch (pre-activations ``z`` with persistent gate
-    views, one ``(H,)`` candidate buffer reused for ``tanh(c)``, and
-    the cell state ``c``) is allocated once.
+    Per-layer scratch is allocated once: the pre-activations ``z``
+    with persistent gate views, and one ``[g | c]`` buffer holding the
+    candidate (reused for ``tanh(c)``) next to the cell state, so that
+    ``i * g`` and ``f * c`` are one multiply against ``z``'s ``[i | f]``
+    block.  Constants enter the ufuncs as arrays (the clip bounds, the
+    sigmoid's 1.0): a Python scalar operand is converted on every call.
     """
 
-    __slots__ = ("_arena", "_xin", "_top", "_layers", "_exact")
+    __slots__ = ("_arena", "_top", "_layers", "_exact")
 
     def __init__(self, compiled: CompiledRecurrentModel) -> None:
-        super().__init__(compiled)
         dtype = compiled.dtype
         self._exact = dtype == np.dtype(np.float64)
         n0 = compiled.input_size
         hidden = compiled.hidden_size
         arena = np.zeros(n0 + compiled.num_layers * hidden + 1, dtype=dtype)
         arena[-1] = 1.0
+        super().__init__(compiled, arena[:n0])
         self._arena = arena
-        self._xin = arena[:n0]
         self._top = arena[n0 + (compiled.num_layers - 1) * hidden :]  # [h_top | 1]
         self._layers = []
         offset = 0
-        for k, layer in enumerate(compiled.layers):
+        for layer in compiled.layers:
             n, h = layer.input_size, layer.hidden_size
             z = np.empty(4 * h, dtype=dtype)
+            gc = np.zeros(2 * h, dtype=dtype)
             self._layers.append(
                 (
                     layer.weight,
@@ -354,13 +384,16 @@ class _LstmEngine(FusedInferenceEngine):
                     arena[offset : offset + n + h],  # GEMV input [x | h]
                     arena[offset + n : offset + n + h],  # this layer's h
                     z,
-                    z[:h],  # i gate view
-                    z[h : 2 * h],  # f gate view
-                    z[2 * h : 3 * h],  # o gate view (compiled layout [i|f|o|g])
+                    np.full(4 * h, -_GATE_CLIP, dtype=dtype),
+                    np.full(4 * h, _GATE_CLIP, dtype=dtype),
+                    z[: 2 * h],  # [i | f] gate views (compiled layout [i|f|o|g])
+                    z[2 * h : 3 * h],  # o gate view
                     z[: 3 * h],  # sigmoid block
+                    np.ones(3 * h, dtype=dtype),
                     z[3 * h :],  # g pre-activation view
-                    np.empty(h, dtype=dtype),  # g / tanh(c) scratch
-                    np.zeros(h, dtype=dtype),  # cell state c
+                    gc,
+                    gc[:h],  # g / tanh(c) scratch
+                    gc[h:],  # cell state c
                 )
             )
             offset += n
@@ -373,36 +406,34 @@ class _LstmEngine(FusedInferenceEngine):
             record[-1].fill(0.0)
         self.steps = 0
 
-    def predict(self, features: np.ndarray, macro_index: int = 0) -> tuple[float, float]:
-        dot, add, mul = np.dot, np.add, np.multiply
+    def step(self, macro_index: int = 0) -> tuple[float, float]:
         exact = self._exact
-        self._xin[...] = features  # raw features; the standardizer is in w
-        for (w, b, xh, h, z, zi, zf, zo, zs, zg, g, c) in self._layers:
-            dot(xh, w, out=z)
-            add(z, b, out=z)
+        # ``input`` (raw features; the standardizer is in w) heads the arena.
+        for (w, b, xh, h, z, lo, hi, zif, zo, zs, one, zg, gc, g, c) in self._layers:
+            _dot(xh, w, z)
+            _add(z, b, z)
             if exact:
                 # Reproduce the reference path's +-60 clip bit-exactly
                 # (the sigmoid block holds *negated* pre-activations,
-                # and symmetric clipping commutes with negation).
-                np.minimum(z, _GATE_CLIP, out=z)
-                np.maximum(z, -_GATE_CLIP, out=z)
+                # and symmetric clipping commutes with negation); one
+                # clip is min-then-max, value for value.
+                _clip(z, lo, hi, z)
             else:
                 # float32 speed mode: exp overflows at ~88, so only the
                 # sigmoid block's upper side needs guarding; everywhere
                 # else saturation lands on the correct limit (sigmoid
                 # -> 0/1, tanh -> +-1) without a clip.
                 np.minimum(zs, _GATE_CLIP, out=zs)
-            np.tanh(zg, out=g)  # candidate, from the clipped pre-activation
+            _tanh(zg, g)  # candidate, from the clipped pre-activation
             # In-place sigmoid over the contiguous [i|f|o] block; the
             # GEMV already produced the *negated* pre-activations.
-            np.exp(zs, out=zs)
-            add(zs, 1.0, out=zs)
-            np.reciprocal(zs, out=zs)
-            mul(zf, c, out=c)  # f * c_prev
-            mul(zi, g, out=g)  # i * g
-            add(c, g, out=c)  # c = f * c_prev + i * g
-            np.tanh(c, out=g)
-            mul(zo, g, out=h)  # h = o * tanh(c), in place in the arena
+            _exp(zs, zs)
+            _add(zs, one, zs)
+            _reciprocal(zs, zs)
+            _multiply(zif, gc, gc)  # [i * g | f * c_prev]
+            _add(c, g, c)  # c = f * c_prev + i * g
+            _tanh(c, g)
+            _multiply(zo, g, h)  # h = o * tanh(c), in place in the arena
         self.steps += 1
         return self._heads(self._top, macro_index)
 
@@ -419,17 +450,16 @@ class _GruEngine(FusedInferenceEngine):
     ``s`` is the single extra scratch for ``z * h``.
     """
 
-    __slots__ = ("_layers", "_xin", "_x0", "_top", "_exact")
+    __slots__ = ("_layers", "_top", "_exact")
 
     def __init__(self, compiled: CompiledRecurrentModel) -> None:
-        super().__init__(compiled)
         dtype = compiled.dtype
         self._exact = dtype == np.dtype(np.float64)
-        self._xin = np.zeros(compiled.input_size + 1, dtype=dtype)
-        self._xin[-1] = 1.0
-        self._x0 = self._xin[:-1]
+        xin = np.zeros(compiled.input_size + 1, dtype=dtype)
+        xin[-1] = 1.0
+        super().__init__(compiled, xin[:-1])
         self._layers = []
-        previous = self._xin
+        previous = xin
         for layer in compiled.layers:
             h = layer.hidden_size
             pre = np.empty(3 * h, dtype=dtype)
@@ -461,14 +491,12 @@ class _GruEngine(FusedInferenceEngine):
             record[-1].fill(0.0)
         self.steps = 0
 
-    def predict(self, features: np.ndarray, macro_index: int = 0) -> tuple[float, float]:
-        dot, add, mul = np.dot, np.add, np.multiply
+    def step(self, macro_index: int = 0) -> tuple[float, float]:
         exact = self._exact
-        self._x0[...] = features
         for (w, u, xv, pre, gates, pz, pr, pn, hu, hu_gates, hu_n, s, h) in self._layers:
-            dot(xv, w, out=pre)  # [x | 1] @ [W; b]
-            dot(h, u, out=hu)
-            add(gates, hu_gates, out=gates)  # negated pre-activations
+            _dot(xv, w, out=pre)  # [x | 1] @ [W; b]
+            _dot(h, u, out=hu)
+            _add(gates, hu_gates, out=gates)  # negated pre-activations
             np.minimum(gates, _GATE_CLIP, out=gates)  # exp overflow guard
             if exact:
                 # Lower side only matters for bit-parity with the
@@ -476,14 +504,14 @@ class _GruEngine(FusedInferenceEngine):
                 # (sigmoid -> 1, the correct limit).
                 np.maximum(gates, -_GATE_CLIP, out=gates)
             np.exp(gates, out=gates)
-            add(gates, 1.0, out=gates)
+            _add(gates, 1.0, out=gates)
             np.reciprocal(gates, out=gates)
-            mul(pr, hu_n, out=hu_n)  # r * (h @ U_n)
-            add(pn, hu_n, out=pn)
+            _multiply(pr, hu_n, out=hu_n)  # r * (h @ U_n)
+            _add(pn, hu_n, out=pn)
             np.tanh(pn, out=pn)  # candidate n
-            mul(pz, h, out=s)  # z * h
+            _multiply(pz, h, out=s)  # z * h
             np.subtract(1.0, pz, out=pz)  # 1 - z
-            mul(pz, pn, out=pn)  # (1 - z) * n
-            add(pn, s, out=h)  # h' = (1 - z) * n + z * h
+            _multiply(pz, pn, out=pn)  # (1 - z) * n
+            _add(pn, s, out=h)  # h' = (1 - z) * n + z * h
         self.steps += 1
         return self._heads(self._top, macro_index)

@@ -181,3 +181,40 @@ class TestNormalizerRegressions:
                 ext_a.extract(packet, t, MacroState.MINIMAL),
                 ext_b.extract(packet, t, MacroState.MINIMAL),
             )
+
+
+class TestRoutingInvalidation:
+    """Regression: per-flow path features were cached by flow tuple and
+    never invalidated, so after a link failure the extractor kept
+    describing the path the flow no longer takes."""
+
+    def test_path_features_follow_a_failed_boundary_link(self):
+        from repro.topology.clos import ClosParams, build_clos
+        from repro.topology.routing import EcmpRouting
+
+        topo = build_clos(ClosParams(clusters=4))
+        routing = EcmpRouting(topo)
+        ext = RegionFeatureExtractor(topo, routing, 2)
+        core_idx = FEATURE_NAMES.index("path_core")
+        packet = _packet(server_name(2, 0, 0), server_name(0, 0, 0))
+        path = routing.path(packet.src, packet.dst, packet.flow_hash())
+        core = next(name for name in path if name.startswith("core-"))
+        agg = path[path.index(core) - 1]  # the region's side of the boundary link
+        before = ext.extract(packet, 0.0, MacroState.MINIMAL)
+
+        assert routing.set_link_state(agg, core, up=False)
+        fresh = routing.path(packet.src, packet.dst, packet.flow_hash())
+        assert core not in fresh
+        after = ext.extract(packet, 1e-4, MacroState.MINIMAL)
+        assert after[core_idx] != before[core_idx]
+        # Exactly what an extractor that never saw the old tables reports.
+        want = RegionFeatureExtractor(topo, routing, 2).extract(
+            packet, 0.0, MacroState.MINIMAL
+        )
+        path_slice = slice(FEATURE_NAMES.index("path_tor_in"), core_idx + 2)
+        np.testing.assert_array_equal(after[path_slice], want[path_slice])
+
+        # Recovery rebuilds the tables again: back to the original path.
+        assert routing.set_link_state(agg, core, up=True)
+        restored = ext.extract(packet, 2e-4, MacroState.MINIMAL)
+        np.testing.assert_array_equal(restored[path_slice], before[path_slice])

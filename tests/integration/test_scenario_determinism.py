@@ -8,6 +8,7 @@ with observability (metrics, tracing) on vs. off.
 
 from __future__ import annotations
 
+from repro.core.cluster_model import ApproximatedCluster
 from repro.core.pipeline import (
     ExperimentConfig,
     run_full_simulation,
@@ -68,15 +69,41 @@ def test_failure_schedule_perturbs_outcomes():
     assert a.fcts != b.fcts
 
 
-def test_hybrid_scenario_signature_stable_with_tracing(trained_bundle):
-    def run(metrics=None, tracer=None) -> str:
+def test_hybrid_scenario_signature_stable_with_taps(trained_bundle, monkeypatch):
+    """Every per-packet tap of the approximated cluster — metrics
+    handles, tracer spans, the ``on_outcome`` callback — on, alone and
+    together, leaves the seeded outcome byte-identical."""
+    outcomes: list[tuple[float, object, bool]] = []
+
+    def run(metrics=None, tracer=None, outcome_tap=False) -> str:
         config = ExperimentConfig(**SCENARIO)
-        result, _ = run_hybrid_simulation(
-            config, trained_bundle, metrics=metrics, tracer=tracer
-        )
+        with monkeypatch.context() as patch:
+            if outcome_tap:
+                # The tap is an attribute set after construction (the
+                # fidelity harness and the cascade do the same).
+                construct = ApproximatedCluster.__init__
+
+                def construct_tapped(self, *args, **kwargs):
+                    construct(self, *args, **kwargs)
+                    self.on_outcome = lambda *outcome: outcomes.append(outcome)
+
+                patch.setattr(ApproximatedCluster, "__init__", construct_tapped)
+            result, _ = run_hybrid_simulation(
+                config, trained_bundle, metrics=metrics, tracer=tracer
+            )
+        if outcome_tap:
+            assert len(outcomes) == result.model_packets > 0
+            assert sum(dropped for _, _, dropped in outcomes) == result.model_drops
+            outcomes.clear()
         return result.determinism_signature()
 
     baseline = run()
     assert baseline == run()
     assert baseline == run(metrics=MetricsRegistry(enabled=True))
     assert baseline == run(tracer=FlightRecorder(seed=31))
+    assert baseline == run(outcome_tap=True)
+    assert baseline == run(
+        metrics=MetricsRegistry(enabled=True),
+        tracer=FlightRecorder(seed=31),
+        outcome_tap=True,
+    )

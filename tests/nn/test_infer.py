@@ -8,6 +8,8 @@ standardizer — while allocating nothing per packet in steady state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,3 +253,84 @@ def test_trained_bundle_compiles_and_caches(trained_bundle):
             drop_fused, latency_fused = engine.predict(raw)
             assert abs(drop_fused - drop_ref) <= TOLERANCE
             assert abs(latency_fused - latency_ref) <= TOLERANCE
+
+
+# ----------------------------------------------------------------------
+# step() on the engine's own input buffer (the hybrid hot path)
+# ----------------------------------------------------------------------
+@settings(max_examples=25, deadline=None)
+@given(
+    cell=st.sampled_from(["lstm", "gru"]),
+    heads=st.sampled_from(["shared", "per_macro"]),
+    hidden_size=st.integers(min_value=1, max_value=8),
+    num_layers=st.integers(min_value=1, max_value=2),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_step_on_input_buffer_equals_predict(
+    cell, heads, hidden_size, num_layers, dtype, seed
+):
+    """Writing features into ``engine.input`` and calling ``step`` is
+    ``predict`` without the copy: identical outputs, and the engine
+    never writes to the buffer it reads from."""
+    model = _make_model(cell, heads, 5, hidden_size, num_layers, seed)
+    standardizer = _make_standardizer(5, seed)
+    compiled = compile_inference(
+        model.lstm, model.drop_head, model.latency_head,
+        feature_mean=standardizer.mean, feature_std=standardizer.std, dtype=dtype,
+    )
+    copying, in_place = compiled.engine(), compiled.engine()
+    assert in_place.input.shape == (5,) and in_place.input.dtype == dtype
+    rng = np.random.default_rng(seed + 4)
+    for i in range(12):
+        raw = rng.normal(size=5)
+        in_place.input[...] = raw
+        written = in_place.input.copy()
+        assert in_place.step(i % 4) == copying.predict(raw, macro_index=i % 4)
+        np.testing.assert_array_equal(in_place.input, written)
+    assert in_place.steps == copying.steps == 12
+
+
+def _lstm_step_op_by_op(compiled, hidden, cell, raw, macro_index):
+    """One float64 LSTM step from the compiled weights, one numpy
+    operation per gate expression and min-then-max for the clip — the
+    arithmetic the engine's fused multiplies and single ``clip`` must
+    reproduce bit for bit (simulated statistics hash these bits)."""
+    x = np.asarray(raw, dtype=np.float64)
+    for k, layer in enumerate(compiled.layers):
+        h = layer.hidden_size
+        z = np.dot(np.concatenate([x, hidden[k]]), layer.weight)
+        z = z + layer.bias
+        z = np.maximum(np.minimum(z, 60.0), -60.0)
+        candidate = np.tanh(z[3 * h :])
+        gates = np.reciprocal(np.exp(z[: 3 * h]) + 1.0)  # negated pre-activations
+        cell[k] = gates[h : 2 * h] * cell[k] + gates[:h] * candidate
+        hidden[k] = gates[2 * h :] * np.tanh(cell[k])
+        x = hidden[k]
+    weight = compiled.head_weight[macro_index] if compiled.per_macro else compiled.head_weight
+    logit, latency_norm = np.dot(np.append(x, 1.0), weight).tolist()
+    drop_prob = 1.0 / (1.0 + math.exp(-logit)) if logit > -500.0 else 0.0
+    return drop_prob, latency_norm
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    heads=st.sampled_from(["shared", "per_macro"]),
+    hidden_size=st.integers(min_value=1, max_value=33),
+    num_layers=st.integers(min_value=1, max_value=2),
+    weight_scale=st.sampled_from([0.4, 30.0]),  # 30: gates saturate into the clip
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_float64_lstm_step_is_bit_identical_to_op_by_op(
+    heads, hidden_size, num_layers, weight_scale, seed
+):
+    model = _make_model("lstm", heads, 21, hidden_size, num_layers, seed, weight_scale)
+    compiled = compile_inference(model.lstm, model.drop_head, model.latency_head)
+    engine = compiled.engine()
+    hidden = [np.zeros(hidden_size) for _ in range(num_layers)]
+    cell = [np.zeros(hidden_size) for _ in range(num_layers)]
+    rng = np.random.default_rng(seed + 5)
+    for i in range(20):
+        raw = rng.normal(size=21)
+        want = _lstm_step_op_by_op(compiled, hidden, cell, raw, i % 4)
+        assert engine.predict(raw, macro_index=i % 4) == want
