@@ -27,86 +27,43 @@ from __future__ import annotations
 
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from repro.cascade.adapters import adapter_for
 from repro.cascade.config import CascadeConfig, Tier
 from repro.cascade.controller import DecisionLog, FidelityController
 from repro.core.hybrid import HybridSimulation
-from repro.core.training import TrainedClusterModel
+from repro.core.training import (
+    PacketCrossing,
+    RegionTraceCollector,
+    TrainedClusterModel,
+)
+from repro.core.world import ExperimentConfig, RunResult, build_world
 from repro.des.kernel import Simulator
 from repro.flowsim.epoch import EpochFlowSimulator
 from repro.flowsim.simulator import FlowResult, FlowSpec
-from repro.net.network import NetworkConfig
-from repro.net.packet import Packet
 from repro.topology.graph import Topology
 from repro.traffic.apps import FlowRecord, TrafficGenerator
 from repro.validate.windows import RegionWindows
 
 
-class FocalBoundaryTap:
+class FocalBoundaryTap(RegionTraceCollector):
     """Bounded online tap of the focal region's boundary.
 
-    The same port-chaining scheme as the training collector
-    (:class:`~repro.core.training.RegionTraceCollector`), but instead
-    of accumulating a trace it feeds region-latency samples and drop
-    events straight into the reference :class:`RegionWindows` — O(in
-    flight) memory, run-length independent.
+    The training collector's taps, but instead of accumulating a trace
+    every completed crossing feeds its region latency or drop straight
+    into the reference :class:`RegionWindows` — O(in flight) memory,
+    run-length independent.
     """
 
     def __init__(self, network, focal_cluster: int, windows: RegionWindows) -> None:
-        from repro.core.region import Region
-
+        super().__init__(network, focal_cluster)
         self.windows = windows
-        self.network = network
-        region = Region.cluster(network.topology, focal_cluster)
-        switches = set(region.switches)
-        self._entries: dict[int, float] = {}
-        for (owner, peer), port in network.ports().items():
-            owner_in = owner in switches
-            peer_in = peer in switches
-            if not owner_in and peer_in:
-                port.on_deliver = self._chain_deliver(port.on_deliver, self._on_entry)
-            elif owner_in and not peer_in:
-                port.on_deliver = self._chain_deliver(port.on_deliver, self._on_exit)
-            if owner_in:
-                port.on_drop = self._chain_drop(port.on_drop, self._on_drop)
 
-    @staticmethod
-    def _chain_deliver(existing, handler):
-        if existing is None:
-            return handler
-
-        def chained(packet: Packet, time: float) -> None:
-            existing(packet, time)
-            handler(packet, time)
-
-        return chained
-
-    @staticmethod
-    def _chain_drop(existing, handler):
-        if existing is None:
-            return handler
-
-        def chained(packet: Packet) -> None:
-            existing(packet)
-            handler(packet)
-
-        return chained
-
-    def _on_entry(self, packet: Packet, time: float) -> None:
-        self._entries[packet.packet_id] = time
-
-    def _on_exit(self, packet: Packet, time: float) -> None:
-        entry = self._entries.pop(packet.packet_id, None)
-        if entry is not None:
-            self.windows.record_outcome(time, time - entry, dropped=False)
-
-    def _on_drop(self, packet: Packet) -> None:
-        if self._entries.pop(packet.packet_id, None) is not None:
-            self.windows.record_outcome(
-                self.network.sim.now, None, dropped=True
-            )
+    def _complete(self, crossing: PacketCrossing) -> None:
+        self.windows.record_outcome(
+            crossing.outcome_time, crossing.latency_s, crossing.dropped
+        )
 
 
 class CascadeSimulation:
@@ -114,8 +71,10 @@ class CascadeSimulation:
 
     Parameters mirror :class:`~repro.core.hybrid.HybridSimulation`,
     with a :class:`~repro.cascade.config.CascadeConfig` instead of a
-    ``HybridConfig``.  Call :meth:`attach_generator` before traffic
-    starts and :meth:`finalize` after ``sim.run`` returns.
+    ``HybridConfig``; ``assembly`` (``net_config``, ``invariants``,
+    ``routing_config``, ``failures``) is forwarded to it.  Call
+    :meth:`attach_generator` before traffic starts and
+    :meth:`finalize` after ``sim.run`` returns.
     """
 
     def __init__(
@@ -123,13 +82,10 @@ class CascadeSimulation:
         sim: Simulator,
         topology: Topology,
         trained: Union[TrainedClusterModel, Mapping[int, TrainedClusterModel]],
-        net_config: Optional[NetworkConfig] = None,
         config: Optional[CascadeConfig] = None,
         metrics=None,
-        invariants=None,
         tracer=None,
-        routing_config=None,
-        failures=(),
+        **assembly,
     ) -> None:
         self.sim = sim
         self.config = config or CascadeConfig()
@@ -142,13 +98,10 @@ class CascadeSimulation:
             sim,
             topology,
             trained,
-            net_config=net_config,
             config=self.config.hybrid_config(),
             metrics=metrics,
-            invariants=invariants,
             tracer=tracer,
-            routing_config=routing_config,
-            failures=failures,
+            **assembly,
         )
         self.topology = topology
         self.focal_cluster = self.config.focal_cluster
@@ -180,7 +133,7 @@ class CascadeSimulation:
             self.hybrid.network, self.focal_cluster, self.reference
         )
         for region, model in self.hybrid.models.items():
-            model.on_outcome = self._make_outcome_tap(self.windows[region])
+            model.on_outcome = self.windows[region].record_outcome
 
         self.controller = FidelityController(
             self.config,
@@ -209,13 +162,6 @@ class CascadeSimulation:
         self._finalized = False
         self.epoch_wallclock_s = 0.0
         sim.schedule(self.config.epoch_s, self._on_epoch)
-
-    # ------------------------------------------------------------------
-    def _make_outcome_tap(self, windows: RegionWindows):
-        def tap(now: float, latency_s: Optional[float], dropped: bool) -> None:
-            windows.record_outcome(now, latency_s, dropped)
-
-        return tap
 
     # ------------------------------------------------------------------
     # Generator wiring
@@ -504,7 +450,7 @@ class CascadeResult:
     fluid tier's outcomes ride alongside.
     """
 
-    result: "RunResult"
+    result: RunResult
     fluid_fcts: list[float] = field(default_factory=list)
     summary: dict[str, Any] = field(default_factory=dict)
 
@@ -527,7 +473,7 @@ class CascadeResult:
 
 
 def run_cascade_simulation(
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     trained: Union[TrainedClusterModel, Mapping[int, TrainedClusterModel]],
     cascade: Optional[CascadeConfig] = None,
     metrics=None,
@@ -544,62 +490,20 @@ def run_cascade_simulation(
     fluid flows ``tier.dispatch`` records, and every epoch transition
     a ``tier.handoff`` record — RNG-free, outcomes unchanged.
     """
-    from repro.core.pipeline import RunResult, make_generator
-    from repro.topology.clos import build_clos
-
-    topology = build_clos(config.clos)
-    sim = Simulator(seed=config.seed)
-    if tracer is not None:
-        tracer.bind_clock(lambda: sim.now)
-    if invariants is not None:
-        invariants.attach_simulator(sim)
-    cascade_sim = CascadeSimulation(
-        sim,
-        topology,
+    world = build_world(
+        config,
         trained,
-        net_config=config.net,
-        config=cascade,
+        cascade=cascade or CascadeConfig(),
         metrics=metrics,
         tracer=tracer,
         invariants=invariants,
-        routing_config=config.routing,
-        failures=config.failures,
+        probe_period_s=probe_period_s,
     )
-    generator = make_generator(
-        sim, cascade_sim.hybrid.network, config, tracer=tracer
-    )
-    cascade_sim.attach_generator(generator)
-    if metrics is not None:
-        from repro.obs import attach_cascade_probes, default_period
-
-        period = probe_period_s or default_period(config.duration_s)
-        attach_cascade_probes(metrics, sim, cascade_sim, period)
-    generator.start()
-    sim.run(until=config.duration_s)
-    cascade_sim.finalize(config.duration_s)
-
-    hybrid_sim = cascade_sim.hybrid
-    result = RunResult(
-        sim_seconds=config.duration_s,
-        wallclock_seconds=sim.wallclock_elapsed,
-        events_executed=sim.events_executed,
-        flows_started=generator.flows_started,
-        flows_completed=generator.flows_completed,
-        flows_elided=generator.flows_elided,
-        drops=hybrid_sim.network.total_drops + hybrid_sim.model_drops(),
-        rtt_samples=hybrid_sim.observed_rtt_samples(),
-        fcts=generator.completed_fcts(),
-        model_packets=hybrid_sim.model_packets_handled(),
-        model_drops=hybrid_sim.model_drops(),
-        model_inference_seconds=hybrid_sim.inference_seconds(),
-        failure_events=hybrid_sim.failure_injector.summary(),
-        collective=(
-            generator.collective.summary() if generator.collective else None
-        ),
-    )
+    world.run()
+    cascade_sim = world.cascade
     return (
         CascadeResult(
-            result=result,
+            result=world.result(),
             fluid_fcts=list(cascade_sim.fluid_fcts),
             summary=cascade_sim.cascade_summary(),
         ),

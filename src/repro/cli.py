@@ -23,10 +23,10 @@ code (0 on success), so they compose with shell pipelines.
 from __future__ import annotations
 
 import argparse
+import datetime
+import json
 import sys
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro import __version__
 from repro.analysis.reporting import format_table
@@ -37,12 +37,12 @@ from repro.core.micro import MicroModelConfig
 from repro.core.pipeline import (
     ExperimentConfig,
     RunResult,
-    run_full_simulation,
     run_hybrid_simulation,
     train_reusable_model,
 )
 from repro.core.training import TrainedClusterModel
-from repro.topology.clos import ClosParams
+from repro.core.world import build_world
+from repro.topology.clos import ClosParams, build_clos
 
 
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
@@ -190,6 +190,44 @@ def _add_batching_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _batching_options(args: argparse.Namespace) -> dict:
+    """``--batch-window/--memoize/--memo-approximate`` as config fields
+    (same names on Hybrid-, Cascade- and ValidateConfig)."""
+    return {
+        "batch_window_s": args.batch_window,
+        "memoize_inference": args.memoize,
+        "memo_exact": not args.memo_approximate,
+    }
+
+
+def _add_hybrid_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--full-cluster", type=int, default=0)
+    parser.add_argument(
+        "--keep-remote-traffic", action="store_true",
+        help="simulate traffic between approximated clusters too",
+    )
+    _add_batching_arguments(parser)
+    _add_trace_arguments(parser)
+
+
+def _hybrid_config(args: argparse.Namespace) -> HybridConfig:
+    return HybridConfig(
+        full_cluster=args.full_cluster,
+        elide_remote_traffic=not args.keep_remote_traffic,
+        single_black_box=getattr(args, "single_black_box", False),
+        **_batching_options(args),
+    )
+
+
+def _load_model(path: str) -> Optional[TrainedClusterModel]:
+    """The trained bundle at ``path``, or ``None`` after saying why not."""
+    try:
+        return TrainedClusterModel.load(path)
+    except FileNotFoundError as error:
+        print(f"error: cannot load model bundle: {error}", file=sys.stderr)
+        return None
+
+
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", action="store_true",
@@ -209,19 +247,22 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _trace_enabled(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "trace", False) or getattr(args, "trace_out", None)
-    )
+def _trace_capacity(args: argparse.Namespace) -> Optional[int]:
+    """The flight-recorder ring size iff --trace/--trace-out was given."""
+    if not (getattr(args, "trace", False) or getattr(args, "trace_out", None)):
+        return None
+    from repro.obs.trace import DEFAULT_TRACE_CAPACITY
+
+    return getattr(args, "trace_capacity", None) or DEFAULT_TRACE_CAPACITY
 
 
 def _tracer_from_args(args: argparse.Namespace, seed: int):
     """A FlightRecorder iff --trace/--trace-out was given, else None."""
-    if not _trace_enabled(args):
+    capacity = _trace_capacity(args)
+    if capacity is None:
         return None
-    from repro.obs.trace import DEFAULT_TRACE_CAPACITY, FlightRecorder
+    from repro.obs.trace import FlightRecorder
 
-    capacity = getattr(args, "trace_capacity", None) or DEFAULT_TRACE_CAPACITY
     return FlightRecorder(seed=seed, capacity=capacity)
 
 
@@ -230,13 +271,16 @@ def _export_trace(
     events: list,
     recorded: int,
     evicted: int,
-    meta: dict,
+    stage: str,
+    seed: int,
+    workers: int = 1,
 ) -> None:
     """Print the trace summary line; write ``--trace-out`` if given."""
     print(f"trace: {recorded} records ({evicted} evicted from the ring)")
     if getattr(args, "trace_out", None):
         from repro.obs.trace import write_trace_jsonl
 
+        meta = {"stage": stage, "seed": seed, "workers": workers}
         rows = write_trace_jsonl(args.trace_out, events, meta=meta)
         print(f"wrote {rows} trace records to {args.trace_out}")
 
@@ -257,12 +301,32 @@ def _export_metrics(args: argparse.Namespace, metrics) -> None:
     print(f"wrote {rows} metrics records to {args.metrics_out}")
 
 
-def _print_run(result: RunResult, title: str) -> None:
-    rows = [
+def _print_percentiles(name: str, sample: Sequence[float], scale: float) -> None:
+    """The ``name: n= p50= p95= p99=`` line (nothing for no samples)."""
+    if not sample:
+        return
+    stats = percentile_summary(sample, percentiles=(50, 95, 99))
+    print(
+        f"{name}: n={int(stats['count'])} "
+        f"p50={stats['p50'] * scale:.1f} "
+        f"p95={stats['p95'] * scale:.1f} "
+        f"p99={stats['p99'] * scale:.1f}"
+    )
+
+
+def _speed_rows(result) -> list[list]:
+    """The rows every result type shares: how far, how fast."""
+    return [
         ["simulated (ms)", result.sim_seconds * 1e3],
         ["wall-clock (s)", result.wallclock_seconds],
         ["sim-seconds/second", result.sim_seconds_per_second],
         ["events executed", result.events_executed],
+    ]
+
+
+def _print_run(result: RunResult, title: str) -> None:
+    rows = [
+        *_speed_rows(result),
         ["flows started", result.flows_started],
         ["flows completed", result.flows_completed],
         ["flows elided", result.flows_elided],
@@ -289,17 +353,8 @@ def _print_run(result: RunResult, title: str) -> None:
             f"link {event['action']} {a}-{b} at {event['time'] * 1e3:.3f} ms"
             f" ({'applied' if event['changed'] else 'no-op'})"
         )
-    for name, sample in (("RTT (us)", result.rtt_samples), ("FCT (ms)", result.fcts)):
-        if not sample:
-            continue
-        scale = 1e6 if name.startswith("RTT") else 1e3
-        stats = percentile_summary(sample, percentiles=(50, 95, 99))
-        print(
-            f"{name}: n={int(stats['count'])} "
-            f"p50={stats['p50'] * scale:.1f} "
-            f"p95={stats['p95'] * scale:.1f} "
-            f"p99={stats['p99'] * scale:.1f}"
-        )
+    _print_percentiles("RTT (us)", result.rtt_samples, 1e6)
+    _print_percentiles("FCT (ms)", result.fcts, 1e3)
 
 
 # ----------------------------------------------------------------------
@@ -308,45 +363,19 @@ def _print_run(result: RunResult, title: str) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _experiment_from_args(args)
     metrics = _metrics_from_args(args)
+    world = build_world(config, metrics=metrics)
+    packet_trace = None
     if args.trace_csv:
-        # Build manually so the tracer attaches before traffic starts.
-        from repro.des.kernel import Simulator
-        from repro.net.network import Network
         from repro.net.tracing import PacketTracer
-        from repro.topology.clos import build_clos
-        from repro.core.pipeline import make_generator
 
-        topology = build_clos(config.clos)
-        sim = Simulator(seed=config.seed)
-        if metrics is not None:
-            from repro.obs import attach_network_probes, default_period
-
-            sim.metrics = metrics
-        network = Network(sim, topology, config=config.net)
-        tracer = PacketTracer(network)
-        generator = make_generator(sim, network, config)
-        if metrics is not None:
-            attach_network_probes(
-                metrics, sim, network, default_period(config.duration_s)
-            )
-        generator.start()
-        sim.run(until=config.duration_s)
-        count = tracer.write_csv(args.trace_csv)
+        packet_trace = PacketTracer(world.network)
+    world.run()
+    if packet_trace is not None:
+        count = packet_trace.write_csv(args.trace_csv)
         print(f"wrote {count} trace events to {args.trace_csv}")
-        result = RunResult(
-            sim_seconds=config.duration_s,
-            wallclock_seconds=sim.wallclock_elapsed,
-            events_executed=sim.events_executed,
-            flows_started=generator.flows_started,
-            flows_completed=generator.flows_completed,
-            flows_elided=generator.flows_elided,
-            drops=network.total_drops,
-            rtt_samples=network.rtt_monitor(0).values.tolist(),
-            fcts=generator.completed_fcts(),
-        )
-    else:
-        result = run_full_simulation(config, metrics=metrics).result
-    _print_run(result, f"full simulation: {args.clusters} clusters @ {args.load:.0%}")
+    _print_run(
+        world.result(), f"full simulation: {args.clusters} clusters @ {args.load:.0%}"
+    )
     _export_metrics(args, metrics)
     return 0
 
@@ -379,35 +408,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_hybrid(args: argparse.Namespace) -> int:
-    try:
-        trained = TrainedClusterModel.load(args.model)
-    except FileNotFoundError as error:
-        print(f"error: cannot load model bundle: {error}", file=sys.stderr)
+    trained = _load_model(args.model)
+    if trained is None:
         return 2
     config = _experiment_from_args(args)
-    hybrid_config = HybridConfig(
-        full_cluster=args.full_cluster,
-        elide_remote_traffic=not args.keep_remote_traffic,
-        single_black_box=args.single_black_box,
-        batch_window_s=args.batch_window,
-        memoize_inference=args.memoize,
-        memo_exact=not args.memo_approximate,
-    )
     metrics = _metrics_from_args(args)
     tracer = _tracer_from_args(args, config.seed)
     result, _ = run_hybrid_simulation(
-        config, trained, hybrid=hybrid_config, metrics=metrics, tracer=tracer
+        config, trained, hybrid=_hybrid_config(args), metrics=metrics, tracer=tracer
     )
     mode = "single-black-box" if args.single_black_box else "per-cluster"
     _print_run(result, f"hybrid simulation ({mode}): {args.clusters} clusters")
     _export_metrics(args, metrics)
     if tracer is not None:
         _export_trace(
-            args,
-            tracer.records(),
-            tracer.recorded,
-            tracer.evicted,
-            meta={"stage": "hybrid", "seed": config.seed, "workers": 1},
+            args, tracer.records(), tracer.recorded, tracer.evicted,
+            "hybrid", config.seed,
         )
     return 0
 
@@ -418,42 +434,22 @@ def _cmd_pdes(args: argparse.Namespace) -> int:
         if args.model is None:
             print("error: --hybrid requires --model", file=sys.stderr)
             return 2
-        try:
-            trained = TrainedClusterModel.load(args.model)
-        except FileNotFoundError as error:
-            print(f"error: cannot load model bundle: {error}", file=sys.stderr)
+        trained = _load_model(args.model)
+        if trained is None:
             return 2
-        from repro.pdes.hybrid_shard import (
-            HybridShardConfig,
-            run_hybrid_sharded,
-        )
+        from repro.pdes import HybridShardConfig, run_hybrid_sharded
 
-        hybrid_config = HybridConfig(
-            full_cluster=args.full_cluster,
-            elide_remote_traffic=not args.keep_remote_traffic,
-            batch_window_s=args.batch_window,
-            memoize_inference=args.memoize,
-            memo_exact=not args.memo_approximate,
+        capacity = _trace_capacity(args)
+        shard_kwargs = (
+            {} if capacity is None else {"trace": True, "trace_capacity": capacity}
         )
-        shard_kwargs = {}
-        if _trace_enabled(args):
-            from repro.obs.trace import DEFAULT_TRACE_CAPACITY
-
-            shard_kwargs = {
-                "trace": True,
-                "trace_capacity": args.trace_capacity or DEFAULT_TRACE_CAPACITY,
-            }
         shard_config = HybridShardConfig(
             workers=args.workers, window_s=args.window,
             metrics=args.worker_metrics, **shard_kwargs,
         )
-        try:
-            result = run_hybrid_sharded(
-                config, trained, shard=shard_config, hybrid=hybrid_config
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        result = run_hybrid_sharded(
+            config, trained, shard=shard_config, hybrid=_hybrid_config(args)
+        )
         rows = [
             ["workers", result.workers],
             ["window (us)", result.window_s * 1e6],
@@ -464,10 +460,7 @@ def _cmd_pdes(args: argparse.Namespace) -> int:
             ["stall wall-clock (s)", result.stall_seconds],
             ["lookahead violations", result.lookahead_violations],
             ["invariant violations", result.invariant_violations],
-            ["simulated (ms)", result.sim_seconds * 1e3],
-            ["wall-clock (s)", result.wallclock_seconds],
-            ["sim-seconds/second", result.sim_seconds_per_second],
-            ["events executed", result.events_executed],
+            *_speed_rows(result),
             ["flows completed", result.flows_completed],
             ["drops", result.drops],
             ["model packets", result.model_packets],
@@ -478,70 +471,35 @@ def _cmd_pdes(args: argparse.Namespace) -> int:
             f"{args.clusters} clusters =="
         )
         print(format_table(["metric", "value"], rows))
-        for name, sample in (
-            ("RTT (us)", result.rtt_samples),
-            ("FCT (ms)", result.fcts),
-        ):
-            if not sample:
-                continue
-            scale = 1e6 if name.startswith("RTT") else 1e3
-            stats = percentile_summary(sample, percentiles=(50, 95, 99))
-            print(
-                f"{name}: n={int(stats['count'])} "
-                f"p50={stats['p50'] * scale:.1f} "
-                f"p95={stats['p95'] * scale:.1f} "
-                f"p99={stats['p99'] * scale:.1f}"
-            )
+        _print_percentiles("RTT (us)", result.rtt_samples, 1e6)
+        _print_percentiles("FCT (ms)", result.fcts, 1e3)
         if shard_config.trace:
             _export_trace(
-                args,
-                result.merged_trace(),
-                result.trace_recorded,
-                result.trace_evicted,
-                meta={
-                    "stage": "pdes-hybrid",
-                    "seed": config.seed,
-                    "workers": result.workers,
-                },
+                args, result.merged_trace(), result.trace_recorded,
+                result.trace_evicted, "pdes-hybrid", config.seed, result.workers,
             )
         return 0
 
     # Classic full-fidelity PDES (the Figure 1 reproduction).
-    from repro.flowsim.workload import generate_workload
     from repro.pdes import PdesConfig, run_parallel_simulation
-    from repro.topology.clos import build_clos
 
-    topology = build_clos(config.clos)
-    flows = generate_workload(
+    topology, flows = _generated_workload(config)
+    result = run_parallel_simulation(
         topology,
-        duration_s=config.duration_s,
-        load=config.load,
-        sizes=config.sizes(),
-        seed=config.seed,
+        flows,
+        PdesConfig(
+            workers=args.workers,
+            duration_s=config.duration_s,
+            window_s=args.window,
+            seed=config.seed,
+        ),
+        net_config=config.net,
     )
-    try:
-        result = run_parallel_simulation(
-            topology,
-            flows,
-            PdesConfig(
-                workers=args.workers,
-                duration_s=config.duration_s,
-                window_s=args.window,
-                seed=config.seed,
-            ),
-            net_config=config.net,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     rows = [
         ["workers", result.workers],
         ["cut links", result.cut_links],
         ["cross-partition messages", result.cross_partition_messages],
-        ["simulated (ms)", result.sim_seconds * 1e3],
-        ["wall-clock (s)", result.wallclock_seconds],
-        ["sim-seconds/second", result.sim_seconds_per_second],
-        ["events executed", result.events_executed],
+        *_speed_rows(result),
         ["flows completed", result.flows_completed],
         ["drops", result.drops],
     ]
@@ -570,43 +528,30 @@ def _parse_pin_tiers(pins: Optional[Sequence[str]]):
 
 
 def _cmd_cascade(args: argparse.Namespace) -> int:
-    try:
-        trained = TrainedClusterModel.load(args.model)
-    except FileNotFoundError as error:
-        print(f"error: cannot load model bundle: {error}", file=sys.stderr)
+    trained = _load_model(args.model)
+    if trained is None:
         return 2
-    from repro.cascade import (
-        CascadeConfig,
-        Tier,
-        TierBudget,
-        run_cascade_simulation,
-    )
+    from repro.cascade import CascadeConfig, Tier, TierBudget, run_cascade_simulation
 
     config = _experiment_from_args(args)
-    try:
-        cascade_config = CascadeConfig(
-            focal_cluster=args.focal_cluster,
-            epoch_s=args.epoch_s,
-            window_epochs=args.window_epochs,
-            initial_tier=Tier.parse(args.initial_tier),
-            budget=TierBudget(
-                ks=args.budget,
-                wasserstein_s=args.wasserstein_budget,
-                drop_delta=args.drop_budget,
-            ),
-            pin_tiers=_parse_pin_tiers(args.pin_tier),
-            min_window_samples=args.min_window_samples,
-            demote_fraction=args.demote_fraction,
-            demote_patience=args.demote_patience,
-            cooldown_epochs=args.cooldown_epochs,
-            max_promotions_per_epoch=args.max_promotions,
-            batch_window_s=args.batch_window,
-            memoize_inference=args.memoize,
-            memo_exact=not args.memo_approximate,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    cascade_config = CascadeConfig(
+        focal_cluster=args.focal_cluster,
+        epoch_s=args.epoch_s,
+        window_epochs=args.window_epochs,
+        initial_tier=Tier.parse(args.initial_tier),
+        budget=TierBudget(
+            ks=args.budget,
+            wasserstein_s=args.wasserstein_budget,
+            drop_delta=args.drop_budget,
+        ),
+        pin_tiers=_parse_pin_tiers(args.pin_tier),
+        min_window_samples=args.min_window_samples,
+        demote_fraction=args.demote_fraction,
+        demote_patience=args.demote_patience,
+        cooldown_epochs=args.cooldown_epochs,
+        max_promotions_per_epoch=args.max_promotions,
+        **_batching_options(args),
+    )
     metrics = _metrics_from_args(args)
     tracer = _tracer_from_args(args, config.seed)
     result, cascade_sim = run_cascade_simulation(
@@ -653,50 +598,48 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
         f"{fluid['active_at_end']} in flight at end, "
         f"{fluid['rate_recomputes']} rate recomputes"
     )
-    if result.fluid_fcts:
-        stats = percentile_summary(result.fluid_fcts, percentiles=(50, 95, 99))
-        print(
-            f"fluid FCT (ms): n={int(stats['count'])} "
-            f"p50={stats['p50'] * 1e3:.1f} "
-            f"p95={stats['p95'] * 1e3:.1f} "
-            f"p99={stats['p99'] * 1e3:.1f}"
-        )
+    _print_percentiles("fluid FCT (ms)", result.fluid_fcts, 1e3)
     if args.decision_log:
         cascade_sim.decision_log.save(args.decision_log)
         print(f"wrote decision log to {args.decision_log}")
     _export_metrics(args, metrics)
     if tracer is not None:
         _export_trace(
-            args,
-            tracer.records(),
-            tracer.recorded,
-            tracer.evicted,
-            meta={"stage": "cascade", "seed": config.seed, "workers": 1},
+            args, tracer.records(), tracer.recorded, tracer.evicted,
+            "cascade", config.seed,
         )
     return 0
 
 
+def _generated_workload(config: ExperimentConfig):
+    """``(topology, flows)``: the experiment as a pre-drawn flow list."""
+    from repro.flowsim.workload import generate_workload
+
+    topology = build_clos(config.clos)
+    flows = generate_workload(
+        topology,
+        duration_s=config.duration_s,
+        load=config.load,
+        sizes=config.sizes(),
+        seed=config.seed,
+    )
+    return topology, flows
+
+
 def _cmd_flowsim(args: argparse.Namespace) -> int:
     from repro.flowsim import FlowLevelSimulator
-    from repro.flowsim.workload import generate_workload, load_workload
-    from repro.topology.clos import build_clos
+    from repro.flowsim.workload import load_workload
 
     config = _experiment_from_args(args)
-    topology = build_clos(config.clos)
     if args.workload:
+        topology = build_clos(config.clos)
         try:
             flows = load_workload(args.workload)
         except (OSError, ValueError, TypeError) as error:
             print(f"error: cannot load workload: {error}", file=sys.stderr)
             return 2
     else:
-        flows = generate_workload(
-            topology,
-            duration_s=config.duration_s,
-            load=config.load,
-            sizes=config.sizes(),
-            seed=config.seed,
-        )
+        topology, flows = _generated_workload(config)
     metrics = _metrics_from_args(args)
     simulator = FlowLevelSimulator(topology, metrics=metrics)
     try:
@@ -712,31 +655,19 @@ def _cmd_flowsim(args: argparse.Namespace) -> int:
     ]
     print(f"== flow-level simulation: {args.clusters} clusters @ {args.load:.0%} ==")
     print(format_table(["metric", "value"], rows))
-    fcts = [r.fct for r in results]
-    if fcts:
-        stats = percentile_summary(fcts, percentiles=(50, 95, 99))
-        print(
-            f"FCT (ms): n={int(stats['count'])} "
-            f"p50={stats['p50'] * 1e3:.1f} "
-            f"p95={stats['p95'] * 1e3:.1f} "
-            f"p99={stats['p99'] * 1e3:.1f}"
-        )
+    _print_percentiles("FCT (ms)", [r.fct for r in results], 1e3)
     _export_metrics(args, metrics)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.validate import ValidateConfig, render_report, run_differential_pair
 
     config = _experiment_from_args(args)
     metrics = _metrics_from_args(args)
     if args.model is not None:
-        try:
-            trained = TrainedClusterModel.load(args.model)
-        except FileNotFoundError as error:
-            print(f"error: cannot load model bundle: {error}", file=sys.stderr)
+        trained = _load_model(args.model)
+        if trained is None:
             return 2
     else:
         training = ExperimentConfig(
@@ -761,9 +692,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         region_cluster=args.region_cluster,
         full_cluster=args.full_cluster,
         elide_remote_traffic=args.elide_remote_traffic,
-        batch_window_s=args.batch_window,
-        memoize_inference=args.memoize,
-        memo_exact=not args.memo_approximate,
+        **_batching_options(args),
     )
     diff = run_differential_pair(
         config, trained, validate=validate_config, metrics=metrics
@@ -774,6 +703,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     )
     print(render_report(diff.report))
     if args.report_json:
+        sides = ("flows_completed", "drops", "events_executed")
         payload = {
             "experiment": {
                 "clusters": args.clusters,
@@ -781,21 +711,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 "duration_s": config.duration_s,
                 "seed": config.seed,
             },
-            "full": {
-                "flows_completed": diff.full.flows_completed,
-                "drops": diff.full.drops,
-                "events_executed": diff.full.events_executed,
-            },
+            "full": {key: getattr(diff.full, key) for key in sides},
             "hybrid": {
-                "flows_completed": diff.hybrid.flows_completed,
-                "drops": diff.hybrid.drops,
-                "events_executed": diff.hybrid.events_executed,
+                **{key: getattr(diff.hybrid, key) for key in sides},
                 "model_packets": diff.hybrid.model_packets,
             },
             "fidelity": diff.report.to_dict(),
         }
         with open(args.report_json, "w", encoding="utf-8") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump(payload, handle, indent=2, sort_keys=True)
         print(f"wrote fidelity report to {args.report_json}")
     _export_metrics(args, metrics)
     violations = diff.checker.total
@@ -806,28 +730,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        trained = TrainedClusterModel.load(args.model)
-    except FileNotFoundError as error:
-        print(f"error: cannot load model bundle: {error}", file=sys.stderr)
+    trained = _load_model(args.model)
+    if trained is None:
         return 2
-    from repro.core.evaluation import evaluate_on_records
-    from repro.core.features import RegionFeatureExtractor
-    from repro.core.pipeline import run_full_simulation
+    from repro.core.evaluation import evaluate_on_fresh_trace
 
     config = _experiment_from_args(args)
     print(
         f"collecting a held-out trace: {args.clusters}-cluster full "
         f"simulation ({config.duration_s * 1e3:.0f} ms @ {config.load:.0%})..."
     )
-    output = run_full_simulation(config, collect_cluster=args.region_cluster)
-    if not output.records:
-        print("error: trace is empty; increase --duration or --load", file=sys.stderr)
-        return 1
-    extractor = RegionFeatureExtractor(
-        output.extractor.topology, output.extractor.routing, args.region_cluster
-    )
-    results = evaluate_on_records(trained, output.records, extractor)
+    results, _ = evaluate_on_fresh_trace(trained, config, args.region_cluster)
     rows = []
     for direction, ev in results.items():
         rows.append([
@@ -849,6 +762,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _format_axes(axes: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(axes.items())) or "-"
+
+
+def _manifest_cells(manifest) -> list:
+    """``[wall (s), model, axes]`` cells of a run-listing row."""
+    cache = "-"
+    if manifest.model is not None:
+        cache = "hit" if manifest.model.get("cache_hit") else "miss"
+    wall = (
+        f"{manifest.wallclock_seconds:.2f}"
+        if manifest.wallclock_seconds is not None
+        else "-"
+    )
+    return [wall, cache, _format_axes(manifest.axes)]
 
 
 def _cmd_runs_submit(args: argparse.Namespace) -> int:
@@ -873,20 +799,9 @@ def _cmd_runs_submit(args: argparse.Namespace) -> int:
         f"({spec.stage} stage, {args.workers} workers) -> {args.out}"
     )
     manifests = scheduler.submit()
-    rows = []
-    for manifest in manifests:
-        cache = "-"
-        if manifest.model is not None:
-            cache = "hit" if manifest.model.get("cache_hit") else "miss"
-        wall = (
-            f"{manifest.wallclock_seconds:.2f}"
-            if manifest.wallclock_seconds is not None
-            else "-"
-        )
-        rows.append([
-            manifest.run_id, manifest.status, manifest.attempts,
-            wall, cache, _format_axes(manifest.axes),
-        ])
+    rows = [
+        [m.run_id, m.status, m.attempts, *_manifest_cells(m)] for m in manifests
+    ]
     print(format_table(
         ["run", "status", "attempts", "wall (s)", "model", "axes"], rows
     ))
@@ -904,20 +819,10 @@ def _cmd_runs_status(args: argparse.Namespace) -> int:
     if not manifests:
         print(f"no run manifests under {args.out}")
         return 0
-    rows = []
-    for manifest in manifests:
-        cache = "-"
-        if manifest.model is not None:
-            cache = "hit" if manifest.model.get("cache_hit") else "miss"
-        wall = (
-            f"{manifest.wallclock_seconds:.2f}"
-            if manifest.wallclock_seconds is not None
-            else "-"
-        )
-        rows.append([
-            manifest.run_id, manifest.stage, manifest.status,
-            manifest.attempts, wall, cache, _format_axes(manifest.axes),
-        ])
+    rows = [
+        [m.run_id, m.stage, m.status, m.attempts, *_manifest_cells(m)]
+        for m in manifests
+    ]
     print(format_table(
         ["run", "stage", "status", "attempts", "wall (s)", "model", "axes"], rows
     ))
@@ -927,8 +832,6 @@ def _cmd_runs_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_show(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.runs import RunStore
 
     store = RunStore(args.out)
@@ -937,13 +840,11 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    print(_json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_models_ls(args: argparse.Namespace) -> int:
-    import datetime as _dt
-
     from repro.runs import ModelRegistry
 
     registry = ModelRegistry(args.registry)
@@ -964,8 +865,8 @@ def _cmd_models_ls(args: argparse.Namespace) -> int:
             entry.fingerprint,
             shape,
             f"{entry.size_bytes / 1024:.0f}",
-            _dt.datetime.fromtimestamp(entry.created_at).strftime("%Y-%m-%d %H:%M:%S"),
-            _dt.datetime.fromtimestamp(entry.last_used_at).strftime("%Y-%m-%d %H:%M:%S"),
+            datetime.datetime.fromtimestamp(entry.created_at).strftime("%Y-%m-%d %H:%M:%S"),
+            datetime.datetime.fromtimestamp(entry.last_used_at).strftime("%Y-%m-%d %H:%M:%S"),
         ])
     print(format_table(
         ["fingerprint", "model", "size (KiB)", "created", "last used"], rows
@@ -988,7 +889,7 @@ def _cmd_models_gc(args: argparse.Namespace) -> int:
 
 def _load_trace_file(run: str):
     """Resolve a run directory / manifest path / trace file to
-    ``(meta, records)``."""
+    ``(meta, records)``; ``None`` after saying why it cannot be read."""
     from pathlib import Path
 
     from repro.obs.trace import read_trace_jsonl
@@ -998,7 +899,11 @@ def _load_trace_file(run: str):
         path = path / "trace.jsonl"
     elif path.name == "manifest.json":
         path = path.with_name("trace.jsonl")
-    return read_trace_jsonl(path)
+    try:
+        return read_trace_jsonl(path)
+    except (OSError, ValueError) as error:
+        print(f"error: cannot load trace: {error}", file=sys.stderr)
+        return None
 
 
 def _format_trace_args(record: dict) -> str:
@@ -1014,11 +919,10 @@ def _format_trace_args(record: dict) -> str:
 def _cmd_trace_show(args: argparse.Namespace) -> int:
     from repro.obs.trace import flow_events, trace_id
 
-    try:
-        meta, records = _load_trace_file(args.run)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot load trace: {error}", file=sys.stderr)
+    loaded = _load_trace_file(args.run)
+    if loaded is None:
         return 2
+    meta, records = loaded
     target = args.flow
     if target.isdigit() and meta.get("seed") is not None:
         target = trace_id(int(meta["seed"]), int(target), domain=args.domain)
@@ -1052,17 +956,14 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.obs.trace import to_chrome_trace
 
-    try:
-        meta, records = _load_trace_file(args.run)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot load trace: {error}", file=sys.stderr)
+    loaded = _load_trace_file(args.run)
+    if loaded is None:
         return 2
+    meta, records = loaded
     payload = to_chrome_trace(records)
-    text = _json.dumps(payload, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -1078,11 +979,10 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 def _cmd_trace_top(args: argparse.Namespace) -> int:
     from repro.obs.trace import top_spans
 
-    try:
-        meta, records = _load_trace_file(args.run)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot load trace: {error}", file=sys.stderr)
+    loaded = _load_trace_file(args.run)
+    if loaded is None:
         return 2
+    meta, records = loaded
     ranked = top_spans(records, by=args.by, limit=args.limit)
     if not ranked:
         print("no spans in this trace")
@@ -1113,13 +1013,11 @@ def _format_labels(labels: Optional[dict]) -> str:
 
 
 def _cmd_obs_show(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.runs import RunManifest
 
     try:
         manifest = RunManifest.load(args.manifest)
-    except (OSError, _json.JSONDecodeError, TypeError, KeyError) as error:
+    except (OSError, json.JSONDecodeError, TypeError, KeyError) as error:
         print(f"error: cannot load manifest: {error}", file=sys.stderr)
         return 2
     pdes = (manifest.result or {}).get("pdes")
@@ -1181,20 +1079,13 @@ def _cmd_obs_show(args: argparse.Namespace) -> int:
         print(format_table(
             ["span", "labels", "count", "errors", "total (s)", "mean (s)"], rows
         ))
-    counters = snap.get("counters", [])
-    if counters:
+    for kind in ("counter", "gauge"):
         rows = [
-            [c["name"], _format_labels(c.get("labels")), c["value"]]
-            for c in counters
+            [entry["name"], _format_labels(entry.get("labels")), entry["value"]]
+            for entry in snap.get(f"{kind}s", [])
         ]
-        print(format_table(["counter", "labels", "value"], rows))
-    gauges = snap.get("gauges", [])
-    if gauges:
-        rows = [
-            [g["name"], _format_labels(g.get("labels")), g["value"]]
-            for g in gauges
-        ]
-        print(format_table(["gauge", "labels", "value"], rows))
+        if rows:
+            print(format_table([kind, "labels", "value"], rows))
     histograms = snap.get("histograms", [])
     if histograms:
         rows = []
@@ -1271,19 +1162,13 @@ def build_parser() -> argparse.ArgumentParser:
     hybrid = commands.add_parser("hybrid", help="run an approximate simulation")
     _add_experiment_arguments(hybrid)
     hybrid.add_argument("--model", required=True, help="model bundle directory")
-    hybrid.add_argument("--full-cluster", type=int, default=0)
-    hybrid.add_argument(
-        "--keep-remote-traffic", action="store_true",
-        help="simulate traffic between approximated clusters too",
-    )
     hybrid.add_argument(
         "--single-black-box", action="store_true",
         help="replace everything outside the full cluster with one model (Section 7)",
     )
+    _add_hybrid_arguments(hybrid)
     _add_scenario_arguments(hybrid)
-    _add_batching_arguments(hybrid)
     _add_metrics_argument(hybrid)
-    _add_trace_arguments(hybrid)
     hybrid.set_defaults(handler=_cmd_hybrid)
 
     pdes = commands.add_parser(
@@ -1309,17 +1194,11 @@ def build_parser() -> argparse.ArgumentParser:
     pdes.add_argument(
         "--model", default=None, help="model bundle directory (with --hybrid)"
     )
-    pdes.add_argument("--full-cluster", type=int, default=0)
-    pdes.add_argument(
-        "--keep-remote-traffic", action="store_true",
-        help="simulate traffic between approximated clusters too",
-    )
     pdes.add_argument(
         "--worker-metrics", action="store_true",
         help="collect a per-worker metrics snapshot (hybrid mode)",
     )
-    _add_batching_arguments(pdes)
-    _add_trace_arguments(pdes)
+    _add_hybrid_arguments(pdes)
     pdes.set_defaults(handler=_cmd_pdes)
 
     cascade = commands.add_parser(

@@ -27,6 +27,7 @@ import numpy as np
 from repro.analysis.stats import roc_auc
 from repro.core.features import Direction, RegionFeatureExtractor
 from repro.core.macro import AutoRegressiveMacroClassifier
+from repro.core.pipeline import ExperimentConfig, FullRunOutput, run_full_simulation
 from repro.core.training import PacketCrossing, TrainedClusterModel
 
 
@@ -141,3 +142,27 @@ def evaluate_on_records(
     if not results:
         raise ValueError("no direction produced evaluable samples")
     return results
+
+
+def evaluate_on_fresh_trace(
+    trained: TrainedClusterModel,
+    config: ExperimentConfig,
+    region_cluster: int = 1,
+    metrics=None,
+) -> tuple[dict[Direction, DirectionEvaluation], FullRunOutput]:
+    """Score ``trained`` against a held-out trace of ``config``.
+
+    Runs the experiment at full fidelity with ``region_cluster``'s
+    boundary instrumented and replays the crossings through a fresh
+    extractor.  Returns the per-direction evaluations and the
+    collection run.
+    """
+    output = run_full_simulation(
+        config, collect_cluster=region_cluster, metrics=metrics
+    )
+    if not output.records:
+        raise ValueError("evaluation trace is empty; increase duration_s or load")
+    extractor = RegionFeatureExtractor(
+        output.extractor.topology, output.extractor.routing, region_cluster
+    )
+    return evaluate_on_records(trained, output.records, extractor), output

@@ -23,20 +23,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-import numpy as np
-
 from repro.core.cluster_model import ApproximatedCluster
 from repro.core.region import Region
 from repro.core.training import TrainedClusterModel
+from repro.des.kernel import Simulator
+from repro.net.failures import FailureInjector
+from repro.net.network import Network, NetworkConfig
+from repro.topology.graph import Topology
+from repro.topology.routing import make_routing
 
 #: Key under which the rest-of-network model appears in
 #: :attr:`HybridSimulation.models` when single-black-box mode is on.
 BLACK_BOX_KEY = -1
-from repro.des.kernel import Simulator
-from repro.net.network import Network, NetworkConfig
-from repro.topology.graph import NodeRole, Topology
-from repro.net.failures import FailureInjector
-from repro.topology.routing import EcmpRouting, make_routing
+
+
+#: The additive hot-path counters: summable over clusters and workers.
+HOT_PATH_TOTALS = (
+    "model_packets",
+    "model_drops",
+    "inference_seconds",
+    "batched_rounds",
+    "batched_packets",
+    "batch_flushes",
+    "scalar_fallbacks",
+    "memo_hits",
+    "memo_misses",
+)
+
+
+def hot_path_summary(
+    totals: Mapping[str, float], wallclock_s: Optional[float] = None
+) -> dict[str, float]:
+    """The manifest's hot-path block from additive totals.
+
+    Stable schema: every key is present (zeroed) even when batching is
+    off or no model ran, so manifests and sweeps can always compare
+    them across configurations.  With ``wallclock_s`` (the run's total
+    wall-clock) the inference share and packet throughput are included.
+    Every ratio is guarded against zero packets / zero wall-clock
+    (degenerate but reachable: an empty workload, a crashed attempt) so
+    manifests never carry ``inf``/``NaN`` — both are invalid JSON.
+    """
+    counters = {key: float(totals.get(key, 0.0)) for key in HOT_PATH_TOTALS}
+    packets = counters["model_packets"]
+    inference = counters["inference_seconds"]
+    memo_total = counters["memo_hits"] + counters["memo_misses"]
+    counters["inference_seconds_per_packet"] = inference / packets if packets else 0.0
+    counters["memo_hit_rate"] = counters["memo_hits"] / memo_total if memo_total else 0.0
+    if wallclock_s is not None:
+        positive = wallclock_s > 0
+        counters["inference_share"] = inference / wallclock_s if positive else 0.0
+        counters["model_packets_per_sec"] = packets / wallclock_s if positive else 0.0
+    return counters
 
 
 class ShardableHybrid:
@@ -58,8 +96,9 @@ class ShardableHybrid:
         fabric names and hosts all owned or all remote (the model's
         recurrent state cannot be split).
     remote_receiver:
-        ``name -> receiver`` factory for ports whose peer is remote
-        (a :class:`~repro.pdes.stub.RemoteStub` in the PDES worker).
+        ``(sim, name) -> receiver`` factory for ports whose peer is
+        remote (a :class:`~repro.pdes.stub.RemoteStub` in the PDES
+        worker; it stamps deliveries with the assembly's clock).
     remote_entity:
         ``name -> entity`` factory for model egress targets that are
         remote (a :class:`~repro.pdes.stub.RemoteEntityProxy`).
@@ -86,14 +125,14 @@ class ShardableHybrid:
         """Does this shard own ``name``?"""
         return self.owned_nodes is None or name in self.owned_nodes
 
-    def remote_receiver(self, name: str):
+    def remote_receiver(self, sim: Simulator, name: str):
         """Receiver standing in for the remote node ``name``."""
         if self._remote_receiver is None:
             raise ValueError(
                 f"node {name!r} is not owned by this shard and no "
                 "remote_receiver factory was provided"
             )
-        return self._remote_receiver(name)
+        return self._remote_receiver(sim, name)
 
     def remote_entity(self, name: str):
         """Egress target standing in for the remote node ``name``."""
@@ -184,7 +223,9 @@ class HybridSimulation:
         model stand in for every cluster.  Alternatively a mapping
         ``cluster index -> model`` assigns independently trained models
         per cluster (the Section 7 "trained independently" question);
-        it must cover every approximated cluster.
+        it must cover every approximated cluster.  ``None`` means no
+        cluster is approximated: the assembly is the full packet-level
+        simulation (same network, routing, failures, taps).
     net_config:
         Queue/TCP parameters — should match what training used.
     config:
@@ -209,13 +250,19 @@ class HybridSimulation:
         approximated fabrics excluded.
     models:
         cluster index -> :class:`ApproximatedCluster`.
+    fabric_models:
+        replaced switch name -> the model standing in for it
+        (how a PDES worker routes a remote packet addressed to e.g.
+        ``agg-c3-0``).
     """
 
     def __init__(
         self,
         sim: Simulator,
         topology: Topology,
-        trained: Union[TrainedClusterModel, Mapping[int, TrainedClusterModel]],
+        trained: Union[
+            TrainedClusterModel, Mapping[int, TrainedClusterModel], None
+        ] = None,
         net_config: Optional[NetworkConfig] = None,
         config: Optional[HybridConfig] = None,
         metrics=None,
@@ -251,14 +298,36 @@ class HybridSimulation:
                 f"full_cluster={self.config.full_cluster} not in topology clusters {cluster_ids}"
             )
         self.full_cluster = self.config.full_cluster
-        self.approx_clusters = [c for c in cluster_ids if c != self.full_cluster]
+        self.approx_clusters = (
+            [c for c in cluster_ids if c != self.full_cluster]
+            if trained is not None
+            else []
+        )
 
         routing = make_routing(topology, routing_config)
         self.models: dict[int, ApproximatedCluster] = {}
-        overrides: dict[str, ApproximatedCluster] = {}
+        self.fabric_models: dict[str, ApproximatedCluster] = {}
         excluded: set[str] = set()
         per_cluster_models = isinstance(trained, Mapping)
-        if self.config.single_black_box:
+
+        def make_model(region, bundle, stream: str) -> ApproximatedCluster:
+            return ApproximatedCluster(
+                sim=sim,
+                topology=topology,
+                routing=routing,
+                region=region,
+                trained=bundle,
+                resolve_entity=self._resolve_entity,
+                rng=sim.rng.stream(stream),
+                macro_bucket_s=self.config.macro_bucket_s,
+                use_fused=self.config.use_fused_inference,
+                inference_dtype=self.config.inference_dtype,
+                metrics=metrics,
+                invariants=invariants,
+                tracer=tracer,
+            )
+
+        if self.config.single_black_box and trained is not None:
             if self.shard.is_sharded:
                 raise ValueError(
                     "single_black_box mode cannot be sharded: the one "
@@ -270,25 +339,10 @@ class HybridSimulation:
                     "not a per-cluster mapping"
                 )
             region = Region.rest_of_network(topology, self.full_cluster)
-            model = ApproximatedCluster(
-                sim=sim,
-                topology=topology,
-                routing=routing,
-                region=region,
-                trained=trained,
-                resolve_entity=self._resolve_entity,
-                rng=sim.rng.stream("approx-blackbox.drops"),
-                macro_bucket_s=self.config.macro_bucket_s,
-                use_fused=self.config.use_fused_inference,
-                inference_dtype=self.config.inference_dtype,
-                metrics=metrics,
-                invariants=invariants,
-                tracer=tracer,
-            )
+            model = make_model(region, trained, "approx-blackbox.drops")
             self.models[BLACK_BOX_KEY] = model
-            for name in region.switches:
-                excluded.add(name)
-                overrides[name] = model
+            excluded.update(region.switches)
+            self.fabric_models.update(dict.fromkeys(region.switches, model))
         else:
             if per_cluster_models:
                 missing = [c for c in self.approx_clusters if c not in trained]
@@ -297,11 +351,9 @@ class HybridSimulation:
                         f"per-cluster model mapping is missing clusters {missing}"
                     )
             for cluster in self.approx_clusters:
-                fabric = [
-                    node.name
-                    for node in topology.cluster_nodes(cluster)
-                    if node.role in (NodeRole.TOR, NodeRole.CLUSTER)
-                ]
+                region = Region.cluster(topology, cluster)
+                fabric = region.switches
+                excluded.update(fabric)
                 # Cluster atomicity: the shard owns all of a cluster's
                 # fabric names or none of them (the model's recurrent
                 # state lives in exactly one worker).
@@ -315,27 +367,15 @@ class HybridSimulation:
                     # Remote cluster: its model lives in another worker;
                     # any local port pointing at its fabric gets a
                     # remote receiver (the worker's stub).
-                    excluded.update(fabric)
                     continue
-                model = ApproximatedCluster(
-                    sim=sim,
-                    topology=topology,
-                    routing=routing,
-                    region=cluster,
-                    trained=trained[cluster] if per_cluster_models else trained,
-                    resolve_entity=self._resolve_entity,
-                    rng=sim.rng.stream(f"approx-cluster-{cluster}.drops"),
-                    macro_bucket_s=self.config.macro_bucket_s,
-                    use_fused=self.config.use_fused_inference,
-                    inference_dtype=self.config.inference_dtype,
-                    metrics=metrics,
-                    invariants=invariants,
-                    tracer=tracer,
+                model = make_model(
+                    region,
+                    trained[cluster] if per_cluster_models else trained,
+                    f"approx-cluster-{cluster}.drops",
                 )
                 self.models[cluster] = model
-                for name in fabric:
-                    excluded.add(name)
-                    overrides[name] = model
+                self.fabric_models.update(dict.fromkeys(fabric, model))
+        overrides: dict[str, object] = dict(self.fabric_models)
 
         if self.shard.is_sharded:
             # Exclude every remote real node, then wire the ports of
@@ -349,7 +389,7 @@ class HybridSimulation:
                     if owner in excluded:
                         continue
                     if peer in excluded and peer not in overrides:
-                        overrides[peer] = self.shard.remote_receiver(peer)
+                        overrides[peer] = self.shard.remote_receiver(sim, peer)
 
         self.network = Network(
             sim,
@@ -491,52 +531,24 @@ class HybridSimulation:
         return sum(m.inference_seconds for m in self.models.values())
 
     def hot_path_counters(self, wallclock_s: Optional[float] = None) -> dict[str, float]:
-        """Hot-path health snapshot for the approximated clusters.
-
-        Parameters
-        ----------
-        wallclock_s:
-            Total run wall-clock; when given, the share of it spent in
-            inference and the packet throughput are included.  Every
-            ratio is guarded against zero packets / zero wall-clock
-            (degenerate but reachable: an empty workload, a crashed
-            attempt) so manifests never carry ``inf``/``NaN`` — both
-            are invalid JSON.
-        """
-        packets = self.model_packets_handled()
-        inference = self.inference_seconds()
-        counters = {
-            "model_packets": float(packets),
-            "model_drops": float(self.model_drops()),
-            "inference_seconds": inference,
-            "inference_seconds_per_packet": inference / packets if packets else 0.0,
+        """Hot-path health snapshot for the approximated clusters
+        (see :func:`hot_path_summary` for the schema)."""
+        totals = {
+            "model_packets": self.model_packets_handled(),
+            "model_drops": self.model_drops(),
+            "inference_seconds": self.inference_seconds(),
         }
-        # Batching/memoization health — stable schema: the keys are
-        # present (zeroed) even when batching is off, so manifests and
-        # sweeps can always compare them across configurations.
         batcher = self.batcher
-        memo_hits = memo_misses = 0
         if batcher is not None:
-            for engine in self._batch_engines:
-                memo_hits += engine.memo_hits
-                memo_misses += engine.memo_misses
-        memo_total = memo_hits + memo_misses
-        counters["batched_rounds"] = float(batcher.batched_rounds) if batcher else 0.0
-        counters["batched_packets"] = (
-            float(batcher.batched_packets) if batcher else 0.0
-        )
-        counters["batch_flushes"] = float(batcher.flushes) if batcher else 0.0
-        counters["scalar_fallbacks"] = (
-            float(batcher.scalar_fallbacks) if batcher else 0.0
-        )
-        counters["memo_hits"] = float(memo_hits)
-        counters["memo_misses"] = float(memo_misses)
-        counters["memo_hit_rate"] = memo_hits / memo_total if memo_total else 0.0
-        if wallclock_s is not None:
-            positive = wallclock_s > 0
-            counters["inference_share"] = inference / wallclock_s if positive else 0.0
-            counters["model_packets_per_sec"] = packets / wallclock_s if positive else 0.0
-        return counters
+            totals.update(
+                batched_rounds=batcher.batched_rounds,
+                batched_packets=batcher.batched_packets,
+                batch_flushes=batcher.flushes,
+                scalar_fallbacks=batcher.scalar_fallbacks,
+                memo_hits=sum(e.memo_hits for e in self._batch_engines),
+                memo_misses=sum(e.memo_misses for e in self._batch_engines),
+            )
+        return hot_path_summary(totals, wallclock_s)
 
     def observed_rtt_samples(self) -> list[float]:
         """RTTs observed by the full-fidelity cluster's hosts.

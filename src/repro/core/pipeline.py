@@ -11,6 +11,9 @@ Stage 3 — :func:`run_hybrid_simulation`: assemble a (typically larger)
 topology with all but one cluster approximated and run the same
 workload family.
 
+Each stage builds, runs and reads one :mod:`repro.core.world` (where
+the scenario and result types live); this module keeps Figure 3's names.
+
 The result objects carry the measurements every benchmark needs:
 wall-clock seconds of event processing (the kernel excludes setup),
 executed event counts, RTT samples from the observed cluster, FCTs,
@@ -19,183 +22,29 @@ and drop totals.
 
 from __future__ import annotations
 
-import json
-import time as _wallclock
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.features import RegionFeatureExtractor
 from repro.core.hybrid import HybridConfig, HybridSimulation
-from repro.core.region import Region
 from repro.core.micro import MicroModelConfig
+from repro.core.region import Region
 from repro.core.training import (
     PacketCrossing,
-    RegionTraceCollector,
     TrainedClusterModel,
     train_cluster_model,
 )
-from repro.des.kernel import Simulator
-from repro.net.failures import FailureInjector, LinkFailure, normalize_failures
-from repro.net.network import Network, NetworkConfig
-from repro.topology.clos import ClosParams, build_clos
-from repro.topology.routing import EcmpRouting, RoutingConfig, make_routing
-from repro.traffic.apps import TrafficGenerator
-from repro.traffic.collectives import CollectiveConfig, CollectiveWorkload
-from repro.traffic.arrivals import PoissonArrivals, arrival_rate_for_load
-from repro.traffic.distributions import EmpiricalSizeDistribution, web_search_sizes
-from repro.traffic.matrix import IncastMatrix, PermutationMatrix, TrafficMatrix, UniformMatrix
+from repro.core.world import ExperimentConfig, RunResult, build_world, make_generator
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Workload and topology parameters shared by all pipeline stages.
-
-    Attributes
-    ----------
-    clos:
-        Topology shape (the evaluation's clusters have four switches
-        and eight servers — :class:`ClosParams` defaults).
-    load:
-        Offered load as a fraction of server access capacity.
-    duration_s:
-        Simulated time window.
-    seed:
-        Master seed (workload and simulation randomness).
-    net:
-        Queue and TCP parameters.
-    intra_cluster_fraction:
-        Optional locality bias of the traffic matrix.
-    matrix:
-        Endpoint-selection policy: "uniform" (the evaluation default),
-        "permutation", or "incast" — the generality ablation (A6)
-        trains under one and evaluates under another.
-    routing:
-        Forwarding policy (ECMP / flowlet / adaptive) and its knobs;
-        consumed by every stage's network *and* the fluid path charger.
-    failures:
-        Deterministic link-failure/recovery events, applied by a
-        :class:`~repro.net.failures.FailureInjector` in every stage.
-    collective:
-        Optional AI-training collective workload running alongside the
-        Poisson mice traffic (see :mod:`repro.traffic.collectives`).
-    """
-
-    clos: ClosParams = field(default_factory=ClosParams)
-    load: float = 0.25
-    duration_s: float = 0.02
-    seed: int = 1
-    net: NetworkConfig = field(default_factory=NetworkConfig)
-    intra_cluster_fraction: Optional[float] = None
-    matrix: str = "uniform"
-    routing: RoutingConfig = field(default_factory=RoutingConfig)
-    failures: tuple[LinkFailure, ...] = ()
-    collective: Optional[CollectiveConfig] = None
-
-    def __post_init__(self) -> None:
-        # Spec files hand these over as plain dicts/lists; normalize so
-        # every consumer sees the frozen dataclasses and the run
-        # fingerprint stays canonical.
-        object.__setattr__(self, "routing", RoutingConfig.from_dict(self.routing))
-        object.__setattr__(self, "failures", normalize_failures(self.failures))
-        if self.collective is not None:
-            object.__setattr__(
-                self, "collective", CollectiveConfig.from_dict(self.collective)
-            )
-        if self.matrix not in ("uniform", "permutation", "incast"):
-            raise ValueError(
-                f"matrix must be uniform|permutation|incast, got {self.matrix!r}"
-            )
-        # Sweep schedulers build configs from parsed spec files; bad
-        # numbers must fail here, not surface as NaNs mid-simulation.
-        if not self.load > 0:
-            raise ValueError(f"load must be > 0, got {self.load}")
-        if not self.duration_s > 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def sizes(self) -> EmpiricalSizeDistribution:
-        """The flow-size distribution (the paper's web-search trace)."""
-        return web_search_sizes()
-
-
-@dataclass
-class RunResult:
-    """Measurements from one simulation run (full or hybrid)."""
-
-    sim_seconds: float
-    wallclock_seconds: float
-    events_executed: int
-    flows_started: int
-    flows_completed: int
-    flows_elided: int
-    drops: int
-    rtt_samples: list[float]
-    fcts: list[float]
-    model_packets: int = 0
-    model_drops: int = 0
-    model_inference_seconds: float = 0.0
-    #: Applied link failure/recovery events (manifest-ready dicts).
-    failure_events: list[dict] = field(default_factory=list)
-    #: Collective workload accounting when one ran (else None).
-    collective: Optional[dict] = None
-
-    @property
-    def sim_seconds_per_second(self) -> float:
-        """Simulated seconds per wall-clock second (Figure 1's metric).
-
-        Zero wall-clock (degenerate but reachable: empty workload, a
-        mocked clock) yields 0.0, never ``inf`` — results get JSON-
-        serialized into manifests and ``inf`` is not valid JSON.
-        """
-        if self.wallclock_seconds <= 0:
-            return 0.0
-        return self.sim_seconds / self.wallclock_seconds
-
-    @property
-    def events_per_second(self) -> float:
-        """Executed events per wall-clock second (zero-guarded)."""
-        if self.wallclock_seconds <= 0:
-            return 0.0
-        return self.events_executed / self.wallclock_seconds
-
-    @property
-    def inference_share(self) -> float:
-        """Fraction of wall-clock spent inside model inference."""
-        if self.wallclock_seconds <= 0:
-            return 0.0
-        return self.model_inference_seconds / self.wallclock_seconds
-
-    @property
-    def model_packets_per_sec(self) -> float:
-        """Wall-clock throughput of packets through approximated clusters."""
-        if self.wallclock_seconds <= 0:
-            return 0.0
-        return self.model_packets / self.wallclock_seconds
-
-    def determinism_signature(self) -> str:
-        """Byte-comparable canonical form of everything seeded.
-
-        Wall-clock fields are excluded, and so is ``events_executed``
-        (metrics probes schedule extra kernel events without touching
-        outcomes); same-seed runs of the same scenario (including
-        link-failure schedules and collective workloads) must produce
-        identical signatures whether or not metrics or tracing were
-        enabled.
-        """
-        payload = {
-            "flows_started": self.flows_started,
-            "flows_completed": self.flows_completed,
-            "flows_elided": self.flows_elided,
-            "drops": self.drops,
-            "rtts": self.rtt_samples,
-            "fcts": self.fcts,
-            "model_packets": self.model_packets,
-            "model_drops": self.model_drops,
-            "failure_events": self.failure_events,
-            "collective": self.collective,
-        }
-        return json.dumps(payload, sort_keys=True)
+__all__ = [
+    "ExperimentConfig",
+    "FullRunOutput",
+    "RunResult",
+    "make_generator",
+    "run_full_simulation",
+    "run_hybrid_simulation",
+    "train_reusable_model",
+]
 
 
 @dataclass
@@ -205,60 +54,6 @@ class FullRunOutput:
     result: RunResult
     records: list[PacketCrossing]
     extractor: Optional[RegionFeatureExtractor]
-
-
-def make_generator(
-    sim: Simulator,
-    network: Network,
-    config: ExperimentConfig,
-    flow_filter=None,
-    flow_dispatch=None,
-    tracer=None,
-) -> TrafficGenerator:
-    """Build the load-calibrated traffic generator for an experiment.
-
-    Public so custom experiment drivers (and the CLI) can assemble
-    networks manually — e.g. to attach tracers before traffic starts —
-    while keeping the exact workload semantics of the pipeline.
-    """
-    sizes = config.sizes()
-    rate = arrival_rate_for_load(
-        config.load,
-        len(network.topology.servers()),
-        next(iter(network.topology.links)).rate_bps,
-        sizes.mean(),
-    )
-    matrix = _make_matrix(sim, network, config)
-    generator = TrafficGenerator(
-        sim,
-        network,
-        matrix=matrix,
-        sizes=sizes,
-        arrivals=PoissonArrivals(rate),
-        flow_filter=flow_filter,
-        flow_dispatch=flow_dispatch,
-        tracer=tracer,
-    )
-    # The collective workload self-starts at sim time 0 and launches
-    # its gated chunk flows through the generator (packet path in
-    # every tier); the Poisson arrivals are the background mice.
-    if config.collective is not None:
-        generator.collective = CollectiveWorkload(sim, generator, config.collective)
-    else:
-        generator.collective = None
-    return generator
-
-
-def _make_matrix(
-    sim: Simulator, network: Network, config: ExperimentConfig
-) -> TrafficMatrix:
-    if config.matrix == "permutation":
-        return PermutationMatrix(network.topology, sim.rng.stream("traffic.permutation"))
-    if config.matrix == "incast":
-        return IncastMatrix(network.topology)
-    return UniformMatrix(
-        network.topology, intra_cluster_fraction=config.intra_cluster_fraction
-    )
 
 
 def run_full_simulation(
@@ -289,44 +84,17 @@ def run_full_simulation(
         Simulated-time sampling period for the probes; defaults to
         ``duration_s / 50`` (:func:`repro.obs.default_period`).
     """
-    topology = build_clos(config.clos)
-    sim = Simulator(seed=config.seed)
-    if metrics is not None:
-        sim.metrics = metrics
-    routing = make_routing(topology, config.routing)
-    network = Network(sim, topology, config=config.net, routing=routing)
-    injector = FailureInjector(sim, routing, config.failures)
-    collector = None
-    extractor = None
-    if collect_cluster is not None:
-        collector = RegionTraceCollector(network, collect_cluster)
-        extractor = RegionFeatureExtractor(topology, network.routing, collect_cluster)
-    generator = make_generator(sim, network, config)
-    if metrics is not None:
-        from repro.obs import attach_network_probes, default_period
-
-        period = probe_period_s or default_period(config.duration_s)
-        attach_network_probes(metrics, sim, network, period)
-    generator.start()
-    sim.run(until=config.duration_s)
-
-    records = collector.finalize() if collector is not None else []
-    result = RunResult(
-        sim_seconds=config.duration_s,
-        wallclock_seconds=sim.wallclock_elapsed,
-        events_executed=sim.events_executed,
-        flows_started=generator.flows_started,
-        flows_completed=generator.flows_completed,
-        flows_elided=generator.flows_elided,
-        drops=network.total_drops,
-        rtt_samples=network.rtt_monitor(observe_cluster).values.tolist(),
-        fcts=generator.completed_fcts(),
-        failure_events=injector.summary(),
-        collective=(
-            generator.collective.summary() if generator.collective else None
-        ),
+    world = build_world(
+        config,
+        hybrid=HybridConfig(full_cluster=observe_cluster),
+        collect_cluster=collect_cluster,
+        metrics=metrics,
+        probe_period_s=probe_period_s,
     )
-    return FullRunOutput(result=result, records=records, extractor=extractor)
+    world.run()
+    return FullRunOutput(
+        result=world.result(), records=world.records(), extractor=world.extractor
+    )
 
 
 def train_reusable_model(
@@ -380,55 +148,13 @@ def run_hybrid_simulation(
     gets admission/completion records and every model decision a span —
     RNG-free, so seeded outcomes stay byte-identical.
     """
-    topology = build_clos(config.clos)
-    sim = Simulator(seed=config.seed)
-    if tracer is not None:
-        tracer.bind_clock(lambda: sim.now)
-    hybrid_sim = HybridSimulation(
-        sim,
-        topology,
+    world = build_world(
+        config,
         trained,
-        net_config=config.net,
-        config=hybrid,
+        hybrid=hybrid,
         metrics=metrics,
         tracer=tracer,
-        routing_config=config.routing,
-        failures=config.failures,
+        probe_period_s=probe_period_s,
     )
-    generator = make_generator(
-        sim,
-        hybrid_sim.network,
-        config,
-        flow_filter=hybrid_sim.flow_filter,
-        tracer=tracer,
-    )
-    if metrics is not None:
-        from repro.obs import attach_hybrid_probes, default_period
-
-        period = probe_period_s or default_period(config.duration_s)
-        attach_hybrid_probes(metrics, sim, hybrid_sim, period)
-    generator.start()
-    sim.run(until=config.duration_s)
-    # Drain any packets still inside the batching window so the result
-    # accounts for every arrival (no-op when batching is off).
-    hybrid_sim.flush_inference()
-
-    result = RunResult(
-        sim_seconds=config.duration_s,
-        wallclock_seconds=sim.wallclock_elapsed,
-        events_executed=sim.events_executed,
-        flows_started=generator.flows_started,
-        flows_completed=generator.flows_completed,
-        flows_elided=generator.flows_elided,
-        drops=hybrid_sim.network.total_drops + hybrid_sim.model_drops(),
-        rtt_samples=hybrid_sim.observed_rtt_samples(),
-        fcts=generator.completed_fcts(),
-        model_packets=hybrid_sim.model_packets_handled(),
-        model_drops=hybrid_sim.model_drops(),
-        model_inference_seconds=hybrid_sim.inference_seconds(),
-        failure_events=hybrid_sim.failure_injector.summary(),
-        collective=(
-            generator.collective.summary() if generator.collective else None
-        ),
-    )
-    return result, hybrid_sim
+    world.run()
+    return world.result(), world.hybrid

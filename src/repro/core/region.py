@@ -20,8 +20,9 @@ INGRESS (it ends inside the region's reach), anything else EGRESS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.net.port import chain_hook
 from repro.topology.graph import NodeRole, Topology
 
 
@@ -105,6 +106,26 @@ class Region:
     def is_shadow_server(self, name: str) -> bool:
         """True if ``name`` is a server behind the region."""
         return name in self.shadow_servers
+
+    def tap_boundary(self, network, on_entry, on_exit, on_drop) -> None:
+        """Chain taps onto the live ports of the region's boundary.
+
+        ``on_entry(packet, time)`` fires on ports delivering *into* the
+        region (server NICs of the cluster, core-to-Cluster-switch
+        ports), ``on_exit(packet, time)`` on region ports delivering
+        *out* (ToR-to-server, Cluster-to-core), ``on_drop(packet)`` on
+        every region-owned port.  Entry-delivery to exit-delivery is
+        exactly the interval a model of the region replaces.
+        """
+        for (owner, peer), port in network.ports().items():
+            owner_in = owner in self.switches
+            peer_in = peer in self.switches
+            if not owner_in and peer_in:
+                port.on_deliver = chain_hook(port.on_deliver, on_entry)
+            elif owner_in and not peer_in:
+                port.on_deliver = chain_hook(port.on_deliver, on_exit)
+            if owner_in:
+                port.on_drop = chain_hook(port.on_drop, on_drop)
 
     def egress_node_on_path(self, path: list[str]) -> str:
         """Where a packet on ``path`` re-enters full fidelity.

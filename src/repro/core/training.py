@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -80,14 +80,11 @@ class PacketCrossing:
 
 
 class RegionTraceCollector:
-    """Instruments one cluster's fabric boundary in a live network.
-
-    Entry taps sit on ports delivering *into* the region (server NICs
-    of the cluster, core-to-Cluster-switch ports); exit taps sit on
-    region ports delivering *out* (ToR-to-server, Cluster-to-core);
-    drop taps chain onto every region-owned port.  Region latency is
-    therefore measured entry-delivery to exit-delivery — exactly the
-    interval the hybrid simulator's model replaces.
+    """Instruments one cluster's fabric boundary in a live network
+    (:meth:`~repro.core.region.Region.tap_boundary`) and records every
+    crossing: region latency is measured entry-delivery to
+    exit-delivery — exactly the interval the hybrid simulator's model
+    replaces.
     """
 
     def __init__(self, network: Network, region: Region | int) -> None:
@@ -95,50 +92,13 @@ class RegionTraceCollector:
         if isinstance(region, int):
             region = Region.cluster(network.topology, region)
         self.region = region
-        self.region_switches = set(region.switches)
         self._pending: dict[int, PacketCrossing] = {}
         self.records: list[PacketCrossing] = []
         self.incomplete = 0
+        region.tap_boundary(
+            network, self._on_entry, self._on_exit, self._on_region_drop
+        )
 
-        for (owner, peer), port in network.ports().items():
-            owner_in = owner in self.region_switches
-            peer_in = peer in self.region_switches
-            if not owner_in and peer_in:
-                port.on_deliver = self._chain_deliver(port.on_deliver, self._on_entry)
-            elif owner_in and not peer_in:
-                port.on_deliver = self._chain_deliver(port.on_deliver, self._on_exit)
-            if owner_in:
-                port.on_drop = self._chain_drop(port.on_drop, self._on_region_drop)
-
-    @staticmethod
-    def _chain_deliver(
-        existing: Optional[Callable[[Packet, float], None]],
-        handler: Callable[[Packet, float], None],
-    ) -> Callable[[Packet, float], None]:
-        if existing is None:
-            return handler
-
-        def chained(packet: Packet, time: float) -> None:
-            existing(packet, time)
-            handler(packet, time)
-
-        return chained
-
-    @staticmethod
-    def _chain_drop(
-        existing: Optional[Callable[[Packet], None]],
-        handler: Callable[[Packet], None],
-    ) -> Callable[[Packet], None]:
-        if existing is None:
-            return handler
-
-        def chained(packet: Packet) -> None:
-            existing(packet)
-            handler(packet)
-
-        return chained
-
-    # ------------------------------------------------------------------
     def _on_entry(self, packet: Packet, time: float) -> None:
         crossing = PacketCrossing(packet=packet, entry_time=time)
         self._pending[packet.packet_id] = crossing
@@ -148,13 +108,17 @@ class RegionTraceCollector:
         if crossing is None:
             return  # e.g. instrumentation attached mid-flight
         crossing.exit_time = time
-        self.records.append(crossing)
+        self._complete(crossing)
 
     def _on_region_drop(self, packet: Packet) -> None:
         crossing = self._pending.pop(packet.packet_id, None)
         if crossing is None:
             return
         crossing.drop_time = self.network.sim.now
+        self._complete(crossing)
+
+    def _complete(self, crossing: PacketCrossing) -> None:
+        """A crossing's outcome is known (overridable sink)."""
         self.records.append(crossing)
 
     def finalize(self) -> list[PacketCrossing]:

@@ -41,6 +41,23 @@ class Receiver(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
+def chain_hook(existing: Optional[Callable], handler: Callable) -> Callable:
+    """Append ``handler`` to a port hook (``on_deliver`` / ``on_drop``).
+
+    Whatever was installed before keeps running first, so independent
+    taps (trace collectors, the cascade's focal tap, the raw packet
+    tracer, the network's drop counter) can share one port.
+    """
+    if existing is None:
+        return handler
+
+    def chained(*args) -> None:
+        existing(*args)
+        handler(*args)
+
+    return chained
+
+
 @dataclass
 class PortStats:
     """Per-port accounting."""

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.net.network import Network
 from repro.net.packet import Packet
+from repro.net.port import chain_hook
 
 #: Event kinds recorded by the tracer.
 KIND_DELIVER = "deliver"
@@ -81,38 +82,15 @@ class PacketTracer:
             if node_filter is not None and owner not in node_filter:
                 continue
             self._ports_instrumented += 1
-            port.on_deliver = self._chain_deliver(
+            port.on_deliver = chain_hook(
                 port.on_deliver, self._make_deliver_handler(owner, peer)
             )
             if include_drops:
-                port.on_drop = self._chain_drop(
+                port.on_drop = chain_hook(
                     port.on_drop, self._make_drop_handler(owner, peer)
                 )
         if self._ports_instrumented == 0:
             raise ValueError("tracer matched no ports; check the node filter")
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _chain_deliver(existing, handler):
-        if existing is None:
-            return handler
-
-        def chained(packet: Packet, time: float) -> None:
-            existing(packet, time)
-            handler(packet, time)
-
-        return chained
-
-    @staticmethod
-    def _chain_drop(existing, handler):
-        if existing is None:
-            return handler
-
-        def chained(packet: Packet) -> None:
-            existing(packet)
-            handler(packet)
-
-        return chained
 
     def _make_deliver_handler(self, owner: str, peer: str) -> Callable[[Packet, float], None]:
         def handler(packet: Packet, time: float) -> None:

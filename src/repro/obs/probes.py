@@ -141,21 +141,14 @@ def attach_hybrid_probes(
     latency — the quantities a fidelity postmortem localizes error
     with (which cluster, which regime, drops or latency).
     """
-    if not registry.enabled:
+    probes = attach_network_probes(registry, sim, hybrid_sim.network, period_s)
+    if probes is None:
         return None
-    probes = SimTimeProbes(registry, sim, period_s)
     # With event-horizon batching on, packets can be held when a tick
     # fires; flush first so the sampled counters/macro states include
     # everything that arrived before the tick (flushing early is always
     # causally safe — see repro.core.batcher).
     probes.before_tick = hybrid_sim.flush_inference
-    network = hybrid_sim.network
-    ports = list(network.ports().values())
-    probes.add("queue_depth_bytes", network.total_queued_bytes)
-    probes.add(
-        "queue_depth_max_bytes",
-        lambda: max((port.queued_bytes for port in ports), default=0),
-    )
     for cluster, model in hybrid_sim.models.items():
         labels = {"cluster": cluster}
         probes.add("macro_state", lambda m=model: m.macro.state.value, **labels)

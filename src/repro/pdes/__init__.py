@@ -11,7 +11,9 @@ This package reproduces that experiment with a real parallel engine:
 
 * the topology is partitioned across worker *processes*
   (:func:`~repro.topology.partition.partition_for_workers`);
-* each worker runs its own DES over its partition;
+* each worker builds and runs its own shard of the world
+  (:mod:`repro.pdes.worker`) under one crash-safe coordinator
+  (:func:`repro.pdes.engine.run_workers`);
 * causality is maintained with the conservative synchronous-window
   protocol: the window length equals the minimum propagation delay of
   any cut link (the lookahead), and workers exchange cross-partition
@@ -28,15 +30,16 @@ here; one container cannot be several machines, but the synchronization
 economics (messages + barriers vs. per-partition event work) are the
 same mechanism measured on one host.
 
-:mod:`repro.pdes.hybrid_shard` fuses this engine with the hybrid
-simulator: the full-fidelity region is partitioned across workers and
-every approximated cluster runs as a model shard colocated with the
-worker owning its attachment point.
+:mod:`repro.pdes.hybrid_shard` runs the hybrid simulator on the same
+worker and coordinator: the full-fidelity region is partitioned across
+workers and every approximated cluster runs as a model shard colocated
+with the worker owning its attachment point.
 """
 
 from repro.pdes.engine import (
     PdesConfig,
     PdesResult,
+    WorkerCrashError,
     resolve_window,
     run_parallel_simulation,
     run_single_threaded,
@@ -45,14 +48,13 @@ from repro.pdes.hybrid_shard import (
     HybridShardConfig,
     ModelRef,
     PdesHybridResult,
-    ShardStats,
-    WorkerCrashError,
     extract_flow_schedule,
     model_egress_lookahead,
     outcome_signature,
     resolve_hybrid_window,
     run_hybrid_sharded,
 )
+from repro.pdes.worker import ShardStats
 
 __all__ = [
     "PdesConfig",

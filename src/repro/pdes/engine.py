@@ -1,14 +1,19 @@
-"""PDES orchestration and the single-threaded reference runner.
+"""PDES coordination and the plain (Figure 1) engine.
 
-:func:`run_parallel_simulation` spawns worker processes, waits for all
-of them to finish setup (topology build, routing, flow registration),
-then measures wall-clock time from the moment it releases them to the
-moment the last reports done — so the reported simulated-seconds-per-
-second covers the event processing and synchronization, not Python
-process startup (the paper's Figure 1 likewise excludes model setup).
+:func:`run_workers` is the one coordinator both parallel engines use:
+it spawns the worker processes over a full pipe mesh, waits for all of
+them to finish setup (world build, flow registration), then measures
+wall-clock time from the moment it releases them to the moment the
+last reports done — so the reported simulated-seconds-per-second
+covers the event processing and synchronization, not Python process
+startup (the paper's Figure 1 likewise excludes model setup).  Every
+wait is crash-safe: a worker that dies or reports an error raises
+:class:`WorkerCrashError` naming it.
 
-:func:`run_single_threaded` runs the identical workload on one
-in-process simulator for the baseline series.
+:func:`run_parallel_simulation` is the plain engine — the shared
+worker with no model and a :class:`~repro.flowsim.simulator.FlowSpec`
+list — and :func:`run_single_threaded` runs the identical workload on
+one in-process world for the baseline series.
 """
 
 from __future__ import annotations
@@ -16,16 +21,19 @@ from __future__ import annotations
 import multiprocessing as mp
 import time as _wallclock
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _connection_wait
 from typing import Optional
 
-from repro.des.kernel import Simulator
+from repro.core.world import ExperimentConfig, build_world, per_wallclock_second
 from repro.flowsim.simulator import FlowSpec
-from repro.net.network import Network, NetworkConfig
-from repro.net.tcp.receiver import TcpReceiver
-from repro.net.tcp.sender import TcpSender
-from repro.pdes.worker import FLOW_DST_PORT, FLOW_PORT_BASE, WorkerStats, worker_main
+from repro.net.network import NetworkConfig
+from repro.pdes.worker import ShardPlan, ShardStats, shard_worker_main
 from repro.topology.graph import Topology
-from repro.topology.partition import cross_partition_links, partition_for_workers
+from repro.topology.partition import (
+    cross_partition_links,
+    owner_map,
+    partition_for_workers,
+)
 
 
 @dataclass(frozen=True)
@@ -78,10 +86,8 @@ class PdesResult:
 
     @property
     def sim_seconds_per_second(self) -> float:
-        """Figure 1's y-axis."""
-        if self.wallclock_seconds <= 0:
-            return float("inf")
-        return self.sim_seconds / self.wallclock_seconds
+        """Figure 1's y-axis (zero-guarded: ``inf`` is not JSON)."""
+        return per_wallclock_second(self.sim_seconds, self.wallclock_seconds)
 
 
 def resolve_window(
@@ -107,10 +113,7 @@ def resolve_window(
     silently shrinking it would change the run the user asked for, and
     silently keeping it would let an exchange violate causality.
     """
-    owner: dict[str, int] = {}
-    for index, nodes in enumerate(partitions):
-        for name in nodes:
-            owner[name] = index
+    owner = owner_map(partitions)
     cut_delays = [
         link.delay_s for link in topology.links if owner[link.a] != owner[link.b]
     ]
@@ -140,8 +143,148 @@ def resolve_window(
     return config.window_s
 
 
-#: Backwards-compatible private alias (pre-hybrid name).
-_resolve_window = resolve_window
+class WorkerCrashError(RuntimeError):
+    """A worker died (or reported a structured error) mid-run.
+
+    Carries the failing worker's index and the original exception's
+    type/message/traceback so manifests can record *what* failed
+    instead of a bare hang or timeout.  When the worker ran with
+    tracing enabled, ``trace_tail`` holds the last window of its
+    flight recorder — the events leading up to the crash.
+    """
+
+    def __init__(
+        self,
+        worker_index: int,
+        error_type: str,
+        message: str,
+        traceback_str: str = "",
+        trace_tail: Optional[list] = None,
+    ) -> None:
+        super().__init__(
+            f"PDES worker {worker_index} failed: {error_type}: {message}"
+        )
+        self.worker_index = worker_index
+        self.error_type = error_type
+        self.message = message
+        self.traceback_str = traceback_str
+        self.trace_tail = trace_tail or []
+
+
+def _collect(
+    parent_ends: list,
+    processes: list,
+    expected_tag: str,
+    timeout_s: Optional[float],
+) -> list:
+    """Receive one ``(expected_tag, payload)`` from every worker.
+
+    Crash-safe: multiplexes the parent pipes against the process
+    sentinels, so a worker that dies without reporting (SIGKILL, OOM)
+    or reports a structured error raises :class:`WorkerCrashError`
+    immediately instead of blocking forever in ``recv``.  With a
+    ``timeout_s``, silence past it raises too.
+    """
+    deadline = None if timeout_s is None else _wallclock.monotonic() + timeout_s
+    payloads: dict[int, object] = {}
+    pending = set(range(len(parent_ends)))
+    while pending:
+        poll_s = 1.0
+        if deadline is not None:
+            remaining = deadline - _wallclock.monotonic()
+            if remaining <= 0:
+                raise WorkerCrashError(
+                    min(pending),
+                    "Timeout",
+                    f"workers {sorted(pending)} sent no {expected_tag!r} "
+                    f"within {timeout_s}s",
+                )
+            poll_s = min(remaining, poll_s)
+        waitables = [parent_ends[i] for i in pending]
+        waitables.extend(processes[i].sentinel for i in pending)
+        _connection_wait(waitables, timeout=poll_s)
+        for index in sorted(pending):
+            conn = parent_ends[index]
+            if conn.poll():
+                tag, payload = conn.recv()
+                if tag == "error":
+                    raise WorkerCrashError(
+                        payload["worker_index"],
+                        payload["type"],
+                        payload["message"],
+                        payload.get("traceback", ""),
+                        trace_tail=payload.get("trace_tail"),
+                    )
+                if tag != expected_tag:
+                    raise WorkerCrashError(
+                        index,
+                        "ProtocolError",
+                        f"expected {expected_tag!r}, got {tag!r}",
+                    )
+                payloads[index] = payload
+                pending.discard(index)
+            elif not processes[index].is_alive():
+                raise WorkerCrashError(
+                    index,
+                    "WorkerDied",
+                    f"worker {index} exited with code "
+                    f"{processes[index].exitcode} without reporting",
+                )
+    return [payloads[i] for i in range(len(parent_ends))]
+
+
+def run_workers(
+    plan: ShardPlan, timeout_s: Optional[float]
+) -> tuple[list[ShardStats], float]:
+    """Run one worker process per partition of ``plan`` to completion.
+
+    Returns the per-worker stats and the wall-clock seconds between
+    releasing the workers and the last one reporting done.
+    """
+    workers = len(plan.partitions)
+    ctx = mp.get_context("fork")
+    parent_ends: list = []
+    worker_ends: list = []
+    for _ in range(workers):
+        parent_end, worker_end = ctx.Pipe(duplex=True)
+        parent_ends.append(parent_end)
+        worker_ends.append(worker_end)
+    # Full mesh between workers.
+    peer_conns: list[dict[int, object]] = [dict() for _ in range(workers)]
+    for i in range(workers):
+        for j in range(i + 1, workers):
+            peer_conns[i][j], peer_conns[j][i] = ctx.Pipe(duplex=True)
+
+    processes = []
+    for index in range(workers):
+        process = ctx.Process(
+            target=shard_worker_main,
+            args=(index, plan, worker_ends[index], peer_conns[index]),
+            daemon=True,
+        )
+        process.start()
+        processes.append(process)
+
+    try:
+        _collect(parent_ends, processes, "ready", timeout_s)
+        started = _wallclock.perf_counter()
+        for conn in parent_ends:
+            conn.send("go")
+        stats = _collect(parent_ends, processes, "done", timeout_s)
+        elapsed = _wallclock.perf_counter() - started
+        for conn in parent_ends:
+            conn.send("exit")
+    except WorkerCrashError:
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+        raise
+    finally:
+        for process in processes:
+            process.join(timeout=30)
+            if process.is_alive():  # pragma: no cover - defensive
+                process.terminate()
+    return stats, elapsed
 
 
 def run_parallel_simulation(
@@ -151,83 +294,27 @@ def run_parallel_simulation(
     net_config: Optional[NetworkConfig] = None,
 ) -> PdesResult:
     """Execute the workload across ``config.workers`` processes."""
-    net_config = net_config or NetworkConfig()
     partitions = partition_for_workers(topology, config.workers)
-    window = _resolve_window(topology, partitions, config)
-
-    ctx = mp.get_context("fork")
-    parent_ends: list = []
-    worker_parent_ends: list = []
-    for _ in range(config.workers):
-        parent_end, worker_end = ctx.Pipe(duplex=True)
-        parent_ends.append(parent_end)
-        worker_parent_ends.append(worker_end)
-    # Full mesh between workers.
-    peer_conns: list[dict[int, object]] = [dict() for _ in range(config.workers)]
-    for i in range(config.workers):
-        for j in range(i + 1, config.workers):
-            end_i, end_j = ctx.Pipe(duplex=True)
-            peer_conns[i][j] = end_i
-            peer_conns[j][i] = end_j
-
-    processes = []
-    for index in range(config.workers):
-        process = ctx.Process(
-            target=worker_main,
-            args=(
-                index,
-                topology,
-                partitions,
-                flows,
-                net_config,
-                config.duration_s,
-                window,
-                config.seed,
-                worker_parent_ends[index],
-                peer_conns[index],
-            ),
-            daemon=True,
-        )
-        process.start()
-        processes.append(process)
-
-    try:
-        for conn in parent_ends:
-            tag, _ = conn.recv()
-            assert tag == "ready"
-        started = _wallclock.perf_counter()
-        for conn in parent_ends:
-            conn.send("go")
-        stats: list[WorkerStats] = []
-        for conn in parent_ends:
-            tag, worker_stats = conn.recv()
-            assert tag == "done"
-            stats.append(worker_stats)
-        elapsed = _wallclock.perf_counter() - started
-        for conn in parent_ends:
-            conn.send("exit")
-    finally:
-        for process in processes:
-            process.join(timeout=30)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-
-    rtts: list[float] = []
-    fcts: list[float] = []
-    for worker_stats in stats:
-        rtts.extend(worker_stats.rtt_samples)
-        fcts.extend(worker_stats.fcts)
+    window = resolve_window(topology, partitions, config)
+    # The caller supplies topology and flows; only duration, seed and
+    # queue/TCP parameters come from the scenario.
+    scenario = ExperimentConfig(
+        duration_s=config.duration_s, seed=config.seed, net=net_config or NetworkConfig()
+    )
+    stats, elapsed = run_workers(
+        ShardPlan(scenario, topology, partitions, flows, window), timeout_s=None
+    )
     return PdesResult(
         sim_seconds=config.duration_s,
         wallclock_seconds=elapsed,
         events_executed=sum(s.events_executed for s in stats),
         flows_completed=sum(s.flows_completed for s in stats),
-        drops=sum(s.drops for s in stats),
+        drops=sum(s.net_drops for s in stats),
         workers=config.workers,
         cross_partition_messages=sum(s.messages_sent for s in stats),
         cut_links=cross_partition_links(topology, partitions),
-        rtt_samples=rtts,
-        fcts=fcts,
+        rtt_samples=[rtt for s in stats for rtt in s.rtt_samples],
+        fcts=[fct for s in stats for fct in s.fcts],
     )
 
 
@@ -238,48 +325,20 @@ def run_single_threaded(
     seed: int = 0,
     net_config: Optional[NetworkConfig] = None,
 ) -> PdesResult:
-    """Run the identical workload on one in-process simulator."""
-    net_config = net_config or NetworkConfig()
-    sim = Simulator(seed=seed)
-    network = Network(sim, topology, config=net_config)
-    fcts: list[float] = []
-
-    for flow in flows:
-        receiver = TcpReceiver(
-            host=network.host(flow.dst),
-            peer=flow.src,
-            src_port=FLOW_DST_PORT,
-            dst_port=FLOW_PORT_BASE + flow.flow_id,
-            config=net_config.tcp,
-        )
-        network.host(flow.dst).register_receiver(receiver)
-        sender = TcpSender(
-            host=network.host(flow.src),
-            dst=flow.dst,
-            src_port=FLOW_PORT_BASE + flow.flow_id,
-            dst_port=FLOW_DST_PORT,
-            total_bytes=flow.size_bytes,
-            config=net_config.tcp,
-            on_complete=fcts.append,
-            rtt_monitor=network.host(flow.src).rtt_monitor,
-        )
-        network.host(flow.src).register_sender(sender)
-        sim.schedule_at(flow.start_time, sender.start)
-
-    started = _wallclock.perf_counter()
-    sim.run(until=duration_s)
-    elapsed = _wallclock.perf_counter() - started
-
-    rtts: list[float] = []
-    for monitor in network.rtt_monitors.values():
-        rtts.extend(monitor.values.tolist())
+    """Run the identical workload on one in-process world."""
+    scenario = ExperimentConfig(
+        duration_s=duration_s, seed=seed, net=net_config or NetworkConfig()
+    )
+    world = build_world(scenario, topology=topology, flows=flows)
+    world.run()
+    result = world.result()
     return PdesResult(
         sim_seconds=duration_s,
-        wallclock_seconds=elapsed,
-        events_executed=sim.events_executed,
-        flows_completed=len(fcts),
-        drops=network.total_drops,
+        wallclock_seconds=result.wallclock_seconds,
+        events_executed=result.events_executed,
+        flows_completed=result.flows_completed,
+        drops=result.drops,
         workers=1,
-        rtt_samples=rtts,
-        fcts=fcts,
+        rtt_samples=world.network.all_rtt_samples(),
+        fcts=result.fcts,
     )

@@ -46,35 +46,22 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import multiprocessing as mp
 import tempfile
-import time as _wallclock
-import traceback as _traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
-from multiprocessing.connection import wait as _connection_wait
 from typing import Optional, Union
 
 from repro.core.cluster_model import MIN_REGION_LATENCY_S
-from repro.core.hybrid import HybridConfig, HybridSimulation, ShardableHybrid
-from repro.core.pipeline import ExperimentConfig, make_generator
+from repro.core.hybrid import HOT_PATH_TOTALS, HybridConfig, hot_path_summary
 from repro.core.training import TrainedClusterModel
+from repro.core.world import ExperimentConfig, make_generator, per_wallclock_second
 from repro.des.kernel import Simulator
-from repro.net.network import NetworkConfig
-from repro.net.tcp.receiver import TcpReceiver
-from repro.net.tcp.sender import TcpSender
-from repro.obs.trace import DEFAULT_TRACE_CAPACITY, FlightRecorder, merge_traces
-from repro.pdes.engine import PdesConfig, resolve_window
-from repro.pdes.stub import RemoteEntityProxy, RemoteMessage, RemoteStub
-from repro.pdes.worker import FLOW_DST_PORT, FLOW_PORT_BASE
+from repro.flowsim.simulator import FlowSpec
+from repro.obs.trace import DEFAULT_TRACE_CAPACITY, merge_traces
+from repro.pdes.engine import PdesConfig, resolve_window, run_workers
+from repro.pdes.worker import FLOW_PORT_BASE, ShardPlan, ShardStats
 from repro.topology.clos import build_clos
-from repro.topology.graph import NodeRole, Topology
-from repro.topology.partition import (
-    cross_partition_links,
-    owner_map,
-    partition_hybrid,
-)
-from repro.validate.invariants import InvariantChecker
+from repro.topology.graph import Topology
+from repro.topology.partition import cross_partition_links, partition_hybrid
 
 
 # ----------------------------------------------------------------------
@@ -156,46 +143,6 @@ class HybridShardConfig:
             )
 
 
-@dataclass(frozen=True)
-class ScheduledFlow:
-    """One pre-extracted flow with its replicated ephemeral port."""
-
-    flow_id: int
-    src: str
-    dst: str
-    size_bytes: int
-    start_time: float
-    src_port: int
-
-
-class WorkerCrashError(RuntimeError):
-    """A worker died (or reported a structured error) mid-run.
-
-    Carries the failing worker's index and the original exception's
-    type/message/traceback so manifests can record *what* failed
-    instead of a bare hang or timeout.  When the worker ran with
-    tracing enabled, ``trace_tail`` holds the last window of its
-    flight recorder — the events leading up to the crash.
-    """
-
-    def __init__(
-        self,
-        worker_index: int,
-        error_type: str,
-        message: str,
-        traceback_str: str = "",
-        trace_tail: Optional[list] = None,
-    ) -> None:
-        super().__init__(
-            f"PDES worker {worker_index} failed: {error_type}: {message}"
-        )
-        self.worker_index = worker_index
-        self.error_type = error_type
-        self.message = message
-        self.traceback_str = traceback_str
-        self.trace_tail = trace_tail or []
-
-
 # ----------------------------------------------------------------------
 # Flow-schedule extraction
 # ----------------------------------------------------------------------
@@ -216,7 +163,7 @@ def extract_flow_schedule(
     topology: Topology,
     config: ExperimentConfig,
     hybrid: HybridConfig,
-) -> list[ScheduledFlow]:
+) -> list[FlowSpec]:
     """Pre-draw the exact flow schedule of a hybrid experiment.
 
     Runs the real :class:`~repro.traffic.apps.TrafficGenerator` — same
@@ -225,7 +172,7 @@ def extract_flow_schedule(
     surviving flow *after* all randomness is drawn.  The recorded
     (src, dst, size, start) tuples are therefore bit-identical to what
     the single-process hybrid would launch.  Ephemeral source ports
-    are then replicated per source host in schedule order, matching
+    are replicated per source host in schedule order, matching
     :meth:`~repro.net.host.Host.open_flow`'s ``itertools.count(10_000)``
     allocation, so TCP demux keys agree across worker boundaries.
     """
@@ -238,10 +185,12 @@ def extract_flow_schedule(
             return True
         return cluster_of[src] == full or cluster_of[dst] == full
 
-    records: list[tuple[str, str, int, float]] = []
+    flows: list[FlowSpec] = []
+    next_port: dict[str, "itertools.count"] = {}
 
     def dispatch(src: str, dst: str, size_bytes: int) -> bool:
-        records.append((src, dst, size_bytes, sim.now))
+        port = next(next_port.setdefault(src, itertools.count(FLOW_PORT_BASE)))
+        flows.append(FlowSpec(len(flows), src, dst, size_bytes, sim.now, port))
         return True
 
     if config.collective is not None:
@@ -258,21 +207,6 @@ def extract_flow_schedule(
     )
     generator.start()
     sim.run(until=config.duration_s)
-
-    port_counters: dict[str, "itertools.count"] = {}
-    flows: list[ScheduledFlow] = []
-    for flow_id, (src, dst, size_bytes, start_time) in enumerate(records):
-        counter = port_counters.setdefault(src, itertools.count(FLOW_PORT_BASE))
-        flows.append(
-            ScheduledFlow(
-                flow_id=flow_id,
-                src=src,
-                dst=dst,
-                size_bytes=size_bytes,
-                start_time=start_time,
-                src_port=next(counter),
-            )
-        )
     return flows
 
 
@@ -320,66 +254,6 @@ def resolve_hybrid_window(
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-@dataclass
-class ShardStats:
-    """Everything one worker reports back after a sharded hybrid run."""
-
-    worker_index: int
-    events_executed: int
-    windows: int
-    exchanges: int
-    messages_sent: int
-    messages_received: int
-    lookahead_violations: int
-    stall_seconds: float
-    flows_completed: int
-    fcts: list[float]
-    rtt_samples: list[float]
-    net_drops: int
-    model_packets: int
-    model_drops: int
-    inference_seconds: float
-    hot_path: dict
-    invariants: dict
-    cpu_seconds: float = 0.0
-    metrics_snapshot: Optional[dict] = None
-    trace_events: Optional[list] = None
-    trace_recorded: int = 0
-    trace_evicted: int = 0
-
-    def deterministic_view(self) -> dict:
-        """The wall-clock-free projection used by determinism tests.
-
-        Excludes ``stall_seconds``, ``inference_seconds``,
-        ``cpu_seconds``, the metrics snapshot, trace events, and
-        hot-path wall-clock ratios — everything else must be
-        byte-identical across same-seed same-worker-count runs (trace
-        events are themselves deterministic, but are excluded so the
-        signature is comparable across tracing on/off/capacity)."""
-        deterministic_hot_path = {
-            key: value
-            for key, value in self.hot_path.items()
-            if "seconds" not in key and "share" not in key and "per_sec" not in key
-        }
-        return {
-            "worker_index": self.worker_index,
-            "events_executed": self.events_executed,
-            "windows": self.windows,
-            "exchanges": self.exchanges,
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "lookahead_violations": self.lookahead_violations,
-            "flows_completed": self.flows_completed,
-            "fcts": list(self.fcts),
-            "rtt_samples": list(self.rtt_samples),
-            "net_drops": self.net_drops,
-            "model_packets": self.model_packets,
-            "model_drops": self.model_drops,
-            "hot_path": deterministic_hot_path,
-            "invariants": self.invariants,
-        }
-
-
 def outcome_signature(
     fcts: list[float], rtt_samples: list[float], drops: int, flows_completed: int
 ) -> str:
@@ -396,6 +270,14 @@ def outcome_signature(
         "rtts": sorted(rtt_samples),
     }
     return json.dumps(payload, sort_keys=True)
+
+
+#: The :class:`ShardStats` fields a manifest lists per worker.
+_PER_WORKER_FIELDS = (
+    "worker_index", "events_executed", "windows", "exchanges", "messages_sent",
+    "messages_received", "stall_seconds", "cpu_seconds", "lookahead_violations",
+    "flows_completed", "model_packets",
+)
 
 
 @dataclass
@@ -420,17 +302,11 @@ class PdesHybridResult:
 
     @property
     def fcts(self) -> list[float]:
-        merged: list[float] = []
-        for stats in self.worker_stats:
-            merged.extend(stats.fcts)
-        return merged
+        return [fct for stats in self.worker_stats for fct in stats.fcts]
 
     @property
     def rtt_samples(self) -> list[float]:
-        merged: list[float] = []
-        for stats in self.worker_stats:
-            merged.extend(stats.rtt_samples)
-        return merged
+        return [rtt for stats in self.worker_stats for rtt in stats.rtt_samples]
 
     @property
     def drops(self) -> int:
@@ -480,10 +356,8 @@ class PdesHybridResult:
 
     @property
     def sim_seconds_per_second(self) -> float:
-        """Figure 1's y-axis."""
-        if self.wallclock_seconds <= 0:
-            return float("inf")
-        return self.sim_seconds / self.wallclock_seconds
+        """Figure 1's y-axis (zero-guarded: ``inf`` is not JSON)."""
+        return per_wallclock_second(self.sim_seconds, self.wallclock_seconds)
 
     @property
     def trace_recorded(self) -> int:
@@ -526,37 +400,11 @@ class PdesHybridResult:
         additive counters are summed, derived ratios recomputed from
         the merged totals.
         """
-        additive = (
-            "model_packets",
-            "model_drops",
-            "inference_seconds",
-            "batched_rounds",
-            "batched_packets",
-            "batch_flushes",
-            "scalar_fallbacks",
-            "memo_hits",
-            "memo_misses",
-        )
-        counters = {key: 0.0 for key in additive}
-        for stats in self.worker_stats:
-            for key in additive:
-                counters[key] += float(stats.hot_path.get(key, 0.0))
-        packets = counters["model_packets"]
-        inference = counters["inference_seconds"]
-        memo_total = counters["memo_hits"] + counters["memo_misses"]
-        counters["inference_seconds_per_packet"] = (
-            inference / packets if packets else 0.0
-        )
-        counters["memo_hit_rate"] = (
-            counters["memo_hits"] / memo_total if memo_total else 0.0
-        )
-        if wallclock_s is not None:
-            positive = wallclock_s > 0
-            counters["inference_share"] = inference / wallclock_s if positive else 0.0
-            counters["model_packets_per_sec"] = (
-                packets / wallclock_s if positive else 0.0
-            )
-        return counters
+        totals = {
+            key: sum(float(s.hot_path.get(key, 0.0)) for s in self.worker_stats)
+            for key in HOT_PATH_TOTALS
+        }
+        return hot_path_summary(totals, wallclock_s)
 
     def merged_counters(self) -> dict:
         """Manifest-facing summary of the parallel machinery."""
@@ -572,499 +420,17 @@ class PdesHybridResult:
             "invariant_violations": self.invariant_violations,
             "per_worker": [
                 {
-                    "worker_index": s.worker_index,
-                    "events_executed": s.events_executed,
-                    "windows": s.windows,
-                    "exchanges": s.exchanges,
-                    "messages_sent": s.messages_sent,
-                    "messages_received": s.messages_received,
-                    "stall_seconds": s.stall_seconds,
-                    "cpu_seconds": s.cpu_seconds,
-                    "lookahead_violations": s.lookahead_violations,
-                    "invariant_violations": int(s.invariants.get("total", 0)),
-                    "flows_completed": s.flows_completed,
-                    "model_packets": s.model_packets,
+                    **{key: getattr(stats, key) for key in _PER_WORKER_FIELDS},
+                    "invariant_violations": int(stats.invariants.get("total", 0)),
                 }
-                for s in self.worker_stats
+                for stats in self.worker_stats
             ],
         }
 
 
 # ----------------------------------------------------------------------
-# Worker process
-# ----------------------------------------------------------------------
-def _cluster_fabric(topology: Topology, cluster: int) -> list[str]:
-    """Fabric switch names (ToR + aggregation) of one cluster."""
-    return [
-        node.name
-        for node in topology.cluster_nodes(cluster)
-        if node.role in (NodeRole.TOR, NodeRole.CLUSTER)
-    ]
-
-
-def _schedule_incoming(
-    sim: Simulator,
-    entities: dict[str, object],
-    incoming: dict[tuple[str, str], list[RemoteMessage]],
-    window_end: float,
-    tracer: Optional[FlightRecorder] = None,
-    peer: Optional[int] = None,
-    window_seq: int = 0,
-) -> tuple[int, int]:
-    """Schedule barrier-received messages; returns (count, violations).
-
-    A message timestamped at or before the barrier would have needed to
-    execute inside the window that just closed — a lookahead violation.
-    The conservative window bound makes this impossible by
-    construction; the counter exists so the property tests (and every
-    merged manifest) can assert it stayed zero.
-
-    With a ``tracer``, each message lands an ``exchange.recv`` event
-    stamped at its *effective* delivery time — at or after the barrier,
-    hence at or after the sender's ``exchange.send`` stamp, so the
-    merged trace shows send before receive in sim time.
-    """
-    count = 0
-    violations = 0
-    for messages in incoming.values():
-        for message in messages:
-            count += 1
-            if message.deliver_at <= window_end - 1e-18:
-                violations += 1
-            entity = entities[message.target_node]
-            deliver_at = max(message.deliver_at, window_end)
-            if tracer is not None:
-                tracer.event(
-                    "exchange.recv",
-                    trace=tracer.trace_for_packet(message.packet),
-                    t=deliver_at,
-                    peer=peer,
-                    window=window_seq,
-                    target=message.target_node,
-                )
-            sim.schedule_at(
-                deliver_at,
-                lambda e=entity, m=message: e.receive(m.packet, m.from_node),
-            )
-    return count, violations
-
-
-def _run_shard(
-    worker_index: int,
-    topology: Topology,
-    partitions: list[set[str]],
-    flows: list[ScheduledFlow],
-    model_ref: ModelRef,
-    net_config: NetworkConfig,
-    hybrid_config: HybridConfig,
-    routing_config,
-    failures,
-    duration_s: float,
-    window_s: float,
-    seed: int,
-    metrics_enabled: bool,
-    tracer: Optional[FlightRecorder],
-    inject_crash: Optional[int],
-    parent_conn: Connection,
-    peer_conns: dict[int, Connection],
-) -> ShardStats:
-    partition = partitions[worker_index]
-    owner_of = owner_map(partitions)
-
-    # Same seed in every worker: named RNG streams are derived per
-    # stream name, so each cluster model draws the exact values it
-    # would draw in the single-process hybrid.
-    sim = Simulator(seed=seed)
-    if tracer is not None:
-        tracer.bind_clock(lambda: sim.now)
-    metrics = None
-    if metrics_enabled:
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry(enabled=True)
-    invariants = InvariantChecker(metrics=metrics, tracer=tracer).attach_simulator(
-        sim
-    )
-
-    outbox: dict[int, dict[tuple[str, str], list[RemoteMessage]]] = {}
-
-    def remote_receiver(name: str) -> RemoteStub:
-        return RemoteStub(sim, name, owner_of[name], topology, outbox)
-
-    def remote_entity(name: str) -> RemoteEntityProxy:
-        return RemoteEntityProxy(name, owner_of[name], outbox)
-
-    shard_seam = ShardableHybrid(
-        owned_nodes=partition,
-        remote_receiver=remote_receiver,
-        remote_entity=remote_entity,
-    )
-    trained = model_ref.load()
-    # Every worker applies the same failure schedule at the same sim
-    # times against its own copy of the routing tables, so the shards
-    # stay route-consistent without any cross-worker coordination.
-    hybrid_sim = HybridSimulation(
-        sim,
-        topology,
-        trained,
-        net_config=net_config,
-        config=hybrid_config,
-        metrics=metrics,
-        invariants=invariants,
-        shard=shard_seam,
-        tracer=tracer,
-        routing_config=routing_config,
-        failures=failures,
-    )
-    network = hybrid_sim.network
-
-    # Cut ports: zero the port-side propagation delay (the stub re-adds
-    # the real link delay).  Unlike the plain engine — which pads every
-    # exchange with one null entry per directed cut link to emulate
-    # OMNeT++'s null-message economics for Figure 1 — the shard exchange
-    # sends only real messages: the barrier itself advances the pair's
-    # clock, and the hybrid's tiny cut traffic is exactly the property
-    # that makes sharding worth it.
-    for (owner, peer), port in network.ports().items():
-        if owner_of[peer] != worker_index:
-            port.delay_s = 0.0
-
-    # Incoming-message routing table.  Fabric switch names of locally
-    # owned approximated clusters alias to the cluster model: a remote
-    # core's packet targeted at e.g. ``agg-c3-0`` must reach the model
-    # standing in for that switch.
-    entities: dict[str, object] = {}
-    entities.update(network.hosts)
-    entities.update(network.switches)
-    for cluster, model in hybrid_sim.models.items():
-        for name in _cluster_fabric(topology, cluster):
-            entities[name] = model
-
-    # Pre-registered TCP endpoints from the shared schedule.  Ports
-    # come from the schedule (replicated open_flow allocation), so the
-    # demux keys of a flow agree even when its endpoints live in
-    # different workers.
-    fcts: list[float] = []
-    flows_completed = 0
-
-    def make_on_complete(flow: ScheduledFlow):
-        trace = None
-        if tracer is not None:
-            trace = tracer.trace_for_flow(flow.flow_id)
-
-        def on_complete(fct: float) -> None:
-            nonlocal flows_completed
-            flows_completed += 1
-            fcts.append(fct)
-            if tracer is not None:
-                tracer.event(
-                    "flow.complete", trace=trace, fct=fct, size=flow.size_bytes
-                )
-
-        return on_complete
-
-    if tracer is not None:
-        # Every worker knows every flow's demux key: a packet can cross
-        # a cluster model on a worker that owns neither endpoint, and
-        # attribution must still find its trace id.
-        for flow in flows:
-            tracer.register_flow(flow.flow_id, key=(flow.src, flow.src_port))
-
-    for flow in flows:
-        if flow.dst in partition:
-            dst_host = network.host(flow.dst)
-            dst_host.register_receiver(
-                TcpReceiver(
-                    host=dst_host,
-                    peer=flow.src,
-                    src_port=FLOW_DST_PORT,
-                    dst_port=flow.src_port,
-                    config=net_config.tcp,
-                )
-            )
-        if flow.src in partition:
-            src_host = network.host(flow.src)
-            sender = TcpSender(
-                host=src_host,
-                dst=flow.dst,
-                src_port=flow.src_port,
-                dst_port=FLOW_DST_PORT,
-                total_bytes=flow.size_bytes,
-                config=net_config.tcp,
-                on_complete=make_on_complete(flow),
-                rtt_monitor=src_host.rtt_monitor,
-            )
-            src_host.register_sender(sender)
-            if tracer is not None:
-                tracer.event(
-                    "flow.admit",
-                    trace=tracer.trace_for_flow(flow.flow_id),
-                    t=flow.start_time,
-                    src=flow.src,
-                    dst=flow.dst,
-                    size=flow.size_bytes,
-                )
-            sim.schedule_at(flow.start_time, sender.start)
-
-    if inject_crash == worker_index:
-
-        def _boom() -> None:
-            raise RuntimeError(
-                f"injected crash in worker {worker_index} (test hook)"
-            )
-
-        sim.schedule_at(min(window_s, duration_s) / 2, _boom)
-
-    parent_conn.send(("ready", worker_index))
-    go = parent_conn.recv()
-    assert go == "go", f"unexpected parent message {go!r}"
-    cpu_started = _wallclock.process_time()
-
-    # ------------------------------------------------------------------
-    # Synchronous-window main loop.
-    # ------------------------------------------------------------------
-    peers = sorted(peer_conns)
-    windows = exchanges = messages_sent = messages_received = 0
-    lookahead_violations = 0
-    stall_seconds = 0.0
-    now = 0.0
-    while now < duration_s - 1e-15:
-        window_end = min(now + window_s, duration_s)
-        sim.run(until=window_end)
-        windows += 1
-        for peer in peers:
-            pending = outbox.get(peer, {})
-            # Everything queued for this peer goes out — including
-            # model-egress link pairs that have no physical port on
-            # this worker.  Quiet windows exchange an empty payload.
-            payload: dict[tuple[str, str], list[RemoteMessage]] = {
-                link: pending.pop(link) for link in list(pending)
-            }
-            if tracer is not None:
-                # Stamped at the barrier (sim.now == window_end), which
-                # is at or before every message's effective delivery on
-                # the peer — send precedes receive in the merged trace.
-                for messages in payload.values():
-                    for message in messages:
-                        tracer.event(
-                            "exchange.send",
-                            trace=tracer.trace_for_packet(message.packet),
-                            peer=peer,
-                            window=windows,
-                            target=message.target_node,
-                            deliver_at=message.deliver_at,
-                        )
-            conn = peer_conns[peer]
-            stall_started = _wallclock.perf_counter()
-            # Pairwise ordered exchange (lower index sends first) —
-            # deadlock-free without threads.
-            if worker_index < peer:
-                conn.send(payload)
-                incoming = conn.recv()
-            else:
-                incoming = conn.recv()
-                conn.send(payload)
-            stall_seconds += _wallclock.perf_counter() - stall_started
-            exchanges += 1
-            messages_sent += sum(len(msgs) for msgs in payload.values())
-            received, violated = _schedule_incoming(
-                sim,
-                entities,
-                incoming,
-                window_end,
-                tracer=tracer,
-                peer=peer,
-                window_seq=windows,
-            )
-            messages_received += received
-            lookahead_violations += violated
-        now = window_end
-
-    # Match the single-process epilogue: drain the batching window
-    # after the final run, then check conservation.
-    hybrid_sim.flush_inference()
-    invariants.check_conservation(sim.now)
-    cpu_seconds = _wallclock.process_time() - cpu_started
-
-    if metrics is not None:
-        metrics.counter("pdes.windows", worker=worker_index).inc(windows)
-        metrics.counter("pdes.exchanges", worker=worker_index).inc(exchanges)
-        metrics.counter("pdes.messages_sent", worker=worker_index).inc(messages_sent)
-        metrics.counter("pdes.messages_received", worker=worker_index).inc(
-            messages_received
-        )
-        metrics.counter("pdes.lookahead_violations", worker=worker_index).inc(
-            lookahead_violations
-        )
-        metrics.gauge("pdes.stall_seconds", worker=worker_index).set(stall_seconds)
-
-    return ShardStats(
-        worker_index=worker_index,
-        events_executed=sim.events_executed,
-        windows=windows,
-        exchanges=exchanges,
-        messages_sent=messages_sent,
-        messages_received=messages_received,
-        lookahead_violations=lookahead_violations,
-        stall_seconds=stall_seconds,
-        flows_completed=flows_completed,
-        fcts=fcts,
-        rtt_samples=hybrid_sim.observed_rtt_samples(),
-        net_drops=network.total_drops,
-        model_packets=hybrid_sim.model_packets_handled(),
-        model_drops=hybrid_sim.model_drops(),
-        inference_seconds=hybrid_sim.inference_seconds(),
-        hot_path=hybrid_sim.hot_path_counters(),
-        invariants=invariants.summary(),
-        cpu_seconds=cpu_seconds,
-        metrics_snapshot=metrics.snapshot() if metrics is not None else None,
-        trace_events=tracer.records() if tracer is not None else None,
-        trace_recorded=tracer.recorded if tracer is not None else 0,
-        trace_evicted=tracer.evicted if tracer is not None else 0,
-    )
-
-
-def _shard_worker_main(
-    worker_index: int,
-    topology: Topology,
-    partitions: list[set[str]],
-    flows: list[ScheduledFlow],
-    model_ref: ModelRef,
-    net_config: NetworkConfig,
-    hybrid_config: HybridConfig,
-    routing_config,
-    failures,
-    duration_s: float,
-    window_s: float,
-    seed: int,
-    metrics_enabled: bool,
-    trace_capacity: Optional[int],
-    inject_crash: Optional[int],
-    parent_conn: Connection,
-    peer_conns: dict[int, Connection],
-) -> None:
-    """Entry point executed inside each worker process.
-
-    Every failure — setup or mid-window — is reported to the parent as
-    a structured ``("error", ...)`` message before the process exits,
-    so the parent can surface *what* broke instead of timing out.  The
-    flight recorder (``trace_capacity`` not ``None``) is created here,
-    outside :func:`_run_shard`, so a crash report can carry its tail —
-    the last window of spans before the worker died.
-    """
-    tracer = None
-    if trace_capacity is not None:
-        tracer = FlightRecorder(
-            seed=seed, capacity=trace_capacity, worker=worker_index
-        )
-    try:
-        stats = _run_shard(
-            worker_index,
-            topology,
-            partitions,
-            flows,
-            model_ref,
-            net_config,
-            hybrid_config,
-            routing_config,
-            failures,
-            duration_s,
-            window_s,
-            seed,
-            metrics_enabled,
-            tracer,
-            inject_crash,
-            parent_conn,
-            peer_conns,
-        )
-    except BaseException as exc:  # noqa: BLE001 - report, then die
-        try:
-            parent_conn.send(
-                (
-                    "error",
-                    {
-                        "worker_index": worker_index,
-                        "type": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback": _traceback.format_exc(),
-                        "trace_tail": (
-                            tracer.tail() if tracer is not None else []
-                        ),
-                    },
-                )
-            )
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-            pass
-        return
-    parent_conn.send(("done", stats))
-    try:
-        parent_conn.recv()  # final release before exiting
-    except EOFError:  # pragma: no cover - parent already gone
-        pass
-
-
-# ----------------------------------------------------------------------
 # Parent orchestration
 # ----------------------------------------------------------------------
-def _collect(
-    parent_ends: list,
-    processes: list,
-    expected_tag: str,
-    timeout_s: float,
-) -> list:
-    """Receive one ``(expected_tag, payload)`` from every worker.
-
-    Crash-safe: multiplexes the parent pipes against the process
-    sentinels, so a worker that dies without reporting (SIGKILL, OOM)
-    or reports a structured error raises :class:`WorkerCrashError`
-    immediately instead of blocking forever in ``recv``.
-    """
-    deadline = _wallclock.monotonic() + timeout_s
-    payloads: dict[int, object] = {}
-    pending = set(range(len(parent_ends)))
-    while pending:
-        remaining = deadline - _wallclock.monotonic()
-        if remaining <= 0:
-            raise WorkerCrashError(
-                min(pending),
-                "Timeout",
-                f"workers {sorted(pending)} sent no {expected_tag!r} "
-                f"within {timeout_s}s",
-            )
-        waitables = [parent_ends[i] for i in pending]
-        waitables.extend(processes[i].sentinel for i in pending)
-        ready = _connection_wait(waitables, timeout=min(remaining, 1.0))
-        for index in sorted(pending):
-            conn = parent_ends[index]
-            if conn.poll():
-                tag, payload = conn.recv()
-                if tag == "error":
-                    raise WorkerCrashError(
-                        payload["worker_index"],
-                        payload["type"],
-                        payload["message"],
-                        payload.get("traceback", ""),
-                        trace_tail=payload.get("trace_tail"),
-                    )
-                if tag != expected_tag:
-                    raise WorkerCrashError(
-                        index,
-                        "ProtocolError",
-                        f"expected {expected_tag!r}, got {tag!r}",
-                    )
-                payloads[index] = payload
-                pending.discard(index)
-            elif not processes[index].is_alive():
-                raise WorkerCrashError(
-                    index,
-                    "WorkerDied",
-                    f"worker {index} exited with code "
-                    f"{processes[index].exitcode} without reporting",
-                )
-        del ready
-    return [payloads[i] for i in range(len(parent_ends))]
-
-
 def _ensure_model_ref(
     model: Union[TrainedClusterModel, ModelRef], scratch_dir: Optional[str]
 ) -> ModelRef:
@@ -1133,69 +499,19 @@ def run_hybrid_sharded(
     flows = extract_flow_schedule(topology, config, hybrid)
     model_ref = _ensure_model_ref(model, scratch_dir)
 
-    ctx = mp.get_context("fork")
-    parent_ends: list = []
-    worker_parent_ends: list = []
-    for _ in range(shard.workers):
-        parent_end, worker_end = ctx.Pipe(duplex=True)
-        parent_ends.append(parent_end)
-        worker_parent_ends.append(worker_end)
-    # Full mesh between workers.
-    peer_conns: list[dict[int, object]] = [dict() for _ in range(shard.workers)]
-    for i in range(shard.workers):
-        for j in range(i + 1, shard.workers):
-            end_i, end_j = ctx.Pipe(duplex=True)
-            peer_conns[i][j] = end_i
-            peer_conns[j][i] = end_j
-
-    processes = []
-    for index in range(shard.workers):
-        process = ctx.Process(
-            target=_shard_worker_main,
-            args=(
-                index,
-                topology,
-                partitions,
-                flows,
-                model_ref,
-                config.net,
-                hybrid,
-                config.routing,
-                config.failures,
-                config.duration_s,
-                window,
-                config.seed,
-                shard.metrics,
-                shard.trace_capacity if shard.trace else None,
-                shard.inject_crash,
-                worker_parent_ends[index],
-                peer_conns[index],
-            ),
-            daemon=True,
-        )
-        process.start()
-        processes.append(process)
-
-    try:
-        _collect(parent_ends, processes, "ready", shard.worker_timeout_s)
-        started = _wallclock.perf_counter()
-        for conn in parent_ends:
-            conn.send("go")
-        stats = _collect(parent_ends, processes, "done", shard.worker_timeout_s)
-        elapsed = _wallclock.perf_counter() - started
-        for conn in parent_ends:
-            conn.send("exit")
-    except WorkerCrashError:
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        raise
-    finally:
-        for process in processes:
-            process.join(timeout=30)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-
+    plan = ShardPlan(
+        config,
+        topology,
+        partitions,
+        flows,
+        window,
+        model_ref=model_ref,
+        hybrid_config=hybrid,
+        metrics=shard.metrics,
+        trace_capacity=shard.trace_capacity if shard.trace else None,
+        inject_crash=shard.inject_crash,
+    )
+    stats, elapsed = run_workers(plan, shard.worker_timeout_s)
     return PdesHybridResult(
         sim_seconds=config.duration_s,
         wallclock_seconds=elapsed,

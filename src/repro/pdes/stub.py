@@ -42,6 +42,18 @@ class RemoteMessage:
     packet: Packet
 
 
+def _enqueue(remote, from_node: str, deliver_at: float, packet: Packet) -> None:
+    """Queue one delivery to ``remote``'s node for its owning worker."""
+    message = RemoteMessage(
+        target_node=remote.name,
+        from_node=from_node,
+        deliver_at=deliver_at,
+        packet=packet,
+    )
+    per_link = remote.outbox.setdefault(remote.owner_worker, {})
+    per_link.setdefault((from_node, remote.name), []).append(message)
+
+
 class RemoteStub:
     """Receiver standing in for a node owned by another partition."""
 
@@ -66,14 +78,7 @@ class RemoteStub:
         propagation delay to produce the delivery timestamp.
         """
         delay = self.topology.link_between(from_node, self.name).delay_s
-        message = RemoteMessage(
-            target_node=self.name,
-            from_node=from_node,
-            deliver_at=self.sim.now + delay,
-            packet=packet,
-        )
-        per_link = self.outbox.setdefault(self.owner_worker, {})
-        per_link.setdefault((from_node, self.name), []).append(message)
+        _enqueue(self, from_node, self.sim.now + delay, packet)
 
 
 class RemoteEntityProxy:
@@ -114,11 +119,4 @@ class RemoteEntityProxy:
         from) becomes the receiver's ``from_node`` argument, exactly as
         the local ``_Delivery`` event would have passed it.
         """
-        message = RemoteMessage(
-            target_node=self.name,
-            from_node=boundary,
-            deliver_at=deliver_at,
-            packet=packet,
-        )
-        per_link = self.outbox.setdefault(self.owner_worker, {})
-        per_link.setdefault((boundary, self.name), []).append(message)
+        _enqueue(self, boundary, deliver_at, packet)

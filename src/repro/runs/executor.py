@@ -25,31 +25,22 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.analysis.stats import percentile_summary
-from repro.core.hybrid import HybridConfig
+from repro.core.hybrid import HybridConfig, hot_path_summary
 from repro.core.pipeline import (
     RunResult,
     run_full_simulation,
     run_hybrid_simulation,
 )
+from repro.core.world import per_wallclock_second
 from repro.obs import MetricsRegistry
+from repro.obs.trace import DEFAULT_TRACE_CAPACITY, FlightRecorder
 from repro.runs.fingerprint import experiment_hash, experiment_payload
 from repro.runs.manifest import RunManifest
 from repro.runs.registry import ModelRegistry, RegistryLookup
 from repro.runs.spec import RunRequest
 
-_ZERO_COUNTERS = {
-    "model_packets": 0.0,
-    "model_drops": 0.0,
-    "inference_seconds": 0.0,
-    "inference_seconds_per_packet": 0.0,
-    "batched_rounds": 0.0,
-    "batched_packets": 0.0,
-    "batch_flushes": 0.0,
-    "scalar_fallbacks": 0.0,
-    "memo_hits": 0.0,
-    "memo_misses": 0.0,
-    "memo_hit_rate": 0.0,
-}
+#: The hot-path block of a stage that runs no model.
+_ZERO_COUNTERS = hot_path_summary({})
 
 
 def _sample_summary(values: list[float]) -> dict[str, float]:
@@ -83,28 +74,6 @@ def _summarize_result(result: RunResult) -> dict[str, Any]:
         "rtt": _sample_summary(result.rtt_samples),
         "fct": _sample_summary(result.fcts),
     }
-
-
-def _pop_trace_capacity(options: dict[str, Any]) -> Optional[int]:
-    """Pop the ``trace`` / ``trace_capacity`` knobs from a stage's
-    hybrid-options dict; returns the ring capacity when tracing was
-    requested, ``None`` otherwise (the knobs must be popped either way
-    so they never reach ``HybridConfig``/``CascadeConfig``)."""
-    from repro.obs.trace import DEFAULT_TRACE_CAPACITY
-
-    enabled = bool(options.pop("trace", False))
-    capacity = int(options.pop("trace_capacity", DEFAULT_TRACE_CAPACITY))
-    return capacity if enabled else None
-
-
-def _make_tracer(options: dict[str, Any], seed: int):
-    """Build a single-process FlightRecorder if the options ask for one."""
-    capacity = _pop_trace_capacity(options)
-    if capacity is None:
-        return None
-    from repro.obs.trace import FlightRecorder
-
-    return FlightRecorder(seed=seed, capacity=capacity)
 
 
 def _write_trace_artifact(
@@ -158,214 +127,157 @@ def _run_stage(
     ``artifacts`` maps artifact names to files the stage wrote under
     ``run_dir`` (the cascade stage's decision log, for instance).
     """
-    model_info: Optional[dict[str, Any]] = None
+    experiment = request.experiment
     artifacts: dict[str, str] = {}
-    if request.needs_model:
-        lookup = _resolve_model(request, registry_root)
-        model_info = {
-            "fingerprint": lookup.fingerprint,
-            "cache_hit": lookup.cache_hit,
-            "path": str(lookup.path),
-            "train_wallclock_s": lookup.train_wallclock_s,
+    if not request.needs_model:
+        # simulate: full packet-level fidelity, no model involved.
+        output = run_full_simulation(experiment, metrics=metrics)
+        return _summarize_result(output.result), dict(_ZERO_COUNTERS), None, artifacts
+
+    lookup = _resolve_model(request, registry_root)
+    model_info = {
+        "fingerprint": lookup.fingerprint,
+        "cache_hit": lookup.cache_hit,
+        "path": str(lookup.path),
+        "train_wallclock_s": lookup.train_wallclock_s,
+    }
+    if request.stage == "train":
+        result_dict = {"training_summary": lookup.model.training_summary}
+        return result_dict, dict(_ZERO_COUNTERS), model_info, artifacts
+    if request.stage == "validate":
+        # Differential fidelity: a matched full/hybrid pair scored
+        # by repro.validate; the report rides in the manifest so
+        # sweeps gate on agreement, not just completion.
+        from repro.validate import ValidateConfig, run_differential_pair
+
+        diff = run_differential_pair(
+            experiment,
+            lookup.model,
+            validate=ValidateConfig(**request.hybrid),
+            metrics=metrics,
+        )
+        counters = diff.hybrid_sim.hot_path_counters(diff.hybrid.wallclock_seconds)
+        result_dict = {
+            "full": _summarize_result(diff.full),
+            "hybrid": _summarize_result(diff.hybrid),
+            "fidelity": diff.report.to_dict(),
         }
-        if request.stage == "train":
-            return (
-                {"training_summary": lookup.model.training_summary},
-                dict(_ZERO_COUNTERS),
-                model_info,
-                artifacts,
-            )
+        return result_dict, counters, model_info, artifacts
+    if request.stage == "evaluate":
+        # Score the bundle against a fresh ground-truth trace.
+        from repro.core.evaluation import evaluate_on_fresh_trace
+
+        evaluations, output = evaluate_on_fresh_trace(
+            lookup.model, experiment, metrics=metrics
+        )
+        scored = (
+            "samples", "drop_rate_true", "drop_rate_predicted", "drop_auc",
+            "latency_log_mae", "latency_median_relative_error",
+        )
+        result_dict = {
+            "trace": _summarize_result(output.result),
+            "directions": {
+                direction.value: {field: getattr(ev, field) for field in scored}
+                for direction, ev in evaluations.items()
+            },
+        }
+        return result_dict, dict(_ZERO_COUNTERS), model_info, artifacts
+
+    # hybrid / pdes-hybrid / cascade: run, then one trace write.
+    options = dict(request.hybrid)
+    # The trace knobs are popped whether or not tracing was requested,
+    # so they never reach HybridConfig/CascadeConfig.
+    traced = bool(options.pop("trace", False))
+    trace_capacity = int(options.pop("trace_capacity", DEFAULT_TRACE_CAPACITY))
+    trace = None  # (events, recorded, evicted, workers) when traced
+    if request.stage == "pdes-hybrid":
+        # Sharded hybrid: the model travels to workers as a
+        # registry reference (path + fingerprint), never pickled.
+        from repro.pdes import HybridShardConfig, ModelRef, run_hybrid_sharded
+
+        inject_crash = options.pop("inject_crash", None)
+        shard_config = HybridShardConfig(
+            workers=int(options.pop("workers", 2)),
+            window_s=options.pop("window_s", None),
+            worker_timeout_s=float(options.pop("worker_timeout_s", 300.0)),
+            inject_crash=None if inject_crash is None else int(inject_crash),
+            trace=traced,
+            trace_capacity=trace_capacity,
+        )
+        pdes_result = run_hybrid_sharded(
+            experiment,
+            ModelRef(path=str(lookup.path), fingerprint=lookup.fingerprint),
+            shard=shard_config,
+            hybrid=HybridConfig(**options),
+        )
+        wallclock = pdes_result.wallclock_seconds
+        counters = pdes_result.merged_hot_path_counters(wallclock)
+        result_dict = {
+            "sim_seconds": pdes_result.sim_seconds,
+            "wallclock_seconds": wallclock,
+            "sim_seconds_per_second": pdes_result.sim_seconds_per_second,
+            "events_executed": pdes_result.events_executed,
+            "events_per_second": per_wallclock_second(
+                pdes_result.events_executed, wallclock
+            ),
+            "flows_completed": pdes_result.flows_completed,
+            "drops": pdes_result.drops,
+            "model_packets": pdes_result.model_packets,
+            "model_drops": pdes_result.model_drops,
+            "rtt": _sample_summary(pdes_result.rtt_samples),
+            "fct": _sample_summary(pdes_result.fcts),
+            "pdes": pdes_result.merged_counters(),
+        }
+        if traced:
+            recorded, evicted = pdes_result.trace_recorded, pdes_result.trace_evicted
+            result_dict["pdes"]["trace"] = {"recorded": recorded, "evicted": evicted}
+            trace = (pdes_result.merged_trace(), recorded, evicted, pdes_result.workers)
+    else:
+        tracer = None
+        if traced:
+            tracer = FlightRecorder(seed=experiment.seed, capacity=trace_capacity)
+        extras: dict[str, Any] = {}
         if request.stage == "hybrid":
-            options = dict(request.hybrid)
-            tracer = _make_tracer(options, request.experiment.seed)
-            hybrid_config = HybridConfig(**options)
             result, hybrid_sim = run_hybrid_simulation(
-                request.experiment, lookup.model, hybrid=hybrid_config,
+                experiment, lookup.model, hybrid=HybridConfig(**options),
                 metrics=metrics, tracer=tracer,
             )
-            counters = hybrid_sim.hot_path_counters(result.wallclock_seconds)
-            if tracer is not None:
-                artifacts.update(
-                    _write_trace_artifact(
-                        run_dir,
-                        tracer.records(),
-                        meta={
-                            "stage": request.stage,
-                            "seed": request.experiment.seed,
-                            "workers": 1,
-                            "recorded": tracer.recorded,
-                            "evicted": tracer.evicted,
-                        },
-                    )
-                )
-            return _summarize_result(result), counters, model_info, artifacts
-        if request.stage == "pdes-hybrid":
-            # Sharded hybrid: the model travels to workers as a
-            # registry reference (path + fingerprint), never pickled.
-            from repro.pdes.hybrid_shard import (
-                HybridShardConfig,
-                ModelRef,
-                run_hybrid_sharded,
-            )
-
-            options = dict(request.hybrid)
-            inject_crash = options.pop("inject_crash", None)
-            trace_capacity = _pop_trace_capacity(options)
-            shard_kwargs: dict[str, Any] = {}
-            if trace_capacity is not None:
-                shard_kwargs = {"trace": True, "trace_capacity": trace_capacity}
-            shard_config = HybridShardConfig(
-                workers=int(options.pop("workers", 2)),
-                window_s=options.pop("window_s", None),
-                worker_timeout_s=float(options.pop("worker_timeout_s", 300.0)),
-                inject_crash=None if inject_crash is None else int(inject_crash),
-                **shard_kwargs,
-            )
-            hybrid_config = HybridConfig(**options)
-            model_ref = ModelRef(
-                path=str(lookup.path), fingerprint=lookup.fingerprint
-            )
-            pdes_result = run_hybrid_sharded(
-                request.experiment,
-                model_ref,
-                shard=shard_config,
-                hybrid=hybrid_config,
-            )
-            wallclock = pdes_result.wallclock_seconds
-            counters = pdes_result.merged_hot_path_counters(wallclock)
-            result_dict = {
-                "sim_seconds": pdes_result.sim_seconds,
-                "wallclock_seconds": wallclock,
-                "sim_seconds_per_second": pdes_result.sim_seconds_per_second,
-                "events_executed": pdes_result.events_executed,
-                "events_per_second": (
-                    pdes_result.events_executed / wallclock if wallclock > 0 else 0.0
-                ),
-                "flows_completed": pdes_result.flows_completed,
-                "drops": pdes_result.drops,
-                "model_packets": pdes_result.model_packets,
-                "model_drops": pdes_result.model_drops,
-                "rtt": _sample_summary(pdes_result.rtt_samples),
-                "fct": _sample_summary(pdes_result.fcts),
-                "pdes": pdes_result.merged_counters(),
-            }
-            if shard_config.trace:
-                result_dict["pdes"]["trace"] = {
-                    "recorded": pdes_result.trace_recorded,
-                    "evicted": pdes_result.trace_evicted,
-                }
-                artifacts.update(
-                    _write_trace_artifact(
-                        run_dir,
-                        pdes_result.merged_trace(),
-                        meta={
-                            "stage": request.stage,
-                            "seed": request.experiment.seed,
-                            "workers": pdes_result.workers,
-                            "recorded": pdes_result.trace_recorded,
-                            "evicted": pdes_result.trace_evicted,
-                        },
-                    )
-                )
-            return result_dict, counters, model_info, artifacts
-        if request.stage == "cascade":
+        else:
             # Multi-fidelity cascade: the manifest carries the tier
             # residency, promotion counts, and per-tier packet split,
             # and the auditable decision log lands next to it.
             from repro.cascade import CascadeConfig, run_cascade_simulation
             from repro.validate.invariants import InvariantChecker
 
-            options = dict(request.hybrid)
-            tracer = _make_tracer(options, request.experiment.seed)
-            cascade_config = CascadeConfig.from_dict(options)
             checker = InvariantChecker(metrics=metrics)
             cascade_result, cascade_sim = run_cascade_simulation(
-                request.experiment, lookup.model, cascade=cascade_config,
+                experiment, lookup.model, cascade=CascadeConfig.from_dict(options),
                 metrics=metrics, tracer=tracer, invariants=checker,
             )
-            counters = cascade_sim.hybrid.hot_path_counters(
-                cascade_result.result.wallclock_seconds
-            )
-            result_dict = _summarize_result(cascade_result.result)
-            result_dict["cascade"] = cascade_sim.cascade_summary()
-            result_dict["invariants"] = checker.summary()
-            result_dict["fluid_fct"] = _sample_summary(cascade_result.fluid_fcts)
+            result, hybrid_sim = cascade_result.result, cascade_sim.hybrid
+            extras = {
+                "cascade": cascade_sim.cascade_summary(),
+                "invariants": checker.summary(),
+                "fluid_fct": _sample_summary(cascade_result.fluid_fcts),
+            }
             decisions_path = run_dir / "decisions.json"
             cascade_sim.decision_log.save(decisions_path)
             artifacts["decisions"] = str(decisions_path)
-            if tracer is not None:
-                artifacts.update(
-                    _write_trace_artifact(
-                        run_dir,
-                        tracer.records(),
-                        meta={
-                            "stage": request.stage,
-                            "seed": request.experiment.seed,
-                            "workers": 1,
-                            "recorded": tracer.recorded,
-                            "evicted": tracer.evicted,
-                        },
-                    )
-                )
-            return result_dict, counters, model_info, artifacts
-        if request.stage == "validate":
-            # Differential fidelity: a matched full/hybrid pair scored
-            # by repro.validate; the report rides in the manifest so
-            # sweeps gate on agreement, not just completion.
-            from repro.validate import ValidateConfig, run_differential_pair
-
-            diff = run_differential_pair(
-                request.experiment,
-                lookup.model,
-                validate=ValidateConfig(**request.hybrid),
-                metrics=metrics,
-            )
-            counters = diff.hybrid_sim.hot_path_counters(
-                diff.hybrid.wallclock_seconds
-            )
-            result_dict = {
-                "full": _summarize_result(diff.full),
-                "hybrid": _summarize_result(diff.hybrid),
-                "fidelity": diff.report.to_dict(),
-            }
-            return result_dict, counters, model_info, artifacts
-
-        # evaluate: score the bundle against a fresh ground-truth trace.
-        from repro.core.evaluation import evaluate_on_records
-        from repro.core.features import RegionFeatureExtractor
-
-        region_cluster = 1
-        output = run_full_simulation(
-            request.experiment, collect_cluster=region_cluster, metrics=metrics
-        )
-        if not output.records:
-            raise ValueError(
-                "evaluation trace is empty; increase duration_s or load"
-            )
-        assert output.extractor is not None
-        extractor = RegionFeatureExtractor(
-            output.extractor.topology, output.extractor.routing, region_cluster
-        )
-        evaluations = evaluate_on_records(lookup.model, output.records, extractor)
-        result_dict: dict[str, Any] = {
-            "trace": _summarize_result(output.result),
-            "directions": {
-                direction.value: {
-                    "samples": ev.samples,
-                    "drop_rate_true": ev.drop_rate_true,
-                    "drop_rate_predicted": ev.drop_rate_predicted,
-                    "drop_auc": ev.drop_auc,
-                    "latency_log_mae": ev.latency_log_mae,
-                    "latency_median_relative_error": ev.latency_median_relative_error,
-                }
-                for direction, ev in evaluations.items()
-            },
+        counters = hybrid_sim.hot_path_counters(result.wallclock_seconds)
+        result_dict = {**_summarize_result(result), **extras}
+        if tracer is not None:
+            trace = (tracer.records(), tracer.recorded, tracer.evicted, 1)
+    if trace is not None:
+        events, recorded, evicted, workers = trace
+        meta = {
+            "stage": request.stage,
+            "seed": experiment.seed,
+            "workers": workers,
+            "recorded": recorded,
+            "evicted": evicted,
         }
-        return result_dict, dict(_ZERO_COUNTERS), model_info, artifacts
-
-    # simulate: full packet-level fidelity, no model involved.
-    output = run_full_simulation(request.experiment, metrics=metrics)
-    return _summarize_result(output.result), dict(_ZERO_COUNTERS), None, artifacts
+        artifacts.update(_write_trace_artifact(run_dir, events, meta))
+    return result_dict, counters, model_info, artifacts
 
 
 def execute_run(

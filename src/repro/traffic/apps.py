@@ -16,15 +16,27 @@ work was skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.des.entities import Entity
 from repro.des.kernel import Simulator
 from repro.des.monitors import Monitor
 from repro.net.network import Network
+from repro.net.tcp.receiver import TcpReceiver
+from repro.net.tcp.sender import TcpSender
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.distributions import EmpiricalSizeDistribution
 from repro.traffic.matrix import TrafficMatrix
+
+if TYPE_CHECKING:
+    from repro.flowsim.simulator import FlowSpec
+
+
+#: Transport ports of pre-registered flows: a :class:`FlowSpec` without
+#: a ``src_port`` gets ``FLOW_PORT_BASE + flow_id`` — the base of
+#: :meth:`~repro.net.host.Host.allocate_port`'s per-host counter.
+FLOW_PORT_BASE = 10_000
+FLOW_DST_PORT = 80
 
 
 @dataclass
@@ -235,3 +247,103 @@ class TrafficGenerator(Entity):
     def goodput_bytes(self) -> int:
         """Total bytes of completed flows."""
         return sum(r.size_bytes for r in self.flows if r.completion_time is not None)
+
+
+class ScheduledFlows:
+    """A pre-drawn flow schedule with TCP endpoints registered up front.
+
+    The traffic source of worlds whose flows are known before the run:
+    PDES workers own disjoint partitions and cannot call
+    :meth:`~repro.net.host.Host.open_flow` across processes, so each
+    registers the endpoints it owns (``network.hosts`` holds exactly
+    those) under demux keys every worker agrees on.  Exposes the
+    counters :class:`TrafficGenerator` does, so results are built the
+    same way from either.
+
+    With a ``tracer``, every flow's ``(src, src_port)`` key is
+    registered — a packet can cross a cluster model on a worker that
+    owns neither endpoint, and attribution must still find its trace
+    id — and locally sent flows get ``flow.admit``/``flow.complete``.
+    """
+
+    collective = None
+    flows_elided = 0
+
+    def __init__(
+        self, sim: Simulator, network: Network, flows: Sequence[FlowSpec], tracer=None
+    ) -> None:
+        self.sim = sim
+        self.network = network
+        self.flows = flows
+        self._tracer = tracer
+        self.flows_started = 0
+        self.flows_completed = 0
+        self._fcts: list[float] = []
+
+    def start(self) -> None:
+        """Register the owned endpoints and arm every local sender."""
+        topology = self.network.topology
+        hosts = self.network.hosts
+        tcp = self.network.config.tcp
+        tracer = self._tracer
+        for flow in self.flows:
+            if flow.src not in topology or flow.dst not in topology:
+                raise ValueError(
+                    f"flow {flow.flow_id}: {flow.src!r} -> {flow.dst!r} names a "
+                    f"host that is not in topology {topology.name!r}"
+                )
+            src_port = flow.src_port or FLOW_PORT_BASE + flow.flow_id
+            trace = None
+            if tracer is not None:
+                trace = tracer.register_flow(flow.flow_id, key=(flow.src, src_port))
+            dst_host = hosts.get(flow.dst)
+            if dst_host is not None:
+                dst_host.register_receiver(
+                    TcpReceiver(
+                        host=dst_host,
+                        peer=flow.src,
+                        src_port=FLOW_DST_PORT,
+                        dst_port=src_port,
+                        config=tcp,
+                    )
+                )
+            src_host = hosts.get(flow.src)
+            if src_host is None:
+                continue
+            sender = TcpSender(
+                host=src_host,
+                dst=flow.dst,
+                src_port=src_port,
+                dst_port=FLOW_DST_PORT,
+                total_bytes=flow.size_bytes,
+                config=tcp,
+                on_complete=self._completion_tap(flow, trace),
+                rtt_monitor=src_host.rtt_monitor,
+            )
+            src_host.register_sender(sender)
+            self.flows_started += 1
+            if tracer is not None:
+                tracer.event(
+                    "flow.admit",
+                    trace=trace,
+                    t=flow.start_time,
+                    src=flow.src,
+                    dst=flow.dst,
+                    size=flow.size_bytes,
+                )
+            self.sim.schedule_at(flow.start_time, sender.start)
+
+    def _completion_tap(self, flow: FlowSpec, trace) -> Callable[[float], None]:
+        def on_complete(fct: float) -> None:
+            self.flows_completed += 1
+            self._fcts.append(fct)
+            if trace is not None:
+                self._tracer.event(
+                    "flow.complete", trace=trace, fct=fct, size=flow.size_bytes
+                )
+
+        return on_complete
+
+    def completed_fcts(self) -> list[float]:
+        """FCTs of locally sent flows, in completion order."""
+        return self._fcts

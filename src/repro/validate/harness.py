@@ -19,7 +19,7 @@ pair twice produces byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.core.hybrid import HybridConfig, HybridSimulation
@@ -27,11 +27,10 @@ from repro.core.pipeline import (
     ExperimentConfig,
     FullRunOutput,
     RunResult,
-    make_generator,
     run_full_simulation,
 )
 from repro.core.training import TrainedClusterModel
-from repro.des.kernel import Simulator
+from repro.core.world import build_world
 from repro.topology.clos import build_clos
 from repro.validate.fidelity import (
     FidelityReport,
@@ -89,17 +88,11 @@ class ValidateConfig:
             )
 
     def hybrid_config(self) -> HybridConfig:
-        """The hybrid-assembly options this validation implies."""
-        return HybridConfig(
-            full_cluster=self.full_cluster,
-            elide_remote_traffic=self.elide_remote_traffic,
-            macro_bucket_s=self.macro_bucket_s,
-            use_fused_inference=self.use_fused_inference,
-            inference_dtype=self.inference_dtype,
-            batch_window_s=self.batch_window_s,
-            memoize_inference=self.memoize_inference,
-            memo_exact=self.memo_exact,
-        )
+        """The hybrid-assembly options this validation implies (every
+        field but ``region_cluster`` is a :class:`HybridConfig` field)."""
+        options = asdict(self)
+        del options["region_cluster"]
+        return HybridConfig(**options)
 
 
 @dataclass
@@ -157,63 +150,25 @@ def run_differential_pair(
         if record.outcome_time is not None
     ]
 
-    # ---- Side B: hybrid, assembled manually so the checker and the
-    # outcome tap attach before any traffic flows. ---------------------
-    sim = Simulator(seed=config.seed)
+    # ---- Side B: hybrid, with the checker and the outcome tap
+    # attached before any traffic flows. ------------------------------
     checker = InvariantChecker(metrics=metrics)
-    checker.attach_simulator(sim)
-    hybrid_sim = HybridSimulation(
-        sim,
-        topology,
+    world = build_world(
+        config,
         trained,
-        net_config=config.net,
-        config=vc.hybrid_config(),
+        hybrid=vc.hybrid_config(),
         metrics=metrics,
         invariants=checker,
-        routing_config=config.routing,
-        failures=config.failures,
+        topology=topology,
     )
     hybrid_outcomes: list[Outcome] = []
-    region_model = hybrid_sim.models[vc.region_cluster]
-    region_model.on_outcome = (
+    world.hybrid.models[vc.region_cluster].on_outcome = (
         lambda now, latency_s, dropped: hybrid_outcomes.append(
             (now, latency_s, dropped)
         )
     )
-    generator = make_generator(
-        sim, hybrid_sim.network, config, flow_filter=hybrid_sim.flow_filter
-    )
-    if metrics is not None:
-        from repro.obs import attach_hybrid_probes, default_period
-
-        attach_hybrid_probes(
-            metrics, sim, hybrid_sim, default_period(config.duration_s)
-        )
-    generator.start()
-    sim.run(until=config.duration_s)
-    # Conservation counts every packet that entered an approximated
-    # cluster; drain held batches first so none are in flight.
-    hybrid_sim.flush_inference()
-    checker.check_conservation(now=sim.now)
-
-    hybrid_result = RunResult(
-        sim_seconds=config.duration_s,
-        wallclock_seconds=sim.wallclock_elapsed,
-        events_executed=sim.events_executed,
-        flows_started=generator.flows_started,
-        flows_completed=generator.flows_completed,
-        flows_elided=generator.flows_elided,
-        drops=hybrid_sim.network.total_drops + hybrid_sim.model_drops(),
-        rtt_samples=hybrid_sim.observed_rtt_samples(),
-        fcts=generator.completed_fcts(),
-        model_packets=hybrid_sim.model_packets_handled(),
-        model_drops=hybrid_sim.model_drops(),
-        model_inference_seconds=hybrid_sim.inference_seconds(),
-        failure_events=hybrid_sim.failure_injector.summary(),
-        collective=(
-            generator.collective.summary() if generator.collective else None
-        ),
-    )
+    world.run()
+    hybrid_result = world.result()
 
     report = build_report(
         full_output,
@@ -230,7 +185,7 @@ def run_differential_pair(
         full=full_output.result,
         hybrid=hybrid_result,
         checker=checker,
-        hybrid_sim=hybrid_sim,
+        hybrid_sim=world.hybrid,
         full_outcomes=full_outcomes,
         hybrid_outcomes=hybrid_outcomes,
     )
@@ -251,16 +206,11 @@ def build_report(
     full_latencies = [lat for _, lat, dropped in full_outcomes if not dropped]
     hybrid_latencies = [lat for _, lat, dropped in hybrid_outcomes if not dropped]
 
-    full_drop_rate = (
-        sum(1 for *_, dropped in full_outcomes if dropped) / len(full_outcomes)
-        if full_outcomes
-        else 0.0
-    )
-    hybrid_drop_rate = (
-        sum(1 for *_, dropped in hybrid_outcomes if dropped) / len(hybrid_outcomes)
-        if hybrid_outcomes
-        else 0.0
-    )
+    def drop_rate(outcomes: list[Outcome]) -> float:
+        if not outcomes:
+            return 0.0
+        return sum(1 for *_, dropped in outcomes if dropped) / len(outcomes)
+
     # Throughput over simulated (not wall-clock) time: deterministic,
     # and what the workload actually achieved.
     full_tput = full_result.flows_completed / duration_s
@@ -275,7 +225,7 @@ def build_report(
     return FidelityReport(
         fct=compare_samples(full_result.fcts, hybrid_result.fcts),
         latency=compare_samples(full_latencies, hybrid_latencies),
-        drop_rate=rate_delta(full_drop_rate, hybrid_drop_rate),
+        drop_rate=rate_delta(drop_rate(full_outcomes), drop_rate(hybrid_outcomes)),
         throughput=rate_delta(full_tput, hybrid_tput),
         macro=macro_agreement(truth_timeline, hybrid_timeline),
         invariants=checker.summary(),

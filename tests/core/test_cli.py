@@ -55,6 +55,31 @@ class TestSimulate:
         header = trace_path.read_text().splitlines()[0]
         assert header.startswith("time,kind")
 
+    def test_trace_csv_runs_the_same_scenario(self, tmp_path, capsys, monkeypatch):
+        """``--trace-csv`` used to assemble its own network: plain ECMP,
+        no failure injector, no collective — a silently different run."""
+        import repro.cli
+
+        results = []
+        monkeypatch.setattr(
+            repro.cli, "_print_run", lambda result, title: results.append(result)
+        )
+        scenario = [
+            "simulate", "--clusters", "2", "--load", "0.15",
+            "--duration", "0.006", "--seed", "31", "--routing", "flowlet",
+            "--fail-link", "0.002:core-0:agg-c0-0",
+            "--fail-link", "0.004:core-0:agg-c0-0:up",
+            "--collective", "ring", "--collective-ranks", "4",
+            "--chunk-bytes", "20000", "--collective-rounds", "2",
+        ]
+        assert main(scenario) == 0
+        assert main([*scenario, "--trace-csv", str(tmp_path / "trace.csv")]) == 0
+        plain, traced = results
+        assert len(plain.failure_events) == 2
+        assert plain.collective["rounds_completed"] == 2
+        assert traced.determinism_signature() == plain.determinism_signature()
+        assert (tmp_path / "trace.csv").stat().st_size > 0
+
 
 class TestTrainAndHybrid:
     def test_full_cli_workflow(self, tmp_path, capsys):
