@@ -131,11 +131,10 @@ class InferenceBatcher:
         called by the armed window event, by observability probes
         before they read model state, and at end of run.
         """
-        event = self._flush_event
-        if event is not None:
+        if self._flush_event is not None:
+            # A no-op when the flush is that event running.
+            self.sim.cancel(self._flush_event)
             self._flush_event = None
-            if event.pending:
-                self.sim.cancel(event)
         lanes = [
             (cluster, self._lanes[cluster.name])
             for cluster in self._clusters

@@ -58,22 +58,6 @@ MIN_REGION_LATENCY_S = 1e-6
 MAX_REGION_LATENCY_S = 1.0
 
 
-class _Delivery:
-    """Prebound egress delivery callback: three slot stores at schedule
-    time and one bound call at fire time instead of a fresh closure per
-    delivered packet, and named in profiles instead of ``<lambda>``."""
-
-    __slots__ = ("entity", "packet", "boundary")
-
-    def __init__(self, entity, packet: Packet, boundary: str) -> None:
-        self.entity = entity
-        self.packet = packet
-        self.boundary = boundary
-
-    def __call__(self) -> None:
-        self.entity.receive(self.packet, self.boundary)
-
-
 class _Lane:
     """One direction's model, resolved once at construction.
 
@@ -107,6 +91,8 @@ class _EgressTarget:
     Built on the first delivery to ``name`` (entities are late-bound:
     the network is constructed after the models) and kept for the run —
     ``last_delivery`` is the conflict-resolution state of Section 4.2.
+    Calling the record delivers a packet to the node, so the egress
+    event is the record plus the packet as its argument.
     """
 
     __slots__ = ("name", "entity", "boundary", "rate_bps", "remote", "last_delivery")
@@ -126,6 +112,9 @@ class _EgressTarget:
         #: local event fires — see repro.pdes.stub.RemoteEntityProxy.
         self.remote = getattr(entity, "schedule_model_delivery", None)
         self.last_delivery = -math.inf
+
+    def __call__(self, packet: Packet) -> None:
+        self.entity.receive(packet, self.boundary)
 
 
 class ApproximatedCluster(Entity):
@@ -468,9 +457,7 @@ class ApproximatedCluster(Entity):
                 self.name, target.name, now, deliver_at, trace=trace
             )
         if target.remote is None:
-            self.sim.schedule_at(
-                deliver_at, _Delivery(target.entity, packet, target.boundary)
-            )
+            self.sim.schedule_at(deliver_at, target, packet)
         else:
             target.remote(deliver_at, packet, target.boundary)
 

@@ -9,11 +9,9 @@ queue, exactly as described in Section 2.1 of the paper.
 Public API
 ----------
 ``Simulator``
-    The event loop.  Owns simulated time, the event queue, named random
-    streams, and event accounting.
-``Event``
-    A scheduled callback; returned by :meth:`Simulator.schedule` and
-    usable as a cancellation handle.
+    The event loop.  Owns simulated time, the event heap, named random
+    streams, and event accounting.  ``schedule`` returns the event's
+    heap entry, which is its cancellation handle.
 ``Entity``
     Base class for simulation components (switches, hosts, links, ...).
 ``Monitor`` / ``TimeSeries`` / ``Counter``
@@ -23,24 +21,18 @@ Public API
 """
 
 from repro.des.errors import SchedulingError, SimulationError
-from repro.des.kernel import Event, EventQueue, Simulator
+from repro.des.kernel import Simulator
 from repro.des.entities import Entity, Timer
-from repro.des.process import Delay, Process, Signal
 from repro.des.monitors import Counter, Monitor, TimeSeries
 from repro.des.rng import RandomStreams
 from repro.des.simlog import SimTimeAdapter, get_sim_logger
 
 __all__ = [
     "Counter",
-    "Delay",
     "Entity",
-    "Event",
-    "EventQueue",
     "Monitor",
-    "Process",
     "RandomStreams",
     "SchedulingError",
-    "Signal",
     "SimTimeAdapter",
     "SimulationError",
     "Simulator",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.des.kernel import Event, Simulator
+from repro.des.kernel import Simulator
 
 
 class Entity:
@@ -39,13 +39,13 @@ class Entity:
         """Current simulated time."""
         return self.sim.now
 
-    def schedule(self, delay: float, fn: Callable[[], None], priority: int = 0) -> Event:
-        """Schedule a callback ``delay`` seconds from now."""
-        return self.sim.schedule(delay, fn, priority)
+    def schedule(self, delay: float, fn: Callable[..., None], *args, priority: int = 0) -> list:
+        """Schedule ``fn(*args)`` ``delay`` seconds from now."""
+        return self.sim.schedule(delay, fn, *args, priority=priority)
 
-    def schedule_at(self, time: float, fn: Callable[[], None], priority: int = 0) -> Event:
-        """Schedule a callback at an absolute simulated time."""
-        return self.sim.schedule_at(time, fn, priority)
+    def schedule_at(self, time: float, fn: Callable[..., None], *args, priority: int = 0) -> list:
+        """Schedule ``fn(*args)`` at an absolute simulated time."""
+        return self.sim.schedule_at(time, fn, *args, priority=priority)
 
 
 class Timer:
@@ -53,38 +53,40 @@ class Timer:
 
     TCP retransmission and delayed-ACK logic restart and cancel timers
     constantly; this wrapper gives them an arm/disarm interface instead
-    of manual event-handle bookkeeping.
+    of manual event-handle bookkeeping.  It holds the kernel's heap
+    entry ``[time, priority, seq, fn, args]``, whose ``fn`` the kernel
+    blanks once the entry has run or been cancelled.
     """
+
+    __slots__ = ("_sim", "_fn", "_entry")
 
     def __init__(self, sim: Simulator, fn: Callable[[], None]) -> None:
         self._sim = sim
         self._fn = fn
-        self._event: Optional[Event] = None
+        self._entry: Optional[list] = None
 
     @property
     def armed(self) -> bool:
         """True if the timer is set and has not yet fired."""
-        return self._event is not None and self._event.pending
+        return self._entry is not None and self._entry[3] is not None
 
     @property
     def expiry(self) -> Optional[float]:
         """Absolute time at which the timer will fire, or None."""
-        if not self.armed:
-            return None
-        assert self._event is not None
-        return self._event.time
+        return self._entry[0] if self.armed else None
 
     def arm(self, delay: float) -> None:
         """(Re)start the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
+        if self._entry is not None:
+            self._sim.cancel(self._entry)
+        self._entry = self._sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         """Disarm the timer if armed."""
-        if self._event is not None and self._event.pending:
-            self._sim.cancel(self._event)
-        self._event = None
+        if self._entry is not None:
+            self._sim.cancel(self._entry)
+            self._entry = None
 
     def _fire(self) -> None:
-        self._event = None
+        self._entry = None
         self._fn()

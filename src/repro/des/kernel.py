@@ -1,10 +1,17 @@
 """The discrete event simulation kernel.
 
-The kernel is intentionally small: a binary-heap event queue keyed by
+The kernel is intentionally small: a binary heap of events keyed by
 ``(time, priority, sequence)`` and a run loop.  The sequence number makes
 event ordering *total* and therefore deterministic: two events scheduled
 for the same instant with the same priority execute in the order they
 were scheduled, on every run, on every platform.
+
+Each event is one mutable heap entry ``[time, priority, seq, fn, args]``
+and is its own handle: :meth:`Simulator.cancel` blanks its ``fn`` and
+the run loop skips blank entries when they surface; the loop blanks an
+entry's ``fn`` as it runs it, so ``entry[3] is None`` reads "no longer
+pending" (executed or cancelled).  The unique seq means the heap never
+compares past it.
 
 Determinism matters for this reproduction in two ways.  First, the
 paper's training pipeline (Section 4) records packet traces from a full
@@ -17,10 +24,9 @@ accounting of scheduled, executed, and cancelled events.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time as _wallclock
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.des.errors import SchedulingError, SimulationError
@@ -29,94 +35,7 @@ from repro.des.rng import RandomStreams
 #: Default priority for events; lower values execute first at equal times.
 DEFAULT_PRIORITY = 0
 
-
-@dataclass(slots=True)
-class Event:
-    """A scheduled callback.
-
-    The queue orders events by ``(time, priority, seq)``; the seq is a
-    kernel-assigned monotonic tie-breaker that makes ordering total
-    (and lets the heap compare plain tuples in C — events themselves
-    are never compared).
-
-    Attributes
-    ----------
-    time:
-        Simulated time at which the event fires.
-    priority:
-        Tie-breaker at equal times; lower fires first.
-    seq:
-        Kernel-assigned monotonic sequence number; makes ordering total.
-    fn:
-        The callback, invoked as ``fn()``.
-    cancelled:
-        True if :meth:`Simulator.cancel` was called; the kernel skips
-        cancelled events lazily when they surface at the heap top.
-    """
-
-    time: float
-    priority: int
-    seq: int
-    fn: Callable[[], None]
-    cancelled: bool = False
-    executed: bool = False
-
-    def cancel(self) -> None:
-        """Mark this event so the kernel will skip it.
-
-        Cancelling an already-executed event is a no-op rather than an
-        error: timers frequently race with the messages that disarm them.
-        """
-        self.cancelled = True
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is neither executed nor cancelled."""
-        return not (self.cancelled or self.executed)
-
-
-class EventQueue:
-    """A temporally ordered event queue (binary heap).
-
-    Heap entries are plain ``(time, priority, seq, event)`` tuples:
-    the unique seq guarantees comparisons never reach the event object,
-    so heap maintenance runs entirely in C.  Exposed separately from
-    :class:`Simulator` because the parallel DES engine (``repro.pdes``)
-    runs one queue per partition.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, time: float, fn: Callable[[], None], priority: int = DEFAULT_PRIORITY) -> Event:
-        """Insert a callback at ``time``; returns the :class:`Event` handle."""
-        event = Event(time=time, priority=priority, seq=self._seq, fn=fn)
-        heapq.heappush(self._heap, (time, priority, self._seq, event))
-        self._seq += 1
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or None if empty.
-
-        Lazily discards cancelled events found at the top.
-        """
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest pending event, or None if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[3]
-            if not event.cancelled:
-                return event
-        return None
+_INF = math.inf
 
 
 class Simulator:
@@ -133,23 +52,23 @@ class Simulator:
     --------
     >>> sim = Simulator(seed=1)
     >>> fired = []
-    >>> _ = sim.schedule(2.5, lambda: fired.append(sim.now))
+    >>> _ = sim.schedule(2.5, fired.append, "tick")
     >>> sim.run()
-    >>> fired
-    [2.5]
+    >>> fired, sim.now
+    (['tick'], 2.5)
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rng = RandomStreams(seed)
-        self._queue = EventQueue()
+        self._heap: list[list] = []
         self._running = False
         self._stopped = False
         # Event accounting (used by ablation A1 and the Figure 5 bench).
+        # ``events_scheduled`` doubles as the next entry's sequence number.
         self.events_scheduled = 0
         self.events_executed = 0
         self.events_cancelled = 0
-        self._wallclock_start: Optional[float] = None
         self.wallclock_elapsed: float = 0.0
         #: Optional observability registry (``repro.obs``).  When set,
         #: each :meth:`run` is timed under a ``des.run`` span and event
@@ -158,45 +77,65 @@ class Simulator:
         #: upward imports; ``None`` costs one branch per run, not per
         #: event.
         self.metrics = None
+        #: Optional hook ``(message) -> None`` called right before a
+        #: :class:`SchedulingError` is raised — the invariant checker
+        #: records causality violations through it even when an outer
+        #: ``except`` swallows the error.
+        self.on_scheduling_error: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(
-        self, delay: float, fn: Callable[[], None], priority: int = DEFAULT_PRIORITY
-    ) -> Event:
-        """Schedule ``fn`` to run ``delay`` seconds from now.
+        self, delay: float, fn: Callable[..., None], *args, priority: int = DEFAULT_PRIORITY
+    ) -> list:
+        """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
+
+        Returns the heap entry, which is the event's cancellation handle.
 
         Raises
         ------
         SchedulingError
             If ``delay`` is negative or not finite.
         """
-        if not math.isfinite(delay):
-            raise SchedulingError(f"event delay must be finite, got {delay!r}")
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule into the past (delay={delay!r})")
-        self.events_scheduled += 1
-        return self._queue.push(self.now + delay, fn, priority)
+        if not 0.0 <= delay < _INF:
+            self._reject(
+                f"event delay must be finite, got {delay!r}"
+                if not math.isfinite(delay)
+                else f"cannot schedule into the past (delay={delay!r})"
+            )
+        seq = self.events_scheduled
+        self.events_scheduled = seq + 1
+        entry = [self.now + delay, priority, seq, fn, args]
+        heappush(self._heap, entry)
+        return entry
 
     def schedule_at(
-        self, time: float, fn: Callable[[], None], priority: int = DEFAULT_PRIORITY
-    ) -> Event:
-        """Schedule ``fn`` at absolute simulated time ``time``."""
-        if not math.isfinite(time):
-            raise SchedulingError(f"event time must be finite, got {time!r}")
-        if time < self.now:
-            raise SchedulingError(
-                f"cannot schedule into the past (time={time!r} < now={self.now!r})"
+        self, time: float, fn: Callable[..., None], *args, priority: int = DEFAULT_PRIORITY
+    ) -> list:
+        """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
+        if not self.now <= time < _INF:
+            self._reject(
+                f"event time must be finite, got {time!r}"
+                if not math.isfinite(time)
+                else f"cannot schedule into the past (time={time!r} < now={self.now!r})"
             )
-        self.events_scheduled += 1
-        return self._queue.push(time, fn, priority)
+        seq = self.events_scheduled
+        self.events_scheduled = seq + 1
+        entry = [time, priority, seq, fn, args]
+        heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (no-op if already executed)."""
-        if event.pending:
+    def _reject(self, message: str) -> None:
+        if self.on_scheduling_error is not None:
+            self.on_scheduling_error(message)
+        raise SchedulingError(message)
+
+    def cancel(self, entry: list) -> None:
+        """Cancel a pending event (no-op if already executed or cancelled)."""
+        if entry[3] is not None:
+            entry[3] = None
             self.events_cancelled += 1
-        event.cancel()
 
     # ------------------------------------------------------------------
     # Running
@@ -216,44 +155,48 @@ class Simulator:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         self._stopped = False
-        self._wallclock_start = _wallclock.perf_counter()
-        executed_this_run = 0
+        started = _wallclock.perf_counter()
+        heap = self._heap
+        pop = heappop
+        horizon = _INF if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)
+        executed = 0
         span = self.metrics.span("des.run") if self.metrics is not None else None
         if span is not None:
             span.__enter__()
         try:
-            while not self._stopped:
-                if max_events is not None and executed_this_run >= max_events:
-                    break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+            while heap and executed != budget:
+                entry = pop(heap)
+                fn = entry[3]
+                if fn is None:
+                    continue  # cancelled
+                time = entry[0]
+                if time > horizon:
+                    heappush(heap, entry)
                     self.now = until
                     break
-                event = self._queue.pop()
-                assert event is not None  # peek said non-empty
-                if event.time < self.now:
-                    raise SimulationError(
-                        f"event queue yielded past event at {event.time} (now={self.now})"
-                    )
-                self.now = event.time
-                event.executed = True
-                self.events_executed += 1
-                executed_this_run += 1
-                event.fn()
-            if until is not None and not self._stopped and self._queue.peek_time() is None:
-                # Ran dry before the horizon: advance to it anyway, so that
-                # rate computations (bytes / elapsed) use the full window.
-                self.now = max(self.now, until)
+                entry[3] = None
+                self.now = time
+                executed += 1
+                fn(*entry[4])
+                if self._stopped:
+                    break
+            if until is not None and not self._stopped:
+                while heap and heap[0][3] is None:
+                    pop(heap)
+                if not heap:
+                    # Ran dry before the horizon: advance to it anyway, so
+                    # that rate computations (bytes / elapsed) use the
+                    # full window.
+                    self.now = max(self.now, until)
         finally:
-            self.wallclock_elapsed += _wallclock.perf_counter() - self._wallclock_start
-            self._wallclock_start = None
+            self.events_executed += executed
+            self.wallclock_elapsed += _wallclock.perf_counter() - started
             self._running = False
             if span is not None:
                 span.__exit__(None, None, None)
                 metrics = self.metrics
-                metrics.counter("des.events_executed_in_runs").inc(executed_this_run)
+                metrics.counter("des.events_executed_in_runs").inc(executed)
                 metrics.gauge("des.events_executed").set(self.events_executed)
                 metrics.gauge("des.events_scheduled").set(self.events_scheduled)
                 metrics.gauge("des.events_cancelled").set(self.events_cancelled)
@@ -268,8 +211,8 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of events currently in the queue (including cancelled)."""
-        return len(self._queue)
+        """Number of entries currently in the heap (including cancelled)."""
+        return len(self._heap)
 
     def sim_seconds_per_second(self) -> float:
         """Simulated seconds processed per wall-clock second so far.

@@ -113,31 +113,26 @@ class FailureInjector:
                     f"{event.a!r}-{event.b!r}"
                 ) from None
         for event in self.failures:
-            sim.schedule_at(event.time, self._make_apply(event), priority=-10)
+            sim.schedule_at(event.time, self._apply, event, priority=-10)
 
-    def _make_apply(self, event: LinkFailure):
-        def apply() -> None:
-            changed = self.routing.set_link_state(event.a, event.b, up=event.action == "up")
-            record = {
-                "time": event.time,
-                "link": [event.a, event.b],
-                "action": event.action,
-                "changed": changed,
-            }
-            self.applied.append(record)
-            if self.sim.metrics is not None:
-                self.sim.metrics.counter(
-                    "net.link_failure_events", action=event.action
-                ).inc()
-            if self.tracer is not None:
-                self.tracer.event(
-                    "link.fail" if event.action == "down" else "link.recover",
-                    t=event.time,
-                    link=[event.a, event.b],
-                    changed=changed,
-                )
-
-        return apply
+    def _apply(self, event: LinkFailure) -> None:
+        changed = self.routing.set_link_state(event.a, event.b, up=event.action == "up")
+        record = {
+            "time": event.time,
+            "link": [event.a, event.b],
+            "action": event.action,
+            "changed": changed,
+        }
+        self.applied.append(record)
+        if self.sim.metrics is not None:
+            self.sim.metrics.counter("net.link_failure_events", action=event.action).inc()
+        if self.tracer is not None:
+            self.tracer.event(
+                "link.fail" if event.action == "down" else "link.recover",
+                t=event.time,
+                link=[event.a, event.b],
+                changed=changed,
+            )
 
     def summary(self) -> list[dict]:
         """Applied events so far, manifest-ready."""

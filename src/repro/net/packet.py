@@ -13,8 +13,9 @@ information.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntFlag
+from typing import Optional
 
 from repro.topology.routing import ecmp_hash, name_key
 
@@ -35,7 +36,18 @@ class TcpFlags(IntFlag):
     FIN = 4
 
 
-@dataclass(slots=True)
+def flow_hash_of(src: str, dst: str, src_port: int, dst_port: int) -> int:
+    """Deterministic ECMP hash of a flow's 5-tuple.
+
+    Uses a *symmetric-free* encoding: the hash of the reverse direction
+    differs, matching real ECMP (each direction may take a different
+    path).  TCP endpoints compute it once per connection and stamp it
+    on every packet they build.
+    """
+    return ecmp_hash(name_key(src), name_key(dst), src_port, dst_port)
+
+
+@dataclass(slots=True, init=False)
 class Packet:
     """A simulated TCP/IP packet.
 
@@ -60,26 +72,64 @@ class Packet:
     retransmission:
         True if this segment is a retransmit (Karn's algorithm skips
         RTT samples from these, and it is a model feature candidate).
+    size_bytes:
+        Total wire size (headers + payload), fixed at construction.
+    path_hash:
+        The flow's ECMP hash (:func:`flow_hash_of`): passed in by the
+        TCP endpoint that stamps it once per connection, computed here
+        when not given.  Switches forward on it without rehashing.
     """
 
     src: str
     dst: str
     src_port: int
     dst_port: int
-    seq: int = 0
-    ack: int = 0
-    flags: TcpFlags = TcpFlags.NONE
-    payload_bytes: int = 0
-    created_at: float = 0.0
-    ecn_capable: bool = False
-    ecn_marked: bool = False
-    retransmission: bool = False
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    seq: int
+    ack: int
+    flags: TcpFlags
+    payload_bytes: int
+    created_at: float
+    ecn_capable: bool
+    ecn_marked: bool
+    retransmission: bool
+    packet_id: int
+    size_bytes: int
+    path_hash: int
 
-    @property
-    def size_bytes(self) -> int:
-        """Total wire size (headers + payload)."""
-        return HEADER_BYTES + self.payload_bytes
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        src_port: int,
+        dst_port: int,
+        seq: int = 0,
+        ack: int = 0,
+        flags: TcpFlags = TcpFlags.NONE,
+        payload_bytes: int = 0,
+        created_at: float = 0.0,
+        ecn_capable: bool = False,
+        ecn_marked: bool = False,
+        retransmission: bool = False,
+        packet_id: Optional[int] = None,
+        path_hash: Optional[int] = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.payload_bytes = payload_bytes
+        self.created_at = created_at
+        self.ecn_capable = ecn_capable
+        self.ecn_marked = ecn_marked
+        self.retransmission = retransmission
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        self.size_bytes = HEADER_BYTES + payload_bytes
+        self.path_hash = (
+            flow_hash_of(src, dst, src_port, dst_port) if path_hash is None else path_hash
+        )
 
     @property
     def flow_tuple(self) -> tuple[str, str, int, int]:
@@ -87,15 +137,8 @@ class Packet:
         return (self.src, self.dst, self.src_port, self.dst_port)
 
     def flow_hash(self) -> int:
-        """Deterministic ECMP hash of the flow 5-tuple.
-
-        Uses a *symmetric-free* encoding: the hash of the reverse
-        direction differs, matching real ECMP (each direction may take
-        a different path).
-        """
-        return ecmp_hash(
-            name_key(self.src), name_key(self.dst), self.src_port, self.dst_port
-        )
+        """The flow's ECMP hash (see :func:`flow_hash_of`)."""
+        return self.path_hash
 
     def is_ack_only(self) -> bool:
         """True for packets that carry no payload (pure control)."""

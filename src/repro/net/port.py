@@ -140,16 +140,17 @@ class Port:
         """Packets currently waiting."""
         return len(self._queue)
 
-    def serialization_delay(self, packet: Packet) -> float:
-        """Transmitter time for one packet at line rate."""
-        return packet.size_bytes * 8.0 / self.rate_bps
-
+    # ------------------------------------------------------------------
+    # The hop: enqueue -> _finish_transmission -> _deliver, each step a
+    # kernel event carrying the packet as its argument.  Serialization
+    # time (size * 8 / rate) is computed where a transmission starts.
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
         """Accept a packet for transmission; returns False on drop."""
         self.stats.enqueued += 1
+        size = packet.size_bytes
         if self._busy:
-            if self._queued_bytes + packet.size_bytes > self.queue_capacity_bytes:
+            if self._queued_bytes + size > self.queue_capacity_bytes:
                 self._drop(packet)
                 return False
             if (
@@ -160,27 +161,26 @@ class Port:
                 packet.ecn_marked = True
                 self.stats.marked += 1
             self._queue.append(packet)
-            self._queued_bytes += packet.size_bytes
+            self._queued_bytes += size
             if self._queued_bytes > self.stats.peak_queued_bytes:
                 self.stats.peak_queued_bytes = self._queued_bytes
             return True
-        self._begin_transmission(packet)
+        self._busy = True
+        self.sim.schedule(size * 8.0 / self.rate_bps, self._finish_transmission, packet)
         return True
 
-    def _begin_transmission(self, packet: Packet) -> None:
-        self._busy = True
-        tx_time = self.serialization_delay(packet)
-        self.sim.schedule(tx_time, lambda: self._finish_transmission(packet))
-
     def _finish_transmission(self, packet: Packet) -> None:
-        self.stats.transmitted += 1
-        self.stats.bytes_transmitted += packet.size_bytes
+        stats = self.stats
+        stats.transmitted += 1
+        stats.bytes_transmitted += packet.size_bytes
         # Propagation: receiver sees the packet delay_s after the last bit.
-        self.sim.schedule(self.delay_s, lambda: self._deliver(packet))
+        schedule = self.sim.schedule
+        schedule(self.delay_s, self._deliver, packet)
         if self._queue:
             next_packet = self._queue.popleft()
-            self._queued_bytes -= next_packet.size_bytes
-            self._begin_transmission(next_packet)
+            size = next_packet.size_bytes
+            self._queued_bytes -= size
+            schedule(size * 8.0 / self.rate_bps, self._finish_transmission, next_packet)
         else:
             self._busy = False
 

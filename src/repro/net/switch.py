@@ -125,15 +125,15 @@ class Switch(Entity):
         return error
 
     def receive(self, packet: Packet, from_node: str) -> None:
-        """Forward a packet toward its destination."""
+        """Forward a packet toward its destination.
+
+        One routing call on the packet's stamped flow hash; the
+        structured :class:`UnroutablePacketError` is the slow path.
+        """
         self.packets_received += 1
         try:
             next_hop = self.routing.select_next_hop(
-                self.name,
-                packet.dst,
-                packet.flow_hash(),
-                now=self.now,
-                port_load=self._port_load,
+                self.name, packet.dst, packet.path_hash, self.sim.now, self._port_load
             )
         except NoRouteError as exc:
             raise self._unroutable(packet, str(exc)) from None

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Protocol
 
 from repro.des.entities import Timer
 from repro.des.kernel import Simulator
-from repro.net.packet import Packet, TcpFlags
+from repro.net.packet import Packet, TcpFlags, flow_hash_of
 from repro.net.tcp.config import TcpConfig
 
 
@@ -66,6 +66,8 @@ class TcpReceiver:
         self.dst_port = dst_port
         self.config = config
         self.on_deliver = on_deliver
+        #: The ACK direction's ECMP hash, stamped on every ACK.
+        self.path_hash = flow_hash_of(host.name, peer, src_port, dst_port)
 
         self.rcv_nxt = 0
         self.bytes_delivered = 0
@@ -112,23 +114,26 @@ class TcpReceiver:
 
     # ------------------------------------------------------------------
     def _insert_ooo(self, start: int, end: int) -> None:
-        """Insert an interval, merging overlaps, keeping the list sorted."""
-        starts = [seg[0] for seg in self._ooo]
-        idx = bisect.bisect_left(starts, start)
-        self._ooo.insert(idx, (start, end))
-        merged: list[tuple[int, int]] = []
-        for seg_start, seg_end in self._ooo:
-            if merged and seg_start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], seg_end))
-            else:
-                merged.append((seg_start, seg_end))
-        self._ooo = merged
+        """Insert an interval, merging it with the neighbours it overlaps
+        or touches; the list stays sorted with a gap between entries."""
+        ooo = self._ooo
+        lo = hi = bisect.bisect_left(ooo, (start,))
+        if lo and ooo[lo - 1][1] >= start:
+            lo -= 1
+            start, end = ooo[lo][0], max(end, ooo[lo][1])
+        while hi < len(ooo) and ooo[hi][0] <= end:
+            end = max(end, ooo[hi][1])
+            hi += 1
+        ooo[lo:hi] = [(start, end)]
 
     def _drain_ooo(self) -> None:
         """Consume buffered intervals now contiguous with ``rcv_nxt``."""
-        while self._ooo and self._ooo[0][0] <= self.rcv_nxt:
-            _, seg_end = self._ooo.pop(0)
-            self.rcv_nxt = max(self.rcv_nxt, seg_end)
+        ooo = self._ooo
+        drained = 0
+        while drained < len(ooo) and ooo[drained][0] <= self.rcv_nxt:
+            self.rcv_nxt = max(self.rcv_nxt, ooo[drained][1])
+            drained += 1
+        del ooo[:drained]
 
     def _flush_delayed_ack(self) -> None:
         self._delack_timer.cancel()
@@ -147,6 +152,7 @@ class TcpReceiver:
             created_at=self.host.sim.now,
             ecn_capable=self.config.ecn,
             ecn_marked=self._ecn_echo,
+            path_hash=self.path_hash,
         )
         self._ecn_echo = False
         self.acks_sent += 1

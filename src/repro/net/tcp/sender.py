@@ -19,7 +19,7 @@ from typing import Callable, Optional, Protocol
 from repro.des.entities import Timer
 from repro.des.kernel import Simulator
 from repro.des.monitors import Monitor
-from repro.net.packet import Packet, TcpFlags
+from repro.net.packet import Packet, TcpFlags, flow_hash_of
 from repro.net.tcp.config import TcpConfig
 from repro.net.tcp.rtt import RttEstimator
 
@@ -87,6 +87,9 @@ class TcpSender:
         self.config = config
         self.on_complete = on_complete
         self.rtt_monitor = rtt_monitor
+        #: The flow's ECMP hash, stamped on every segment (computed once
+        #: here so no switch on the path rehashes the 5-tuple).
+        self.path_hash = flow_hash_of(host.name, dst, src_port, dst_port)
 
         self.snd_una = 0
         self.snd_nxt = 0
@@ -166,6 +169,7 @@ class TcpSender:
             created_at=self.host.sim.now,
             ecn_capable=self.config.ecn_enabled,
             retransmission=is_retx,
+            path_hash=self.path_hash,
         )
         self.segments_sent += 1
         if is_retx:

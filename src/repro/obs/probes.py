@@ -78,8 +78,8 @@ class SimTimeProbes:
     def stop(self) -> None:
         """Cancel future ticks (already-recorded samples are kept)."""
         self._stopped = True
-        if self._event is not None and self._event.pending:
-            self.sim.cancel(self._event)
+        if self._event is not None:
+            self.sim.cancel(self._event)  # no-op once the tick has run
         self._event = None
 
     def _tick(self) -> None:

@@ -117,6 +117,6 @@ class RemoteEntityProxy:
 
         ``boundary`` (the region switch the packet notionally exits
         from) becomes the receiver's ``from_node`` argument, exactly as
-        the local ``_Delivery`` event would have passed it.
+        the local delivery event would have passed it.
         """
         _enqueue(self, boundary, deliver_at, packet)

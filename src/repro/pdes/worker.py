@@ -165,11 +165,12 @@ def _schedule_incoming(
                     window=window_seq,
                     target=message.target_node,
                 )
-            sim.schedule_at(
-                deliver_at,
-                lambda e=entity, m=message: e.receive(m.packet, m.from_node),
-            )
+            sim.schedule_at(deliver_at, entity.receive, message.packet, message.from_node)
     return count, violations
+
+
+def _crash(worker_index: int) -> None:
+    raise RuntimeError(f"injected crash in worker {worker_index} (test hook)")
 
 
 def _run_shard(
@@ -244,13 +245,7 @@ def _run_shard(
     world.traffic.start()
 
     if plan.inject_crash == worker_index:
-
-        def _boom() -> None:
-            raise RuntimeError(
-                f"injected crash in worker {worker_index} (test hook)"
-            )
-
-        sim.schedule_at(min(window_s, config.duration_s) / 2, _boom)
+        sim.schedule_at(min(window_s, config.duration_s) / 2, _crash, worker_index)
 
     parent_conn.send(("ready", worker_index))
     go = parent_conn.recv()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Protocol
 
 from repro.topology.graph import Topology
@@ -32,11 +33,14 @@ _HASH_MULT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
+@lru_cache(maxsize=1 << 16)
 def name_key(name: str) -> int:
     """Stable small-integer encoding of a node name for hashing.
 
     Needed because :func:`ecmp_hash` consumes integers and Python's
-    ``hash`` of strings is randomized per process.
+    ``hash`` of strings is randomized per process.  Cached per name
+    (bounded by any topology's node count): every TCP connection
+    hashes its endpoints once.
     """
     value = 0
     for ch in name.encode("utf-8"):
@@ -256,11 +260,16 @@ class EcmpRouting:
     ) -> str:
         """Per-packet forwarding decision — the ``RoutingPolicy`` seam.
 
-        ECMP ignores time and load, so the base implementation delegates
-        to :meth:`next_hop`; subclasses use ``now`` (flowlet gaps) or
-        ``port_load`` (adaptive load balancing).
+        ECMP ignores time and load, so the base implementation is
+        :meth:`next_hop` as one table lookup (it runs at every switch
+        hop); subclasses use ``now`` (flowlet gaps) or ``port_load``
+        (adaptive load balancing).
         """
-        return self.next_hop(node, dst, flow_hash)
+        try:
+            hops = self._nexthops[dst][node]
+        except KeyError:  # unknown pair, or node == dst
+            raise NoRouteError(node, dst) from None
+        return hops[flow_hash % len(hops)]
 
     def distance(self, src: str, dst: str) -> int:
         """Hop count of the shortest path."""

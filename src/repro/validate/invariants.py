@@ -11,8 +11,8 @@ bugs, not model error, so they are checked at runtime by an
 Four invariants are covered:
 
 ``causality``
-    Nothing is scheduled in the past — neither by the kernel wrappers
-    installed via :meth:`InvariantChecker.attach_simulator` nor by an
+    Nothing is scheduled in the past — neither through the kernel hook
+    installed by :meth:`InvariantChecker.attach_simulator` nor by an
     :class:`~repro.core.cluster_model.ApproximatedCluster` delivery.
 ``conservation``
     Per watched region, ``handled == dropped + delivered``; a packet
@@ -162,33 +162,15 @@ class InvariantChecker:
     def attach_simulator(self, sim) -> "InvariantChecker":
         """Observe every scheduling call on ``sim`` for causality.
 
-        Wraps ``schedule`` / ``schedule_at`` so a past-scheduling
-        attempt is *recorded* before the kernel raises its own
-        :class:`~repro.des.errors.SchedulingError` — the checker sees
-        the violation even when an outer ``except`` swallows the error.
-        Returns ``self`` for chaining.
+        Installs the kernel's ``on_scheduling_error`` hook, so a
+        past-scheduling attempt is *recorded* before the kernel raises
+        its :class:`~repro.des.errors.SchedulingError` — the checker
+        sees the violation even when an outer ``except`` swallows the
+        error.  Returns ``self`` for chaining.
         """
-        inner_schedule = sim.schedule
-        inner_schedule_at = sim.schedule_at
-
-        def schedule(delay, fn, priority=0):
-            if delay < 0:
-                self.record(
-                    "causality", sim.now, f"schedule(delay={delay!r}) is negative"
-                )
-            return inner_schedule(delay, fn, priority)
-
-        def schedule_at(time, fn, priority=0):
-            if time < sim.now:
-                self.record(
-                    "causality",
-                    sim.now,
-                    f"schedule_at(time={time!r}) < now={sim.now!r}",
-                )
-            return inner_schedule_at(time, fn, priority)
-
-        sim.schedule = schedule
-        sim.schedule_at = schedule_at
+        sim.on_scheduling_error = lambda message: self.record(
+            "causality", sim.now, message
+        )
         return self
 
     def watch_cluster(self, cluster) -> None:

@@ -5,46 +5,74 @@ from __future__ import annotations
 import pytest
 
 from repro.des.errors import SchedulingError, SimulationError
-from repro.des.kernel import EventQueue, Simulator
+from repro.des.kernel import Simulator
 
 
 class TestEventQueue:
+    """The kernel's event heap, driven through :class:`Simulator`."""
+
     def test_pop_orders_by_time(self):
-        q = EventQueue()
-        q.push(3.0, lambda: None)
-        q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        times = [q.pop().time for _ in range(3)]
-        assert times == [1.0, 2.0, 3.0]
+        sim = Simulator()
+        fired = []
+        for time in (3.0, 1.0, 2.0):
+            sim.schedule_at(time, fired.append, time)
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0]
 
     def test_equal_times_fifo_by_sequence(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        second = q.push(1.0, lambda: None)
-        assert q.pop() is first
-        assert q.pop() is second
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "first")
+        sim.schedule_at(1.0, fired.append, "second")
+        sim.run()
+        assert fired == ["first", "second"]
 
     def test_priority_breaks_time_ties(self):
-        q = EventQueue()
-        low_priority = q.push(1.0, lambda: None, priority=5)
-        high_priority = q.push(1.0, lambda: None, priority=0)
-        assert q.pop() is high_priority
-        assert q.pop() is low_priority
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "low", priority=5)
+        sim.schedule_at(1.0, fired.append, "high", priority=0)
+        sim.run()
+        assert fired == ["high", "low"]
 
     def test_cancelled_events_skipped(self):
-        q = EventQueue()
-        doomed = q.push(1.0, lambda: None)
-        survivor = q.push(2.0, lambda: None)
-        doomed.cancel()
-        assert q.peek_time() == 2.0
-        assert q.pop() is survivor
-        assert q.pop() is None
+        sim = Simulator()
+        fired = []
+        doomed = sim.schedule_at(1.0, fired.append, "doomed")
+        sim.schedule_at(2.0, fired.append, "survivor")
+        sim.cancel(doomed)
+        sim.run()
+        assert fired == ["survivor"]
+        assert sim.events_executed == 1
+        assert sim.pending_events == 0
 
     def test_empty_queue(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        assert q.pop() is None
-        assert len(q) == 0
+        sim = Simulator()
+        sim.run()
+        assert sim.now == 0.0
+        assert sim.events_executed == 0
+        assert sim.pending_events == 0
+
+    def test_entry_is_the_handle(self):
+        """``[time, priority, seq, fn, args]``; ``fn`` is blanked once
+        the entry has run or been cancelled."""
+        sim = Simulator()
+        ran = sim.schedule(1.0, print, "x", priority=3)
+        doomed = sim.schedule(2.0, print)
+        assert ran[:3] == [1.0, 3, 0] and ran[4] == ("x",)
+        sim.cancel(doomed)
+        assert doomed[3] is None and ran[3] is print
+        sim.run(until=1.5)
+        assert ran[3] is None
+
+    def test_horizon_keeps_fifo_order_of_the_deferred_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(2.0, fired.append, "early")
+        sim.run(until=1.0)
+        sim.schedule_at(2.0, fired.append, "late")
+        sim.run()
+        assert fired == ["early", "late"]
 
 
 class TestSimulatorScheduling:
@@ -82,6 +110,25 @@ class TestSimulatorScheduling:
         sim.schedule(1.0, lambda: sim.schedule_at(1.0, lambda: None))
         sim.run()
         assert sim.events_executed == 2
+
+    def test_arguments_are_passed(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda *args: fired.append(args), "a", 2)
+        sim.schedule_at(2.0, fired.append, ("b",), priority=-1)
+        sim.run()
+        assert fired == [("a", 2), ("b",)]
+
+    def test_error_hook_sees_message_before_raise(self):
+        sim = Simulator()
+        seen = []
+        sim.on_scheduling_error = seen.append
+        with pytest.raises(SchedulingError, match="past"):
+            sim.schedule(-1.0, print)
+        with pytest.raises(SchedulingError, match="finite"):
+            sim.schedule_at(float("nan"), print)
+        assert len(seen) == 2 and "past" in seen[0] and "finite" in seen[1]
+        assert sim.events_scheduled == 0
 
     def test_zero_delay_executes_at_current_time(self):
         sim = Simulator()

@@ -1,11 +1,12 @@
-"""Property-based tests of the event queue and kernel invariants."""
+"""Property-based tests of the event heap and kernel invariants."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.kernel import EventQueue, Simulator
+from repro.des.entities import Timer
+from repro.des.kernel import Simulator
 
 
 @given(
@@ -16,16 +17,12 @@ from repro.des.kernel import EventQueue, Simulator
     )
 )
 def test_queue_pops_sorted(times):
-    """Whatever insertion order, pops come out time-sorted."""
-    q = EventQueue()
-    for t in times:
-        q.push(t, lambda: None)
+    """Whatever insertion order, events run time-sorted."""
+    sim = Simulator()
     popped = []
-    while True:
-        event = q.pop()
-        if event is None:
-            break
-        popped.append(event.time)
+    for t in times:
+        sim.schedule_at(t, popped.append, t)
+    sim.run()
     assert popped == sorted(times)
 
 
@@ -39,24 +36,81 @@ def test_queue_pops_sorted(times):
 )
 def test_queue_respects_cancellation(times, cancel_mask):
     """Cancelled events never surface."""
-    q = EventQueue()
-    events = [q.push(t, lambda: None) for t in times]
+    sim = Simulator()
+    popped = []
+    events = [sim.schedule_at(t, popped.append, t) for t in times]
     cancelled = {
         i for i, cancel in enumerate(cancel_mask[: len(events)]) if cancel
     }
     expected = []
     for i, event in enumerate(events):
         if i in cancelled:
-            event.cancel()
+            sim.cancel(event)
         else:
-            expected.append(event.time)
-    popped = []
-    while True:
-        event = q.pop()
-        if event is None:
-            break
-        popped.append(event.time)
+            expected.append(event[0])
+    sim.run()
     assert popped == sorted(expected)
+
+
+_delays = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("schedule"), _delays),
+            st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=60)),
+            st.tuples(st.just("arm"), _delays),
+            st.tuples(st.just("disarm"), st.just(0)),
+            st.tuples(st.just("advance"), _delays),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=150)
+def test_cancel_and_rearm_bookkeeping(ops):
+    """Interleaved schedule / cancel / Timer re-arm against a model:
+    cancelled entries never run, ``events_cancelled`` is exact, and the
+    timer's ``armed``/``expiry`` track its one live entry."""
+    sim = Simulator()
+    fired, timer_fired = [], []
+    timer = Timer(sim, lambda: timer_fired.append(sim.now))
+    handles, pending, cancelled = [], {}, set()
+    expected_cancels = 0
+    expiry = None  # the model's timer deadline
+    for op, value in ops:
+        if op == "schedule":
+            pending[len(handles)] = sim.now + value
+            handles.append(sim.schedule(value, fired.append, len(handles)))
+        elif op == "cancel" and handles:
+            tag = value % len(handles)
+            sim.cancel(handles[tag])
+            if pending.pop(tag, None) is not None:
+                cancelled.add(tag)
+                expected_cancels += 1
+        elif op in ("arm", "disarm"):
+            if expiry is not None:
+                expected_cancels += 1
+            if op == "arm":
+                timer.arm(value)
+                expiry = sim.now + value
+            else:
+                timer.cancel()
+                expiry = None
+        elif op == "advance":
+            horizon = sim.now + value
+            sim.run(until=horizon)
+            pending = {tag: t for tag, t in pending.items() if t > horizon}
+            if expiry is not None and expiry <= horizon:
+                expiry = None
+        assert sim.events_cancelled == expected_cancels
+        assert timer.armed == (expiry is not None)
+        assert timer.expiry == expiry
+    sim.run()
+    assert not cancelled & set(fired)
+    assert sorted(fired) == sorted(set(range(len(handles))) - cancelled)
+    assert sim.events_executed == len(fired) + len(timer_fired)
+    assert sim.events_scheduled == sim.events_executed + sim.events_cancelled
 
 
 @given(

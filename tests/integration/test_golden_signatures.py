@@ -104,6 +104,18 @@ GOLDEN = {
     "pdes_plain_2": "cae1ce8bb6d68e113c35e09ce645c390397747528e529b22417e9114e57e5b39",
 }
 
+#: ``events_executed`` per seeded scenario, recorded beside the hashes:
+#: ``determinism_signature`` leaves event counts out, so these pin that
+#: a kernel or packet-hop change runs exactly the same events.
+GOLDEN_EVENTS = {
+    "des_plain": 119_259,
+    "des_factory": 71_995,
+    "hybrid_inline": 67_785,
+    "hybrid_factory": 43_923,
+    "hybrid_batched_memo": 72_168,
+    "cascade_result": 201_618,
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -120,7 +132,9 @@ def _check(name: str, text: str) -> None:
     "name,config", [("des_plain", PLAIN), ("des_factory", FACTORY)]
 )
 def test_des(name, config):
-    _check(name, run_full_simulation(config).result.determinism_signature())
+    result = run_full_simulation(config).result
+    _check(name, result.determinism_signature())
+    assert result.events_executed == GOLDEN_EVENTS[name]
 
 
 @pytest.mark.parametrize("taps", ["bare", "metrics", "tracer", "metrics+tracer"])
@@ -135,7 +149,10 @@ def test_des_is_the_world_with_no_model(taps):
     )
     world.run()
     assert not world.hybrid.models
-    _check("des_factory", world.result().determinism_signature())
+    result = world.result()
+    _check("des_factory", result.determinism_signature())
+    if "metrics" not in taps:  # probe ticks are events of their own
+        assert result.events_executed == GOLDEN_EVENTS["des_factory"]
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +170,7 @@ def test_hybrid(trained_bundle, name, config, hybrid):
     result, _ = run_hybrid_simulation(config, trained_bundle, hybrid=hybrid)
     assert result.model_packets > 0
     _check(name, result.determinism_signature())
+    assert result.events_executed == GOLDEN_EVENTS[name]
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +182,7 @@ def test_cascade(trained_bundle):
     )
     assert result.fluid_fcts and cascade_sim.decision_log.entries
     _check("cascade_result", result.result.determinism_signature())
+    assert result.result.events_executed == GOLDEN_EVENTS["cascade_result"]
     _check("cascade_decision_log", cascade_sim.decision_log.to_json())
     _check("cascade_fluid_fcts", json.dumps(result.fluid_fcts))
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des.kernel import Simulator
 from repro.net.packet import DEFAULT_MSS, HEADER_BYTES, Packet, TcpFlags
 from repro.net.port import Port
+from repro.net.tcp import TcpConfig, TcpReceiver, TcpSender
+from repro.topology.routing import ecmp_hash, name_key
 
 
 class _Sink:
@@ -51,6 +55,45 @@ class TestPacket:
     def test_packet_ids_unique(self):
         ids = {_packet().packet_id for _ in range(100)}
         assert len(ids) == 100
+
+
+class _Endpoint:
+    """A host that keeps what TCP hands its NIC."""
+
+    def __init__(self, name: str, sim: Simulator) -> None:
+        self.name = name
+        self.sim = sim
+        self.sent: list[Packet] = []
+
+    def transmit(self, packet: Packet) -> None:
+        self.sent.append(packet)
+
+
+_names = st.text(alphabet="abc-0123456789", min_size=1, max_size=12)
+_ports = st.integers(min_value=0, max_value=65535)
+
+
+@given(src=_names, dst=_names, sport=_ports, dport=_ports)
+@settings(max_examples=60, deadline=None)
+def test_stamped_hash_is_the_five_tuple_formula(src, dst, sport, dport):
+    """The hash a sender/receiver stamps once per connection equals the
+    5-tuple formula every other consumer (flowsim paths, features)
+    derives, for data segments and ACKs alike."""
+    sim = Simulator()
+    a, b = _Endpoint(src, sim), _Endpoint(dst, sim)
+    sender = TcpSender(a, dst, sport, dport, total_bytes=3 * DEFAULT_MSS, config=TcpConfig())
+    receiver = TcpReceiver(b, peer=src, src_port=dport, dst_port=sport, config=TcpConfig())
+    sender.start()
+    for packet in a.sent:
+        receiver.on_data(packet)
+    assert len(a.sent) == 3 and len(b.sent) == 3
+    for packet in a.sent + b.sent:
+        formula = ecmp_hash(
+            name_key(packet.src), name_key(packet.dst), packet.src_port, packet.dst_port
+        )
+        assert packet.path_hash == packet.flow_hash() == formula
+    unstamped = Packet(src=src, dst=dst, src_port=sport, dst_port=dport)
+    assert unstamped.path_hash == a.sent[0].path_hash
 
 
 class TestPortTiming:

@@ -110,3 +110,36 @@ def test_ack_monotonicity():
         receiver.on_data(segments[i])
     acks = [a.ack for a in host.acks]
     assert acks == sorted(acks)
+
+
+@given(
+    segments=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=400), st.integers(min_value=1, max_value=120)
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_buffer_matches_interval_union_oracle(segments):
+    """After every arrival, ``rcv_nxt`` and the buffered intervals equal
+    a naive oracle: the union of all bytes seen, cut into maximal runs
+    (touching segments form one run)."""
+    host = _RecordingHost()
+    receiver = TcpReceiver(host, peer="a", src_port=2, dst_port=1, config=TcpConfig())
+    seen: set[int] = set()
+    for seq, length in segments:
+        receiver.on_data(_segment(seq, length))
+        seen.update(range(seq, seq + length))
+        rcv_nxt = 0
+        while rcv_nxt in seen:
+            rcv_nxt += 1
+        runs: list[tuple[int, int]] = []
+        for byte in sorted(b for b in seen if b > rcv_nxt):
+            if runs and runs[-1][1] == byte:
+                runs[-1] = (runs[-1][0], byte + 1)
+            else:
+                runs.append((byte, byte + 1))
+        assert receiver.rcv_nxt == rcv_nxt
+        assert receiver.ooo_intervals == runs

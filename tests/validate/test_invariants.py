@@ -94,6 +94,18 @@ class TestSimulatorAttachment:
         assert fired == [0.001, 0.002]
         assert checker.total == 0
 
+    def test_arguments_reach_the_callback(self):
+        """Attaching observes scheduling without wrapping it: events
+        that carry arguments fire with them."""
+        sim = Simulator(seed=1)
+        checker = InvariantChecker().attach_simulator(sim)
+        fired = []
+        sim.schedule(0.001, lambda *args: fired.append(args), "packet", "tor-0")
+        sim.schedule_at(0.002, fired.append, "late", priority=-1)
+        sim.run()
+        assert fired == [("packet", "tor-0"), "late"]
+        assert checker.total == 0
+
 
 class TestHotPathChecks:
     def test_latency_bounds(self):
