@@ -1,4 +1,11 @@
-"""The worker-side body of one scheduled run.
+"""The stage runner, and the worker-side body of one scheduled run.
+
+:func:`run_stage` is the one driver of a pipeline stage: experiment +
+options dict (a spec's ``hybrid`` block) + model → the stage's configs
+→ its entrypoint → a :class:`StageRun`.  ``repro <stage> --flags``
+and ``repro runs submit`` both end here, and :func:`stage_configs` is
+the only place a stage's options become config objects, so a flag and
+the spec key it sets cannot drift apart.
 
 :func:`execute_run` is the function the sweep scheduler submits to its
 process pool (top-level, so it pickles).  It owns the run directory's
@@ -6,9 +13,9 @@ manifest through the attempt's lifecycle:
 
 1. write a ``running`` manifest immediately (durable even if the
    worker is later killed by a timeout),
-2. execute the requested pipeline stage — model stages resolve their
-   trained bundle through the :class:`~repro.runs.registry.ModelRegistry`
-   (cache hit or train-and-store),
+2. resolve a model stage's trained bundle through the
+   :class:`~repro.runs.registry.ModelRegistry` (cache hit or
+   train-and-store), then :func:`run_stage`,
 3. overwrite the manifest with ``completed`` (result summary, hot-path
    counters, model provenance) or ``failed`` (exception type, message,
    full traceback) and return it as a plain dict.
@@ -21,28 +28,210 @@ from __future__ import annotations
 
 import time
 import traceback
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.analysis.stats import percentile_summary
 from repro.core.hybrid import HybridConfig, hot_path_summary
-from repro.core.pipeline import (
-    RunResult,
-    run_full_simulation,
-    run_hybrid_simulation,
-)
-from repro.core.world import per_wallclock_second
+from repro.core.pipeline import ExperimentConfig, RunResult, run_hybrid_simulation
+from repro.core.world import build_world, per_wallclock_second
 from repro.obs import MetricsRegistry
-from repro.obs.trace import DEFAULT_TRACE_CAPACITY, FlightRecorder
+from repro.obs.trace import DEFAULT_TRACE_CAPACITY, FlightRecorder, write_trace_jsonl
 from repro.runs.fingerprint import experiment_hash, experiment_payload
 from repro.runs.manifest import RunManifest
 from repro.runs.registry import ModelRegistry, RegistryLookup
-from repro.runs.spec import RunRequest
+
+if TYPE_CHECKING:
+    from repro.runs.spec import RunRequest
 
 #: The hot-path block of a stage that runs no model.
 _ZERO_COUNTERS = hot_path_summary({})
 
+#: Flight-recorder keys of the in-process traced stages (the sharded
+#: stage has them as :class:`~repro.pdes.HybridShardConfig` fields).
+TRACE_KEYS = ("trace", "trace_capacity")
+_TRACED_STAGES = ("hybrid", "cascade")
 
+
+def _stage_config_types(stage: str) -> dict[str, type]:
+    """Config name -> dataclass, for the stages that take options."""
+    from repro.cascade import CascadeConfig
+    from repro.pdes import HybridShardConfig
+    from repro.validate import ValidateConfig
+
+    return {
+        "hybrid": {"hybrid": HybridConfig},
+        "pdes-hybrid": {"hybrid": HybridConfig, "shard": HybridShardConfig},
+        "cascade": {"cascade": CascadeConfig},
+        "validate": {"validate": ValidateConfig},
+    }.get(stage, {})
+
+
+def stage_option_keys(stage: str) -> frozenset[str]:
+    """The keys ``stage``'s options (a spec's ``hybrid`` block) accept:
+    its config fields, plus the trace keys of a traced stage."""
+    keys = {
+        f.name for cls in _stage_config_types(stage).values() for f in fields(cls)
+    }
+    if stage in _TRACED_STAGES:
+        keys.update(TRACE_KEYS)
+    return frozenset(keys)
+
+
+def stage_configs(stage: str, options: Mapping[str, Any]) -> dict[str, Any]:
+    """Build ``stage``'s configs from its options, split by field name.
+
+    Returns config name -> object (``"hybrid"``, ``"shard"``,
+    ``"cascade"``, ``"validate"``); a traced in-process stage also gets
+    ``"trace"``: the flight-recorder capacity, or ``None`` untraced.
+    Unknown keys fail here, naming the stage and the allowed keys.
+    """
+    allowed = stage_option_keys(stage)
+    unknown = set(options) - allowed
+    if unknown:
+        raise ValueError(
+            f"stage {stage!r}: unknown 'hybrid' keys {sorted(unknown)}; "
+            f"allowed: {sorted(allowed) or 'none (this stage takes no hybrid block)'}"
+        )
+    configs: dict[str, Any] = {}
+    for name, cls in _stage_config_types(stage).items():
+        names = {f.name for f in fields(cls)}
+        kwargs = {key: value for key, value in options.items() if key in names}
+        build = getattr(cls, "from_dict", None)
+        try:
+            configs[name] = build(kwargs) if build else cls(**kwargs)
+        except TypeError as error:
+            raise ValueError(f"stage {stage!r}: bad 'hybrid' options: {error}") from None
+    if stage in _TRACED_STAGES:
+        configs["trace"] = (
+            int(options.get("trace_capacity", DEFAULT_TRACE_CAPACITY))
+            if options.get("trace")
+            else None
+        )
+    return configs
+
+
+@dataclass
+class StageRun:
+    """What one stage produced, before a manifest or a table renders it.
+
+    ``result`` is the entrypoint's result: a :class:`RunResult`
+    (simulate, hybrid), ``CascadeResult``, ``DifferentialResult``
+    (validate), ``PdesHybridResult`` (pdes-hybrid), the per-direction
+    evaluations (evaluate) or the model itself (train).  ``detail`` is
+    the entrypoint's second output: the ``HybridSimulation`` /
+    ``CascadeSimulation``, or evaluate's held-out ``FullRunOutput``.
+    """
+
+    result: Any
+    detail: Any = None
+    #: The cascade's InvariantChecker.
+    invariants: Any = None
+    #: ``{"stage", "seed", "workers", "recorded", "evicted"}`` when traced.
+    trace: Optional[dict[str, Any]] = None
+    #: Trace records written to ``trace_path`` (None: nothing written).
+    trace_written: Optional[int] = None
+
+
+def run_stage(
+    stage: str,
+    experiment: ExperimentConfig,
+    options: Mapping[str, Any],
+    model: Any = None,
+    *,
+    metrics: Optional[MetricsRegistry] = None,
+    trace_path: Optional[str | Path] = None,
+    region_cluster: int = 1,
+    tap: Optional[Callable[[Any], None]] = None,
+) -> StageRun:
+    """Run one pipeline stage.
+
+    ``model`` is a model stage's trained bundle (a
+    :class:`~repro.pdes.ModelRef` also works for ``pdes-hybrid``).  A
+    traced run writes its trace to ``trace_path`` when one is given
+    (best-effort: a full disk must not fail the run it traced).
+    ``region_cluster`` is the boundary ``evaluate`` scores; ``tap`` is
+    called with ``simulate``'s built world before it runs.
+    """
+    configs = stage_configs(stage, options)
+    if stage == "simulate":
+        world = build_world(experiment, metrics=metrics)
+        if tap is not None:
+            tap(world)
+        world.run()
+        return StageRun(world.result())
+    if stage == "train":
+        return StageRun(model)
+    if stage == "evaluate":
+        from repro.core.evaluation import evaluate_on_fresh_trace
+
+        return StageRun(*evaluate_on_fresh_trace(
+            model, experiment, region_cluster, metrics=metrics
+        ))
+    if stage == "validate":
+        from repro.validate import run_differential_pair
+
+        return StageRun(run_differential_pair(
+            experiment, model, validate=configs["validate"], metrics=metrics
+        ))
+
+    trace = None  # (events, recorded, evicted, workers) when traced
+    if stage == "pdes-hybrid":
+        from repro.pdes import run_hybrid_sharded
+
+        result = run_hybrid_sharded(
+            experiment, model, shard=configs["shard"], hybrid=configs["hybrid"]
+        )
+        run = StageRun(result)
+        if configs["shard"].trace:
+            trace = (
+                result.merged_trace(), result.trace_recorded,
+                result.trace_evicted, result.workers,
+            )
+    else:
+        tracer = None
+        if configs["trace"] is not None:
+            tracer = FlightRecorder(seed=experiment.seed, capacity=configs["trace"])
+        if stage == "hybrid":
+            run = StageRun(*run_hybrid_simulation(
+                experiment, model, hybrid=configs["hybrid"],
+                metrics=metrics, tracer=tracer,
+            ))
+        else:
+            from repro.cascade import run_cascade_simulation
+            from repro.validate.invariants import InvariantChecker
+
+            checker = InvariantChecker(metrics=metrics)
+            run = StageRun(
+                *run_cascade_simulation(
+                    experiment, model, cascade=configs["cascade"],
+                    metrics=metrics, tracer=tracer, invariants=checker,
+                ),
+                invariants=checker,
+            )
+        if tracer is not None:
+            trace = (tracer.records(), tracer.recorded, tracer.evicted, 1)
+    if trace is not None:
+        events, recorded, evicted, workers = trace
+        run.trace = {
+            "stage": stage,
+            "seed": experiment.seed,
+            "workers": workers,
+            "recorded": recorded,
+            "evicted": evicted,
+        }
+        if trace_path is not None:
+            try:
+                run.trace_written = write_trace_jsonl(trace_path, events, meta=run.trace)
+            except OSError:
+                pass
+    return run
+
+
+# ----------------------------------------------------------------------
+# Manifest-sized summaries
+# ----------------------------------------------------------------------
 def _sample_summary(values: list[float]) -> dict[str, float]:
     if not values:
         return {"count": 0.0}
@@ -76,21 +265,77 @@ def _summarize_result(result: RunResult) -> dict[str, Any]:
     }
 
 
-def _write_trace_artifact(
-    run_dir: Path, events: list[dict], meta: dict[str, Any]
-) -> dict[str, str]:
-    """Write ``trace.jsonl`` next to the manifest; best-effort (a full
-    disk must not fail the run that was being traced)."""
-    from repro.obs.trace import write_trace_jsonl
+def _summarize_run(stage: str, run: StageRun) -> tuple[dict[str, Any], dict[str, float]]:
+    """``(result, hot_path_counters)`` of a finished stage's manifest."""
+    if stage == "simulate":
+        return _summarize_result(run.result), dict(_ZERO_COUNTERS)
+    if stage == "train":
+        return {"training_summary": run.result.training_summary}, dict(_ZERO_COUNTERS)
+    if stage == "evaluate":
+        scored = (
+            "samples", "drop_rate_true", "drop_rate_predicted", "drop_auc",
+            "latency_log_mae", "latency_median_relative_error",
+        )
+        result = {
+            "trace": _summarize_result(run.detail.result),
+            "directions": {
+                direction.value: {field: getattr(ev, field) for field in scored}
+                for direction, ev in run.result.items()
+            },
+        }
+        return result, dict(_ZERO_COUNTERS)
+    if stage == "validate":
+        # The fidelity report rides in the manifest so sweeps gate on
+        # agreement, not just completion.
+        diff = run.result
+        result = {
+            "full": _summarize_result(diff.full),
+            "hybrid": _summarize_result(diff.hybrid),
+            "fidelity": diff.report.to_dict(),
+        }
+        return result, diff.hybrid_sim.hot_path_counters(diff.hybrid.wallclock_seconds)
+    if stage == "pdes-hybrid":
+        sharded = run.result
+        wallclock = sharded.wallclock_seconds
+        result = {
+            "sim_seconds": sharded.sim_seconds,
+            "wallclock_seconds": wallclock,
+            "sim_seconds_per_second": sharded.sim_seconds_per_second,
+            "events_executed": sharded.events_executed,
+            "events_per_second": per_wallclock_second(sharded.events_executed, wallclock),
+            "flows_completed": sharded.flows_completed,
+            "drops": sharded.drops,
+            "model_packets": sharded.model_packets,
+            "model_drops": sharded.model_drops,
+            "rtt": _sample_summary(sharded.rtt_samples),
+            "fct": _sample_summary(sharded.fcts),
+            "pdes": sharded.merged_counters(),
+        }
+        if run.trace is not None:
+            result["pdes"]["trace"] = {
+                key: run.trace[key] for key in ("recorded", "evicted")
+            }
+        return result, sharded.merged_hot_path_counters(wallclock)
+    if stage == "hybrid":
+        result, hybrid_sim = run.result, run.detail
+        return _summarize_result(result), hybrid_sim.hot_path_counters(
+            result.wallclock_seconds
+        )
+    # Cascade: tier residency, promotion counts and the per-tier packet
+    # split ride beside the packet side's summary.
+    result, cascade_sim = run.result.result, run.detail
+    summary = {
+        **_summarize_result(result),
+        "cascade": cascade_sim.cascade_summary(),
+        "invariants": run.invariants.summary(),
+        "fluid_fct": _sample_summary(run.result.fluid_fcts),
+    }
+    return summary, cascade_sim.hybrid.hot_path_counters(result.wallclock_seconds)
 
-    path = run_dir / "trace.jsonl"
-    try:
-        write_trace_jsonl(path, events, meta=meta)
-    except OSError:
-        return {}
-    return {"trace": str(path)}
 
-
+# ----------------------------------------------------------------------
+# One scheduled run
+# ----------------------------------------------------------------------
 def _apply_injections(request: RunRequest, attempt: int) -> None:
     """Test hooks: deterministic failures and hangs (see ScenarioSpec)."""
     hang_s = float(request.inject.get("hang_s", 0.0))
@@ -113,7 +358,7 @@ def _resolve_model(
     return registry.get_or_train(request.training, request.micro)
 
 
-def _run_stage(
+def _run_request(
     request: RunRequest,
     registry_root: Optional[str],
     run_dir: Path,
@@ -121,163 +366,42 @@ def _run_stage(
 ) -> tuple[
     dict[str, Any], dict[str, float], Optional[dict[str, Any]], dict[str, str]
 ]:
-    """Execute the stage.
+    """Resolve the model, run the stage.
 
     Returns ``(result, hot_path_counters, model_info, artifacts)`` —
     ``artifacts`` maps artifact names to files the stage wrote under
-    ``run_dir`` (the cascade stage's decision log, for instance).
+    ``run_dir`` (the cascade stage's decision log, a trace).
     """
-    experiment = request.experiment
+    model = model_info = None
+    if request.needs_model:
+        lookup = _resolve_model(request, registry_root)
+        model_info = {
+            "fingerprint": lookup.fingerprint,
+            "cache_hit": lookup.cache_hit,
+            "path": str(lookup.path),
+            "train_wallclock_s": lookup.train_wallclock_s,
+        }
+        model = lookup.model
+        if request.stage == "pdes-hybrid":
+            # Workers load the model from its registry path; it is
+            # never pickled into their payloads.
+            from repro.pdes import ModelRef
+
+            model = ModelRef(path=str(lookup.path), fingerprint=lookup.fingerprint)
+    trace_path = run_dir / "trace.jsonl"
+    run = run_stage(
+        request.stage, request.experiment, request.hybrid, model,
+        metrics=metrics, trace_path=trace_path,
+    )
+    result, counters = _summarize_run(request.stage, run)
     artifacts: dict[str, str] = {}
-    if not request.needs_model:
-        # simulate: full packet-level fidelity, no model involved.
-        output = run_full_simulation(experiment, metrics=metrics)
-        return _summarize_result(output.result), dict(_ZERO_COUNTERS), None, artifacts
-
-    lookup = _resolve_model(request, registry_root)
-    model_info = {
-        "fingerprint": lookup.fingerprint,
-        "cache_hit": lookup.cache_hit,
-        "path": str(lookup.path),
-        "train_wallclock_s": lookup.train_wallclock_s,
-    }
-    if request.stage == "train":
-        result_dict = {"training_summary": lookup.model.training_summary}
-        return result_dict, dict(_ZERO_COUNTERS), model_info, artifacts
-    if request.stage == "validate":
-        # Differential fidelity: a matched full/hybrid pair scored
-        # by repro.validate; the report rides in the manifest so
-        # sweeps gate on agreement, not just completion.
-        from repro.validate import ValidateConfig, run_differential_pair
-
-        diff = run_differential_pair(
-            experiment,
-            lookup.model,
-            validate=ValidateConfig(**request.hybrid),
-            metrics=metrics,
-        )
-        counters = diff.hybrid_sim.hot_path_counters(diff.hybrid.wallclock_seconds)
-        result_dict = {
-            "full": _summarize_result(diff.full),
-            "hybrid": _summarize_result(diff.hybrid),
-            "fidelity": diff.report.to_dict(),
-        }
-        return result_dict, counters, model_info, artifacts
-    if request.stage == "evaluate":
-        # Score the bundle against a fresh ground-truth trace.
-        from repro.core.evaluation import evaluate_on_fresh_trace
-
-        evaluations, output = evaluate_on_fresh_trace(
-            lookup.model, experiment, metrics=metrics
-        )
-        scored = (
-            "samples", "drop_rate_true", "drop_rate_predicted", "drop_auc",
-            "latency_log_mae", "latency_median_relative_error",
-        )
-        result_dict = {
-            "trace": _summarize_result(output.result),
-            "directions": {
-                direction.value: {field: getattr(ev, field) for field in scored}
-                for direction, ev in evaluations.items()
-            },
-        }
-        return result_dict, dict(_ZERO_COUNTERS), model_info, artifacts
-
-    # hybrid / pdes-hybrid / cascade: run, then one trace write.
-    options = dict(request.hybrid)
-    # The trace knobs are popped whether or not tracing was requested,
-    # so they never reach HybridConfig/CascadeConfig.
-    traced = bool(options.pop("trace", False))
-    trace_capacity = int(options.pop("trace_capacity", DEFAULT_TRACE_CAPACITY))
-    trace = None  # (events, recorded, evicted, workers) when traced
-    if request.stage == "pdes-hybrid":
-        # Sharded hybrid: the model travels to workers as a
-        # registry reference (path + fingerprint), never pickled.
-        from repro.pdes import HybridShardConfig, ModelRef, run_hybrid_sharded
-
-        inject_crash = options.pop("inject_crash", None)
-        shard_config = HybridShardConfig(
-            workers=int(options.pop("workers", 2)),
-            window_s=options.pop("window_s", None),
-            worker_timeout_s=float(options.pop("worker_timeout_s", 300.0)),
-            inject_crash=None if inject_crash is None else int(inject_crash),
-            trace=traced,
-            trace_capacity=trace_capacity,
-        )
-        pdes_result = run_hybrid_sharded(
-            experiment,
-            ModelRef(path=str(lookup.path), fingerprint=lookup.fingerprint),
-            shard=shard_config,
-            hybrid=HybridConfig(**options),
-        )
-        wallclock = pdes_result.wallclock_seconds
-        counters = pdes_result.merged_hot_path_counters(wallclock)
-        result_dict = {
-            "sim_seconds": pdes_result.sim_seconds,
-            "wallclock_seconds": wallclock,
-            "sim_seconds_per_second": pdes_result.sim_seconds_per_second,
-            "events_executed": pdes_result.events_executed,
-            "events_per_second": per_wallclock_second(
-                pdes_result.events_executed, wallclock
-            ),
-            "flows_completed": pdes_result.flows_completed,
-            "drops": pdes_result.drops,
-            "model_packets": pdes_result.model_packets,
-            "model_drops": pdes_result.model_drops,
-            "rtt": _sample_summary(pdes_result.rtt_samples),
-            "fct": _sample_summary(pdes_result.fcts),
-            "pdes": pdes_result.merged_counters(),
-        }
-        if traced:
-            recorded, evicted = pdes_result.trace_recorded, pdes_result.trace_evicted
-            result_dict["pdes"]["trace"] = {"recorded": recorded, "evicted": evicted}
-            trace = (pdes_result.merged_trace(), recorded, evicted, pdes_result.workers)
-    else:
-        tracer = None
-        if traced:
-            tracer = FlightRecorder(seed=experiment.seed, capacity=trace_capacity)
-        extras: dict[str, Any] = {}
-        if request.stage == "hybrid":
-            result, hybrid_sim = run_hybrid_simulation(
-                experiment, lookup.model, hybrid=HybridConfig(**options),
-                metrics=metrics, tracer=tracer,
-            )
-        else:
-            # Multi-fidelity cascade: the manifest carries the tier
-            # residency, promotion counts, and per-tier packet split,
-            # and the auditable decision log lands next to it.
-            from repro.cascade import CascadeConfig, run_cascade_simulation
-            from repro.validate.invariants import InvariantChecker
-
-            checker = InvariantChecker(metrics=metrics)
-            cascade_result, cascade_sim = run_cascade_simulation(
-                experiment, lookup.model, cascade=CascadeConfig.from_dict(options),
-                metrics=metrics, tracer=tracer, invariants=checker,
-            )
-            result, hybrid_sim = cascade_result.result, cascade_sim.hybrid
-            extras = {
-                "cascade": cascade_sim.cascade_summary(),
-                "invariants": checker.summary(),
-                "fluid_fct": _sample_summary(cascade_result.fluid_fcts),
-            }
-            decisions_path = run_dir / "decisions.json"
-            cascade_sim.decision_log.save(decisions_path)
-            artifacts["decisions"] = str(decisions_path)
-        counters = hybrid_sim.hot_path_counters(result.wallclock_seconds)
-        result_dict = {**_summarize_result(result), **extras}
-        if tracer is not None:
-            trace = (tracer.records(), tracer.recorded, tracer.evicted, 1)
-    if trace is not None:
-        events, recorded, evicted, workers = trace
-        meta = {
-            "stage": request.stage,
-            "seed": experiment.seed,
-            "workers": workers,
-            "recorded": recorded,
-            "evicted": evicted,
-        }
-        artifacts.update(_write_trace_artifact(run_dir, events, meta))
-    return result_dict, counters, model_info, artifacts
+    if run.trace_written is not None:
+        artifacts["trace"] = str(trace_path)
+    if request.stage == "cascade":
+        decisions_path = run_dir / "decisions.json"
+        run.detail.decision_log.save(decisions_path)
+        artifacts["decisions"] = str(decisions_path)
+    return result, counters, model_info, artifacts
 
 
 def execute_run(
@@ -306,7 +430,7 @@ def execute_run(
     metrics = MetricsRegistry(enabled=True)
     try:
         _apply_injections(request, attempt)
-        result, counters, model_info, stage_artifacts = _run_stage(
+        result, counters, model_info, stage_artifacts = _run_request(
             request, registry_root, run_dir, metrics=metrics
         )
         manifest.status = "completed"

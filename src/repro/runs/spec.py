@@ -27,12 +27,15 @@ import hashlib
 import itertools
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from repro.core.micro import MicroModelConfig
 from repro.core.pipeline import ExperimentConfig
+from repro.net.network import NetworkConfig
+from repro.net.tcp.config import TcpConfig
+from repro.runs.executor import stage_configs
 from repro.topology.clos import ClosParams
 
 #: Pipeline stages a spec can request.
@@ -57,20 +60,6 @@ SWEEP_AXES = EXPERIMENT_AXES + TOPOLOGY_AXES + MICRO_AXES
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
-_EXPERIMENT_KEYS = frozenset(
-    {
-        "load",
-        "duration_s",
-        "seed",
-        "matrix",
-        "intra_cluster_fraction",
-        "clusters",
-        "clos",
-        "routing",
-        "failures",
-        "collective",
-    }
-)
 _SPEC_KEYS = frozenset(
     {
         "name",
@@ -90,34 +79,54 @@ _INJECT_KEYS = frozenset({"fail_attempts", "hang_s"})
 _TRAFFIC_KEYS = frozenset({"collective"})
 
 
-def _experiment_from_dict(raw: dict, *, context: str) -> ExperimentConfig:
+#: Keys of a spec's ``experiment`` / ``training`` table: the
+#: :class:`ExperimentConfig` fields, plus ``clusters`` (``clos.clusters``).
+EXPERIMENT_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"clusters"}
+
+
+def _build(cls, kwargs: Mapping[str, Any], context: str):
+    try:
+        return cls(**kwargs)
+    except TypeError as error:
+        raise ValueError(f"{context}: bad {cls.__name__} parameters: {error}") from None
+
+
+def experiment_from_dict(
+    raw: Mapping[str, Any], *, context: str = "experiment"
+) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a spec dictionary.
 
-    ``clusters`` is accepted as a shorthand for ``clos.clusters``; a
-    full ``clos`` sub-table overrides any topology field.
+    ``clusters`` is accepted as a shorthand for ``clos.clusters``; the
+    ``clos`` and ``net`` (with its ``tcp``) sub-tables are built as the
+    nested configs they hold.
     """
     raw = dict(raw)
-    unknown = set(raw) - _EXPERIMENT_KEYS
+    unknown = set(raw) - EXPERIMENT_KEYS
     if unknown:
         raise ValueError(
             f"{context}: unknown experiment keys {sorted(unknown)}; "
-            f"allowed: {sorted(_EXPERIMENT_KEYS)}"
+            f"allowed: {sorted(EXPERIMENT_KEYS)}"
         )
     clos_kwargs = dict(raw.pop("clos", {}))
     if "clusters" in raw:
         clos_kwargs["clusters"] = raw.pop("clusters")
-    try:
-        clos = ClosParams(**clos_kwargs)
-    except TypeError as error:
-        raise ValueError(f"{context}: bad clos parameters: {error}") from None
-    return ExperimentConfig(clos=clos, **raw)
+    net_kwargs = dict(raw.pop("net", {}))
+    net_kwargs["tcp"] = _build(TcpConfig, net_kwargs.get("tcp", {}), context)
+    return ExperimentConfig(
+        clos=_build(ClosParams, clos_kwargs, context),
+        net=_build(NetworkConfig, net_kwargs, context),
+        **raw,
+    )
 
 
-def _micro_from_dict(raw: dict, *, context: str) -> MicroModelConfig:
-    try:
-        return MicroModelConfig(**raw)
-    except TypeError as error:
-        raise ValueError(f"{context}: bad micro-model parameters: {error}") from None
+def _experiment_to_dict(config: ExperimentConfig) -> dict[str, Any]:
+    """The spec table :func:`experiment_from_dict` reads back as ``config``."""
+    out = asdict(config)
+    out["failures"] = [
+        {"time": f.time, "link": [f.a, f.b], "action": f.action}
+        for f in config.failures
+    ]
+    return out
 
 
 def derive_seed(name: str, master_seed: int, axes: dict[str, Any]) -> int:
@@ -179,10 +188,15 @@ class ScenarioSpec:
     micro:
         Micro-model architecture/training hyper-parameters.
     hybrid:
-        Keyword overrides for :class:`~repro.core.hybrid.HybridConfig`
-        (``hybrid`` stage),
-        :class:`~repro.cascade.CascadeConfig` (``cascade`` stage), or
-        :class:`~repro.validate.ValidateConfig` (``validate`` stage).
+        The stage's options: fields of
+        :class:`~repro.core.hybrid.HybridConfig` (``hybrid``; plus
+        :class:`~repro.pdes.HybridShardConfig` for ``pdes-hybrid``),
+        :class:`~repro.cascade.CascadeConfig` (``cascade``) or
+        :class:`~repro.validate.ValidateConfig` (``validate``), and
+        ``trace`` / ``trace_capacity`` on the traced stages; no block
+        on ``simulate`` / ``train`` / ``evaluate``.  The configs are
+        built once at load (:func:`~repro.runs.executor.stage_configs`),
+        so a bad key fails here, not in a worker.
     sweep:
         Axis name -> list of values; runs are the Cartesian product,
         expanded with axes in sorted-name order and values in the
@@ -228,6 +242,7 @@ class ScenarioSpec:
                 )
             if self.micro is None:
                 self.micro = MicroModelConfig()
+        stage_configs(self.stage, self.hybrid)
         for index, hooks in self.inject.items():
             unknown = set(hooks) - _INJECT_KEYS
             if unknown:
@@ -278,13 +293,13 @@ class ScenarioSpec:
                         "'experiment'; pick one"
                     )
                 experiment_raw["collective"] = traffic["collective"]
-        experiment = _experiment_from_dict(experiment_raw, context="experiment")
+        experiment = experiment_from_dict(experiment_raw)
         training = None
         if "training" in raw:
-            training = _experiment_from_dict(raw["training"], context="training")
+            training = experiment_from_dict(raw["training"], context="training")
         micro = None
         if "micro" in raw:
-            micro = _micro_from_dict(raw["micro"], context="micro")
+            micro = _build(MicroModelConfig, raw["micro"], "micro")
         inject = {int(k): dict(v) for k, v in raw.get("inject", {}).items()}
         return cls(
             name=name,
@@ -298,17 +313,16 @@ class ScenarioSpec:
         )
 
     def to_dict(self) -> dict:
-        """JSON-serializable echo of the spec (for sweep.json)."""
-        from dataclasses import asdict
-
+        """JSON-serializable echo of the spec (for sweep.json);
+        :meth:`from_dict` reads it back as an equal spec."""
         out: dict[str, Any] = {
             "name": self.name,
             "stage": self.stage,
-            "experiment": asdict(self.experiment),
+            "experiment": _experiment_to_dict(self.experiment),
             "sweep": {k: list(v) for k, v in self.sweep.items()},
         }
         if self.training is not None:
-            out["training"] = asdict(self.training)
+            out["training"] = _experiment_to_dict(self.training)
         if self.micro is not None:
             out["micro"] = asdict(self.micro)
         if self.hybrid:
