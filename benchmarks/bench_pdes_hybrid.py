@@ -50,7 +50,7 @@ from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.core.hybrid import HybridConfig
 from repro.core.pipeline import ExperimentConfig, run_hybrid_simulation
-from repro.pdes import HybridShardConfig, outcome_signature, run_hybrid_sharded
+from repro.pdes import HybridShardConfig, run_hybrid_sharded
 from repro.topology.clos import ClosParams
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -89,12 +89,7 @@ def _run_one_size(clusters: int, trained) -> dict:
     baseline, _ = run_hybrid_simulation(config, trained, hybrid=HYBRID)
     baseline_cpu_s = time.process_time() - cpu_start
     baseline_s = time.perf_counter() - start
-    baseline_sig = outcome_signature(
-        baseline.fcts,
-        baseline.rtt_samples,
-        baseline.drops,
-        baseline.flows_completed,
-    )
+    baseline_sig = baseline.outcome_signature()
 
     row = {
         "clusters": clusters,

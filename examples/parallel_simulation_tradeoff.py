@@ -44,8 +44,8 @@ def main() -> None:
                 topo, flows, PdesConfig(workers=workers, duration_s=DURATION_S, seed=9)
             )
             row.append(f"{parallel.sim_seconds_per_second:.2e}")
-            print(f"  {workers} workers: {parallel.cross_partition_messages:,} "
-                  f"cross-partition messages over {parallel.cut_links} cut links")
+            print(f"  {workers} workers: {parallel.pdes['messages']:,} "
+                  f"cross-partition messages over {parallel.pdes['cut_links']} cut links")
         rows.append(row)
     print()
     print(format_table(

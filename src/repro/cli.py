@@ -288,19 +288,28 @@ def _print_percentiles(name: str, sample: Sequence[float], scale: float) -> None
     print(f"{name}: n={int(stats['count'])} {quantiles}")
 
 
-def _speed_rows(result) -> list[list]:
-    """The rows every result type shares: how far, how fast."""
+def _pdes_rows(pdes: dict) -> list[list]:
+    """The parallel machinery's rows of a PDES run's table."""
     return [
-        ["simulated (ms)", result.sim_seconds * 1e3],
-        ["wall-clock (s)", result.wallclock_seconds],
-        ["sim-seconds/second", result.sim_seconds_per_second],
-        ["events executed", result.events_executed],
+        ["workers", pdes["workers"]],
+        ["window (us)", pdes["window_s"] * 1e6],
+        ["windows", pdes["windows"]],
+        ["cut links", pdes["cut_links"]],
+        ["exchanges", pdes["exchanges"]],
+        ["cross-partition messages", pdes["messages"]],
+        ["stall wall-clock (s)", pdes["stall_seconds"]],
+        ["lookahead violations", pdes["lookahead_violations"]],
+        ["invariant violations", pdes["invariant_violations"]],
     ]
 
 
 def _print_run(result: RunResult, title: str) -> None:
     rows = [
-        *_speed_rows(result),
+        *(_pdes_rows(result.pdes) if result.pdes is not None else ()),
+        ["simulated (ms)", result.sim_seconds * 1e3],
+        ["wall-clock (s)", result.wallclock_seconds],
+        ["sim-seconds/second", result.sim_seconds_per_second],
+        ["events executed", result.events_executed],
         ["flows started", result.flows_started],
         ["flows completed", result.flows_completed],
         ["flows elided", result.flows_elided],
@@ -400,16 +409,7 @@ def _cmd_pdes(args: argparse.Namespace) -> int:
         window_s=args.window_s, seed=config.seed,
     )
     result = run_parallel_simulation(topology, flows, pdes_config, net_config=config.net)
-    rows = [
-        ["workers", result.workers],
-        ["cut links", result.cut_links],
-        ["cross-partition messages", result.cross_partition_messages],
-        *_speed_rows(result),
-        ["flows completed", result.flows_completed],
-        ["drops", result.drops],
-    ]
-    print(f"== parallel DES ({result.workers} workers): {args.clusters} clusters ==")
-    print(format_table(["metric", "value"], rows))
+    _print_run(result, f"parallel DES ({args.workers} workers): {args.clusters} clusters")
     return 0
 
 
@@ -417,27 +417,7 @@ def _cmd_pdes_hybrid(args: argparse.Namespace) -> int:
     if args.model is None:
         raise ValueError("--hybrid requires --model")
     _, run, metrics = _run(args, _load_model(args.model))
-    result = run.result
-    rows = [
-        ["workers", result.workers],
-        ["window (us)", result.window_s * 1e6],
-        ["windows", result.windows],
-        ["cut links", result.cut_links],
-        ["exchanges", result.exchanges],
-        ["messages", result.messages],
-        ["stall wall-clock (s)", result.stall_seconds],
-        ["lookahead violations", result.lookahead_violations],
-        ["invariant violations", result.invariant_violations],
-        *_speed_rows(result),
-        ["flows completed", result.flows_completed],
-        ["drops", result.drops],
-        ["model packets", result.model_packets],
-        ["model drops", result.model_drops],
-    ]
-    print(f"== sharded hybrid ({result.workers} workers): {args.clusters} clusters ==")
-    print(format_table(["metric", "value"], rows))
-    _print_percentiles("RTT (us)", result.rtt_samples, 1e6)
-    _print_percentiles("FCT (ms)", result.fcts, 1e3)
+    _print_run(run.result, f"sharded hybrid ({args.workers} workers): {args.clusters} clusters")
     return _finish(args, run, metrics)
 
 

@@ -11,7 +11,9 @@ live seeded generator or, given ``flows``, a pre-drawn schedule.
 
 :meth:`World.run` is the one in-process driver and :meth:`World.result`
 the one place a :class:`RunResult` is made; PDES workers call
-:meth:`World.finish` after their own window loop.
+:meth:`World.finish` after their own window loop, report their
+``world.result()``, and the coordinator combines those with
+:meth:`RunResult.merge`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from repro.core.features import RegionFeatureExtractor
-from repro.core.hybrid import HybridConfig, HybridSimulation, ShardableHybrid
+from repro.core.hybrid import (
+    HOT_PATH_TOTALS,
+    HybridConfig,
+    HybridSimulation,
+    ShardableHybrid,
+    hot_path_summary,
+)
 from repro.core.region import Region
 from repro.core.training import (
     PacketCrossing,
@@ -117,21 +125,35 @@ class ExperimentConfig:
         return web_search_sizes()
 
 
-def per_wallclock_second(amount: float, wallclock_seconds: float) -> float:
-    """``amount`` per wall-clock second, for every result type.
+def outcome_signature(
+    fcts: list[float], rtt_samples: list[float], drops: int, flows_completed: int
+) -> str:
+    """Canonical byte-comparable form of a run's outcome statistics.
 
-    Zero wall-clock (degenerate but reachable: empty workload, a
-    mocked clock) yields 0.0, never ``inf`` — results get JSON-
-    serialized into manifests and ``inf`` is not valid JSON.
+    Sorting removes ordering differences that are pure artifacts of
+    how work is split across workers; JSON float serialization is
+    shortest-roundtrip (``repr``), so equal floats produce equal bytes.
     """
-    if wallclock_seconds <= 0:
-        return 0.0
-    return amount / wallclock_seconds
+    payload = {
+        "flows_completed": int(flows_completed),
+        "drops": int(drops),
+        "fcts": sorted(fcts),
+        "rtts": sorted(rtt_samples),
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+#: The :class:`RunResult` counts that add across PDES workers.
+_ADDITIVE_FIELDS = (
+    "events_executed", "flows_started", "flows_completed", "flows_elided",
+    "drops", "model_packets", "model_drops", "model_inference_seconds",
+)
 
 
 @dataclass
 class RunResult:
-    """Measurements from one simulation run (full or hybrid)."""
+    """Measurements from one simulation run: one process (full, hybrid,
+    cascade packet side) or PDES workers combined by :meth:`merge`."""
 
     sim_seconds: float
     wallclock_seconds: float
@@ -149,28 +171,80 @@ class RunResult:
     failure_events: list[dict] = field(default_factory=list)
     #: Collective workload accounting when one ran (else None).
     collective: Optional[dict] = None
+    #: Hot-path counters of the approximated clusters at the run's
+    #: wall-clock (the :func:`~repro.core.hybrid.hot_path_summary` schema).
+    hot_path: dict[str, float] = field(default_factory=dict)
+    #: The PDES window loop's counters when workers ran (else None).
+    pdes: Optional[dict] = None
+
+    @classmethod
+    def merge(
+        cls, parts: Sequence[RunResult], *, wallclock_seconds: float, pdes: dict,
+        flows_elided: int = 0, **extra,
+    ) -> RunResult:
+        """The one sum over PDES workers' results.
+
+        Counts add, samples concatenate in worker order, and
+        ``hot_path`` is rebuilt from the additive totals at the
+        coordinator's ``wallclock_seconds``.  Every worker applies its
+        own copy of the failure schedule, so ``failure_events`` is
+        taken once; workers that disagree raise.  ``flows_elided``
+        counts arrivals the coordinator filtered out before any worker
+        saw them; ``extra`` are a subclass's own fields.
+        """
+        failure_events = parts[0].failure_events
+        if any(part.failure_events != failure_events for part in parts):
+            raise ValueError("PDES workers disagree on the applied failure events")
+        if any(part.collective is not None for part in parts):
+            raise ValueError("collective accounting cannot be merged across workers")
+        totals = {
+            name: sum(getattr(part, name) for part in parts) for name in _ADDITIVE_FIELDS
+        }
+        totals["flows_elided"] += flows_elided
+        hot_path = {
+            key: sum(part.hot_path.get(key, 0.0) for part in parts)
+            for key in HOT_PATH_TOTALS
+        }
+        return cls(
+            sim_seconds=parts[0].sim_seconds,
+            wallclock_seconds=wallclock_seconds,
+            rtt_samples=[rtt for part in parts for rtt in part.rtt_samples],
+            fcts=[fct for part in parts for fct in part.fcts],
+            failure_events=failure_events,
+            hot_path=hot_path_summary(hot_path, wallclock_seconds),
+            pdes=pdes,
+            **totals,
+            **extra,
+        )
+
+    def _per_second(self, amount: float) -> float:
+        """``amount`` per wall-clock second.
+
+        Zero wall-clock (degenerate but reachable: empty workload, a
+        mocked clock) yields 0.0, never ``inf`` — results get JSON-
+        serialized into manifests and ``inf`` is not valid JSON.
+        """
+        return amount / self.wallclock_seconds if self.wallclock_seconds > 0 else 0.0
 
     @property
     def sim_seconds_per_second(self) -> float:
         """Simulated seconds per wall-clock second (Figure 1's metric)."""
-        return per_wallclock_second(self.sim_seconds, self.wallclock_seconds)
+        return self._per_second(self.sim_seconds)
 
     @property
     def events_per_second(self) -> float:
         """Executed events per wall-clock second (zero-guarded)."""
-        return per_wallclock_second(self.events_executed, self.wallclock_seconds)
+        return self._per_second(self.events_executed)
 
     @property
     def inference_share(self) -> float:
         """Fraction of wall-clock spent inside model inference."""
-        return per_wallclock_second(
-            self.model_inference_seconds, self.wallclock_seconds
-        )
+        return self._per_second(self.model_inference_seconds)
 
     @property
     def model_packets_per_sec(self) -> float:
         """Wall-clock throughput of packets through approximated clusters."""
-        return per_wallclock_second(self.model_packets, self.wallclock_seconds)
+        return self._per_second(self.model_packets)
 
     def determinism_signature(self) -> str:
         """Byte-comparable canonical form of everything seeded.
@@ -195,6 +269,13 @@ class RunResult:
             "collective": self.collective,
         }
         return json.dumps(payload, sort_keys=True)
+
+    def outcome_signature(self) -> str:
+        """The partition-independent outcome (see :func:`outcome_signature`):
+        what a sharded run and its single-process twin must share."""
+        return outcome_signature(
+            self.fcts, self.rtt_samples, self.drops, self.flows_completed
+        )
 
 
 def make_generator(
@@ -300,6 +381,11 @@ class World:
         """Measurements of the finished run."""
         sim, hybrid, traffic = self.sim, self.hybrid, self.traffic
         model_drops = hybrid.model_drops()
+        rtts = hybrid.observed_rtt_samples()
+        if hybrid.trained is None and isinstance(traffic, ScheduledFlows):
+            # The Figure 1 engine (no model, a pre-drawn schedule on any
+            # graph) has no observation region: it pools every cluster.
+            rtts = hybrid.network.all_rtt_samples()
         return RunResult(
             sim_seconds=self.config.duration_s,
             wallclock_seconds=sim.wallclock_elapsed,
@@ -308,13 +394,14 @@ class World:
             flows_completed=traffic.flows_completed,
             flows_elided=traffic.flows_elided,
             drops=hybrid.network.total_drops + model_drops,
-            rtt_samples=hybrid.observed_rtt_samples(),
+            rtt_samples=rtts,
             fcts=traffic.completed_fcts(),
             model_packets=hybrid.model_packets_handled(),
             model_drops=model_drops,
             model_inference_seconds=hybrid.inference_seconds(),
             failure_events=hybrid.failure_injector.summary(),
             collective=traffic.collective.summary() if traffic.collective else None,
+            hot_path=hybrid.hot_path_counters(sim.wallclock_elapsed),
         )
 
 

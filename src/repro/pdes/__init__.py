@@ -36,9 +36,9 @@ workers and every approximated cluster runs as a model shard colocated
 with the worker owning its attachment point.
 """
 
+from repro.core.world import outcome_signature
 from repro.pdes.engine import (
     PdesConfig,
-    PdesResult,
     WorkerCrashError,
     resolve_window,
     run_parallel_simulation,
@@ -50,7 +50,6 @@ from repro.pdes.hybrid_shard import (
     PdesHybridResult,
     extract_flow_schedule,
     model_egress_lookahead,
-    outcome_signature,
     resolve_hybrid_window,
     run_hybrid_sharded,
 )
@@ -58,7 +57,6 @@ from repro.pdes.worker import ShardStats
 
 __all__ = [
     "PdesConfig",
-    "PdesResult",
     "resolve_window",
     "run_parallel_simulation",
     "run_single_threaded",

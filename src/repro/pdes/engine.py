@@ -13,18 +13,21 @@ wait is crash-safe: a worker that dies or reports an error raises
 :func:`run_parallel_simulation` is the plain engine — the shared
 worker with no model and a :class:`~repro.flowsim.simulator.FlowSpec`
 list — and :func:`run_single_threaded` runs the identical workload on
-one in-process world for the baseline series.
+one in-process world for the baseline series.  Both return a
+:class:`~repro.core.world.RunResult`; a parallel one is the workers'
+results combined by :meth:`~repro.core.world.RunResult.merge`, with
+the :func:`pdes_counters` block.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time as _wallclock
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Optional
 
-from repro.core.world import ExperimentConfig, build_world, per_wallclock_second
+from repro.core.world import ExperimentConfig, RunResult, build_world
 from repro.flowsim.simulator import FlowSpec
 from repro.net.network import NetworkConfig
 from repro.pdes.worker import ShardPlan, ShardStats, shard_worker_main
@@ -67,27 +70,6 @@ class PdesConfig:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
         if self.window_s is not None and self.window_s <= 0:
             raise ValueError(f"window_s must be positive, got {self.window_s}")
-
-
-@dataclass
-class PdesResult:
-    """Outcome of a (parallel or single-threaded) run."""
-
-    sim_seconds: float
-    wallclock_seconds: float
-    events_executed: int
-    flows_completed: int
-    drops: int
-    workers: int
-    cross_partition_messages: int = 0
-    cut_links: int = 0
-    rtt_samples: list[float] = field(default_factory=list)
-    fcts: list[float] = field(default_factory=list)
-
-    @property
-    def sim_seconds_per_second(self) -> float:
-        """Figure 1's y-axis (zero-guarded: ``inf`` is not JSON)."""
-        return per_wallclock_second(self.sim_seconds, self.wallclock_seconds)
 
 
 def resolve_window(
@@ -287,12 +269,36 @@ def run_workers(
     return stats, elapsed
 
 
+def pdes_counters(plan: ShardPlan, stats: list[ShardStats]) -> dict:
+    """The ``pdes`` block of a merged result: the window loop's
+    counters, summed over workers, and one row per worker."""
+    per_worker = [s.summary() for s in stats]
+    block = {
+        "workers": len(stats),
+        "window_s": plan.window_s,
+        "windows": max((s.windows for s in stats), default=0),
+        "cut_links": cross_partition_links(plan.topology, plan.partitions),
+        "exchanges": sum(s.exchanges for s in stats),
+        "messages": sum(s.messages_sent for s in stats),
+        "stall_seconds": sum(s.stall_seconds for s in stats),
+        "lookahead_violations": sum(s.lookahead_violations for s in stats),
+        "invariant_violations": sum(row["invariant_violations"] for row in per_worker),
+        "per_worker": per_worker,
+    }
+    if plan.trace_capacity is not None:
+        block["trace"] = {
+            "recorded": sum(s.trace_recorded for s in stats),
+            "evicted": sum(s.trace_evicted for s in stats),
+        }
+    return block
+
+
 def run_parallel_simulation(
     topology: Topology,
     flows: list[FlowSpec],
     config: PdesConfig,
     net_config: Optional[NetworkConfig] = None,
-) -> PdesResult:
+) -> RunResult:
     """Execute the workload across ``config.workers`` processes."""
     partitions = partition_for_workers(topology, config.workers)
     window = resolve_window(topology, partitions, config)
@@ -301,20 +307,10 @@ def run_parallel_simulation(
     scenario = ExperimentConfig(
         duration_s=config.duration_s, seed=config.seed, net=net_config or NetworkConfig()
     )
-    stats, elapsed = run_workers(
-        ShardPlan(scenario, topology, partitions, flows, window), timeout_s=None
-    )
-    return PdesResult(
-        sim_seconds=config.duration_s,
-        wallclock_seconds=elapsed,
-        events_executed=sum(s.events_executed for s in stats),
-        flows_completed=sum(s.flows_completed for s in stats),
-        drops=sum(s.net_drops for s in stats),
-        workers=config.workers,
-        cross_partition_messages=sum(s.messages_sent for s in stats),
-        cut_links=cross_partition_links(topology, partitions),
-        rtt_samples=[rtt for s in stats for rtt in s.rtt_samples],
-        fcts=[fct for s in stats for fct in s.fcts],
+    plan = ShardPlan(scenario, topology, partitions, flows, window)
+    stats, elapsed = run_workers(plan, timeout_s=None)
+    return RunResult.merge(
+        [s.result for s in stats], wallclock_seconds=elapsed, pdes=pdes_counters(plan, stats)
     )
 
 
@@ -324,21 +320,11 @@ def run_single_threaded(
     duration_s: float,
     seed: int = 0,
     net_config: Optional[NetworkConfig] = None,
-) -> PdesResult:
+) -> RunResult:
     """Run the identical workload on one in-process world."""
     scenario = ExperimentConfig(
         duration_s=duration_s, seed=seed, net=net_config or NetworkConfig()
     )
     world = build_world(scenario, topology=topology, flows=flows)
     world.run()
-    result = world.result()
-    return PdesResult(
-        sim_seconds=duration_s,
-        wallclock_seconds=result.wallclock_seconds,
-        events_executed=result.events_executed,
-        flows_completed=result.flows_completed,
-        drops=result.drops,
-        workers=1,
-        rtt_samples=world.network.all_rtt_samples(),
-        fcts=result.fcts,
-    )
+    return world.result()

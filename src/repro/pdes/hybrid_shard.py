@@ -36,9 +36,18 @@ Determinism contract (the test pack's foundation):
   inference batching window, because a batched packet's outcome can be
   decided up to ``batch_window_s`` after its arrival.
 
-With those four properties, same-seed runs at any worker count produce
-byte-identical merged outcome statistics (FCTs, RTTs, drops) — and
-identical to the single-process hybrid under float64 inference.
+With those four properties, same-seed reruns at one worker count are
+byte-identical, and one worker reproduces the single-process hybrid
+under float64 inference.  More workers match it on the scenarios the
+tests pin, but not on every seed: on the 16-cluster ``sharded_clos16``
+scenario, traffic seeds 3 and 9 diverge at 2 and 4 workers (FCTs off
+by ~1e-11 s; 52 flows completing instead of 55), most likely a
+same-time event order a window barrier cannot reproduce (DESIGN.md
+§11).
+
+Each worker reports its ``world.result()``; :func:`run_hybrid_sharded`
+combines them with :meth:`~repro.core.world.RunResult.merge` into a
+:class:`PdesHybridResult`.
 """
 
 from __future__ import annotations
@@ -51,17 +60,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.core.cluster_model import MIN_REGION_LATENCY_S
-from repro.core.hybrid import HOT_PATH_TOTALS, HybridConfig, hot_path_summary
+from repro.core.hybrid import HybridConfig, hot_path_summary
 from repro.core.training import TrainedClusterModel
-from repro.core.world import ExperimentConfig, make_generator, per_wallclock_second
+from repro.core.world import ExperimentConfig, RunResult, make_generator
 from repro.des.kernel import Simulator
 from repro.flowsim.simulator import FlowSpec
 from repro.obs.trace import DEFAULT_TRACE_CAPACITY, merge_traces
-from repro.pdes.engine import PdesConfig, resolve_window, run_workers
+from repro.pdes.engine import PdesConfig, pdes_counters, resolve_window, run_workers
 from repro.pdes.worker import FLOW_PORT_BASE, ShardPlan, ShardStats
 from repro.topology.clos import build_clos
 from repro.topology.graph import Topology
-from repro.topology.partition import cross_partition_links, partition_hybrid
+from repro.topology.partition import partition_hybrid
 
 
 # ----------------------------------------------------------------------
@@ -159,11 +168,19 @@ class _TopologyShim:
         )
 
 
+class FlowSchedule(list):
+    """A pre-drawn flow schedule: a list of :class:`FlowSpec` that also
+    counts the arrivals remote-traffic elision dropped (``elided``) —
+    flows no worker sees, so only the coordinator can report them."""
+
+    elided = 0
+
+
 def extract_flow_schedule(
     topology: Topology,
     config: ExperimentConfig,
     hybrid: HybridConfig,
-) -> list[FlowSpec]:
+) -> FlowSchedule:
     """Pre-draw the exact flow schedule of a hybrid experiment.
 
     Runs the real :class:`~repro.traffic.apps.TrafficGenerator` — same
@@ -171,7 +188,8 @@ def extract_flow_schedule(
     topology shim, with a ``flow_dispatch`` hook that claims every
     surviving flow *after* all randomness is drawn.  The recorded
     (src, dst, size, start) tuples are therefore bit-identical to what
-    the single-process hybrid would launch.  Ephemeral source ports
+    the single-process hybrid would launch, and ``elided`` equals its
+    ``flows_elided``.  Ephemeral source ports
     are replicated per source host in schedule order, matching
     :meth:`~repro.net.host.Host.open_flow`'s ``itertools.count(10_000)``
     allocation, so TCP demux keys agree across worker boundaries.
@@ -185,7 +203,7 @@ def extract_flow_schedule(
             return True
         return cluster_of[src] == full or cluster_of[dst] == full
 
-    flows: list[FlowSpec] = []
+    flows = FlowSchedule()
     next_port: dict[str, "itertools.count"] = {}
 
     def dispatch(src: str, dst: str, size_bytes: int) -> bool:
@@ -207,6 +225,7 @@ def extract_flow_schedule(
     )
     generator.start()
     sim.run(until=config.duration_s)
+    flows.elided = generator.flows_elided
     return flows
 
 
@@ -254,95 +273,36 @@ def resolve_hybrid_window(
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-def outcome_signature(
-    fcts: list[float], rtt_samples: list[float], drops: int, flows_completed: int
-) -> str:
-    """Canonical byte-comparable form of a run's outcome statistics.
-
-    Sorting removes ordering differences that are pure artifacts of
-    how work is split across workers; JSON float serialization is
-    shortest-roundtrip (``repr``), so equal floats produce equal bytes.
-    """
-    payload = {
-        "flows_completed": int(flows_completed),
-        "drops": int(drops),
-        "fcts": sorted(fcts),
-        "rtts": sorted(rtt_samples),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-#: The :class:`ShardStats` fields a manifest lists per worker.
-_PER_WORKER_FIELDS = (
-    "worker_index", "events_executed", "windows", "exchanges", "messages_sent",
-    "messages_received", "stall_seconds", "cpu_seconds", "lookahead_violations",
-    "flows_completed", "model_packets",
-)
+def _pdes_key(key: str) -> property:
+    return property(lambda self: self.pdes[key], doc=f"``pdes[{key!r}]``")
 
 
 @dataclass
-class PdesHybridResult:
-    """Merged outcome of a sharded hybrid run."""
+class PdesHybridResult(RunResult):
+    """A sharded hybrid run: the merged :class:`RunResult` plus the
+    workers' own reports.
 
-    sim_seconds: float
-    wallclock_seconds: float
-    workers: int
-    window_s: float
-    cut_links: int
+    Its other names are one-line reads of ``pdes`` or ``worker_stats``:
+    what the ledger adapter, the goldens and the shard tests read."""
+
     worker_stats: list[ShardStats] = field(default_factory=list)
 
-    # -- merged outcome statistics -------------------------------------
-    @property
-    def events_executed(self) -> int:
-        return sum(s.events_executed for s in self.worker_stats)
+    window_s = _pdes_key("window_s")
+    windows = _pdes_key("windows")
+    cut_links = _pdes_key("cut_links")
+    exchanges = _pdes_key("exchanges")
+    messages = _pdes_key("messages")
+    stall_seconds = _pdes_key("stall_seconds")
+    lookahead_violations = _pdes_key("lookahead_violations")
+    invariant_violations = _pdes_key("invariant_violations")
 
     @property
-    def flows_completed(self) -> int:
-        return sum(s.flows_completed for s in self.worker_stats)
+    def trace_recorded(self) -> int:
+        return self.pdes["trace"]["recorded"]
 
     @property
-    def fcts(self) -> list[float]:
-        return [fct for stats in self.worker_stats for fct in stats.fcts]
-
-    @property
-    def rtt_samples(self) -> list[float]:
-        return [rtt for stats in self.worker_stats for rtt in stats.rtt_samples]
-
-    @property
-    def drops(self) -> int:
-        return sum(s.net_drops + s.model_drops for s in self.worker_stats)
-
-    @property
-    def model_packets(self) -> int:
-        return sum(s.model_packets for s in self.worker_stats)
-
-    @property
-    def model_drops(self) -> int:
-        return sum(s.model_drops for s in self.worker_stats)
-
-    @property
-    def exchanges(self) -> int:
-        return sum(s.exchanges for s in self.worker_stats)
-
-    @property
-    def messages(self) -> int:
-        return sum(s.messages_sent for s in self.worker_stats)
-
-    @property
-    def windows(self) -> int:
-        return max((s.windows for s in self.worker_stats), default=0)
-
-    @property
-    def lookahead_violations(self) -> int:
-        return sum(s.lookahead_violations for s in self.worker_stats)
-
-    @property
-    def invariant_violations(self) -> int:
-        return sum(int(s.invariants.get("total", 0)) for s in self.worker_stats)
-
-    @property
-    def stall_seconds(self) -> float:
-        return sum(s.stall_seconds for s in self.worker_stats)
+    def trace_evicted(self) -> int:
+        return self.pdes["trace"]["evicted"]
 
     @property
     def max_worker_cpu_seconds(self) -> float:
@@ -354,18 +314,15 @@ class PdesHybridResult:
         cores."""
         return max(s.cpu_seconds for s in self.worker_stats)
 
-    @property
-    def sim_seconds_per_second(self) -> float:
-        """Figure 1's y-axis (zero-guarded: ``inf`` is not JSON)."""
-        return per_wallclock_second(self.sim_seconds, self.wallclock_seconds)
+    def merged_hot_path_counters(self, wallclock_s: Optional[float] = None) -> dict:
+        """``hot_path`` with its ratios taken at ``wallclock_s``."""
+        return hot_path_summary(self.hot_path, wallclock_s)
 
-    @property
-    def trace_recorded(self) -> int:
-        return sum(s.trace_recorded for s in self.worker_stats)
-
-    @property
-    def trace_evicted(self) -> int:
-        return sum(s.trace_evicted for s in self.worker_stats)
+    def determinism_signature(self) -> str:
+        """Byte-comparable per-worker state (wall-clock excluded)."""
+        return json.dumps(
+            [s.deterministic_view() for s in self.worker_stats], sort_keys=True
+        )
 
     def merged_trace(self) -> list[dict]:
         """All workers' flight-recorder events in causal merge order.
@@ -377,55 +334,6 @@ class PdesHybridResult:
         return merge_traces(
             [s.trace_events for s in self.worker_stats if s.trace_events]
         )
-
-    # -- canonical views -----------------------------------------------
-    def outcome_signature(self) -> str:
-        """Byte-comparable merged outcome (FCT/RTT/drops/completions)."""
-        return outcome_signature(
-            self.fcts, self.rtt_samples, self.drops, self.flows_completed
-        )
-
-    def determinism_signature(self) -> str:
-        """Byte-comparable per-worker state (wall-clock excluded)."""
-        return json.dumps(
-            [s.deterministic_view() for s in self.worker_stats], sort_keys=True
-        )
-
-    def merged_hot_path_counters(
-        self, wallclock_s: Optional[float] = None
-    ) -> dict:
-        """Hot-path counters summed across workers (manifest schema).
-
-        Matches :meth:`HybridSimulation.hot_path_counters` key-for-key:
-        additive counters are summed, derived ratios recomputed from
-        the merged totals.
-        """
-        totals = {
-            key: sum(float(s.hot_path.get(key, 0.0)) for s in self.worker_stats)
-            for key in HOT_PATH_TOTALS
-        }
-        return hot_path_summary(totals, wallclock_s)
-
-    def merged_counters(self) -> dict:
-        """Manifest-facing summary of the parallel machinery."""
-        return {
-            "workers": self.workers,
-            "window_s": self.window_s,
-            "windows": self.windows,
-            "cut_links": self.cut_links,
-            "exchanges": self.exchanges,
-            "messages": self.messages,
-            "stall_seconds": self.stall_seconds,
-            "lookahead_violations": self.lookahead_violations,
-            "invariant_violations": self.invariant_violations,
-            "per_worker": [
-                {
-                    **{key: getattr(stats, key) for key in _PER_WORKER_FIELDS},
-                    "invariant_violations": int(stats.invariants.get("total", 0)),
-                }
-                for stats in self.worker_stats
-            ],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -512,11 +420,10 @@ def run_hybrid_sharded(
         inject_crash=shard.inject_crash,
     )
     stats, elapsed = run_workers(plan, shard.worker_timeout_s)
-    return PdesHybridResult(
-        sim_seconds=config.duration_s,
+    return PdesHybridResult.merge(
+        [s.result for s in stats],
         wallclock_seconds=elapsed,
-        workers=shard.workers,
-        window_s=window,
-        cut_links=cross_partition_links(topology, partitions),
+        pdes=pdes_counters(plan, stats),
+        flows_elided=flows.elided,
         worker_stats=stats,
     )

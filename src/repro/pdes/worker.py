@@ -33,7 +33,7 @@ from multiprocessing.connection import Connection
 from typing import Optional
 
 from repro.core.hybrid import HybridConfig, ShardableHybrid
-from repro.core.world import ExperimentConfig, build_world
+from repro.core.world import ExperimentConfig, RunResult, build_world
 from repro.des.kernel import Simulator
 from repro.flowsim.simulator import FlowSpec
 from repro.obs.trace import FlightRecorder
@@ -52,26 +52,26 @@ __all__ = [
 ]
 
 
+#: The window loop's seeded counters (in the deterministic view).
+_LOOP_COUNTERS = (
+    "worker_index", "windows", "exchanges", "messages_sent",
+    "messages_received", "lookahead_violations",
+)
+
+
 @dataclass
 class ShardStats:
-    """Everything one worker reports back after a run."""
+    """One worker's report: its world's result plus the window loop's
+    counters and taps."""
 
     worker_index: int
-    events_executed: int
+    result: RunResult
     windows: int
     exchanges: int
     messages_sent: int
     messages_received: int
     lookahead_violations: int
     stall_seconds: float
-    flows_completed: int
-    fcts: list[float]
-    rtt_samples: list[float]
-    net_drops: int
-    model_packets: int
-    model_drops: int
-    inference_seconds: float
-    hot_path: dict
     invariants: dict
     cpu_seconds: float = 0.0
     metrics_snapshot: Optional[dict] = None
@@ -82,23 +82,41 @@ class ShardStats:
     def deterministic_view(self) -> dict:
         """The wall-clock-free projection used by determinism tests.
 
-        Excludes ``stall_seconds``, ``inference_seconds``,
-        ``cpu_seconds``, the metrics snapshot, trace events, and
-        hot-path wall-clock ratios — everything else must be
-        byte-identical across same-seed same-worker-count runs (trace
-        events are themselves deterministic, but are excluded so the
-        signature is comparable across tracing on/off/capacity)."""
-        unseeded = (
-            "stall_seconds", "inference_seconds", "cpu_seconds",
-            "metrics_snapshot", "trace_events", "trace_recorded", "trace_evicted",
-        )
-        view = {key: value for key, value in vars(self).items() if key not in unseeded}
-        view["hot_path"] = {
-            key: value
-            for key, value in self.hot_path.items()
-            if "seconds" not in key and "share" not in key and "per_sec" not in key
+        Excludes stall, CPU and inference seconds, the metrics
+        snapshot, trace events, and hot-path wall-clock ratios —
+        everything else must be byte-identical across same-seed
+        same-worker-count runs (trace events are themselves
+        deterministic, but are excluded so the signature is comparable
+        across tracing on/off/capacity)."""
+        result = self.result
+        return {
+            **{key: getattr(self, key) for key in _LOOP_COUNTERS},
+            "invariants": self.invariants,
+            "events_executed": result.events_executed,
+            "flows_completed": result.flows_completed,
+            "fcts": result.fcts,
+            "rtt_samples": result.rtt_samples,
+            "net_drops": result.drops - result.model_drops,
+            "model_packets": result.model_packets,
+            "model_drops": result.model_drops,
+            "hot_path": {
+                key: value
+                for key, value in result.hot_path.items()
+                if "seconds" not in key and "share" not in key and "per_sec" not in key
+            },
         }
-        return view
+
+    def summary(self) -> dict:
+        """This worker's row of the manifest's ``pdes.per_worker``."""
+        return {
+            **{key: getattr(self, key) for key in _LOOP_COUNTERS},
+            "stall_seconds": self.stall_seconds,
+            "cpu_seconds": self.cpu_seconds,
+            "events_executed": self.result.events_executed,
+            "flows_completed": self.result.flows_completed,
+            "model_packets": self.result.model_packets,
+            "invariant_violations": int(self.invariants.get("total", 0)),
+        }
 
 
 @dataclass(frozen=True)
@@ -197,7 +215,8 @@ def _run_shard(
         metrics = MetricsRegistry(enabled=True)
     # No model is the Figure 1 engine: nothing for a checker to watch
     # (and its kernel wrappers would tax the series it is measured
-    # against), RTTs pooled over every cluster, null-padded exchanges.
+    # against), null-padded exchanges; its world pools RTTs over every
+    # cluster (World.result).
     trained = plan.model_ref.load() if plan.model_ref is not None else None
     invariants = None
     if trained is not None:
@@ -326,26 +345,15 @@ def _run_shard(
             metrics.counter(f"pdes.{name}", worker=worker_index).inc(value)
         metrics.gauge("pdes.stall_seconds", worker=worker_index).set(stall_seconds)
 
-    result = world.result()
     return ShardStats(
         worker_index=worker_index,
-        events_executed=result.events_executed,
+        result=world.result(),
         windows=windows,
         exchanges=exchanges,
         messages_sent=messages_sent,
         messages_received=messages_received,
         lookahead_violations=lookahead_violations,
         stall_seconds=stall_seconds,
-        flows_completed=result.flows_completed,
-        fcts=result.fcts,
-        rtt_samples=(
-            network.all_rtt_samples() if trained is None else result.rtt_samples
-        ),
-        net_drops=result.drops - result.model_drops,
-        model_packets=result.model_packets,
-        model_drops=result.model_drops,
-        inference_seconds=result.model_inference_seconds,
-        hot_path=world.hybrid.hot_path_counters(),
         invariants=invariants.summary() if invariants is not None else {},
         cpu_seconds=cpu_seconds,
         metrics_snapshot=metrics.snapshot() if metrics is not None else None,

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 from repro.analysis.stats import percentile_summary
 from repro.core.hybrid import HybridConfig, hot_path_summary
 from repro.core.pipeline import ExperimentConfig, RunResult, run_hybrid_simulation
-from repro.core.world import build_world, per_wallclock_second
+from repro.core.world import build_world
 from repro.obs import MetricsRegistry
 from repro.obs.trace import DEFAULT_TRACE_CAPACITY, FlightRecorder, write_trace_jsonl
 from repro.runs.fingerprint import experiment_hash, experiment_payload
@@ -117,8 +117,9 @@ class StageRun:
     """What one stage produced, before a manifest or a table renders it.
 
     ``result`` is the entrypoint's result: a :class:`RunResult`
-    (simulate, hybrid), ``CascadeResult``, ``DifferentialResult``
-    (validate), ``PdesHybridResult`` (pdes-hybrid), the per-direction
+    (simulate, hybrid, pdes-hybrid — the last as its
+    ``PdesHybridResult`` subclass), ``CascadeResult``,
+    ``DifferentialResult`` (validate), the per-direction
     evaluations (evaluate) or the model itself (train).  ``detail`` is
     the entrypoint's second output: the ``HybridSimulation`` /
     ``CascadeSimulation``, or evaluate's held-out ``FullRunOutput``.
@@ -187,7 +188,7 @@ def run_stage(
         if configs["shard"].trace:
             trace = (
                 result.merged_trace(), result.trace_recorded,
-                result.trace_evicted, result.workers,
+                result.trace_evicted, result.pdes["workers"],
             )
     else:
         tracer = None
@@ -240,13 +241,15 @@ def _sample_summary(values: list[float]) -> dict[str, float]:
 
 def _summarize_result(result: RunResult) -> dict[str, Any]:
     """Manifest-sized view of a :class:`RunResult` (no raw samples)."""
-    scenario: dict[str, Any] = {}
+    optional: dict[str, Any] = {}
     if result.failure_events:
-        scenario["failure_events"] = result.failure_events
+        optional["failure_events"] = result.failure_events
     if result.collective is not None:
-        scenario["collective"] = result.collective
+        optional["collective"] = result.collective
+    if result.pdes is not None:
+        optional["pdes"] = result.pdes
     return {
-        **scenario,
+        **optional,
         "sim_seconds": result.sim_seconds,
         "wallclock_seconds": result.wallclock_seconds,
         "sim_seconds_per_second": result.sim_seconds_per_second,
@@ -266,9 +269,10 @@ def _summarize_result(result: RunResult) -> dict[str, Any]:
 
 
 def _summarize_run(stage: str, run: StageRun) -> tuple[dict[str, Any], dict[str, float]]:
-    """``(result, hot_path_counters)`` of a finished stage's manifest."""
-    if stage == "simulate":
-        return _summarize_result(run.result), dict(_ZERO_COUNTERS)
+    """``(result, hot_path_counters)`` of a finished stage's manifest.
+
+    Every stage that ran a world reports the hot-path block its
+    :class:`RunResult` carries."""
     if stage == "train":
         return {"training_summary": run.result.training_summary}, dict(_ZERO_COUNTERS)
     if stage == "evaluate":
@@ -276,14 +280,15 @@ def _summarize_run(stage: str, run: StageRun) -> tuple[dict[str, Any], dict[str,
             "samples", "drop_rate_true", "drop_rate_predicted", "drop_auc",
             "latency_log_mae", "latency_median_relative_error",
         )
+        held_out = run.detail.result
         result = {
-            "trace": _summarize_result(run.detail.result),
+            "trace": _summarize_result(held_out),
             "directions": {
                 direction.value: {field: getattr(ev, field) for field in scored}
                 for direction, ev in run.result.items()
             },
         }
-        return result, dict(_ZERO_COUNTERS)
+        return result, held_out.hot_path
     if stage == "validate":
         # The fidelity report rides in the manifest so sweeps gate on
         # agreement, not just completion.
@@ -293,44 +298,20 @@ def _summarize_run(stage: str, run: StageRun) -> tuple[dict[str, Any], dict[str,
             "hybrid": _summarize_result(diff.hybrid),
             "fidelity": diff.report.to_dict(),
         }
-        return result, diff.hybrid_sim.hot_path_counters(diff.hybrid.wallclock_seconds)
-    if stage == "pdes-hybrid":
-        sharded = run.result
-        wallclock = sharded.wallclock_seconds
-        result = {
-            "sim_seconds": sharded.sim_seconds,
-            "wallclock_seconds": wallclock,
-            "sim_seconds_per_second": sharded.sim_seconds_per_second,
-            "events_executed": sharded.events_executed,
-            "events_per_second": per_wallclock_second(sharded.events_executed, wallclock),
-            "flows_completed": sharded.flows_completed,
-            "drops": sharded.drops,
-            "model_packets": sharded.model_packets,
-            "model_drops": sharded.model_drops,
-            "rtt": _sample_summary(sharded.rtt_samples),
-            "fct": _sample_summary(sharded.fcts),
-            "pdes": sharded.merged_counters(),
+        return result, diff.hybrid.hot_path
+    if stage == "cascade":
+        # Tier residency, promotion counts and the per-tier packet split
+        # ride beside the packet side's summary.
+        result = run.result.result
+        summary = {
+            **_summarize_result(result),
+            "cascade": run.detail.cascade_summary(),
+            "invariants": run.invariants.summary(),
+            "fluid_fct": _sample_summary(run.result.fluid_fcts),
         }
-        if run.trace is not None:
-            result["pdes"]["trace"] = {
-                key: run.trace[key] for key in ("recorded", "evicted")
-            }
-        return result, sharded.merged_hot_path_counters(wallclock)
-    if stage == "hybrid":
-        result, hybrid_sim = run.result, run.detail
-        return _summarize_result(result), hybrid_sim.hot_path_counters(
-            result.wallclock_seconds
-        )
-    # Cascade: tier residency, promotion counts and the per-tier packet
-    # split ride beside the packet side's summary.
-    result, cascade_sim = run.result.result, run.detail
-    summary = {
-        **_summarize_result(result),
-        "cascade": cascade_sim.cascade_summary(),
-        "invariants": run.invariants.summary(),
-        "fluid_fct": _sample_summary(run.result.fluid_fcts),
-    }
-    return summary, cascade_sim.hybrid.hot_path_counters(result.wallclock_seconds)
+        return summary, result.hot_path
+    # simulate, hybrid, pdes-hybrid: the stage's result is a RunResult.
+    return _summarize_result(run.result), run.result.hot_path
 
 
 # ----------------------------------------------------------------------

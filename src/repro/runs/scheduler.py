@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.core.hybrid import hot_path_summary
 from repro.obs import MetricsRegistry
 from repro.runs.executor import execute_run
 from repro.runs.fingerprint import model_fingerprint
@@ -344,12 +345,7 @@ class SweepScheduler:
         if manifest.started_at is not None:
             manifest.wallclock_seconds = manifest.finished_at - manifest.started_at
         if manifest.hot_path_counters is None:
-            manifest.hot_path_counters = {
-                "model_packets": 0.0,
-                "model_drops": 0.0,
-                "inference_seconds": 0.0,
-                "inference_seconds_per_packet": 0.0,
-            }
+            manifest.hot_path_counters = hot_path_summary({})
         manifest.save(run_dir)
         return manifest.to_dict()
 

@@ -231,7 +231,13 @@ EQUIVALENT = {
     "pdes-hybrid": (
         ["pdes", "--hybrid", "--model", "m", "--clusters", "3", "--duration", "0.002",
          "--seed", "9", "--workers", "2", "--trace", "--keep-remote-traffic"],
-        lambda: load_spec(SPECS / "pdes_hybrid_smoke.json"),
+        # pdes_hybrid_smoke.json less its failure pair: `repro pdes`
+        # takes no --fail-link.
+        _inline({
+            "stage": "pdes-hybrid",
+            "experiment": {"clusters": 3, "load": 0.25, "duration_s": 0.002, "seed": 9},
+            "hybrid": {"workers": 2, "trace": True, "elide_remote_traffic": False},
+        }),
     ),
     "cascade": (
         ["cascade", "--model", "m", "--clusters", "4", "--load", "0.15",

@@ -19,8 +19,8 @@ import pytest
 import repro.pdes
 import repro.pdes.hybrid_shard
 from repro.core.micro import MicroModelConfig
-from repro.core.pipeline import ExperimentConfig
-from repro.pdes import PdesHybridResult, PdesResult
+from repro.core.pipeline import ExperimentConfig, RunResult
+from repro.pdes import PdesHybridResult
 from repro.runs.executor import execute_run
 from repro.runs.spec import RunRequest
 from repro.topology.clos import ClosParams
@@ -70,15 +70,15 @@ def test_plain_engine_worker_death_raises_instead_of_hanging():
 
 
 def test_zero_wallclock_rates_are_zero_not_inf():
-    plain = PdesResult(
-        sim_seconds=1.0, wallclock_seconds=0.0, events_executed=0,
-        flows_completed=0, drops=0, workers=1,
+    worker = RunResult(
+        sim_seconds=1.0, wallclock_seconds=0.0, events_executed=0, flows_started=0,
+        flows_completed=0, flows_elided=0, drops=0, rtt_samples=[], fcts=[],
     )
-    sharded = PdesHybridResult(
-        sim_seconds=1.0, wallclock_seconds=0.0, workers=1, window_s=1e-6, cut_links=0
-    )
+    plain = RunResult.merge([worker], wallclock_seconds=0.0, pdes={})
+    sharded = PdesHybridResult.merge([worker], wallclock_seconds=0.0, pdes={})
     assert plain.sim_seconds_per_second == 0.0
     assert sharded.sim_seconds_per_second == 0.0
+    assert sharded.hot_path["inference_share"] == 0.0
 
 
 def test_pdes_hybrid_manifest_is_strict_json(tmp_path, monkeypatch):

@@ -93,7 +93,7 @@ def test_merged_counters_report_every_worker(trained_bundle):
         shard=HybridShardConfig(workers=2),
         hybrid=HYBRID,
     )
-    merged = result.merged_counters()
+    merged = result.pdes
     assert merged["workers"] == 2
     assert len(merged["per_worker"]) == 2
     assert merged["exchanges"] > 0

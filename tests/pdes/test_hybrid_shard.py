@@ -22,7 +22,6 @@ from repro.pdes import (
     PdesConfig,
     extract_flow_schedule,
     model_egress_lookahead,
-    outcome_signature,
     resolve_hybrid_window,
     resolve_window,
     run_hybrid_sharded,
@@ -43,9 +42,7 @@ HYBRID = HybridConfig(elide_remote_traffic=False)
 def single_process_signature(trained_bundle):
     """Canonical outcome of the unsharded hybrid run (float64)."""
     result, _ = run_hybrid_simulation(EXPERIMENT, trained_bundle, hybrid=HYBRID)
-    return outcome_signature(
-        result.fcts, result.rtt_samples, result.drops, result.flows_completed
-    )
+    return result.outcome_signature()
 
 
 # ----------------------------------------------------------------------
@@ -73,9 +70,7 @@ def test_batched_inference_outcome_identical(trained_bundle):
     """Per-shard InferenceBatcher flush grouping must not change outcomes."""
     hybrid = HybridConfig(elide_remote_traffic=False, batch_window_s=5e-7)
     result, _ = run_hybrid_simulation(EXPERIMENT, trained_bundle, hybrid=hybrid)
-    expected = outcome_signature(
-        result.fcts, result.rtt_samples, result.drops, result.flows_completed
-    )
+    expected = result.outcome_signature()
     sharded = run_hybrid_sharded(
         EXPERIMENT,
         trained_bundle,
@@ -99,6 +94,48 @@ def test_model_ref_resolves_from_saved_bundle(
         EXPERIMENT, ref, shard=HybridShardConfig(workers=2), hybrid=HYBRID
     )
     assert result.outcome_signature() == single_process_signature
+
+
+#: A link failure and its recovery inside EXPERIMENT's 2 ms.
+FAILURE_PAIR = (
+    (0.0008, "core-0", "agg-c0-0"),
+    (0.0014, "core-0", "agg-c0-0", "up"),
+)
+
+#: RunResult fields a sharded run shares with its single-process twin.
+#: ``events_executed`` is partition-dependent by design: a replayed
+#: schedule has no arrival events for elided flows, and a cut adds
+#: barrier deliveries.
+COUNT_FIELDS = (
+    "sim_seconds", "flows_started", "flows_completed", "flows_elided",
+    "drops", "model_packets", "model_drops", "failure_events", "collective",
+)
+
+
+@pytest.mark.parametrize(
+    "failures", [(), FAILURE_PAIR], ids=["plain", "failure+recovery"]
+)
+@pytest.mark.parametrize("elide", [False, True], ids=["keep", "elide"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sharded_result_equals_hybrid_field_by_field(
+    trained_bundle, workers, elide, failures
+):
+    """The lattice edge sharded ≡ hybrid on one RunResult type
+    (3 clusters, seed 7)."""
+    from dataclasses import replace
+
+    config = replace(EXPERIMENT, failures=failures)
+    hybrid = HybridConfig(elide_remote_traffic=elide)
+    single, _ = run_hybrid_simulation(config, trained_bundle, hybrid=hybrid)
+    sharded = run_hybrid_sharded(
+        config, trained_bundle, shard=HybridShardConfig(workers=workers), hybrid=hybrid
+    )
+    for name in COUNT_FIELDS:
+        assert getattr(sharded, name) == getattr(single, name), name
+    assert sorted(sharded.fcts) == sorted(single.fcts)
+    assert sorted(sharded.rtt_samples) == sorted(single.rtt_samples)
+    assert len(sharded.failure_events) == len(failures)
+    assert sharded.pdes["workers"] == workers
 
 
 def test_single_black_box_rejected(trained_bundle):
@@ -209,9 +246,7 @@ def test_sharded_failures_match_single_process(trained_bundle):
         shard=HybridShardConfig(workers=2),
         hybrid=HYBRID,
     )
-    assert sharded.outcome_signature() == outcome_signature(
-        single.fcts, single.rtt_samples, single.drops, single.flows_completed
-    )
+    assert sharded.outcome_signature() == single.outcome_signature()
     assert single.failure_events and single.failure_events[0]["changed"]
 
 

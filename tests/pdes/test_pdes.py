@@ -62,8 +62,8 @@ class TestParallel:
         result = run_parallel_simulation(
             leafspine, flows, PdesConfig(workers=2, duration_s=0.02)
         )
-        assert result.cross_partition_messages > 0
-        assert result.cut_links > 0
+        assert result.pdes["messages"] > 0
+        assert result.pdes["cut_links"] > 0
 
     def test_one_worker_degenerate_case(self, leafspine):
         flows = _small_workload(leafspine, duration=0.001, load=0.1)
@@ -71,7 +71,7 @@ class TestParallel:
             leafspine, flows, PdesConfig(workers=1, duration_s=0.3)
         )
         assert result.flows_completed == len(flows)
-        assert result.cross_partition_messages == 0
+        assert result.pdes["messages"] == 0
 
     def test_rtt_and_fct_stats_collected(self, leafspine):
         flows = _small_workload(leafspine, duration=0.003)

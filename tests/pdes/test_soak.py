@@ -58,10 +58,8 @@ def test_four_worker_32_cluster_soak(trained_bundle, tmp_path):
             {
                 "wallclock_seconds": result.wallclock_seconds,
                 "events_executed": result.events_executed,
-                "merged": result.merged_counters(),
-                "hot_path": result.merged_hot_path_counters(
-                    result.wallclock_seconds
-                ),
+                "merged": result.pdes,
+                "hot_path": result.hot_path,
             },
             indent=1,
             sort_keys=True,
