@@ -59,8 +59,13 @@ WARMUP = 200
 #: (and the related soft floors) only apply to full-size runs.
 FULL_SIZE = PACKETS >= 2000
 
-#: Lane widths of the raw batched sweep (ISSUE 6).
-BATCH_WIDTHS = (1, 8, 64, 512)
+#: Round widths of the raw batched sweep.  2 and 3 are what a 4-cluster
+#: fabric produces (3 approximated clusters share one engine per
+#: direction); 1 is a lane step.
+BATCH_WIDTHS = (1, 2, 3, 8, 64, 512)
+#: Lanes of the swept engines: at least the 3 of a 4-cluster fabric, so
+#: a width below that runs on a subset of lanes, as it does in a run.
+MIN_LANES = 3
 
 #: Conservative regression floors (soft, far below typical results) so
 #: the bench doubles as a CI guard without flaking on noisy runners.
@@ -209,14 +214,19 @@ def _time_batched(engine, feature_rounds, macro_rounds, rows) -> float:
 
 
 def _bench_batched() -> dict:
-    """The lane-batched engine (ISSUE 6): raw GEMM batching by width,
-    plus the memoized steady state on a periodic workload.
+    """The lane-batched engine: raw GEMM batching by width, plus the
+    memoized steady state on a periodic workload.
 
     Two honestly separated numbers:
 
-    * ``raw`` — ``predict_rows`` at full width, every packet computed.
-      Bounded below by the per-packet GEMM floor of this machine, so
-      the curve flattens once the weights are read once per round.
+    * ``raw`` — ``predict_rows`` over the first ``width`` lanes of an
+      engine with ``max(width, MIN_LANES)`` lanes, every packet
+      computed.  Width 1 is the lane's scalar engine; from width 2 the
+      stacked GEMM, bounded below by the per-packet GEMM floor of this
+      machine, so the curve flattens once the weights are read once per
+      round.  Width 1 is also timed with exact memoization on
+      (``*_memo_us``): a random stream never hits, so that row prices
+      the cache's miss path on top of the step.
     * ``steady_state`` — quantized-key memoization (``exact=False``)
       under a periodic feature stream, *after* cache warmup: the regime
       the cache targets (steady traffic repeating its regime), where
@@ -257,10 +267,16 @@ def _bench_batched() -> dict:
         macro_rounds = [
             [(r + i) % 4 for i in range(width)] for r in range(rounds)
         ]
+        lanes = max(width, MIN_LANES)
         engines = {
-            "f32": make_batched_engine(compiled32, width),
-            "f64": make_batched_engine(compiled64, width),
+            "f32": make_batched_engine(compiled32, lanes),
+            "f64": make_batched_engine(compiled64, lanes),
         }
+        if width == 1:
+            for label, compiled in (("f32", compiled32), ("f64", compiled64)):
+                engines[f"{label}_memo"] = make_batched_engine(
+                    compiled, lanes, memo=MemoConfig()
+                )
         setups[width] = (rows, feature_rounds, macro_rounds, engines)
 
     _time_engine(scalar32, features, WARMUP)
@@ -272,7 +288,9 @@ def _bench_batched() -> dict:
             )
     scalar_trials: list[float] = []
     raw_trials: dict[tuple, list[float]] = {
-        (width, label): [] for width in BATCH_WIDTHS for label in ("f32", "f64")
+        (width, label): []
+        for width, (*_, engines) in setups.items()
+        for label in engines
     }
     for _ in range(TRIALS):
         scalar_trials.append(_time_engine(scalar32, features, PACKETS))
@@ -283,9 +301,9 @@ def _bench_batched() -> dict:
                 )
     scalar_us = min(scalar_trials) * 1e6
     raw: dict[str, dict[str, float]] = {}
-    for width in BATCH_WIDTHS:
-        entry: dict[str, float] = {}
-        for label in ("f32", "f64"):
+    for width, (*_, engines) in setups.items():
+        entry: dict[str, float] = {"lanes": engines["f32"].n_lanes}
+        for label in engines:
             per_packet = min(raw_trials[(width, label)])
             entry[f"{label}_us"] = per_packet * 1e6
             entry[f"speedup_{label}"] = scalar_us / (per_packet * 1e6)
@@ -723,13 +741,15 @@ def test_hotpath_inference_speedup():
     steady = batched["steady_state"]
     batched_rows = [
         [
-            width,
-            f"{entry['f64_us']:.2f}",
-            f"{entry['f32_us']:.2f}",
-            f"{entry['speedup_f64']:.2f}x",
-            f"{entry['speedup_f32']:.2f}x",
+            f"{width} of {entry['lanes']} lanes{label}",
+            f"{entry[f'f64{suffix}_us']:.2f}",
+            f"{entry[f'f32{suffix}_us']:.2f}",
+            f"{entry[f'speedup_f64{suffix}']:.2f}x",
+            f"{entry[f'speedup_f32{suffix}']:.2f}x",
         ]
         for width, entry in batched["raw"].items()
+        for label, suffix in (("", ""), (", exact memo", "_memo"))
+        if f"f32{suffix}_us" in entry
     ]
     batched_rows.append(
         [
@@ -741,7 +761,7 @@ def test_hotpath_inference_speedup():
         ]
     )
     batched_table = format_table(
-        ["batch", "f64 us/pkt", "f32 us/pkt", "f64 speedup", "f32 speedup"],
+        ["round width", "f64 us/pkt", "f32 us/pkt", "f64 speedup", "f32 speedup"],
         batched_rows,
     ) + f"\n(speedups vs same-run scalar fused f32: {batched['scalar_f32_us']:.2f} us/pkt)"
     overhead_table = format_table(

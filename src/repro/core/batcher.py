@@ -72,8 +72,8 @@ class InferenceBatcher:
     ----------
     batched_packets, batched_rounds, flushes, scalar_fallbacks:
         Plain counters (mirrored to obs when a registry is given).
-        ``scalar_fallbacks`` counts engine calls that degenerated to a
-        single lane — the causality fallback path.
+        ``scalar_fallbacks`` counts rounds of width 1: the engine steps
+        that lane's own scalar engine instead of a stacked product.
     """
 
     def __init__(self, sim, window_s: float, metrics=None, tracer=None) -> None:
@@ -84,9 +84,10 @@ class InferenceBatcher:
         self.sim = sim
         self._tracer = tracer
         self.window_s = min(window_s, MIN_REGION_LATENCY_S)
-        self._clusters: list = []  # registration order == round order
-        self._lanes: dict = {}  # cluster name -> deque of (seq, arrival, packet)
-        self._seq = 0
+        #: (cluster, deque of (arrival, packet)); registration order ==
+        #: round order.
+        self._queues: list = []
+        self._lanes: dict = {}  # cluster name -> its deque
         self._flush_event = None
         self._flush = self.flush  # prebound for schedule_at
         self.batched_packets = 0
@@ -105,14 +106,13 @@ class InferenceBatcher:
     def register(self, cluster) -> None:
         """Add a cluster to the round rotation (registration order is
         the deterministic round order)."""
-        self._clusters.append(cluster)
-        self._lanes[cluster.name] = deque()
+        queue = self._lanes[cluster.name] = deque()
+        self._queues.append((cluster, queue))
 
     # ------------------------------------------------------------------
     def enqueue(self, cluster, packet) -> None:
         """Hold one packet; arm the window flush on the first one."""
-        self._lanes[cluster.name].append((self._seq, self.sim.now, packet))
-        self._seq += 1
+        self._lanes[cluster.name].append((self.sim.now, packet))
         if self._flush_event is None:
             self._flush_event = self.sim.schedule(
                 self.window_s, self._flush, priority=FLUSH_PRIORITY
@@ -135,66 +135,57 @@ class InferenceBatcher:
             # A no-op when the flush is that event running.
             self.sim.cancel(self._flush_event)
             self._flush_event = None
-        lanes = [
-            (cluster, self._lanes[cluster.name])
-            for cluster in self._clusters
-            if self._lanes[cluster.name]
-        ]
+        lanes = [entry for entry in self._queues if entry[1]]
         if not lanes:
             return
         self.flushes += 1
         if self._m_flushes is not None:
             self._m_flushes.inc()
+        tracer = self._tracer
         while lanes:
-            # One round: the oldest held packet of every cluster.  The
-            # per-engine groups preserve enqueue (seq) order because
-            # clusters are iterated in registration order and a round
-            # holds at most one packet per cluster.
-            jobs = []
-            for cluster, lane in lanes:
-                seq, arrival, packet = lane.popleft()
-                direction, bundle, features, macro_index, engine, row = (
-                    cluster.batch_prepare(packet, arrival)
-                )
-                jobs.append(
-                    (seq, arrival, packet, cluster, direction, bundle,
-                     features, macro_index, engine, row)
-                )
+            # One round: the oldest held packet of every cluster, grouped
+            # by engine.  Each group keeps enqueue order because clusters
+            # are visited in registration order and a round holds at
+            # most one packet per cluster.
             groups: dict = {}
-            for job in jobs:
-                groups.setdefault(id(job[8]), []).append(job)
-            for group in groups.values():
-                engine = group[0][8]
-                hits_before = misses_before = 0
-                if self._tracer is not None:
-                    hits_before = getattr(engine, "memo_hits", 0)
-                    misses_before = getattr(engine, "memo_misses", 0)
-                start = perf_counter()
-                outcomes = engine.predict_rows(
-                    [job[6] for job in group],
-                    [job[7] for job in group],
-                    [job[9] for job in group],
+            for cluster, lane in lanes:
+                arrival, packet = lane.popleft()
+                engine, row, features, macro_index, model = cluster.batch_prepare(
+                    packet, arrival
                 )
-                share = (perf_counter() - start) / len(group)
+                job = (cluster, packet, arrival, model)
+                group = groups.get(engine)
+                if group is None:
+                    groups[engine] = ([features], [macro_index], [row], [job])
+                else:
+                    group[0].append(features)
+                    group[1].append(macro_index)
+                    group[2].append(row)
+                    group[3].append(job)
+            for engine, (features, macros, rows, jobs) in groups.items():
+                width = len(rows)
+                if tracer is not None:
+                    hits, misses = engine.memo_hits, engine.memo_misses
+                start = perf_counter()
+                outcomes = engine.predict_rows(features, macros, rows)
+                share = (perf_counter() - start) / width
                 self.batched_rounds += 1
-                self.batched_packets += len(group)
-                if len(group) == 1:
+                self.batched_packets += width
+                if width == 1:
                     self.scalar_fallbacks += 1
                     if self._m_fallbacks is not None:
                         self._m_fallbacks.inc()
                 if self._m_batch_size is not None:
-                    self._m_batch_size.observe(float(len(group)))
-                if self._tracer is not None:
-                    self._tracer.event(
+                    self._m_batch_size.observe(float(width))
+                if tracer is not None:
+                    tracer.event(
                         "batch.round",
-                        size=len(group),
-                        memo_hits=getattr(engine, "memo_hits", 0) - hits_before,
-                        memo_misses=getattr(engine, "memo_misses", 0)
-                        - misses_before,
+                        size=width,
+                        memo_hits=engine.memo_hits - hits,
+                        memo_misses=engine.memo_misses - misses,
                     )
-                for job, outcome in zip(group, outcomes):
-                    job[3].add_inference_time(share)
-                    job[3].batch_finalize(
-                        job[2], job[1], job[4], job[5], outcome[0], outcome[1]
-                    )
-            lanes = [(cluster, lane) for cluster, lane in lanes if lane]
+                for (cluster, packet, arrival, model), (drop, latency) in zip(
+                    jobs, outcomes
+                ):
+                    cluster.batch_finalize(packet, arrival, model, drop, latency, share)
+            lanes = [entry for entry in lanes if entry[1]]

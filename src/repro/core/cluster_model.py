@@ -318,44 +318,45 @@ class ApproximatedCluster(Entity):
         lane.batch_engine = engine
         lane.batch_row = row
 
-    def add_inference_time(self, seconds: float) -> None:
-        """Attribute a share of a batched inference round to this
-        cluster (same accounting the inline path does per packet)."""
-        self.inference_seconds += seconds
-        if self._m_infer is not None:
-            self._m_infer.observe(seconds)
-
     def batch_prepare(self, packet: Packet, arrival: float):
-        """Stage one held packet for a stacked inference round.
+        """Stage one held packet for an inference round.
 
         Mirrors :meth:`receive` up to (and excluding) the model step —
         called by the batcher only after this cluster's previous packet
         was finalized, so the extractor clocks and macro state read
         here are exactly what the inline path would have seen.  The
         clock is the packet's *arrival* time, not the flush time.
+        Returns ``(engine, row, features, macro_index, (bundle, flow))``.
         """
         self.packets_handled += 1
         lane = self._lanes[packet.dst in self._shadow_servers]
-        macro = self.macro
-        features = self.extractor.extract(packet, arrival, macro.state, lane.direction)
-        return (
-            lane.direction, lane.bundle, features, macro.index,
-            lane.batch_engine, lane.batch_row,
+        macro_index = self.macro.index
+        features = np.empty(FEATURE_COUNT)
+        flow = self.extractor.extract_into(
+            features, packet, arrival, macro_index, lane.direction
         )
+        model = (lane.bundle, flow)
+        return lane.batch_engine, lane.batch_row, features, macro_index, model
 
     def batch_finalize(
         self,
         packet: Packet,
         arrival: float,
-        direction: Direction,
-        bundle,
+        model: tuple,
         drop_prob: float,
         latency_norm: float,
+        seconds: float,
     ) -> None:
         """Apply one batched model outcome: :meth:`_finalize` with every
         clock read replaced by the packet's arrival time — bit-identical
-        bookkeeping to the inline float64 path."""
-        flow = self.extractor.flow(packet)
+        bookkeeping to the inline float64 path.  ``model`` is what
+        :meth:`batch_prepare` returned last; ``seconds`` is the packet's
+        share of its inference round (the inline path's per-packet
+        accounting)."""
+        self.inference_seconds += seconds
+        if self._m_infer is not None:
+            self._m_infer.observe(seconds)
+        bundle, flow = model
         self._finalize(packet, arrival, bundle, flow, drop_prob, latency_norm, True)
 
     # ------------------------------------------------------------------

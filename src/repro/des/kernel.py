@@ -11,7 +11,9 @@ and is its own handle: :meth:`Simulator.cancel` blanks its ``fn`` and
 the run loop skips blank entries when they surface; the loop blanks an
 entry's ``fn`` as it runs it, so ``entry[3] is None`` reads "no longer
 pending" (executed or cancelled).  The unique seq means the heap never
-compares past it.
+compares past it — and that pop order does not depend on the heap's
+layout, so once blank entries outnumber live ones :meth:`cancel` drops
+them and re-heapifies in place without changing what runs when.
 
 Determinism matters for this reproduction in two ways.  First, the
 paper's training pipeline (Section 4) records packet traces from a full
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time as _wallclock
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
 from repro.des.errors import SchedulingError, SimulationError
@@ -34,6 +36,10 @@ from repro.des.rng import RandomStreams
 
 #: Default priority for events; lower values execute first at equal times.
 DEFAULT_PRIORITY = 0
+
+#: Cancelled entries tolerated in the heap before :meth:`Simulator.cancel`
+#: considers compacting it (it does once they are also over half of it).
+COMPACT_FLOOR = 64
 
 _INF = math.inf
 
@@ -62,6 +68,7 @@ class Simulator:
         self.now: float = 0.0
         self.rng = RandomStreams(seed)
         self._heap: list[list] = []
+        self._dead = 0  # cancelled entries still in the heap
         self._running = False
         self._stopped = False
         # Event accounting (used by ablation A1 and the Figure 5 bench).
@@ -136,6 +143,13 @@ class Simulator:
         if entry[3] is not None:
             entry[3] = None
             self.events_cancelled += 1
+            self._dead += 1
+            heap = self._heap
+            if self._dead > COMPACT_FLOOR and 2 * self._dead > len(heap):
+                # In place, so run()'s local alias stays the heap.
+                heap[:] = [live for live in heap if live[3] is not None]
+                heapify(heap)
+                self._dead = 0
 
     # ------------------------------------------------------------------
     # Running
@@ -169,6 +183,7 @@ class Simulator:
                 entry = pop(heap)
                 fn = entry[3]
                 if fn is None:
+                    self._dead -= 1
                     continue  # cancelled
                 time = entry[0]
                 if time > horizon:
@@ -184,6 +199,7 @@ class Simulator:
             if until is not None and not self._stopped:
                 while heap and heap[0][3] is None:
                     pop(heap)
+                    self._dead -= 1
                 if not heap:
                     # Ran dry before the horizon: advance to it anyway, so
                     # that rate computations (bytes / elapsed) use the
@@ -211,7 +227,8 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of entries currently in the heap (including cancelled)."""
+        """Number of entries currently in the heap (including cancelled
+        ones not yet popped or compacted away)."""
         return len(self._heap)
 
     def sim_seconds_per_second(self) -> float:

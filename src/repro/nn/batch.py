@@ -3,13 +3,20 @@
 The fused engines of :mod:`repro.nn.infer` made a single packet cheap;
 this module makes *many concurrent packets* cheap.  Every approximated
 cluster sharing one compiled model keeps its per-direction recurrent
-state as a **lane** — one row of shared ``(n_lanes, hidden)`` state
+state as a **lane** — one row of shared ``(n_lanes, width)`` state
 matrices — so a :meth:`BatchedFusedEngine.predict_batch` call advances
 all pending lanes with one stacked matrix product per layer instead of
 one GEMV chain per packet.  The weight matrices are then read once per
 *batch* rather than once per *packet*, which is exactly where the
 scalar engine's time goes (at 128 hidden units the weights are ~800 KB
 per packet — memory bandwidth, not FLOPs).
+
+A lane *is* a scalar :class:`~repro.nn.infer.FusedInferenceEngine`
+whose buffers are views of its row of those matrices
+(:meth:`~repro.nn.infer.CompiledRecurrentModel.buffers`).  That gives
+the width rule: a round of one packet is ``lane.step`` — no gather,
+pack or scatter, over 1-D views built once — and only rounds of width
+>= 2 run the stacked :meth:`~BatchedFusedEngine.predict_batch`.
 
 Numerics contract (mirrors the scalar engines):
 
@@ -20,7 +27,11 @@ Numerics contract (mirrors the scalar engines):
   elementwise work (exp/tanh/adds *are* bit-identical across shapes).
   Event-identity of batched hybrid runs rests on this.
 * **float32 uses real GEMMs** — the speed mode.  Within-tolerance, not
-  bit-identical, same as the scalar float32 engine's contract.
+  bit-identical, across widths.  At width 1 there is one arithmetic:
+  the scalar float32 engine computes exactly what ``predict_batch``
+  does on one row (bias folded into the GEMV over ``[x | h | 1]``, the
+  flat head GEMV, numpy's float64 sigmoid), so the width rule changes
+  no bit.
 
 Layered on top is a steady-state **memoization cache** (see
 ``PAPERS.md``: memoization and fast-forwarding for packet-level
@@ -35,12 +46,14 @@ hit the cache **fast-forwards**: the lane's state becomes a pointer
 into a successor chain of cache entries and each packet costs one
 feature quantization and a dict probe — no state touch, no GEMM at
 all — until the first miss restores the real matrices and resumes
-computing.
+computing.  A miss costs little more than the step: a lane that has an
+entry is at that entry's state, so only a cold lane's state is captured
+before a step, and each entry quantizes its state into a key once.
 """
 
 from __future__ import annotations
 
-import math
+from collections import OrderedDict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,15 +111,17 @@ class _MemoEntry:
     """One cached transition: (state, features, macro) -> outcome.
 
     ``prev_state`` / ``state`` are exact flat copies of the lane state
-    before and after the step; ``successors`` maps
-    ``(macro_index, feature_key)`` to the entry reached next — the
-    fast-forward chain.
+    before and after the step; ``state_key`` is ``state`` quantized,
+    computed the first time a lane at this entry misses its chain;
+    ``successors`` maps ``(macro_index, feature_key)`` to the entry
+    reached next — the fast-forward chain.
     """
 
     __slots__ = (
         "features",
         "prev_state",
         "state",
+        "state_key",
         "drop_prob",
         "latency_norm",
         "successors",
@@ -116,6 +131,7 @@ class _MemoEntry:
         self.features = features
         self.prev_state = prev_state
         self.state = state
+        self.state_key = None
         self.drop_prob = drop_prob
         self.latency_norm = latency_norm
         self.successors: dict = {}
@@ -142,10 +158,17 @@ class BatchedFusedEngine:
     The public surface is three calls:
 
     * :meth:`predict_batch` — the raw stacked step over distinct lanes;
-    * :meth:`predict_one` — single-lane step (the causality fallback),
-      bit-identical to a width-1 batch;
+    * :meth:`predict_one` — single-lane step: the lane's own scalar
+      engine, bit-identical to a width-1 batch;
     * :meth:`predict_rows` — what the batcher uses: memoization (when
-      enabled) wrapped around the two above.
+      enabled) around ``predict_one`` at width 1 and ``predict_batch``
+      from width 2.
+
+    Attributes
+    ----------
+    lanes:
+        Lane ``r``'s :class:`~repro.nn.infer.FusedInferenceEngine`,
+        stepping in row ``r`` of this engine's matrices.
     """
 
     def __init__(
@@ -163,35 +186,27 @@ class BatchedFusedEngine:
         self.steps = 0
         dtype = compiled.dtype
         self._exact = dtype == np.dtype(np.float64)
-        self._head_out = np.empty((n_lanes, 2), dtype=dtype)
+        #: One matrix per engine buffer; row ``r`` of each is lane ``r``'s.
+        self._blocks = compiled.buffers(n_lanes)
+        self.lanes = [
+            compiled.engine({key: block[row] for key, block in self._blocks.items()})
+            for row in range(n_lanes)
+        ]
         self._all_rows = list(range(n_lanes))
-        if compiled.per_macro:
-            self._head_w = tuple(
-                compiled.head_weight[k] for k in range(compiled.head_weight.shape[0])
-            )
-            if not self._exact:
-                # float32 head fast path: one (B, H+1) @ (H+1, 2K) GEMM
-                # computing every macro's heads, then a flat gather of
-                # each row's pair — K is tiny (4), the 4x extra FLOPs
-                # are far cheaper than B BLAS dispatches.
-                k, hp1, _ = compiled.head_weight.shape
-                self._head_w_flat = np.ascontiguousarray(
-                    compiled.head_weight.transpose(1, 0, 2).reshape(hp1, 2 * k)
-                )
-                self._head_flat = np.empty((n_lanes, 2 * k), dtype=dtype)
-                self._head_stride = 2 * k
-        else:
-            self._head_w = None
-        # Feature packing buffer for predict_rows/predict_one (raw
-        # float64 extractor output; the dtype cast happens on copy into
-        # the work arena, same as the scalar engine).
+        self._lane_index = np.arange(n_lanes)
+        self._head_out = np.empty((n_lanes, compiled.head_flat.shape[1]), dtype=dtype)
+        # Feature packing buffer for stacked rounds (raw float64
+        # extractor output; the dtype cast happens on copy into the
+        # work arena, same as the scalar engine).
         self._fpack = np.empty((n_lanes, compiled.input_size), dtype=np.float64)
 
         # -- memoization state ------------------------------------------
         self.memo_hits = 0
         self.memo_misses = 0
         self._memo_config = memo
-        self._memo: dict = {}
+        #: Key -> entry in insertion order: FIFO eviction is O(1) and,
+        #: as in a dict, re-inserting a key keeps its place.
+        self._memo: OrderedDict = OrderedDict()
         self._lane_entry: list = [None] * n_lanes
         self._lane_virtual = [False] * n_lanes
         self._m_hits = None
@@ -200,8 +215,10 @@ class BatchedFusedEngine:
             self._fscale = 10.0 ** memo.feature_decimals
             self._sscale = 10.0 ** memo.state_decimals
             self._qfeat = np.empty((n_lanes, compiled.input_size), dtype=np.float64)
-            self._qstate = np.empty(self._state_size(), dtype=np.float64)
-            self._sbuf = np.empty(self._state_size(), dtype=dtype)
+            self._qrows = list(self._qfeat)
+            # The engine dtype: ``state * scale`` is computed in it either
+            # way, and rounding it there gives the same integers.
+            self._qstate = np.empty_like(self.lanes[0].capture_state())
         if metrics is not None and metrics.handles_enabled() and memo is not None:
             self._m_hits = metrics.counter(
                 "infer.memo_hits", direction=direction_label
@@ -209,18 +226,6 @@ class BatchedFusedEngine:
             self._m_misses = metrics.counter(
                 "infer.memo_misses", direction=direction_label
             )
-
-    # -- abstract lane-state plumbing (subclass responsibilities) -------
-    def _state_size(self) -> int:
-        raise NotImplementedError
-
-    def _capture_state(self, row: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Exact flat copy of lane ``row``'s full recurrent state."""
-        raise NotImplementedError
-
-    def _restore_state(self, row: int, flat: np.ndarray) -> None:
-        """Write a captured state back into lane ``row``."""
-        raise NotImplementedError
 
     def predict_batch(
         self,
@@ -241,19 +246,29 @@ class BatchedFusedEngine:
 
     def reset(self) -> None:
         """Zero every lane (fresh packet streams) and drop the cache."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def predict_one(self, features: np.ndarray, macro_index: int, row: int):
-        """Single-lane step — the width-1 causality fallback."""
-        pack = self._fpack[:1]
-        pack[0] = features
-        return self.predict_batch(pack, (macro_index,), (row,))[0]
-
-    def _reset_memo(self) -> None:
+        for lane in self.lanes:
+            lane.reset()
+        self.steps = 0
         self._memo.clear()
         self._lane_entry = [None] * self.n_lanes
         self._lane_virtual = [False] * self.n_lanes
+
+    # ------------------------------------------------------------------
+    def predict_one(self, features: np.ndarray, macro_index: int, row: int):
+        """Single-lane step — a width-1 round: ``row``'s scalar engine."""
+        self.steps += 1
+        return self.lanes[row].predict(features, macro_index)
+
+    def _step_rows(self, features_list, macro_indices, rows) -> list:
+        """Step distinct lanes, uncached: the lane step at width 1, the
+        stacked step from width 2."""
+        batch = len(rows)
+        if batch == 1:
+            return [self.predict_one(features_list[0], macro_indices[0], rows[0])]
+        pack = self._fpack[:batch]
+        for i in range(batch):
+            pack[i] = features_list[i]
+        return self.predict_batch(pack, macro_indices, rows)
 
     # ------------------------------------------------------------------
     # Heads (shared by both cells; bit-identical to the scalar _heads)
@@ -261,42 +276,21 @@ class BatchedFusedEngine:
     def _read_heads(self, top: np.ndarray, macro_indices, batch: int) -> list:
         """Stacked-head readout for the batch.
 
-        float64 mirrors the scalar ``_heads`` exactly: one tiny GEMV
-        per row plus the ``math.exp`` sigmoid with its logit floor.
-        float32 batches the readout — one GEMM for the whole batch and
-        a vectorized sigmoid (within-tolerance mode, so reassociation
-        is fine and B BLAS dispatches collapse to one).
+        float64 is the scalar readout row by row (one tiny GEMV plus the
+        ``math.exp`` sigmoid with its logit floor).  float32 batches the
+        readout — one GEMM over every head for the whole batch, a pick
+        of each row's pair and a vectorized sigmoid (K is tiny (4): the
+        extra FLOPs are far cheaper than B BLAS dispatches).
         """
-        head_w = self._head_w
         if self._exact:
-            out = self._head_out[:batch]
-            if head_w is not None:
-                for i in range(batch):
-                    np.dot(top[i], head_w[macro_indices[i]], out=out[i])
-            else:
-                shared = self.compiled.head_weight
-                for i in range(batch):
-                    np.dot(top[i], shared, out=out[i])
-            results = []
-            exp = math.exp
-            for i in range(batch):
-                logit = float(out[i, 0])
-                drop = 1.0 / (1.0 + exp(-logit)) if logit > _LOGIT_FLOOR else 0.0
-                results.append((drop, float(out[i, 1])))
-            return results
-        if head_w is not None:
-            flat = self._head_flat[:batch]
-            np.dot(top, self._head_w_flat, out=flat)
-            base = np.asarray(macro_indices, dtype=np.intp) * 2
-            base += np.arange(batch, dtype=np.intp) * self._head_stride
-            view = flat.reshape(-1)
-            logits = view[base].astype(np.float64)
-            latencies = view[base + 1].astype(np.float64)
-        else:
-            out = self._head_out[:batch]
-            np.dot(top, self.compiled.head_weight, out=out)
-            logits = out[:, 0].astype(np.float64)
-            latencies = out[:, 1].astype(np.float64)
+            heads = self.lanes[0]._heads
+            return [heads(top[i], macro_indices[i]) for i in range(batch)]
+        out = self._head_out[:batch]
+        np.dot(top, self.compiled.head_flat, out=out)
+        if self.compiled.per_macro:  # row i's pair is head macro_indices[i]
+            out = out.reshape(batch, -1, 2)[self._lane_index[:batch], macro_indices]
+        pairs = out.astype(np.float64)
+        logits = pairs[:, 0]
         # Vectorized 1/(1+exp(-z)) with the reference logit floor; the
         # inner minimum keeps exp() out of overflow for floored rows.
         z = np.minimum(-logits, 709.0)
@@ -304,7 +298,7 @@ class BatchedFusedEngine:
         np.add(z, 1.0, out=z)
         np.reciprocal(z, out=z)
         z[logits <= _LOGIT_FLOOR] = 0.0
-        return list(zip(z.tolist(), latencies.tolist()))
+        return list(zip(z.tolist(), pairs[:, 1].tolist()))
 
     # ------------------------------------------------------------------
     # Memoization
@@ -320,22 +314,16 @@ class BatchedFusedEngine:
         macro_indices: Sequence[int],
         rows: Sequence[int],
     ) -> list:
-        """Memo-aware batch step over distinct lanes.
+        """Memo-aware step over distinct lanes.
 
-        Without a cache this is just feature packing + the raw batch
-        (or the width-1 fallback).  With one, each lane first tries the
-        fast-forward chain, then the global key table; only misses
-        reach :meth:`predict_batch`, and every miss installs a new
+        Without a cache this is the lane step (width 1) or feature
+        packing + the stacked batch.  With one, each lane first tries
+        the fast-forward chain, then the global key table; only misses
+        are computed, the same way, and every miss installs a new
         entry linked into its predecessor's chain.
         """
-        batch = len(rows)
         if self._memo_config is None:
-            if batch == 1:
-                return [self.predict_one(features_list[0], macro_indices[0], rows[0])]
-            pack = self._fpack[:batch]
-            for i in range(batch):
-                pack[i] = features_list[i]
-            return self.predict_batch(pack, macro_indices, rows)
+            return self._step_rows(features_list, macro_indices, rows)
         return self._predict_rows_memo(features_list, macro_indices, rows)
 
     def _predict_rows_memo(self, features_list, macro_indices, rows) -> list:
@@ -351,16 +339,23 @@ class BatchedFusedEngine:
         qblock = self._qfeat[:batch]
         np.multiply(pack, self._fscale, out=qblock)
         np.rint(qblock, out=qblock)
+        qrows = self._qrows
         results: list = [None] * batch
-        pending: list = []  # (i, row, fkey, prev_entry)
+        pending: list = []  # (i, row, fkey, key, prev_entry, prev_state, features)
+        lanes = self.lanes
+        memo = self._memo
         lane_entry = self._lane_entry
         lane_virtual = self._lane_virtual
         hits = 0
         for i, row in enumerate(rows):
             features = features_list[i]
-            fkey = (macro_indices[i], qblock[i].tobytes())
+            fkey = (macro_indices[i], qrows[i].tobytes())
             entry = lane_entry[row]
-            if entry is not None:
+            if entry is None:
+                # Cold lane: the one state capture before a step.
+                state = lanes[row].capture_state()
+                skey = self._quantize(state, self._sscale, self._qstate)
+            else:
                 nxt = entry.successors.get(fkey)
                 if nxt is not None and (
                     not exact or np.array_equal(nxt.features, features)
@@ -371,19 +366,21 @@ class BatchedFusedEngine:
                     lane_virtual[row] = True
                     hits += 1
                     continue
-                if lane_virtual[row]:
-                    self._restore_state(row, entry.state)
-                    lane_virtual[row] = False
-            skey = self._quantize(
-                self._capture_state(row, out=self._sbuf), self._sscale, self._qstate
-            )
+                # The lane is at ``entry.state`` (virtually, or for real
+                # since the step that captured it).
+                state = entry.state
+                skey = entry.state_key
+                if skey is None:
+                    skey = entry.state_key = self._quantize(
+                        state, self._sscale, self._qstate
+                    )
             key = (fkey, skey)
-            cand = self._memo.get(key)
+            cand = memo.get(key)
             if cand is not None and (
                 not exact
                 or (
                     np.array_equal(cand.features, features)
-                    and np.array_equal(cand.prev_state, self._sbuf)
+                    and np.array_equal(cand.prev_state, state)
                 )
             ):
                 results[i] = (cand.drop_prob, cand.latency_norm)
@@ -391,19 +388,20 @@ class BatchedFusedEngine:
                     # Close the chain: the lane state at ``entry`` is
                     # (verifiably, in exact mode) ``cand.prev_state``,
                     # so future walks fast-forward straight through
-                    # instead of re-paying restore + quantize + lookup
-                    # every time a cycle wraps past this transition.
+                    # instead of re-paying quantize + lookup every time
+                    # a cycle wraps past this transition.
                     entry.successors[fkey] = cand
                 lane_entry[row] = cand
                 lane_virtual[row] = True
                 hits += 1
                 continue
-            # Miss: keep the predecessor entry (for chain linking) or,
-            # cold, an exact copy of the pre-step state for the new
-            # entry.  _sbuf already holds the live state.
-            prev_entry = entry
-            prev_state = entry.state if entry is not None else self._sbuf.copy()
-            pending.append((i, row, fkey, key, prev_entry, prev_state, features))
+            # Miss: the lane computes from ``state``; the new entry
+            # links to the predecessor (if any) and keeps ``state`` as
+            # its exact pre-step copy.
+            if lane_virtual[row]:
+                lanes[row].restore_state(state)
+                lane_virtual[row] = False
+            pending.append((i, row, fkey, key, entry, state, features))
         if hits:
             self.memo_hits += hits
             if self._m_hits is not None:
@@ -413,136 +411,74 @@ class BatchedFusedEngine:
             if self._m_misses is not None:
                 self._m_misses.inc(len(pending))
             if len(pending) == 1:
-                i, row, *_ , features = pending[0]
+                i, row, *_, features = pending[0]
                 computed = [self.predict_one(features, macro_indices[i], row)]
             else:
-                pack = self._fpack[: len(pending)]
-                for j, job in enumerate(pending):
-                    pack[j] = job[6]
-                computed = self.predict_batch(
-                    pack,
+                computed = self._step_rows(
+                    [job[6] for job in pending],
                     [macro_indices[job[0]] for job in pending],
                     [job[1] for job in pending],
                 )
-            memo = self._memo
             cap = self._memo_config.max_entries
             for job, outcome in zip(pending, computed):
                 i, row, fkey, key, prev_entry, prev_state, features = job
                 results[i] = outcome
                 new = _MemoEntry(
-                    features, prev_state, self._capture_state(row), *outcome
+                    features, prev_state, lanes[row].capture_state(), *outcome
                 )
                 if len(memo) >= cap:
                     # FIFO eviction; break the evictee's chain so dead
                     # entries cannot keep arbitrarily long tails alive.
-                    evicted = memo.pop(next(iter(memo)))
-                    evicted.successors.clear()
+                    memo.popitem(last=False)[1].successors.clear()
                 memo[key] = new
                 if prev_entry is not None:
                     prev_entry.successors[fkey] = new
-                self._lane_entry[row] = new
-                self._lane_virtual[row] = False
+                lane_entry[row] = new
         return results
 
 
 class _BatchedLstmEngine(BatchedFusedEngine):
     """Lane-batched LSTM.
 
-    Persistent state is a ``(n_lanes, width)`` arena (same row layout
-    ``[features | h_0 | ... | 1.0]`` as the scalar engine's 1D arena)
-    plus one ``(n_lanes, H)`` cell matrix per layer.  A step gathers
-    the batch's rows into C-contiguous work blocks, runs the layer
-    stack on 2D views, and scatters the rows back — gather/scatter is
-    ~2 KB per packet against ~800 KB of weights saved per packet at
-    batch width 64.
+    The lanes' arenas (row layout ``[features | h_0 | ... | 1.0]``)
+    are one ``(n_lanes, width)`` matrix and their ``[g | c]`` cell
+    blocks one ``(n_lanes, 2H)`` matrix per layer.  A stacked step
+    gathers the batch's rows into C-contiguous work blocks, runs the
+    layer stack on 2D views, and scatters the rows back —
+    gather/scatter is ~2 KB per packet against ~800 KB of weights saved
+    per packet at batch width 64.
     """
 
     def __init__(self, compiled, n_lanes, **kwargs) -> None:
         if compiled.cell != "lstm":
             raise ValueError(f"expected an lstm model, got {compiled.cell!r}")
-        dtype = compiled.dtype
-        n0 = compiled.input_size
-        hidden = compiled.hidden_size
-        width = n0 + compiled.num_layers * hidden + 1
-        self._n0 = n0
-        self._arena = np.zeros((n_lanes, width), dtype=dtype)
-        self._arena[:, -1] = 1.0
-        self._work = np.empty((n_lanes, width), dtype=dtype)
-        self._top_off = n0 + (compiled.num_layers - 1) * hidden
-        exact = dtype == np.dtype(np.float64)
+        super().__init__(compiled, n_lanes, **kwargs)
+        blocks = self._blocks
+        self._n0 = compiled.input_size
+        self._arena = blocks["arena"]
+        self._work = np.empty_like(self._arena)
+        self._top_off = self._n0 + (compiled.num_layers - 1) * compiled.hidden_size
         self._layers = []
         offset = 0
-        for layer in compiled.layers:
+        for k, layer in enumerate(compiled.layers):
             n, h = layer.input_size, layer.hidden_size
-            z = np.empty((n_lanes, 4 * h), dtype=dtype)
-            if exact:
-                # float64 runs per-row GEMVs on contiguous arena row
-                # slices directly; no packing, bias added separately
-                # (both required for bit-parity with the scalar engine).
-                packed = None
-                wb = None
-            else:
-                # float32: GEMM from a packed contiguous block with a
-                # trailing 1.0 column and the bias as a final weight
-                # row — the strided arena view costs ~40% GEMM time on
-                # this BLAS, and the fold drops the bias-add pass.
-                packed = np.empty((n_lanes, n + h + 1), dtype=dtype)
-                packed[:, -1] = 1.0
-                wb = np.ascontiguousarray(np.vstack([layer.weight, layer.bias]))
+            gc = blocks["gc", k]
             self._layers.append(
                 (
                     layer.weight,
                     layer.bias,
+                    layer.weight_bias,
                     offset,  # xh block starts here, spans n + h
                     n + h,
                     offset + n,  # this layer's h block
-                    z,
-                    np.empty((n_lanes, h), dtype=dtype),  # g / tanh(c) scratch
-                    np.empty((n_lanes, h), dtype=dtype),  # gathered cell work
-                    np.zeros((n_lanes, h), dtype=dtype),  # persistent cells
                     h,
-                    packed,
-                    wb,
+                    blocks["z", k],
+                    gc,  # persistent [g | c] rows
+                    np.empty_like(gc),  # gathered [g | c] work
+                    blocks.get(("pack", k)),
                 )
             )
             offset += n
-        super().__init__(compiled, n_lanes, **kwargs)
-
-    def _state_size(self) -> int:
-        hidden = self.compiled.hidden_size
-        return 2 * self.compiled.num_layers * hidden
-
-    def _capture_state(self, row, out=None):
-        hidden = self.compiled.hidden_size
-        flat = (
-            out
-            if out is not None
-            else np.empty(self._state_size(), dtype=self.compiled.dtype)
-        )
-        cursor = 0
-        for record in self._layers:
-            h_off, cells, h = record[4], record[8], record[9]
-            flat[cursor : cursor + h] = self._arena[row, h_off : h_off + h]
-            flat[cursor + h : cursor + 2 * h] = cells[row]
-            cursor += 2 * h
-        assert cursor == flat.shape[0]
-        return flat
-
-    def _restore_state(self, row, flat):
-        cursor = 0
-        for record in self._layers:
-            h_off, cells, h = record[4], record[8], record[9]
-            self._arena[row, h_off : h_off + h] = flat[cursor : cursor + h]
-            cells[row] = flat[cursor + h : cursor + 2 * h]
-            cursor += 2 * h
-
-    def reset(self) -> None:
-        self._arena.fill(0.0)
-        self._arena[:, -1] = 1.0
-        for record in self._layers:
-            record[8].fill(0.0)
-        self.steps = 0
-        self._reset_memo()
 
     def predict_batch(self, features, macro_indices, rows):
         batch = len(rows)
@@ -558,46 +494,45 @@ class _BatchedLstmEngine(BatchedFusedEngine):
             np.take(self._arena, row_index, axis=0, out=work)
         exact = self._exact
         work[:, : self._n0] = features
-        for (w, b, off, span, h_off, zbuf, gbuf, cwork, cells, h, packed, wb) in self._layers:
+        for (w, b, wb, off, span, h_off, h, zbuf, gc, gcwork, packed) in self._layers:
             if row_index is None:
-                cw = cells
+                gcw = gc
             else:
-                cw = cwork[:batch]
-                np.take(cells, row_index, axis=0, out=cw)
+                gcw = gcwork[:batch]
+                np.take(gc, row_index, axis=0, out=gcw)
             xh = work[:, off : off + span]
             z = zbuf[:batch]
+            zs = z[:, : 3 * h]
             if exact:
-                # One GEMV per row: bit-identical to the scalar engine
+                # One GEMV per row on contiguous arena row slices, bias
+                # added separately: bit-identical to the scalar engine
                 # (this BLAS's GEMM reassociates row dot products).
                 for i in range(batch):
                     np.dot(xh[i], w, out=z[i])
                 np.add(z, b, out=z)
-            else:
-                pack = packed[:batch]
-                pack[:, :span] = xh
-                np.dot(pack, wb, out=z)
-            zi = z[:, :h]
-            zf = z[:, h : 2 * h]
-            zo = z[:, 2 * h : 3 * h]
-            zs = z[:, : 3 * h]
-            zg = z[:, 3 * h :]
-            if exact:
                 np.minimum(z, _GATE_CLIP, out=z)
                 np.maximum(z, -_GATE_CLIP, out=z)
             else:
+                # float32: GEMM from a packed contiguous block with a
+                # trailing 1.0 column and the bias as a final weight
+                # row — the strided arena view costs ~40% GEMM time on
+                # this BLAS, and the fold drops the bias-add pass.
+                pack = packed[:batch]
+                pack[:, :span] = xh
+                np.dot(pack, wb, out=z)
                 np.minimum(zs, _GATE_CLIP, out=zs)
-            g = gbuf[:batch]
-            np.tanh(zg, out=g)
+            g = gcw[:, :h]
+            c = gcw[:, h:]
+            np.tanh(z[:, 3 * h :], out=g)
             np.exp(zs, out=zs)
             np.add(zs, 1.0, out=zs)
             np.reciprocal(zs, out=zs)
-            np.multiply(zf, cw, out=cw)
-            np.multiply(zi, g, out=g)
-            np.add(cw, g, out=cw)
+            np.multiply(z[:, : 2 * h], gcw, out=gcw)  # [i * g | f * c]
+            np.add(c, g, out=c)
             if row_index is not None:
-                cells[row_index] = cw
-            np.tanh(cw, out=g)
-            np.multiply(zo, g, out=work[:, h_off : h_off + h])
+                gc[row_index] = gcw
+            np.tanh(c, out=g)
+            np.multiply(z[:, 2 * h : 3 * h], g, out=work[:, h_off : h_off + h])
         if row_index is not None:
             self._arena[row_index] = work
         self.steps += batch
@@ -606,7 +541,7 @@ class _BatchedLstmEngine(BatchedFusedEngine):
 
 class _BatchedGruEngine(BatchedFusedEngine):
     """Lane-batched GRU: two stacked products per layer, like the
-    scalar engine's two GEMVs.  Per layer the persistent state is a
+    scalar engine's two GEMVs.  Per layer the lanes' states form a
     ``(n_lanes, H + 1)`` matrix whose trailing column is the constant
     1.0 that rides the folded-bias GEMV; the input work block carries
     the same trailing 1.0 for layer 0.
@@ -615,56 +550,22 @@ class _BatchedGruEngine(BatchedFusedEngine):
     def __init__(self, compiled, n_lanes, **kwargs) -> None:
         if compiled.cell != "gru":
             raise ValueError(f"expected a gru model, got {compiled.cell!r}")
-        dtype = compiled.dtype
-        self._xwork = np.empty((n_lanes, compiled.input_size + 1), dtype=dtype)
-        self._xwork[:, -1] = 1.0
-        self._layers = []
-        for layer in compiled.layers:
-            h = layer.hidden_size
-            state = np.zeros((n_lanes, h + 1), dtype=dtype)
-            state[:, -1] = 1.0
-            self._layers.append(
-                (
-                    layer.w_input,
-                    layer.w_recurrent,
-                    state,
-                    np.empty((n_lanes, h + 1), dtype=dtype),  # gathered state
-                    np.empty((n_lanes, 3 * h), dtype=dtype),  # pre
-                    np.empty((n_lanes, 3 * h), dtype=dtype),  # hu
-                    np.empty((n_lanes, h), dtype=dtype),  # z*h scratch
-                    h,
-                )
-            )
         super().__init__(compiled, n_lanes, **kwargs)
-
-    def _state_size(self) -> int:
-        return sum(record[7] for record in self._layers)
-
-    def _capture_state(self, row, out=None):
-        flat = (
-            out
-            if out is not None
-            else np.empty(self._state_size(), dtype=self.compiled.dtype)
-        )
-        cursor = 0
-        for record in self._layers:
-            state, h = record[2], record[7]
-            flat[cursor : cursor + h] = state[row, :h]
-            cursor += h
-        return flat
-
-    def _restore_state(self, row, flat):
-        cursor = 0
-        for record in self._layers:
-            state, h = record[2], record[7]
-            state[row, :h] = flat[cursor : cursor + h]
-            cursor += h
-
-    def reset(self) -> None:
-        for record in self._layers:
-            record[2][:, :-1] = 0.0
-        self.steps = 0
-        self._reset_memo()
+        blocks = self._blocks
+        self._xwork = np.ones_like(blocks["x"])  # [features | 1] per batch row
+        self._layers = [
+            (
+                layer.w_input,
+                layer.w_recurrent,
+                blocks["state", k],
+                np.empty_like(blocks["state", k]),  # gathered state
+                blocks["pre", k],
+                blocks["hu", k],
+                blocks["s", k],  # z*h scratch
+                layer.hidden_size,
+            )
+            for k, layer in enumerate(compiled.layers)
+        ]
 
     def predict_batch(self, features, macro_indices, rows):
         batch = len(rows)

@@ -54,7 +54,7 @@ from repro.nn.selective import SelectiveLinear
 # Bound once for the per-packet loops, which pass ``out`` positionally
 # where they can: at ~0.3 us per ufunc call, attribute lookups and
 # keyword parsing are a measurable share.
-_dot, _add, _multiply = np.dot, np.add, np.multiply
+_dot, _add, _multiply, _minimum = np.dot, np.add, np.multiply, np.minimum
 _tanh, _exp, _reciprocal = np.tanh, np.exp, np.reciprocal
 
 #: Pre-activation clip used by the reference inference path
@@ -94,7 +94,7 @@ class _FusedLstmLayer:
     (``fl(-a + -b) == -fl(a + b)``).
     """
 
-    __slots__ = ("weight", "bias", "input_size", "hidden_size")
+    __slots__ = ("weight", "bias", "weight_bias", "input_size", "hidden_size")
 
     def __init__(
         self,
@@ -112,6 +112,11 @@ class _FusedLstmLayer:
         bias[: 3 * h] *= -1.0
         self.weight = _frozen(weight, dtype)
         self.bias = _frozen(bias, dtype)
+        #: float32 folds the bias in as a last weight row, read by a GEMV
+        #: over ``[x | h | 1]``; float64 keeps the reference's bias add.
+        self.weight_bias = (
+            _frozen(np.vstack([weight, bias]), dtype) if dtype == np.float32 else None
+        )
 
 
 class _FusedGruLayer:
@@ -190,12 +195,33 @@ class CompiledRecurrentModel:
         self.input_size = layers[0].input_size
         self.hidden_size = layers[0].hidden_size
         self.num_layers = len(layers)
+        #: Every head in one ``(H+1, 2K)`` matrix (``K`` macro states,
+        #: columns ``2k, 2k+1`` = head ``k``): the float32 readout is one
+        #: GEMV or GEMM over all of them, then a pick of the pair.
+        self.head_flat = head_weight
+        if per_macro:
+            k, rows, _ = head_weight.shape
+            self.head_flat = _frozen(
+                head_weight.transpose(1, 0, 2).reshape(rows, 2 * k), dtype
+            )
 
-    def engine(self) -> "FusedInferenceEngine":
-        """A fresh hot-path executor (zeroed hidden state, own scratch)."""
-        if self.cell == "lstm":
-            return _LstmEngine(self)
-        return _GruEngine(self)
+    def buffers(self, *lanes: int) -> dict:
+        """Zeroed state and scratch for :meth:`engine`, keyed as the
+        engine reads them; with ``lanes``, each is ``(lanes, size)`` —
+        row ``r`` is lane ``r`` of a batched engine.  A buffer that
+        feeds a folded-bias GEMV ends in a constant 1.0."""
+        out = {}
+        for key, (size, trailing_one) in _ENGINES[self.cell].layout(self).items():
+            buffer = out[key] = np.zeros((*lanes, size), dtype=self.dtype)
+            if trailing_one:
+                buffer[..., -1] = 1.0
+        return out
+
+    def engine(self, buffers: dict | None = None) -> "FusedInferenceEngine":
+        """A fresh hot-path executor (zeroed hidden state), stepping in
+        ``buffers`` (one 1-D array per key of :meth:`buffers`) or in
+        its own."""
+        return _ENGINES[self.cell](self, self.buffers() if buffers is None else buffers)
 
 
 def compile_inference(
@@ -276,9 +302,13 @@ def compile_inference(
 class FusedInferenceEngine:
     """Base of the per-simulation hot-path executors.
 
-    Subclasses preallocate every buffer in ``__init__`` and implement
-    :meth:`step` with in-place ``out=`` ufuncs only — after
-    construction, a steady-state ``step`` call allocates nothing.
+    Subclasses build their per-layer views of the buffers once, in
+    ``__init__``, and implement :meth:`step` with in-place ``out=``
+    ufuncs only — after construction, a steady-state ``step`` call
+    allocates nothing.  The buffers come from
+    :meth:`CompiledRecurrentModel.buffers`: the engine's own, or one
+    row of a batched engine's matrices, which makes the engine that
+    batched engine's lane (:mod:`repro.nn.batch`).
 
     Attributes
     ----------
@@ -290,22 +320,29 @@ class FusedInferenceEngine:
         writes to it.
     """
 
-    __slots__ = ("compiled", "steps", "input", "_head_out", "_head_w")
+    __slots__ = (
+        "compiled", "steps", "input", "_exact", "_state",
+        "_head_out", "_head_w", "_pair",
+    )
 
     def __init__(self, compiled: CompiledRecurrentModel, input: np.ndarray) -> None:
         self.compiled = compiled
         self.steps = 0
         self.input = input
-        self._head_out = np.empty(2, dtype=compiled.dtype)
-        if compiled.per_macro:
+        self._exact = compiled.dtype == np.dtype(np.float64)
+        #: Views of the full recurrent state, set by the subclass.
+        self._state: tuple = ()
+        self._head_out = np.empty(
+            2 if self._exact else compiled.head_flat.shape[1], dtype=compiled.dtype
+        )
+        #: Stride from a macro index to its pair in the float32 readout.
+        self._pair = 2 if compiled.per_macro else 0
+        self._head_w = None
+        if self._exact and compiled.per_macro:
             # Pre-split the per-macro head stack into a tuple of 2D
             # views: tuple indexing replaces a fresh ndarray view
             # allocation per packet in _heads.
-            self._head_w = tuple(
-                compiled.head_weight[k] for k in range(compiled.head_weight.shape[0])
-            )
-        else:
-            self._head_w = None
+            self._head_w = tuple(compiled.head_weight)
 
     def step(self, macro_index: int = 0) -> tuple[float, float]:
         """One packet: consume the raw (unstandardized) features in
@@ -320,7 +357,20 @@ class FusedInferenceEngine:
 
     def reset(self) -> None:
         """Zero the hidden state (fresh packet stream)."""
-        raise NotImplementedError
+        for view in self._state:
+            view.fill(0.0)
+        self.steps = 0
+
+    def capture_state(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Exact flat copy of the full recurrent state."""
+        return np.concatenate(self._state, out=out)
+
+    def restore_state(self, flat: np.ndarray) -> None:
+        """Write a :meth:`capture_state` copy back."""
+        cursor = 0
+        for view in self._state:
+            view[...] = flat[cursor : cursor + view.shape[0]]
+            cursor += view.shape[0]
 
     # ------------------------------------------------------------------
     def _heads(self, hidden: np.ndarray, macro_index: int) -> tuple[float, float]:
@@ -328,10 +378,20 @@ class FusedInferenceEngine:
 
         ``hidden`` is the top layer's state with a constant trailing
         1.0, so the bias row folded into ``head_weight`` is added by
-        the same GEMV — no separate bias pass.
+        the same GEMV — no separate bias pass.  float32 is the batched
+        readout at width 1: every head in one GEMV, and the sigmoid on
+        numpy's float64 ``exp`` (``math.exp`` differs in the last ulp).
         """
         out = self._head_out
         head_w = self._head_w
+        if not self._exact:
+            _dot(hidden, self.compiled.head_flat, out)
+            values = out.tolist()
+            pick = macro_index * self._pair
+            logit, latency_norm = values[pick], values[pick + 1]
+            if logit <= _LOGIT_FLOOR:
+                return 0.0, latency_norm
+            return 1.0 / (1.0 + float(_exp(-logit))), latency_norm
         if head_w is not None:
             np.dot(hidden, head_w[macro_index], out=out)
         else:
@@ -357,35 +417,63 @@ class _LstmEngine(FusedInferenceEngine):
     ``i * g`` and ``f * c`` are one multiply against ``z``'s ``[i | f]``
     block.  Constants enter the ufuncs as arrays (the clip bounds, the
     sigmoid's 1.0): a Python scalar operand is converted on every call.
+
+    float32 folds each layer's bias into its GEMV over ``[x | h | 1]``:
+    the top layer's is a slice of the arena (its trailing 1.0 follows
+    ``h_top``), a lower layer's is a ``pack`` copy of ``[x | h]`` in
+    front of a 1.0 — the arithmetic the batched engine runs on a row.
     """
 
-    __slots__ = ("_arena", "_top", "_layers", "_exact")
+    __slots__ = ("_top", "_layers")
 
-    def __init__(self, compiled: CompiledRecurrentModel) -> None:
+    @staticmethod
+    def layout(compiled: CompiledRecurrentModel) -> dict:
+        width = compiled.input_size + compiled.num_layers * compiled.hidden_size + 1
+        layout = {"arena": (width, True)}
+        for k, layer in enumerate(compiled.layers):
+            n, h = layer.input_size, layer.hidden_size
+            layout["gc", k] = (2 * h, False)
+            layout["z", k] = (4 * h, False)
+            if compiled.dtype == np.float32:
+                layout["pack", k] = (n + h + 1, True)
+        return layout
+
+    def __init__(self, compiled: CompiledRecurrentModel, buffers: dict) -> None:
         dtype = compiled.dtype
-        self._exact = dtype == np.dtype(np.float64)
         n0 = compiled.input_size
         hidden = compiled.hidden_size
-        arena = np.zeros(n0 + compiled.num_layers * hidden + 1, dtype=dtype)
-        arena[-1] = 1.0
+        arena = buffers["arena"]
         super().__init__(compiled, arena[:n0])
-        self._arena = arena
+        exact = self._exact
         self._top = arena[n0 + (compiled.num_layers - 1) * hidden :]  # [h_top | 1]
         self._layers = []
+        state = []
         offset = 0
-        for layer in compiled.layers:
+        for k, layer in enumerate(compiled.layers):
             n, h = layer.input_size, layer.hidden_size
-            z = np.empty(4 * h, dtype=dtype)
-            gc = np.zeros(2 * h, dtype=dtype)
+            z, gc = buffers["z", k], buffers["gc", k]
+            xh = arena[offset : offset + n + h]  # [x | h]
+            state += [xh[n:], gc[h:]]  # this layer's h and c
+            w, pack = layer.weight_bias, None
+            if exact:
+                w, x = layer.weight, xh
+            elif k == compiled.num_layers - 1:
+                x = arena[offset:]  # [x | h_top | 1]
+            else:
+                x = buffers["pack", k]
+                pack = x[: n + h]
             self._layers.append(
                 (
-                    layer.weight,
+                    w,
                     layer.bias,
-                    arena[offset : offset + n + h],  # GEMV input [x | h]
-                    arena[offset + n : offset + n + h],  # this layer's h
+                    x,  # GEMV input
+                    pack,  # float32 lower layer: where [x | h] is copied
+                    xh,
+                    xh[n:],  # this layer's h
                     z,
                     np.full(4 * h, -_GATE_CLIP, dtype=dtype),
-                    np.full(4 * h, _GATE_CLIP, dtype=dtype),
+                    # float32 bounds only the sigmoid block, from above
+                    np.full(4 * h if exact else 3 * h, _GATE_CLIP, dtype=dtype),
                     z[: 2 * h],  # [i | f] gate views (compiled layout [i|f|o|g])
                     z[2 * h : 3 * h],  # o gate view
                     z[: 3 * h],  # sigmoid block
@@ -398,21 +486,19 @@ class _LstmEngine(FusedInferenceEngine):
             )
             offset += n
         assert offset + hidden + 1 == arena.shape[0]
-
-    def reset(self) -> None:
-        self._arena.fill(0.0)
-        self._arena[-1] = 1.0
-        for record in self._layers:
-            record[-1].fill(0.0)
-        self.steps = 0
+        self._state = tuple(state)
 
     def step(self, macro_index: int = 0) -> tuple[float, float]:
         exact = self._exact
         # ``input`` (raw features; the standardizer is in w) heads the arena.
-        for (w, b, xh, h, z, lo, hi, zif, zo, zs, one, zg, gc, g, c) in self._layers:
-            _dot(xh, w, z)
-            _add(z, b, z)
+        for (
+            w, b, x, pack, xh, h, z, lo, hi, zif, zo, zs, one, zg, gc, g, c
+        ) in self._layers:
+            if pack is not None:
+                pack[...] = xh
+            _dot(x, w, z)
             if exact:
+                _add(z, b, z)
                 # Reproduce the reference path's +-60 clip bit-exactly
                 # (the sigmoid block holds *negated* pre-activations,
                 # and symmetric clipping commutes with negation); one
@@ -423,7 +509,7 @@ class _LstmEngine(FusedInferenceEngine):
                 # sigmoid block's upper side needs guarding; everywhere
                 # else saturation lands on the correct limit (sigmoid
                 # -> 0/1, tanh -> +-1) without a clip.
-                np.minimum(zs, _GATE_CLIP, out=zs)
+                _minimum(zs, hi, out=zs)
             _tanh(zg, g)  # candidate, from the clipped pre-activation
             # In-place sigmoid over the contiguous [i|f|o] block; the
             # GEMV already produced the *negated* pre-activations.
@@ -450,22 +536,27 @@ class _GruEngine(FusedInferenceEngine):
     ``s`` is the single extra scratch for ``z * h``.
     """
 
-    __slots__ = ("_layers", "_top", "_exact")
+    __slots__ = ("_layers", "_top")
 
-    def __init__(self, compiled: CompiledRecurrentModel) -> None:
-        dtype = compiled.dtype
-        self._exact = dtype == np.dtype(np.float64)
-        xin = np.zeros(compiled.input_size + 1, dtype=dtype)
-        xin[-1] = 1.0
+    @staticmethod
+    def layout(compiled: CompiledRecurrentModel) -> dict:
+        layout = {"x": (compiled.input_size + 1, True)}
+        for k, layer in enumerate(compiled.layers):
+            h = layer.hidden_size
+            layout["state", k] = (h + 1, True)
+            layout["pre", k] = (3 * h, False)
+            layout["hu", k] = (3 * h, False)
+            layout["s", k] = (h, False)
+        return layout
+
+    def __init__(self, compiled: CompiledRecurrentModel, buffers: dict) -> None:
+        xin = buffers["x"]
         super().__init__(compiled, xin[:-1])
         self._layers = []
         previous = xin
-        for layer in compiled.layers:
+        for k, layer in enumerate(compiled.layers):
             h = layer.hidden_size
-            pre = np.empty(3 * h, dtype=dtype)
-            hu = np.empty(3 * h, dtype=dtype)
-            state = np.zeros(h + 1, dtype=dtype)
-            state[-1] = 1.0
+            pre, hu, state = buffers["pre", k], buffers["hu", k], buffers["state", k]
             self._layers.append(
                 (
                     layer.w_input,
@@ -479,17 +570,13 @@ class _GruEngine(FusedInferenceEngine):
                     hu,
                     hu[: 2 * h],
                     hu[2 * h :],
-                    np.empty(h, dtype=dtype),  # z * h scratch
+                    buffers["s", k],  # z * h scratch
                     state[:h],  # hidden state h
                 )
             )
             previous = state
         self._top = previous
-
-    def reset(self) -> None:
-        for record in self._layers:
-            record[-1].fill(0.0)
-        self.steps = 0
+        self._state = tuple(record[-1] for record in self._layers)
 
     def step(self, macro_index: int = 0) -> tuple[float, float]:
         exact = self._exact
@@ -515,3 +602,6 @@ class _GruEngine(FusedInferenceEngine):
             _add(pn, s, out=h)  # h' = (1 - z) * n + z * h
         self.steps += 1
         return self._heads(self._top, macro_index)
+
+
+_ENGINES = {"lstm": _LstmEngine, "gru": _GruEngine}

@@ -69,6 +69,10 @@ class TestBatchedEventIdentity:
         assert counters["memo_hits"] + counters["memo_misses"] == (
             memoized.model_packets
         )
+        # Every batched packet, at every width, is a hit or a miss.
+        assert counters["memo_hits"] + counters["memo_misses"] == (
+            counters["batched_packets"]
+        )
 
     def test_batched_run_is_deterministic(self, trained_bundle):
         hc = HybridConfig(batch_window_s=1e-6, memoize_inference=True)

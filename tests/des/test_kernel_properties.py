@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des.entities import Timer
-from repro.des.kernel import Simulator
+from repro.des.kernel import COMPACT_FLOOR, Simulator
 
 
 @given(
@@ -111,6 +113,59 @@ def test_cancel_and_rearm_bookkeeping(ops):
     assert sorted(fired) == sorted(set(range(len(handles))) - cancelled)
     assert sim.events_executed == len(fired) + len(timer_fired)
     assert sim.events_scheduled == sim.events_executed + sim.events_cancelled
+
+
+def _dead_entries(sim: Simulator) -> int:
+    return sum(1 for entry in sim._heap if entry[3] is None)
+
+
+@given(
+    times=st.lists(
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False),
+        min_size=4 * COMPACT_FLOOR,
+        max_size=8 * COMPACT_FLOOR,
+    ),
+    cancel_share=st.floats(min_value=0.6, max_value=1.0),
+    before_run=st.floats(min_value=0.0, max_value=1.0),
+    horizon=st.floats(min_value=0.0, max_value=100.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_compaction_keeps_order_and_bounds_the_heap(
+    times, cancel_share, before_run, horizon, seed
+):
+    """Enough cancels to cross the compaction floor, some before the
+    run and the rest from inside its first event (so the heap is rebuilt
+    under ``run()``'s feet), then a horizon and a drain: survivors run
+    in ``(time, seq)`` order, the accounting balances, and after every
+    cancel the heap holds at most ``2 * live + COMPACT_FLOOR`` entries."""
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule_at(t, fired.append, i) for i, t in enumerate(times)]
+    doomed = random.Random(seed).sample(range(len(handles)), int(cancel_share * len(handles)))
+    split = int(before_run * len(doomed))
+    live = len(handles)
+    compacted = False
+
+    def cancel(batch) -> None:
+        nonlocal live, compacted
+        for i in batch:
+            sim.cancel(handles[i])
+            live -= 1
+            assert sim.pending_events <= 2 * live + COMPACT_FLOOR
+            compacted |= sim.pending_events == live
+
+    cancel(doomed[:split])
+    sim.schedule_at(0.0, cancel, doomed[split:], priority=-1)
+    sim.run(until=horizon)
+    assert sim._dead == _dead_entries(sim)
+    sim.run()
+    assert compacted
+    assert sim._dead == _dead_entries(sim) == sim.pending_events == 0
+    survivors = set(range(len(handles))) - set(doomed)
+    assert fired == sorted(survivors, key=lambda i: (times[i], i))
+    assert sim.events_scheduled == sim.events_executed + sim.events_cancelled
+    assert sim.events_cancelled == len(doomed)
 
 
 @given(

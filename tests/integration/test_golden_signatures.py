@@ -82,6 +82,30 @@ KEEP_REMOTE = HybridConfig(elide_remote_traffic=False)
 BATCHED_MEMO = HybridConfig(
     elide_remote_traffic=False, batch_window_s=5e-7, memoize_inference=True
 )
+#: The float32 batched+memo path on a lock-step collective: three
+#: approximated clusters share one engine, so rounds of width 1 (the
+#: lane step) interleave with stacked GEMM rounds of width 2-3.
+COLLECTIVE_F32 = ExperimentConfig(
+    clos=ClosParams(clusters=4),
+    load=0.15,
+    duration_s=0.003,
+    seed=43,
+    routing={"policy": "flowlet", "flowlet_gap_s": 5e-5},
+    failures=[(0.001, "core-0", "agg-c0-0"), (0.002, "core-0", "agg-c0-0", "up")],
+    collective={
+        "algorithm": "ring",
+        "ranks": 16,
+        "chunk_bytes": 20_000,
+        "rounds": 2,
+        "compute_s": 3e-4,
+    },
+)
+BATCHED_MEMO_F32 = HybridConfig(
+    elide_remote_traffic=False,
+    batch_window_s=1e-6,
+    memoize_inference=True,
+    inference_dtype="float32",
+)
 VALIDATE_EXPERIMENT = ExperimentConfig(
     clos=ClosParams(clusters=2), load=0.25, duration_s=0.004, seed=17
 )
@@ -92,6 +116,7 @@ GOLDEN = {
     "hybrid_inline": "2bbade58d61c1641e98f9f55cc9dcb675a3c4c4a4449ad71f2d10f0490a03044",
     "hybrid_factory": "3d21072ec6c5242948e2a8189b2cc5b778ff10aed5b1c953af1dfaf9c61b9805",
     "hybrid_batched_memo": "2bbade58d61c1641e98f9f55cc9dcb675a3c4c4a4449ad71f2d10f0490a03044",
+    "hybrid_collective_f32": "acdd6941f8843f80babacc20a34e0c8ae0635211bdc492be457175486a69858d",
     "cascade_result": "cc6e5bf3eadba8349214aaa29f3b54a5873076e1937c5734027d2ab6db766006",
     "cascade_decision_log": "8ff117c10f8d624543cd2a29979eae77d93c29dec610f06b7198d2bd81334883",
     "cascade_fluid_fcts": "12a258fbc73952d94b64a9d3b8c4975b888745a00c22972aa29df13fd7ca1092",
@@ -113,6 +138,7 @@ GOLDEN_EVENTS = {
     "hybrid_inline": 67_785,
     "hybrid_factory": 43_923,
     "hybrid_batched_memo": 72_168,
+    "hybrid_collective_f32": 111_102,
     "cascade_result": 201_618,
 }
 
@@ -157,6 +183,7 @@ def test_des_is_the_world_with_no_model(taps):
 
 # ----------------------------------------------------------------------
 # Hybrid: inline inference, every scenario axis, batched + memoized f64
+# and f32
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "name,config,hybrid",
@@ -164,6 +191,7 @@ def test_des_is_the_world_with_no_model(taps):
         ("hybrid_inline", PLAIN, KEEP_REMOTE),
         ("hybrid_factory", FACTORY, None),
         ("hybrid_batched_memo", PLAIN, BATCHED_MEMO),
+        ("hybrid_collective_f32", COLLECTIVE_F32, BATCHED_MEMO_F32),
     ],
 )
 def test_hybrid(trained_bundle, name, config, hybrid):

@@ -9,6 +9,8 @@ outcome-identical to the unmemoized engine in exact mode.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,17 +130,41 @@ def test_batched_float64_long_stream_full_and_ragged(cell, heads):
     assert got == want
 
 
-def test_predict_one_is_width_one_batch():
-    compiled = _compiled("lstm", "shared", 8, 16, 1, seed=11, dtype=np.float64)
-    a = make_batched_engine(compiled, 3)
-    b = make_batched_engine(compiled, 3)
-    rng = np.random.default_rng(5)
-    for step in range(20):
-        x = rng.normal(size=8)
-        row = step % 3
-        assert a.predict_one(x, step % 4, row) == b.predict_rows(
-            [x], [step % 4], [row]
-        )[0]
+@settings(max_examples=40, deadline=None)
+@given(
+    cell=st.sampled_from(["lstm", "gru"]),
+    heads=st.sampled_from(["shared", "per_macro"]),
+    num_layers=st.integers(min_value=1, max_value=2),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    memo=st.booleans(),
+    pool=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_lane_step_is_width_one_batch_property(
+    cell, heads, num_layers, dtype, memo, pool, seed
+):
+    """A width-1 round is the lane's own scalar engine; on a twin
+    engine the same round runs the stacked ``predict_batch`` on a
+    width-1 pack.  Both must agree bit for bit — in float32 too, which
+    is what lets the batcher pick the lane step without changing the
+    simulation — while GEMM rounds of width 2-3 step the same lanes in
+    between.  A small feature pool makes the memo (exact mode) hit."""
+    compiled = _compiled(cell, heads, 5, 6, num_layers, seed, dtype)
+    lanes = make_batched_engine(compiled, 3, memo=MemoConfig() if memo else None)
+    twin = make_batched_engine(compiled, 3)
+    rng = np.random.default_rng(seed + 17)
+    stream = rng.normal(scale=2.0, size=(pool, 5))
+    widths = []
+    for rows in _schedule(3, 24, rng):
+        feats = [stream[int(rng.integers(pool))] for _ in rows]
+        macros = [int(rng.integers(4)) for _ in rows]
+        got = lanes.predict_rows(feats, macros, rows)
+        assert got == twin.predict_batch(np.array(feats), macros, rows)
+        widths.append(len(rows))
+    assert lanes.steps + lanes.memo_hits == twin.steps == sum(widths)
+    if not memo:  # memo hits leave lanes virtual: their buffers are stale
+        for mine, theirs in zip(lanes.lanes, twin.lanes):
+            np.testing.assert_array_equal(mine.capture_state(), theirs.capture_state())
 
 
 def test_reset_restores_fresh_lanes():
@@ -200,6 +226,70 @@ def test_approximate_memo_hits_and_fast_forwards():
     drop, latency = engine.predict_rows([rng.normal(size=4)], [1], [0])[0]
     assert 0.0 <= drop <= 1.0
     assert np.isfinite(latency)
+
+
+class _RecordingTable(OrderedDict):
+    """The engine's key table, logging every insert and eviction."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: list = []
+
+    def __setitem__(self, key, value) -> None:
+        self.log.append(("insert", key))
+        super().__setitem__(key, value)
+
+    def popitem(self, last=True):
+        key, value = super().popitem(last)
+        self.log.append(("evict", key))
+        return key, value
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cell=st.sampled_from(["lstm", "gru"]),
+    cap=st.integers(min_value=1, max_value=6),
+    steps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),  # lane
+            st.integers(min_value=0, max_value=5),  # feature choice
+            st.integers(min_value=0, max_value=3),  # macro index
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_memo_fifo_eviction_matches_list_model(cell, cap, steps, seed):
+    """FIFO order of the key table against a list: a full table evicts
+    its oldest key before every insert, and re-inserting a key that is
+    still present keeps its place.  Keys quantized to 0 decimals with
+    sub-unit features collide while the exact arrays differ, so exact
+    mode re-inserts existing keys."""
+    compiled = _compiled(cell, "per_macro", 3, 4, 1, seed, np.float64)
+    engine = make_batched_engine(
+        compiled,
+        3,
+        memo=MemoConfig(feature_decimals=0, state_decimals=0, max_entries=cap),
+    )
+    engine._memo = table = _RecordingTable()
+    choices = np.random.default_rng(seed).uniform(-0.4, 0.4, size=(6, 3))
+    for row, choice, macro in steps:
+        engine.predict_rows([choices[choice]], [macro], [row])
+    model: list = []
+    evicted: list = []
+    for op, key in table.log:
+        if op == "evict":
+            evicted.append(key)
+            continue
+        if len(model) >= cap:
+            expected = model.pop(0)
+            assert evicted.pop(0) == expected
+        if key not in model:
+            model.append(key)
+    assert evicted == []
+    assert list(table) == model
+    assert any(op == "insert" for op, _ in table.log)
 
 
 def test_memo_capacity_is_bounded():
