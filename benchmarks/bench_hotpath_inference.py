@@ -117,8 +117,8 @@ MODEL_PACKET_BUDGET_PAIRED = {
 }
 
 
-def _model_and_standardizer(cell: str, heads: str) -> tuple[MicroModel, Standardizer]:
-    config = MicroModelConfig(cell=cell, heads=heads, seed=5)
+def _model_and_standardizer(heads: str) -> tuple[MicroModel, Standardizer]:
+    config = MicroModelConfig(heads=heads, seed=5)
     model = MicroModel(config, np.random.default_rng(5))
     rng = np.random.default_rng(6)
     # Perturb away from the symmetric init at a spectral-radius-~1
@@ -167,8 +167,8 @@ def _max_abs_diff(model, standardizer, engine, features) -> float:
     return worst
 
 
-def _bench_variant(cell: str, heads: str) -> dict[str, float]:
-    model, standardizer = _model_and_standardizer(cell, heads)
+def _bench_variant(heads: str) -> dict[str, float]:
+    model, standardizer = _model_and_standardizer(heads)
     compiled64 = compile_inference(
         model.lstm, model.drop_head, model.latency_head,
         feature_mean=standardizer.mean, feature_std=standardizer.std,
@@ -238,7 +238,7 @@ def _bench_batched() -> dict:
     the strongest pre-existing path, measured here under identical
     conditions rather than read from a previous JSON.
     """
-    model, standardizer = _model_and_standardizer("lstm", "shared")
+    model, standardizer = _model_and_standardizer("shared")
     kwargs = dict(
         feature_mean=standardizer.mean, feature_std=standardizer.std
     )
@@ -364,7 +364,7 @@ def _bench_metrics_overhead() -> dict[str, float]:
     """
     from repro.obs import MetricsRegistry
 
-    model, standardizer = _model_and_standardizer("lstm", "shared")
+    model, standardizer = _model_and_standardizer("shared")
     compiled = compile_inference(
         model.lstm, model.drop_head, model.latency_head,
         feature_mean=standardizer.mean, feature_std=standardizer.std,
@@ -489,7 +489,7 @@ def _bench_trace_overhead() -> dict[str, float]:
     from repro.obs.trace import FlightRecorder
     from repro.topology.clos import ClosParams
 
-    model, standardizer = _model_and_standardizer("lstm", "shared")
+    model, standardizer = _model_and_standardizer("shared")
     compiled = compile_inference(
         model.lstm, model.drop_head, model.latency_head,
         feature_mean=standardizer.mean, feature_std=standardizer.std,
@@ -695,12 +695,8 @@ def _bench_model_packet_budget() -> dict:
 
 def test_hotpath_inference_speedup():
     """Fused vs. reference single-packet latency across model variants."""
-    variants = {
-        "lstm": ("lstm", "shared"),
-        "gru": ("gru", "shared"),
-        "lstm_per_macro": ("lstm", "per_macro"),
-    }
-    results = {name: _bench_variant(*spec) for name, spec in variants.items()}
+    variants = {"lstm": "shared", "lstm_per_macro": "per_macro"}
+    results = {name: _bench_variant(heads) for name, heads in variants.items()}
     batched = _bench_batched()
     overhead = _bench_metrics_overhead()
     trace_overhead = _bench_trace_overhead()

@@ -10,7 +10,6 @@ the benchmark harness.
 """
 
 from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.link_stats import LinkReport, collect_link_reports, format_link_report
 from repro.analysis.stats import (
     ks_distance,
     percentile_summary,
@@ -29,9 +28,6 @@ from repro.analysis.slowdown import (
 
 __all__ = [
     "EmpiricalCdf",
-    "LinkReport",
-    "collect_link_reports",
-    "format_link_report",
     "format_series",
     "format_table",
     "ks_distance",

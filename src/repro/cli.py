@@ -346,16 +346,16 @@ def _print_run(result: RunResult, title: str) -> None:
 # Subcommands
 # ----------------------------------------------------------------------
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.obs.trace import record_packets, write_packet_csv
+
     packet_traces = []
 
     def tap(world) -> None:
-        from repro.net.tracing import PacketTracer
-
-        packet_traces.append(PacketTracer(world.network))
+        packet_traces.append(record_packets(world.network))
 
     _, run, metrics = _run(args, tap=tap if args.trace_csv else None)
     for packet_trace in packet_traces:
-        count = packet_trace.write_csv(args.trace_csv)
+        count = write_packet_csv(args.trace_csv, packet_trace)
         print(f"wrote {count} trace events to {args.trace_csv}")
     _print_run(
         run.result, f"full simulation: {args.clusters} clusters @ {args.load:.0%}"
@@ -672,7 +672,7 @@ def _cmd_models_ls(args: argparse.Namespace) -> int:
         shape = "-"
         if micro:
             shape = (
-                f"{micro.get('cell', '?')} h{micro.get('hidden_size', '?')}"
+                f"lstm h{micro.get('hidden_size', '?')}"
                 f"x{micro.get('num_layers', '?')}"
             )
         rows.append([
@@ -955,7 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hidden units per layer")
     arg("--layers", type=int, default=1, dest="num_layers", metavar="LAYERS",
         help="recurrent layers")
-    arg("--cell", choices=("lstm", "gru"), default="lstm")
     arg("--alpha", type=float, default=0.5, help="joint-loss latency weight")
     arg("--window", type=int, default=16, help="BPTT window length")
     arg("--batches", type=int, default=300, dest="train_batches", metavar="BATCHES",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.gru import GRU
 from repro.nn.linear import Linear
 from repro.nn.selective import SelectiveLinear
 from repro.nn.lstm import LSTM, LSTMState
@@ -46,7 +45,6 @@ class MicroModelConfig:
     input_size: int = FEATURE_COUNT
     hidden_size: int = 128
     num_layers: int = 2
-    cell: str = "lstm"
     heads: str = "shared"
     alpha: float = 0.5
     learning_rate: float = 1e-4
@@ -64,8 +62,6 @@ class MicroModelConfig:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.window < 1 or self.batch_size < 1 or self.train_batches < 0:
             raise ValueError("window, batch_size must be >= 1; train_batches >= 0")
-        if self.cell not in ("lstm", "gru"):
-            raise ValueError(f"cell must be 'lstm' or 'gru', got {self.cell!r}")
         if self.heads not in ("shared", "per_macro"):
             raise ValueError(
                 f"heads must be 'shared' or 'per_macro', got {self.heads!r}"
@@ -73,13 +69,11 @@ class MicroModelConfig:
 
 
 class MicroModel(Module):
-    """Recurrent trunk (LSTM by default, GRU optional — the Section 7
-    variant) with fully connected drop and latency heads."""
+    """LSTM trunk with fully connected drop and latency heads."""
 
     def __init__(self, config: MicroModelConfig, rng: np.random.Generator) -> None:
         self.config = config
-        trunk_type = LSTM if config.cell == "lstm" else GRU
-        self.lstm = trunk_type(
+        self.lstm = LSTM(
             config.input_size, config.hidden_size, config.num_layers, rng, name="trunk"
         )
         if config.heads == "per_macro":

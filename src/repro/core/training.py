@@ -458,7 +458,6 @@ class TrainedClusterModel:
                 "input_size": self.config.input_size,
                 "hidden_size": self.config.hidden_size,
                 "num_layers": self.config.num_layers,
-                "cell": self.config.cell,
                 "heads": self.config.heads,
                 "alpha": self.config.alpha,
                 "learning_rate": self.config.learning_rate,
@@ -485,7 +484,10 @@ class TrainedClusterModel:
         """Inverse of :meth:`save`."""
         directory = Path(directory)
         meta = json.loads((directory / "bundle.json").read_text())
-        config = MicroModelConfig(**meta["config"])
+        config = dict(meta["config"])
+        if config.pop("cell", "lstm") != "lstm":
+            raise ValueError(f"{directory}: only LSTM model bundles can be loaded")
+        config = MicroModelConfig(**config)
         calibration = MacroCalibration(**meta["calibration"])
         directions: dict[Direction, DirectionModel] = {}
         for value in meta["directions"]:

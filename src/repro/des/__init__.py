@@ -25,7 +25,6 @@ from repro.des.kernel import Simulator
 from repro.des.entities import Entity, Timer
 from repro.des.monitors import Counter, Monitor, TimeSeries
 from repro.des.rng import RandomStreams
-from repro.des.simlog import SimTimeAdapter, get_sim_logger
 
 __all__ = [
     "Counter",
@@ -33,10 +32,8 @@ __all__ = [
     "Monitor",
     "RandomStreams",
     "SchedulingError",
-    "SimTimeAdapter",
     "SimulationError",
     "Simulator",
     "TimeSeries",
-    "get_sim_logger",
     "Timer",
 ]

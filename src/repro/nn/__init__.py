@@ -23,7 +23,6 @@ Every array convention in this package: sequences are shaped
 from repro.nn.module import Module, Parameter
 from repro.nn.activations import relu, relu_grad, sigmoid, sigmoid_grad, tanh_grad
 from repro.nn.linear import Linear
-from repro.nn.gru import GRU, GRUCell, GRUState
 from repro.nn.lstm import LSTM, LSTMCell, LSTMState
 from repro.nn.losses import BCEWithLogitsLoss, JointDropLatencyLoss, MSELoss
 from repro.nn.optim import SGD, Adam, clip_gradients
@@ -35,9 +34,6 @@ __all__ = [
     "Adam",
     "BCEWithLogitsLoss",
     "BatchIterator",
-    "GRU",
-    "GRUCell",
-    "GRUState",
     "JointDropLatencyLoss",
     "LSTM",
     "LSTMCell",

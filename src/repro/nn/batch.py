@@ -1,12 +1,12 @@
 """Batched fused inference: one stacked GEMM per layer across lanes.
 
-The fused engines of :mod:`repro.nn.infer` made a single packet cheap;
+The fused engine of :mod:`repro.nn.infer` made a single packet cheap;
 this module makes *many concurrent packets* cheap.  Every approximated
 cluster sharing one compiled model keeps its per-direction recurrent
 state as a **lane** — one row of shared ``(n_lanes, width)`` state
-matrices — so a :meth:`BatchedFusedEngine.predict_batch` call advances
-all pending lanes with one stacked matrix product per layer instead of
-one GEMV chain per packet.  The weight matrices are then read once per
+matrices — so a float32 :meth:`BatchedFusedEngine.predict_batch` call
+advances all pending lanes with one stacked matrix product per layer
+instead of one GEMV chain per packet.  The weight matrices are then read once per
 *batch* rather than once per *packet*, which is exactly where the
 scalar engine's time goes (at 128 hidden units the weights are ~800 KB
 per packet — memory bandwidth, not FLOPs).
@@ -15,17 +15,17 @@ A lane *is* a scalar :class:`~repro.nn.infer.FusedInferenceEngine`
 whose buffers are views of its row of those matrices
 (:meth:`~repro.nn.infer.CompiledRecurrentModel.buffers`).  That gives
 the width rule: a round of one packet is ``lane.step`` — no gather,
-pack or scatter, over 1-D views built once — and only rounds of width
->= 2 run the stacked :meth:`~BatchedFusedEngine.predict_batch`.
+pack or scatter, over 1-D views built once — and only float32 rounds
+of width >= 2 run the stacked :meth:`~BatchedFusedEngine.predict_batch`.
 
-Numerics contract (mirrors the scalar engines):
+Numerics contract (mirrors the scalar engine):
 
-* **float64 is bit-exact** with the scalar path.  On this BLAS a true
-  GEMM is *not* row-wise bit-identical to the equivalent GEMVs (dot
-  products are reassociated by blocking), so the float64 mode runs one
-  GEMV per row into a shared 2D scratch block and vectorizes only the
-  elementwise work (exp/tanh/adds *are* bit-identical across shapes).
-  Event-identity of batched hybrid runs rests on this.
+* **float64 has one arithmetic: the lane step.**  A GEMM is not
+  row-wise bit-identical to the equivalent GEMVs on this BLAS (blocking
+  reassociates the dot products), so a float64 round of any width is
+  its lanes' scalar steps, one after another — bit-identical to
+  independent scalar engines by construction.  Event-identity of
+  batched float64 hybrid runs rests on this.
 * **float32 uses real GEMMs** — the speed mode.  Within-tolerance, not
   bit-identical, across widths.  At width 1 there is one arithmetic:
   the scalar float32 engine computes exactly what ``predict_batch``
@@ -58,11 +58,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.nn.infer import (
-    _GATE_CLIP,
-    _LOGIT_FLOOR,
-    CompiledRecurrentModel,
-)
+from repro.nn.infer import _GATE_CLIP, _LOGIT_FLOOR, CompiledRecurrentModel
 
 __all__ = ["BatchedFusedEngine", "MemoConfig", "make_batched_engine"]
 
@@ -138,7 +134,15 @@ class _MemoEntry:
 
 
 class BatchedFusedEngine:
-    """Base of the lane-batched hot-path executors.
+    """Lane-batched LSTM hot-path executor.
+
+    The lanes' arenas (row layout ``[features | h_0 | ... | 1.0]``)
+    are one ``(n_lanes, width)`` matrix and their ``[g | c]`` cell
+    blocks one ``(n_lanes, 2H)`` matrix per layer.  A float32 stacked
+    step gathers the batch's rows into C-contiguous work blocks, runs
+    the layer stack on 2D views, and scatters the rows back —
+    gather/scatter is ~2 KB per packet against ~800 KB of weights saved
+    per packet at batch width 64.
 
     Parameters
     ----------
@@ -157,7 +161,8 @@ class BatchedFusedEngine:
 
     The public surface is three calls:
 
-    * :meth:`predict_batch` — the raw stacked step over distinct lanes;
+    * :meth:`predict_batch` — the raw step over distinct lanes: one
+      stacked product per layer in float32, the lane steps in float64;
     * :meth:`predict_one` — single-lane step: the lane's own scalar
       engine, bit-identical to a width-1 batch;
     * :meth:`predict_rows` — what the batcher uses: memoization (when
@@ -186,10 +191,10 @@ class BatchedFusedEngine:
         self.steps = 0
         dtype = compiled.dtype
         self._exact = dtype == np.dtype(np.float64)
-        #: One matrix per engine buffer; row ``r`` of each is lane ``r``'s.
-        self._blocks = compiled.buffers(n_lanes)
+        # One matrix per engine buffer; row ``r`` of each is lane ``r``'s.
+        blocks = compiled.buffers(n_lanes)
         self.lanes = [
-            compiled.engine({key: block[row] for key, block in self._blocks.items()})
+            compiled.engine({key: block[row] for key, block in blocks.items()})
             for row in range(n_lanes)
         ]
         self._all_rows = list(range(n_lanes))
@@ -199,6 +204,29 @@ class BatchedFusedEngine:
         # extractor output; the dtype cast happens on copy into the
         # work arena, same as the scalar engine).
         self._fpack = np.empty((n_lanes, compiled.input_size), dtype=np.float64)
+        self._n0 = compiled.input_size
+        self._arena = blocks["arena"]
+        self._work = np.empty_like(self._arena)
+        self._top_off = self._n0 + (compiled.num_layers - 1) * compiled.hidden_size
+        self._layers = []
+        offset = 0
+        for k, layer in enumerate(compiled.layers):
+            n, h = layer.input_size, layer.hidden_size
+            gc = blocks["gc", k]
+            self._layers.append(
+                (
+                    layer.weight_bias,
+                    offset,  # xh block starts here, spans n + h
+                    n + h,
+                    offset + n,  # this layer's h block
+                    h,
+                    blocks["z", k],
+                    gc,  # persistent [g | c] rows
+                    np.empty_like(gc),  # gathered [g | c] work
+                    blocks.get(("pack", k)),
+                )
+            )
+            offset += n
 
         # -- memoization state ------------------------------------------
         self.memo_hits = 0
@@ -227,23 +255,6 @@ class BatchedFusedEngine:
                 "infer.memo_misses", direction=direction_label
             )
 
-    def predict_batch(
-        self,
-        features,
-        macro_indices: Sequence[int],
-        rows: Sequence[int],
-    ) -> list:
-        """Advance each listed lane one step; one stacked product per layer.
-
-        ``features`` is ``(B, F)`` raw (unstandardized) features,
-        ``macro_indices`` and ``rows`` are length-B sequences; **rows
-        must be distinct** (the batcher's one-packet-per-lane rounds
-        guarantee this).  Returns ``[(drop_prob, latency_norm), ...]``
-        in input order; float64 results are bit-identical to B scalar
-        ``predict`` calls on independent engines.
-        """
-        raise NotImplementedError
-
     def reset(self) -> None:
         """Zero every lane (fresh packet streams) and drop the cache."""
         for lane in self.lanes:
@@ -254,6 +265,71 @@ class BatchedFusedEngine:
         self._lane_virtual = [False] * self.n_lanes
 
     # ------------------------------------------------------------------
+    def predict_batch(
+        self,
+        features,
+        macro_indices: Sequence[int],
+        rows: Sequence[int],
+    ) -> list:
+        """Advance each listed lane one step.
+
+        ``features`` is ``(B, F)`` raw (unstandardized) features,
+        ``macro_indices`` and ``rows`` are length-B sequences; **rows
+        must be distinct** (the batcher's one-packet-per-lane rounds
+        guarantee this).  Returns ``[(drop_prob, latency_norm), ...]``
+        in input order.  float64 steps the lanes one by one; float32
+        runs one stacked product per layer.
+        """
+        if self._exact:
+            return [
+                self.predict_one(features[i], macro_indices[i], row)
+                for i, row in enumerate(rows)
+            ]
+        batch = len(rows)
+        if batch == self.n_lanes and list(rows) == self._all_rows:
+            # Full-batch fast path: every lane steps, so the layer
+            # stack runs directly on the persistent matrices — no
+            # gather/scatter copies at all.
+            row_index = None
+            work = self._arena
+        else:
+            row_index = np.asarray(rows, dtype=np.intp)
+            work = self._work[:batch]
+            np.take(self._arena, row_index, axis=0, out=work)
+        work[:, : self._n0] = features
+        for (wb, off, span, h_off, h, zbuf, gc, gcwork, packed) in self._layers:
+            if row_index is None:
+                gcw = gc
+            else:
+                gcw = gcwork[:batch]
+                np.take(gc, row_index, axis=0, out=gcw)
+            z = zbuf[:batch]
+            zs = z[:, : 3 * h]
+            # GEMM from a packed contiguous block with a trailing 1.0
+            # column and the bias as a final weight row — the strided
+            # arena view costs ~40% GEMM time on this BLAS, and the fold
+            # drops the bias-add pass.
+            pack = packed[:batch]
+            pack[:, :span] = work[:, off : off + span]
+            np.dot(pack, wb, out=z)
+            np.minimum(zs, _GATE_CLIP, out=zs)
+            g = gcw[:, :h]
+            c = gcw[:, h:]
+            np.tanh(z[:, 3 * h :], out=g)
+            np.exp(zs, out=zs)
+            np.add(zs, 1.0, out=zs)
+            np.reciprocal(zs, out=zs)
+            np.multiply(z[:, : 2 * h], gcw, out=gcw)  # [i * g | f * c]
+            np.add(c, g, out=c)
+            if row_index is not None:
+                gc[row_index] = gcw
+            np.tanh(c, out=g)
+            np.multiply(z[:, 2 * h : 3 * h], g, out=work[:, h_off : h_off + h])
+        if row_index is not None:
+            self._arena[row_index] = work
+        self.steps += batch
+        return self._read_heads(work[:, self._top_off :], macro_indices, batch)
+
     def predict_one(self, features: np.ndarray, macro_index: int, row: int):
         """Single-lane step — a width-1 round: ``row``'s scalar engine."""
         self.steps += 1
@@ -270,21 +346,11 @@ class BatchedFusedEngine:
             pack[i] = features_list[i]
         return self.predict_batch(pack, macro_indices, rows)
 
-    # ------------------------------------------------------------------
-    # Heads (shared by both cells; bit-identical to the scalar _heads)
-    # ------------------------------------------------------------------
     def _read_heads(self, top: np.ndarray, macro_indices, batch: int) -> list:
-        """Stacked-head readout for the batch.
-
-        float64 is the scalar readout row by row (one tiny GEMV plus the
-        ``math.exp`` sigmoid with its logit floor).  float32 batches the
-        readout — one GEMM over every head for the whole batch, a pick
-        of each row's pair and a vectorized sigmoid (K is tiny (4): the
-        extra FLOPs are far cheaper than B BLAS dispatches).
-        """
-        if self._exact:
-            heads = self.lanes[0]._heads
-            return [heads(top[i], macro_indices[i]) for i in range(batch)]
+        """Stacked-head readout for a float32 batch: one GEMM over every
+        head for the whole batch, a pick of each row's pair and a
+        vectorized sigmoid (K is tiny (4): the extra FLOPs are far
+        cheaper than B BLAS dispatches)."""
         out = self._head_out[:batch]
         np.dot(top, self.compiled.head_flat, out=out)
         if self.compiled.per_macro:  # row i's pair is head macro_indices[i]
@@ -437,191 +503,6 @@ class BatchedFusedEngine:
         return results
 
 
-class _BatchedLstmEngine(BatchedFusedEngine):
-    """Lane-batched LSTM.
-
-    The lanes' arenas (row layout ``[features | h_0 | ... | 1.0]``)
-    are one ``(n_lanes, width)`` matrix and their ``[g | c]`` cell
-    blocks one ``(n_lanes, 2H)`` matrix per layer.  A stacked step
-    gathers the batch's rows into C-contiguous work blocks, runs the
-    layer stack on 2D views, and scatters the rows back —
-    gather/scatter is ~2 KB per packet against ~800 KB of weights saved
-    per packet at batch width 64.
-    """
-
-    def __init__(self, compiled, n_lanes, **kwargs) -> None:
-        if compiled.cell != "lstm":
-            raise ValueError(f"expected an lstm model, got {compiled.cell!r}")
-        super().__init__(compiled, n_lanes, **kwargs)
-        blocks = self._blocks
-        self._n0 = compiled.input_size
-        self._arena = blocks["arena"]
-        self._work = np.empty_like(self._arena)
-        self._top_off = self._n0 + (compiled.num_layers - 1) * compiled.hidden_size
-        self._layers = []
-        offset = 0
-        for k, layer in enumerate(compiled.layers):
-            n, h = layer.input_size, layer.hidden_size
-            gc = blocks["gc", k]
-            self._layers.append(
-                (
-                    layer.weight,
-                    layer.bias,
-                    layer.weight_bias,
-                    offset,  # xh block starts here, spans n + h
-                    n + h,
-                    offset + n,  # this layer's h block
-                    h,
-                    blocks["z", k],
-                    gc,  # persistent [g | c] rows
-                    np.empty_like(gc),  # gathered [g | c] work
-                    blocks.get(("pack", k)),
-                )
-            )
-            offset += n
-
-    def predict_batch(self, features, macro_indices, rows):
-        batch = len(rows)
-        if batch == self.n_lanes and list(rows) == self._all_rows:
-            # Full-batch fast path: every lane steps, so the layer
-            # stack runs directly on the persistent matrices — no
-            # gather/scatter copies at all.
-            row_index = None
-            work = self._arena
-        else:
-            row_index = np.asarray(rows, dtype=np.intp)
-            work = self._work[:batch]
-            np.take(self._arena, row_index, axis=0, out=work)
-        exact = self._exact
-        work[:, : self._n0] = features
-        for (w, b, wb, off, span, h_off, h, zbuf, gc, gcwork, packed) in self._layers:
-            if row_index is None:
-                gcw = gc
-            else:
-                gcw = gcwork[:batch]
-                np.take(gc, row_index, axis=0, out=gcw)
-            xh = work[:, off : off + span]
-            z = zbuf[:batch]
-            zs = z[:, : 3 * h]
-            if exact:
-                # One GEMV per row on contiguous arena row slices, bias
-                # added separately: bit-identical to the scalar engine
-                # (this BLAS's GEMM reassociates row dot products).
-                for i in range(batch):
-                    np.dot(xh[i], w, out=z[i])
-                np.add(z, b, out=z)
-                np.minimum(z, _GATE_CLIP, out=z)
-                np.maximum(z, -_GATE_CLIP, out=z)
-            else:
-                # float32: GEMM from a packed contiguous block with a
-                # trailing 1.0 column and the bias as a final weight
-                # row — the strided arena view costs ~40% GEMM time on
-                # this BLAS, and the fold drops the bias-add pass.
-                pack = packed[:batch]
-                pack[:, :span] = xh
-                np.dot(pack, wb, out=z)
-                np.minimum(zs, _GATE_CLIP, out=zs)
-            g = gcw[:, :h]
-            c = gcw[:, h:]
-            np.tanh(z[:, 3 * h :], out=g)
-            np.exp(zs, out=zs)
-            np.add(zs, 1.0, out=zs)
-            np.reciprocal(zs, out=zs)
-            np.multiply(z[:, : 2 * h], gcw, out=gcw)  # [i * g | f * c]
-            np.add(c, g, out=c)
-            if row_index is not None:
-                gc[row_index] = gcw
-            np.tanh(c, out=g)
-            np.multiply(z[:, 2 * h : 3 * h], g, out=work[:, h_off : h_off + h])
-        if row_index is not None:
-            self._arena[row_index] = work
-        self.steps += batch
-        return self._read_heads(work[:, self._top_off :], macro_indices, batch)
-
-
-class _BatchedGruEngine(BatchedFusedEngine):
-    """Lane-batched GRU: two stacked products per layer, like the
-    scalar engine's two GEMVs.  Per layer the lanes' states form a
-    ``(n_lanes, H + 1)`` matrix whose trailing column is the constant
-    1.0 that rides the folded-bias GEMV; the input work block carries
-    the same trailing 1.0 for layer 0.
-    """
-
-    def __init__(self, compiled, n_lanes, **kwargs) -> None:
-        if compiled.cell != "gru":
-            raise ValueError(f"expected a gru model, got {compiled.cell!r}")
-        super().__init__(compiled, n_lanes, **kwargs)
-        blocks = self._blocks
-        self._xwork = np.ones_like(blocks["x"])  # [features | 1] per batch row
-        self._layers = [
-            (
-                layer.w_input,
-                layer.w_recurrent,
-                blocks["state", k],
-                np.empty_like(blocks["state", k]),  # gathered state
-                blocks["pre", k],
-                blocks["hu", k],
-                blocks["s", k],  # z*h scratch
-                layer.hidden_size,
-            )
-            for k, layer in enumerate(compiled.layers)
-        ]
-
-    def predict_batch(self, features, macro_indices, rows):
-        batch = len(rows)
-        if batch == self.n_lanes and list(rows) == self._all_rows:
-            row_index = None  # full batch: run on the persistent state
-        else:
-            row_index = np.asarray(rows, dtype=np.intp)
-        exact = self._exact
-        xv = self._xwork[:batch]
-        xv[:, :-1] = features
-        top = None
-        for (w, u, state, swork, prebuf, hubuf, sbuf, h) in self._layers:
-            if row_index is None:
-                sw = state
-            else:
-                sw = swork[:batch]
-                np.take(state, row_index, axis=0, out=sw)
-            hview = sw[:, :h]
-            pre = prebuf[:batch]
-            hu = hubuf[:batch]
-            if exact:
-                for i in range(batch):
-                    np.dot(xv[i], w, out=pre[i])
-                    np.dot(hview[i], u, out=hu[i])
-            else:
-                np.dot(xv, w, out=pre)
-                np.dot(hview, u, out=hu)
-            gates = pre[:, : 2 * h]
-            pz = pre[:, :h]
-            pr = pre[:, h : 2 * h]
-            pn = pre[:, 2 * h :]
-            hu_gates = hu[:, : 2 * h]
-            hu_n = hu[:, 2 * h :]
-            np.add(gates, hu_gates, out=gates)
-            np.minimum(gates, _GATE_CLIP, out=gates)
-            if exact:
-                np.maximum(gates, -_GATE_CLIP, out=gates)
-            np.exp(gates, out=gates)
-            np.add(gates, 1.0, out=gates)
-            np.reciprocal(gates, out=gates)
-            s = sbuf[:batch]
-            np.multiply(pr, hu_n, out=hu_n)
-            np.add(pn, hu_n, out=pn)
-            np.tanh(pn, out=pn)
-            np.multiply(pz, hview, out=s)
-            np.subtract(1.0, pz, out=pz)
-            np.multiply(pz, pn, out=pn)
-            np.add(pn, s, out=hview)
-            if row_index is not None:
-                state[row_index] = sw
-            xv = sw  # next layer's input [h | 1]
-            top = sw
-        self.steps += batch
-        return self._read_heads(top, macro_indices, batch)
-
-
 def make_batched_engine(
     compiled: CompiledRecurrentModel,
     n_lanes: int,
@@ -630,8 +511,7 @@ def make_batched_engine(
     direction_label: str = "all",
 ) -> BatchedFusedEngine:
     """Build the lane-batched executor for one compiled model."""
-    cls = _BatchedLstmEngine if compiled.cell == "lstm" else _BatchedGruEngine
-    return cls(
+    return BatchedFusedEngine(
         compiled,
         n_lanes,
         memo=memo,

@@ -6,7 +6,7 @@ one :class:`MetricsRegistry`, so a run's telemetry shares a single
 schema and lands in one place (the run manifest and, optionally, a
 JSONL stream).  Before this layer existed the repo had five ad-hoc
 mechanisms (``hot_path_counters`` dicts, ``inference_seconds`` floats,
-``simlog`` prefixes, ``PacketTracer`` rows, ``StreamingStats``
+sim-time log prefixes, packet-tracer rows, ``StreamingStats``
 objects), none of which agreed on names or reached the manifests.
 
 Design constraints, in order:

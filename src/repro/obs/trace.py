@@ -41,15 +41,24 @@ Merged traces (:func:`merge_traces`) sort by ``(t0, worker, seq)`` and
 export losslessly to JSONL (:func:`write_trace_jsonl`) or to the Chrome
 trace-event / Perfetto JSON format (:func:`to_chrome_trace`), where each
 PDES worker becomes a process track and each flow a named thread track.
+
+The raw packet trace of Section 2.1 ("users ... can print raw
+packet/event traces") is the unsampled, unbounded counterpart:
+:func:`record_packets` appends one row per port delivery or queue drop
+of every packet, and :func:`write_packet_csv` exports the rows as CSV
+(``repro simulate --trace-csv``).
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
+
+from repro.net.port import chain_hook
 
 __all__ = [
     "DEFAULT_TRACE_CAPACITY",
@@ -63,6 +72,9 @@ __all__ = [
     "to_chrome_trace",
     "flow_events",
     "top_spans",
+    "PACKET_TRACE_FIELDS",
+    "record_packets",
+    "write_packet_csv",
 ]
 
 #: Default ring-buffer capacity of one flight recorder.
@@ -549,3 +561,53 @@ def top_spans(
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         return [{"name": name, "count": count} for name, count in ranked[:limit]]
     raise ValueError(f"unknown ranking {by!r}; use 'span-duration' or 'count'")
+
+
+# ----------------------------------------------------------------------
+# Raw packet trace (`repro simulate --trace-csv`)
+# ----------------------------------------------------------------------
+#: Columns of a :func:`record_packets` row.  ``link_from``/``link_to``
+#: name the directed port; ``time`` is the delivery instant, or for a
+#: drop the instant the queue rejected the packet.
+PACKET_TRACE_FIELDS = (
+    "time", "kind", "link_from", "link_to", "src", "dst", "src_port",
+    "dst_port", "seq", "ack", "payload_bytes", "size_bytes", "ecn_marked",
+    "retransmission", "packet_id",
+)
+
+
+def record_packets(network) -> list[tuple]:
+    """Chain onto the delivery and drop hooks of every port of
+    ``network`` and return the list that each event then appends one
+    :data:`PACKET_TRACE_FIELDS` row to.  Costs one call per event, so
+    keep it to short runs."""
+    rows: list[tuple] = []
+    sim = network.sim
+
+    def row(time, kind, owner, peer, p) -> None:
+        rows.append((
+            time, kind, owner, peer, p.src, p.dst, p.src_port, p.dst_port,
+            p.seq, p.ack, p.payload_bytes, p.size_bytes, p.ecn_marked,
+            p.retransmission, p.packet_id,
+        ))
+
+    for (owner, peer), port in network.ports().items():
+        port.on_deliver = chain_hook(
+            port.on_deliver,
+            lambda p, time, o=owner, q=peer: row(time, "deliver", o, q, p),
+        )
+        port.on_drop = chain_hook(
+            port.on_drop, lambda p, o=owner, q=peer: row(sim.now, "drop", o, q, p)
+        )
+    return rows
+
+
+def write_packet_csv(path: str | Path, rows: list[tuple]) -> int:
+    """Write :func:`record_packets` rows as CSV under a header line (an
+    empty trace writes an empty file); returns the row count."""
+    with Path(path).open("w", newline="") as handle:
+        if rows:
+            writer = csv.writer(handle)
+            writer.writerow(PACKET_TRACE_FIELDS)
+            writer.writerows(rows)
+    return len(rows)

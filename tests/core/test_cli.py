@@ -228,17 +228,3 @@ class TestCascade:
         assert code == 2
         assert "cannot load" in capsys.readouterr().err
 
-
-class TestTrainGru:
-    def test_gru_training_via_cli(self, tmp_path):
-        model_dir = tmp_path / "gru_model"
-        code = main([
-            "train", "--duration", "0.004", "--seed", "14",
-            "--output", str(model_dir), "--cell", "gru",
-            "--hidden", "16", "--batches", "10",
-        ])
-        assert code == 0
-        import json
-
-        meta = json.loads((model_dir / "bundle.json").read_text())
-        assert meta["config"]["cell"] == "gru"

@@ -152,13 +152,13 @@ class TestArgvToConfig:
     def test_train(self):
         spec = _spec([
             "train", "--output", "out", "--clusters", "2", "--duration", "0.004",
-            "--seed", "7", "--hidden", "8", "--layers", "2", "--cell", "gru",
+            "--seed", "7", "--hidden", "8", "--layers", "2",
             "--alpha", "0.25", "--window", "4", "--batches", "5",
             "--learning-rate", "0.01",
         ])
         assert spec.training == _experiment(duration_s=0.004, seed=7)
         assert spec.micro == MicroModelConfig(
-            hidden_size=8, num_layers=2, cell="gru", alpha=0.25, window=4,
+            hidden_size=8, num_layers=2, alpha=0.25, window=4,
             train_batches=5, learning_rate=0.01, seed=7,
         )
 

@@ -163,6 +163,24 @@ class TestBundlePersistence:
         assert p1 == pytest.approx(p2)
         assert l1 == pytest.approx(l2)
 
+    def test_bundle_cell_key_from_older_saves(self, trace_output, tmp_path):
+        """Bundles written before the GRU was deleted record a ``cell``:
+        an LSTM one still loads, a GRU one is refused by name."""
+        import json
+
+        trained = train_cluster_model(
+            trace_output.records, trace_output.extractor, config=FAST_MICRO
+        )
+        meta_path = trained.save(tmp_path / "bundle") / "bundle.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"]["cell"] = "lstm"
+        meta_path.write_text(json.dumps(meta))
+        assert TrainedClusterModel.load(tmp_path / "bundle").config == trained.config
+        meta["config"]["cell"] = "gru"
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="only LSTM"):
+            TrainedClusterModel.load(tmp_path / "bundle")
+
     def test_latency_transform_roundtrip(self, trace_output):
         trained = train_cluster_model(
             trace_output.records, trace_output.extractor, config=FAST_MICRO

@@ -1,78 +1,56 @@
-"""Tests for raw packet/event trace capture."""
+"""Tests for the raw packet/event trace (``repro simulate --trace-csv``)."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.des.kernel import Simulator
 from repro.net.network import Network, NetworkConfig
-from repro.net.tracing import KIND_DELIVER, KIND_DROP, PacketTracer
+from repro.obs.trace import PACKET_TRACE_FIELDS, record_packets, write_packet_csv
 from repro.topology.clos import server_name
 
+KIND = PACKET_TRACE_FIELDS.index("kind")
+PAYLOAD = PACKET_TRACE_FIELDS.index("payload_bytes")
+PACKET_ID = PACKET_TRACE_FIELDS.index("packet_id")
 
-def _run_with_tracer(small_clos, nodes=None, queue_capacity=150_000, flows=1):
+
+def _run_with_tracer(small_clos, queue_capacity=150_000, flows=1):
     sim = Simulator(seed=77)
     net = Network(
         sim, small_clos, config=NetworkConfig(queue_capacity_bytes=queue_capacity)
     )
-    tracer = PacketTracer(net, nodes=nodes)
+    rows = record_packets(net)
     src = net.host(server_name(0, 0, 0))
     dst = net.host(server_name(1, 0, 0))
     for _ in range(flows):
         src.open_flow(dst, 50_000).start()
     sim.run(until=5.0)
-    return tracer, net
+    return rows, net
 
 
 class TestPacketTracer:
     def test_records_every_hop(self, small_clos):
-        tracer, _ = _run_with_tracer(small_clos)
-        assert len(tracer) > 0
+        rows, _ = _run_with_tracer(small_clos)
+        assert len(rows) > 0
         # A cross-cluster data packet is delivered on 6 consecutive links.
-        first_data = next(e for e in tracer.events if e.payload_bytes > 0)
+        first_data = next(row for row in rows if row[PAYLOAD] > 0)
         hops = [
-            e for e in tracer.events
-            if e.packet_id == first_data.packet_id and e.kind == KIND_DELIVER
+            row for row in rows
+            if row[PACKET_ID] == first_data[PACKET_ID] and row[KIND] == "deliver"
         ]
         assert len(hops) == 6
-        times = [h.time for h in hops]
+        times = [hop[0] for hop in hops]
         assert times == sorted(times)
 
-    def test_node_filter(self, small_clos):
-        tracer, _ = _run_with_tracer(small_clos, nodes=["tor-c0-0"])
-        assert len(tracer) > 0
-        assert all(e.link_from == "tor-c0-0" for e in tracer.events)
-
-    def test_bad_filter_rejected(self, small_clos):
-        sim = Simulator()
-        net = Network(sim, small_clos)
-        with pytest.raises(ValueError):
-            PacketTracer(net, nodes=["no-such-node"])
-
     def test_drop_events_recorded_and_counted(self, small_clos):
-        tracer, net = _run_with_tracer(small_clos, queue_capacity=3_000, flows=6)
+        rows, net = _run_with_tracer(small_clos, queue_capacity=3_000, flows=6)
         assert net.total_drops > 0  # chained accounting still works
-        assert len(tracer.drops()) == net.total_drops
-        assert all(e.kind == KIND_DROP for e in tracer.drops())
-
-    def test_flow_filter_helper(self, small_clos):
-        tracer, _ = _run_with_tracer(small_clos)
-        data_events = tracer.flow_events(server_name(0, 0, 0), server_name(1, 0, 0))
-        ack_events = tracer.flow_events(server_name(1, 0, 0), server_name(0, 0, 0))
-        assert data_events and ack_events
-        assert all(e.payload_bytes >= 0 for e in data_events)
+        drops = [row for row in rows if row[KIND] == "drop"]
+        assert len(drops) == net.total_drops
 
     def test_csv_roundtrip(self, small_clos, tmp_path):
-        tracer, _ = _run_with_tracer(small_clos)
+        rows, _ = _run_with_tracer(small_clos)
         path = tmp_path / "trace.csv"
-        count = tracer.write_csv(path)
-        assert count == len(tracer)
+        count = write_packet_csv(path, rows)
+        assert count == len(rows)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == count + 1  # header
         assert lines[0].startswith("time,kind,link_from,link_to")
-
-    def test_rows_are_plain_dicts(self, small_clos):
-        tracer, _ = _run_with_tracer(small_clos)
-        row = tracer.rows()[0]
-        assert isinstance(row, dict)
-        assert set(row) >= {"time", "kind", "src", "dst", "seq", "packet_id"}

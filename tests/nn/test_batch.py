@@ -23,12 +23,11 @@ from repro.nn.batch import MemoConfig, make_batched_engine
 F32_TOLERANCE = 5e-3
 
 
-def _make_model(cell, heads, input_size, hidden_size, num_layers, seed) -> MicroModel:
+def _make_model(heads, input_size, hidden_size, num_layers, seed) -> MicroModel:
     config = MicroModelConfig(
         input_size=input_size,
         hidden_size=hidden_size,
         num_layers=num_layers,
-        cell=cell,
         heads=heads,
         seed=seed,
     )
@@ -40,8 +39,8 @@ def _make_model(cell, heads, input_size, hidden_size, num_layers, seed) -> Micro
     return model
 
 
-def _compiled(cell, heads, input_size, hidden_size, num_layers, seed, dtype):
-    model = _make_model(cell, heads, input_size, hidden_size, num_layers, seed)
+def _compiled(heads, input_size, hidden_size, num_layers, seed, dtype):
+    model = _make_model(heads, input_size, hidden_size, num_layers, seed)
     return compile_inference(
         model.lstm, model.drop_head, model.latency_head, dtype=dtype
     )
@@ -83,7 +82,6 @@ def _schedule(n_lanes, rounds, rng):
 # ----------------------------------------------------------------------
 @settings(max_examples=20, deadline=None)
 @given(
-    cell=st.sampled_from(["lstm", "gru"]),
     heads=st.sampled_from(["shared", "per_macro"]),
     input_size=st.integers(min_value=1, max_value=6),
     hidden_size=st.integers(min_value=1, max_value=8),
@@ -92,11 +90,9 @@ def _schedule(n_lanes, rounds, rng):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_batched_float64_bit_identical_property(
-    cell, heads, input_size, hidden_size, num_layers, n_lanes, seed
+    heads, input_size, hidden_size, num_layers, n_lanes, seed
 ):
-    compiled = _compiled(
-        cell, heads, input_size, hidden_size, num_layers, seed, np.float64
-    )
+    compiled = _compiled(heads, input_size, hidden_size, num_layers, seed, np.float64)
     schedule = _schedule(n_lanes, rounds=8, rng=np.random.default_rng(seed + 13))
     got, want = _run_pair(compiled, n_lanes, schedule, seed)
     assert got == want  # bit-exact, not approx
@@ -104,12 +100,11 @@ def test_batched_float64_bit_identical_property(
 
 @settings(max_examples=10, deadline=None)
 @given(
-    cell=st.sampled_from(["lstm", "gru"]),
     heads=st.sampled_from(["shared", "per_macro"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_batched_float32_within_tolerance_property(cell, heads, seed):
-    compiled = _compiled(cell, heads, 6, 16, 2, seed, np.float32)
+def test_batched_float32_within_tolerance_property(heads, seed):
+    compiled = _compiled(heads, 6, 16, 2, seed, np.float32)
     schedule = _schedule(4, rounds=8, rng=np.random.default_rng(seed + 13))
     got, want = _run_pair(compiled, 4, schedule, seed)
     for (drop_b, lat_b), (drop_s, lat_s) in zip(got, want):
@@ -117,13 +112,12 @@ def test_batched_float32_within_tolerance_property(cell, heads, seed):
         assert lat_b == pytest.approx(lat_s, abs=F32_TOLERANCE)
 
 
-@pytest.mark.parametrize("cell", ["lstm", "gru"])
 @pytest.mark.parametrize("heads", ["shared", "per_macro"])
-def test_batched_float64_long_stream_full_and_ragged(cell, heads):
+def test_batched_float64_long_stream_full_and_ragged(heads):
     """The paper-sized architecture over a long mixed schedule: full
     batches (the in-place fast path) interleaved with ragged ones
     (gather/scatter) and width-1 rounds (the fallback)."""
-    compiled = _compiled(cell, heads, 21, 64, 2, seed=3, dtype=np.float64)
+    compiled = _compiled(heads, 21, 64, 2, seed=3, dtype=np.float64)
     rng = np.random.default_rng(29)
     schedule = [[0, 1, 2, 3]] * 10 + _schedule(4, 30, rng) + [[2]] * 5 + [[0, 1, 2, 3]] * 10
     got, want = _run_pair(compiled, 4, schedule, seed=3)
@@ -132,7 +126,6 @@ def test_batched_float64_long_stream_full_and_ragged(cell, heads):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    cell=st.sampled_from(["lstm", "gru"]),
     heads=st.sampled_from(["shared", "per_macro"]),
     num_layers=st.integers(min_value=1, max_value=2),
     dtype=st.sampled_from([np.float64, np.float32]),
@@ -141,7 +134,7 @@ def test_batched_float64_long_stream_full_and_ragged(cell, heads):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_lane_step_is_width_one_batch_property(
-    cell, heads, num_layers, dtype, memo, pool, seed
+    heads, num_layers, dtype, memo, pool, seed
 ):
     """A width-1 round is the lane's own scalar engine; on a twin
     engine the same round runs the stacked ``predict_batch`` on a
@@ -149,7 +142,7 @@ def test_lane_step_is_width_one_batch_property(
     is what lets the batcher pick the lane step without changing the
     simulation — while GEMM rounds of width 2-3 step the same lanes in
     between.  A small feature pool makes the memo (exact mode) hit."""
-    compiled = _compiled(cell, heads, 5, 6, num_layers, seed, dtype)
+    compiled = _compiled(heads, 5, 6, num_layers, seed, dtype)
     lanes = make_batched_engine(compiled, 3, memo=MemoConfig() if memo else None)
     twin = make_batched_engine(compiled, 3)
     rng = np.random.default_rng(seed + 17)
@@ -168,7 +161,7 @@ def test_lane_step_is_width_one_batch_property(
 
 
 def test_reset_restores_fresh_lanes():
-    compiled = _compiled("gru", "per_macro", 5, 12, 2, seed=19, dtype=np.float64)
+    compiled = _compiled("per_macro", 5, 12, 2, seed=19, dtype=np.float64)
     engine = make_batched_engine(compiled, 2, memo=MemoConfig())
     rng = np.random.default_rng(6)
     stream = [rng.normal(size=5) for _ in range(12)]
@@ -184,17 +177,16 @@ def test_reset_restores_fresh_lanes():
 # ----------------------------------------------------------------------
 @settings(max_examples=15, deadline=None)
 @given(
-    cell=st.sampled_from(["lstm", "gru"]),
     heads=st.sampled_from(["shared", "per_macro"]),
     n_lanes=st.integers(min_value=1, max_value=4),
     period=st.integers(min_value=1, max_value=5),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_exact_memo_is_outcome_identical_property(cell, heads, n_lanes, period, seed):
+def test_exact_memo_is_outcome_identical_property(heads, n_lanes, period, seed):
     """Exact-mode memoization must never change any outcome — under a
     periodic workload (the cache's target regime) hits are only taken
     when they are provably byte-identical to recomputation."""
-    compiled = _compiled(cell, heads, 4, 8, 1, seed, np.float64)
+    compiled = _compiled(heads, 4, 8, 1, seed, np.float64)
     rng = np.random.default_rng(seed + 13)
     periodic = [rng.normal(size=4) for _ in range(period)]
     plain = make_batched_engine(compiled, n_lanes)
@@ -212,7 +204,7 @@ def test_approximate_memo_hits_and_fast_forwards():
     """exact=False under an exactly periodic feature stream must start
     hitting once the quantized state revisits a seen key, and a hit
     must not corrupt the lane (the next miss restores real state)."""
-    compiled = _compiled("lstm", "shared", 4, 8, 1, seed=41, dtype=np.float64)
+    compiled = _compiled("shared", 4, 8, 1, seed=41, dtype=np.float64)
     engine = make_batched_engine(
         compiled, 1, memo=MemoConfig(exact=False, state_decimals=2)
     )
@@ -247,7 +239,6 @@ class _RecordingTable(OrderedDict):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    cell=st.sampled_from(["lstm", "gru"]),
     cap=st.integers(min_value=1, max_value=6),
     steps=st.lists(
         st.tuples(
@@ -260,13 +251,13 @@ class _RecordingTable(OrderedDict):
     ),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_memo_fifo_eviction_matches_list_model(cell, cap, steps, seed):
+def test_memo_fifo_eviction_matches_list_model(cap, steps, seed):
     """FIFO order of the key table against a list: a full table evicts
     its oldest key before every insert, and re-inserting a key that is
     still present keeps its place.  Keys quantized to 0 decimals with
     sub-unit features collide while the exact arrays differ, so exact
     mode re-inserts existing keys."""
-    compiled = _compiled(cell, "per_macro", 3, 4, 1, seed, np.float64)
+    compiled = _compiled("per_macro", 3, 4, 1, seed, np.float64)
     engine = make_batched_engine(
         compiled,
         3,
@@ -293,7 +284,7 @@ def test_memo_fifo_eviction_matches_list_model(cell, cap, steps, seed):
 
 
 def test_memo_capacity_is_bounded():
-    compiled = _compiled("gru", "shared", 4, 8, 1, seed=43, dtype=np.float64)
+    compiled = _compiled("shared", 4, 8, 1, seed=43, dtype=np.float64)
     engine = make_batched_engine(compiled, 1, memo=MemoConfig(max_entries=16))
     rng = np.random.default_rng(9)
     for _ in range(200):  # every step is a distinct key -> all misses
@@ -303,7 +294,7 @@ def test_memo_capacity_is_bounded():
 
 
 def test_rejects_bad_construction():
-    compiled = _compiled("lstm", "shared", 4, 8, 1, seed=47, dtype=np.float64)
+    compiled = _compiled("shared", 4, 8, 1, seed=47, dtype=np.float64)
     with pytest.raises(ValueError):
         make_batched_engine(compiled, 0)
     with pytest.raises(ValueError):

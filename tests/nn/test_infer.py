@@ -1,9 +1,9 @@
 """Tests for the fused inference engine against the reference oracle.
 
 The contract (ISSUE 1): in float64 the fused engine's outputs match
-``MicroModel.predict_step`` to <= 1e-9 — for LSTM and GRU trunks,
-shared and ``per_macro`` heads, with and without a folded feature
-standardizer — while allocating nothing per packet in steady state.
+``MicroModel.predict_step`` to <= 1e-9 — for shared and ``per_macro``
+heads, with and without a folded feature standardizer — while
+allocating nothing per packet in steady state.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ TOLERANCE = 1e-9
 
 
 def _make_model(
-    cell: str,
     heads: str,
     input_size: int,
     hidden_size: int,
@@ -35,7 +34,6 @@ def _make_model(
         input_size=input_size,
         hidden_size=hidden_size,
         num_layers=num_layers,
-        cell=cell,
         heads=heads,
         seed=seed,
     )
@@ -93,7 +91,6 @@ def _compare(
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
 @given(
-    cell=st.sampled_from(["lstm", "gru"]),
     heads=st.sampled_from(["shared", "per_macro"]),
     input_size=st.integers(min_value=1, max_value=6),
     hidden_size=st.integers(min_value=1, max_value=8),
@@ -102,16 +99,15 @@ def _compare(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_fused_matches_reference_property(
-    cell, heads, input_size, hidden_size, num_layers, fold_standardizer, seed
+    heads, input_size, hidden_size, num_layers, fold_standardizer, seed
 ):
-    model = _make_model(cell, heads, input_size, hidden_size, num_layers, seed)
+    model = _make_model(heads, input_size, hidden_size, num_layers, seed)
     standardizer = _make_standardizer(input_size, seed) if fold_standardizer else None
     assert _compare(model, standardizer, steps=12, seed=seed) <= TOLERANCE
 
 
-@pytest.mark.parametrize("cell", ["lstm", "gru"])
 @pytest.mark.parametrize("heads", ["shared", "per_macro"])
-def test_fused_matches_reference_default_architecture(cell, heads):
+def test_fused_matches_reference_default_architecture(heads):
     """The paper's 2-layer/128-hidden configuration, long stream.
 
     Weights are scaled ~1/sqrt(H) (spectral radius ~1, like any sane
@@ -121,7 +117,7 @@ def test_fused_matches_reference_default_architecture(cell, heads):
     property of the weights, not an engine defect.
     """
     model = _make_model(
-        cell, heads, input_size=21, hidden_size=128, num_layers=2, seed=9,
+        heads, input_size=21, hidden_size=128, num_layers=2, seed=9,
         weight_scale=1.0 / np.sqrt(128),
     )
     standardizer = _make_standardizer(21, seed=9)
@@ -132,7 +128,7 @@ def test_fused_matches_reference_saturated_gates():
     """Large weights push pre-activations into the +-60 clip; the
     compiled negation/permutation must clip identically."""
     model = _make_model(
-        "lstm", "shared", input_size=4, hidden_size=8, num_layers=2, seed=5,
+        "shared", input_size=4, hidden_size=8, num_layers=2, seed=5,
         weight_scale=30.0,
     )
     assert _compare(model, None, steps=50, seed=5) <= TOLERANCE
@@ -142,7 +138,7 @@ def test_fused_matches_reference_saturated_gates():
 # Engine mechanics
 # ----------------------------------------------------------------------
 def _default_compiled(dtype=np.float64) -> tuple[MicroModel, CompiledRecurrentModel]:
-    model = _make_model("lstm", "shared", 21, 32, 2, seed=17)
+    model = _make_model("shared", 21, 32, 2, seed=17)
     compiled = compile_inference(
         model.lstm, model.drop_head, model.latency_head, dtype=dtype
     )
@@ -203,7 +199,7 @@ def test_compiled_weights_are_frozen_and_originals_untouched():
 
 def test_per_macro_head_routing():
     """Different macro indices must select different compiled heads."""
-    model = _make_model("lstm", "per_macro", 6, 8, 1, seed=23)
+    model = _make_model("per_macro", 6, 8, 1, seed=23)
     compiled = compile_inference(
         model.lstm, model.drop_head, model.latency_head, dtype=np.float64
     )
@@ -222,7 +218,7 @@ def test_compile_rejects_bad_dtype_and_mismatched_heads():
         compile_inference(
             model.lstm, model.drop_head, model.latency_head, dtype=np.int32
         )
-    per_macro = _make_model("lstm", "per_macro", 21, 32, 2, seed=3)
+    per_macro = _make_model("per_macro", 21, 32, 2, seed=3)
     with pytest.raises(TypeError):
         compile_inference(model.lstm, model.drop_head, per_macro.latency_head)
 
@@ -260,7 +256,6 @@ def test_trained_bundle_compiles_and_caches(trained_bundle):
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
 @given(
-    cell=st.sampled_from(["lstm", "gru"]),
     heads=st.sampled_from(["shared", "per_macro"]),
     hidden_size=st.integers(min_value=1, max_value=8),
     num_layers=st.integers(min_value=1, max_value=2),
@@ -268,12 +263,12 @@ def test_trained_bundle_compiles_and_caches(trained_bundle):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_step_on_input_buffer_equals_predict(
-    cell, heads, hidden_size, num_layers, dtype, seed
+    heads, hidden_size, num_layers, dtype, seed
 ):
     """Writing features into ``engine.input`` and calling ``step`` is
     ``predict`` without the copy: identical outputs, and the engine
     never writes to the buffer it reads from."""
-    model = _make_model(cell, heads, 5, hidden_size, num_layers, seed)
+    model = _make_model(heads, 5, hidden_size, num_layers, seed)
     standardizer = _make_standardizer(5, seed)
     compiled = compile_inference(
         model.lstm, model.drop_head, model.latency_head,
@@ -324,7 +319,7 @@ def _lstm_step_op_by_op(compiled, hidden, cell, raw, macro_index):
 def test_float64_lstm_step_is_bit_identical_to_op_by_op(
     heads, hidden_size, num_layers, weight_scale, seed
 ):
-    model = _make_model("lstm", heads, 21, hidden_size, num_layers, seed, weight_scale)
+    model = _make_model(heads, 21, hidden_size, num_layers, seed, weight_scale)
     compiled = compile_inference(model.lstm, model.drop_head, model.latency_head)
     engine = compiled.engine()
     hidden = [np.zeros(hidden_size) for _ in range(num_layers)]

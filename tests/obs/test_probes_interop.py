@@ -1,24 +1,19 @@
-"""Sim-time probes and their interop with simlog and packet tracing.
+"""Sim-time probes and their interop with the raw packet trace.
 
 The contracts under test: probe samples are stamped with *simulated*
 time and recorded in event order, interleaved deterministically with
-the traffic they observe; the sim-time logger sees the same clock; and
-attaching the observability layer leaves a ``PacketTracer`` CSV
-byte-identical — instrumentation observes the simulation, it never
-participates in it.
+the traffic they observe; and attaching the observability layer leaves
+a raw packet trace CSV byte-identical — instrumentation observes the
+simulation, it never participates in it.
 """
 
 from __future__ import annotations
-
-import logging
 
 import pytest
 
 from repro.core.pipeline import ExperimentConfig, make_generator
 from repro.des.kernel import Simulator
-from repro.des.simlog import get_sim_logger
 from repro.net.network import Network
-from repro.net.tracing import PacketTracer
 from repro.obs import (
     DEFAULT_TICKS,
     MetricsRegistry,
@@ -26,6 +21,7 @@ from repro.obs import (
     attach_network_probes,
     default_period,
 )
+from repro.obs.trace import record_packets, write_packet_csv
 from repro.topology.clos import ClosParams, build_clos
 
 
@@ -87,30 +83,6 @@ class TestSimTimeProbes:
         assert default_period(0.0) > 0  # never a zero period
 
 
-class TestSimlogInterop:
-    def test_logger_and_probe_agree_on_the_clock(self, caplog):
-        """A sampler that logs sees the same sim time the probe stamps."""
-        sim = Simulator(seed=1)
-        reg = MetricsRegistry()
-        log = get_sim_logger(sim, name="test.obs", component="probe")
-
-        def sampler() -> float:
-            log.info("sampling")
-            return 1.0
-
-        SimTimeProbes(reg, sim, period_s=0.5).add("x", sampler).start()
-        sim.schedule(1.0, lambda: None)
-        with caplog.at_level(logging.INFO, logger="test.obs"):
-            sim.run(until=1.0)
-        stamped = [s.t_sim for s in reg.probe_samples]
-        logged = [
-            record.getMessage() for record in caplog.records
-        ]
-        assert len(logged) == len(stamped) == 2
-        for message, t_sim in zip(logged, stamped):
-            assert message == f"[t={t_sim:.9f}] probe: sampling"
-
-
 class TestTracerInterop:
     CONFIG = ExperimentConfig(
         clos=ClosParams(clusters=2), load=0.2, duration_s=0.002, seed=11
@@ -124,7 +96,7 @@ class TestTracerInterop:
         if metrics is not None:
             sim.metrics = metrics
         network = Network(sim, topology, config=config.net)
-        tracer = PacketTracer(network)
+        rows = record_packets(network)
         generator = make_generator(sim, network, config)
         if metrics is not None:
             attach_network_probes(
@@ -133,7 +105,7 @@ class TestTracerInterop:
         generator.start()
         sim.run(until=config.duration_s)
         path = tmp_path / name
-        tracer.write_csv(path)
+        write_packet_csv(path, rows)
         return path
 
     @staticmethod
