@@ -221,10 +221,10 @@ def _bench_batched() -> dict:
 
     * ``raw`` — ``predict_rows`` over the first ``width`` lanes of an
       engine with ``max(width, MIN_LANES)`` lanes, every packet
-      computed.  Width 1 is the lane's scalar engine; from width 2 the
-      stacked GEMM, bounded below by the per-packet GEMM floor of this
-      machine, so the curve flattens once the weights are read once per
-      round.  Width 1 is also timed with exact memoization on
+      computed.  Below ``STACKED_MIN_WIDTH`` a round is its lanes'
+      scalar steps; from it the stacked GEMM, bounded below by the
+      per-packet GEMM floor of this machine, so the curve flattens once
+      the weights are read once per round.  Width 1 is also timed with exact memoization on
       (``*_memo_us``): a random stream never hits, so that row prices
       the cache's miss path on top of the step.
     * ``steady_state`` — quantized-key memoization (``exact=False``)
@@ -348,6 +348,106 @@ def _bench_batched() -> dict:
         "speedup": scalar_us / steady_us,
     }
     return {"scalar_f32_us": scalar_us, "raw": raw, "steady_state": steady}
+
+
+#: Round widths of the ledger-model crossover sweep: what a 4-cluster
+#: fabric produces (1-3), the stacked crossover and a wide fabric.
+LEDGER_WIDTHS = (1, 2, 3, 8, 64)
+
+
+def _bench_batched_ledger() -> dict:
+    """The stacked crossover on the ledger's own model (1 layer, 32
+    hidden, float32 — what ``collective_batched`` runs).
+
+    Per width, over the first ``width`` lanes of an engine with
+    ``max(width, MIN_LANES)`` lanes, three ways to step a round:
+
+    * ``lane_step_us`` — each packet written to its lane's input and
+      stepped with ``step_lane``: the batcher's path below
+      ``STACKED_MIN_WIDTH``;
+    * ``stacked_us`` — ``predict_batch``, the stacked product at any
+      width;
+    * ``lane_step_memo_us`` — the lane step through the exact memo on a
+      stream that never repeats, i.e. the miss path.
+
+    The same-run scalar engine (``predict`` on the ledger model) is the
+    baseline; min over interleaved trials, as elsewhere in this file.
+    """
+    from benchmarks.ledger import adapter, measure
+    from repro.core.features import Direction
+    from repro.core.training import TrainedClusterModel
+    from repro.nn.batch import STACKED_MIN_WIDTH
+
+    measure.CACHE_DIR.mkdir(exist_ok=True)
+    model_dir, _ = adapter.ensure_model(measure.CACHE_DIR)
+    compiled = TrainedClusterModel.load(model_dir).compiled("float32")
+    compiled = compiled.directions[Direction.INGRESS]
+    rng = np.random.default_rng(13)
+    scalar = compiled.engine()
+    features = rng.normal(size=(4000, compiled.input_size))
+
+    def lane_steps(engine, rounds, macro_rounds, rows) -> float:
+        lanes = engine.lanes
+        step = engine.step_lane
+        start = time.perf_counter()
+        for feats, macros in zip(rounds, macro_rounds):
+            for x, macro, row in zip(feats, macros, rows):
+                lanes[row].input[...] = x
+                step(row, macro)
+        return (time.perf_counter() - start) / (len(rounds) * len(rows))
+
+    def stacked(engine, rounds, macro_rounds, rows) -> float:
+        start = time.perf_counter()
+        for feats, macros in zip(rounds, macro_rounds):
+            engine.predict_batch(feats, macros, rows)
+        return (time.perf_counter() - start) / (len(rounds) * len(rows))
+
+    setups = {}
+    for width in LEDGER_WIDTHS:
+        rows = list(range(width))
+        count = max(2, PACKETS // width)
+        lanes = max(width, MIN_LANES)
+        setups[width] = (
+            rows,
+            # A fresh stream per trial keeps the memo row on its misses.
+            [rng.normal(size=(count, width, compiled.input_size)) for _ in range(TRIALS + 1)],
+            [[(r + i) % 4 for i in range(width)] for r in range(count)],
+            {
+                "lane_step": (lane_steps, make_batched_engine(compiled, lanes)),
+                "stacked": (stacked, make_batched_engine(compiled, lanes)),
+                "lane_step_memo": (
+                    lane_steps,
+                    make_batched_engine(compiled, lanes, memo=MemoConfig()),
+                ),
+            },
+        )
+    _time_engine(scalar, features, WARMUP)
+    for rows, streams, macro_rounds, ways in setups.values():
+        for run, engine in ways.values():
+            run(engine, streams[TRIALS][: max(1, WARMUP // len(rows))], macro_rounds, rows)
+    scalar_trials: list[float] = []
+    trials: dict[tuple, list[float]] = {
+        (width, way): [] for width, (*_, ways) in setups.items() for way in ways
+    }
+    for trial in range(TRIALS):
+        scalar_trials.append(_time_engine(scalar, features, PACKETS))
+        for width, (rows, streams, macro_rounds, ways) in setups.items():
+            for way, (run, engine) in ways.items():
+                trials[(width, way)].append(
+                    run(engine, streams[trial], macro_rounds, rows)
+                )
+    widths = {}
+    for width, (*_, ways) in setups.items():
+        entry: dict = {"lanes": max(width, MIN_LANES)}
+        for way in ways:
+            entry[f"{way}_us"] = min(trials[(width, way)]) * 1e6
+        widths[str(width)] = entry
+    return {
+        "model": "ledger bundle, 1-layer/32-hidden LSTM, float32, ingress",
+        "stacked_min_width": STACKED_MIN_WIDTH,
+        "scalar_f32_us": min(scalar_trials) * 1e6,
+        "widths": widths,
+    }
 
 
 def _bench_metrics_overhead() -> dict[str, float]:
@@ -698,6 +798,7 @@ def test_hotpath_inference_speedup():
     variants = {"lstm": "shared", "lstm_per_macro": "per_macro"}
     results = {name: _bench_variant(heads) for name, heads in variants.items()}
     batched = _bench_batched()
+    batched["ledger_1x32"] = _bench_batched_ledger()
     overhead = _bench_metrics_overhead()
     trace_overhead = _bench_trace_overhead()
     budget = _bench_model_packet_budget()
@@ -760,6 +861,19 @@ def test_hotpath_inference_speedup():
         ["round width", "f64 us/pkt", "f32 us/pkt", "f64 speedup", "f32 speedup"],
         batched_rows,
     ) + f"\n(speedups vs same-run scalar fused f32: {batched['scalar_f32_us']:.2f} us/pkt)"
+    ledger = batched["ledger_1x32"]
+    ledger_table = format_table(
+        ["ledger 1x32 round", "lane step", "stacked", "lane step + exact memo"],
+        [
+            [f"{width} of {entry['lanes']} lanes"]
+            + [f"{entry[key]:.2f}" for key in
+               ("lane_step_us", "stacked_us", "lane_step_memo_us")]
+            for width, entry in ledger["widths"].items()
+        ],
+    ) + (
+        f"\n(us/pkt; {ledger['model']}; scalar engine {ledger['scalar_f32_us']:.2f}"
+        f" us/pkt; rounds stack from {ledger['stacked_min_width']} lanes)"
+    )
     overhead_table = format_table(
         ["obs mode", "us/pkt", "overhead"],
         [
@@ -812,6 +926,8 @@ def test_hotpath_inference_speedup():
         )
         + "\n\n"
         + batched_table
+        + "\n\n"
+        + ledger_table
         + "\n\n"
         + overhead_table
         + "\n\n"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Any, Mapping, Optional
 
-from repro.core.hybrid import HybridConfig
+from repro.core.hybrid import HybridConfig, check_batching_options
 
 
 class Tier(IntEnum):
@@ -175,6 +175,7 @@ class CascadeConfig:
     memo_exact: bool = True
 
     def __post_init__(self) -> None:
+        check_batching_options(self.batch_window_s, self.memoize_inference)
         if self.epoch_s <= 0:
             raise ValueError(f"epoch_s must be positive, got {self.epoch_s}")
         if self.window_epochs < 1:

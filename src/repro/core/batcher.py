@@ -9,7 +9,9 @@ which opens a window: hold packets arriving anywhere in the black-box
 layer for up to that long, then advance every cluster's recurrent
 state together with one stacked GEMM per layer
 (:class:`~repro.nn.batch.BatchedFusedEngine`) instead of per-packet
-GEMV chains.
+GEMV chains.  Only rounds of at least
+:data:`~repro.nn.batch.STACKED_MIN_WIDTH` packets stack; a narrower
+round is each packet's lane step, the inline path's arithmetic.
 
 Causality is preserved by construction:
 
@@ -23,7 +25,10 @@ Causality is preserved by construction:
 * any code that reads model state mid-run (observability probes, the
   conservation check, end-of-run accounting) calls :meth:`flush`
   explicitly — flushing early is always safe, it only shrinks the
-  batch.
+  batch;
+* a link failure or recovery first decides the held packets
+  (:meth:`drain`), because deciding a packet reads routing (its flow's
+  path features and egress node), which must be as of its arrival.
 
 Event-identity with the unbatched path (float64) holds because within
 a cluster packets are processed strictly in arrival order — feature
@@ -64,7 +69,7 @@ class InferenceBatcher:
         counters once, here.
     tracer:
         Optional :class:`~repro.obs.trace.FlightRecorder`; each
-        stacked inference round then records a ``batch.round`` event
+        inference round then records a ``batch.round`` event
         with its lane count and the memoization hit/miss delta of the
         engine that served it (the per-flush view of cache health).
 
@@ -72,8 +77,12 @@ class InferenceBatcher:
     ----------
     batched_packets, batched_rounds, flushes, scalar_fallbacks:
         Plain counters (mirrored to obs when a registry is given).
-        ``scalar_fallbacks`` counts rounds of width 1: the engine steps
-        that lane's own scalar engine instead of a stacked product.
+        A round is one engine's packets of one flush round.
+        ``scalar_fallbacks`` counts the rounds that ran as lane steps
+        (each lane's own scalar engine) instead of a stacked product:
+        every round narrower than the engine's ``stacked_from``
+        (:data:`~repro.nn.batch.STACKED_MIN_WIDTH`), so every float64
+        round too.
     """
 
     def __init__(self, sim, window_s: float, metrics=None, tracer=None) -> None:
@@ -94,6 +103,8 @@ class InferenceBatcher:
         self.batched_rounds = 0
         self.flushes = 0
         self.scalar_fallbacks = 0
+        #: Engine -> its (memo_hits, memo_misses) after its last round.
+        self._memo_seen: dict = {}
         self._m_batch_size = None
         self._m_fallbacks = None
         self._m_flushes = None
@@ -125,7 +136,7 @@ class InferenceBatcher:
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Run all held packets through stacked inference rounds.
+        """Run all held packets through inference rounds.
 
         Safe to call at any time (early flushes only shrink batches);
         called by the armed window event, by observability probes
@@ -135,6 +146,14 @@ class InferenceBatcher:
             # A no-op when the flush is that event running.
             self.sim.cancel(self._flush_event)
             self._flush_event = None
+        self.drain()
+
+    def drain(self) -> None:
+        """Decide every held packet now, leaving the window's flush
+        event armed: it then flushes what arrives after, so the kernel
+        runs the same events as without the drain.  Called before a
+        link failure or recovery changes routing, which held packets
+        read (path features, egress) when they are decided."""
         lanes = [entry for entry in self._queues if entry[1]]
         if not lanes:
             return
@@ -143,49 +162,59 @@ class InferenceBatcher:
             self._m_flushes.inc()
         tracer = self._tracer
         while lanes:
-            # One round: the oldest held packet of every cluster, grouped
-            # by engine.  Each group keeps enqueue order because clusters
-            # are visited in registration order and a round holds at
-            # most one packet per cluster.
-            groups: dict = {}
-            for cluster, lane in lanes:
-                arrival, packet = lane.popleft()
-                engine, row, features, macro_index, model = cluster.batch_prepare(
-                    packet, arrival
-                )
-                job = (cluster, packet, arrival, model)
-                group = groups.get(engine)
-                if group is None:
-                    groups[engine] = ([features], [macro_index], [row], [job])
+            # One round: the oldest held packet of every cluster, in
+            # registration order.  A cluster whose engines cannot stack
+            # (below the crossover, or float64) decides its packet on
+            # the spot; the others wait for the whole round, so their
+            # engine knows the round's width.
+            widths: dict = {}  # engine -> packets this round
+            groups: dict = {}  # stacking engine -> (macros, rows, jobs)
+            for cluster, queue in lanes:
+                arrival, packet = queue.popleft()
+                if not cluster.batch_stacks:
+                    engine = cluster.decide(packet, arrival)
                 else:
-                    group[0].append(features)
-                    group[1].append(macro_index)
-                    group[2].append(row)
-                    group[3].append(job)
-            for engine, (features, macros, rows, jobs) in groups.items():
-                width = len(rows)
-                if tracer is not None:
-                    hits, misses = engine.memo_hits, engine.memo_misses
+                    engine, row, macro_index, bundle, flow = cluster.batch_prepare(
+                        packet, arrival
+                    )
+                    job = (cluster, packet, arrival, bundle, flow)
+                    group = groups.get(engine)
+                    if group is None:
+                        groups[engine] = ([macro_index], [row], [job])
+                    else:
+                        group[0].append(macro_index)
+                        group[1].append(row)
+                        group[2].append(job)
+                widths[engine] = widths.get(engine, 0) + 1
+            for engine, (macros, rows, jobs) in groups.items():
                 start = perf_counter()
-                outcomes = engine.predict_rows(features, macros, rows)
-                share = (perf_counter() - start) / width
-                self.batched_rounds += 1
+                outcomes = engine.step_rows(macros, rows)
+                share = (perf_counter() - start) / len(rows)
+                for (cluster, packet, arrival, bundle, flow), (drop, latency) in zip(
+                    jobs, outcomes
+                ):
+                    cluster.batch_finalize(
+                        packet, arrival, bundle, flow, drop, latency, share
+                    )
+            self.batched_rounds += len(widths)
+            for engine, width in widths.items():
                 self.batched_packets += width
-                if width == 1:
+                if width < engine.stacked_from:
                     self.scalar_fallbacks += 1
                     if self._m_fallbacks is not None:
                         self._m_fallbacks.inc()
                 if self._m_batch_size is not None:
                     self._m_batch_size.observe(float(width))
                 if tracer is not None:
+                    # Engines step only in rounds, so the counters an
+                    # engine left at its last round are where this one
+                    # started.
+                    hits, misses = self._memo_seen.get(engine, (0, 0))
+                    self._memo_seen[engine] = (engine.memo_hits, engine.memo_misses)
                     tracer.event(
                         "batch.round",
                         size=width,
                         memo_hits=engine.memo_hits - hits,
                         memo_misses=engine.memo_misses - misses,
                     )
-                for (cluster, packet, arrival, model), (drop, latency) in zip(
-                    jobs, outcomes
-                ):
-                    cluster.batch_finalize(packet, arrival, model, drop, latency, share)
             lanes = [entry for entry in lanes if entry[1]]

@@ -64,7 +64,8 @@ class _Lane:
     ``input`` is where the feature extractor writes: the fused
     ``engine``'s own input buffer, or a plain vector for the reference
     ``predict_step`` path (``engine`` None), whose hidden state is
-    ``state``.
+    ``state``.  Under batching, ``engine`` is lane ``batch_row`` of
+    ``batch_engine``, so ``input`` is that lane's arena row.
     """
 
     __slots__ = (
@@ -249,6 +250,7 @@ class ApproximatedCluster(Entity):
         #: inference inline.  Wired by :meth:`enable_batching`; the
         #: default costs one ``is not None`` branch per packet.
         self._batcher = None
+        self.batch_stacks = False
         self._invariants = invariants
         self._tracer = tracer
         if invariants is not None:
@@ -310,53 +312,61 @@ class ApproximatedCluster(Entity):
         if missing:
             raise ValueError(f"{self.name}: no batch engine for {missing}")
         self._batcher = batcher
+        #: Whether an engine of this cluster can stack a round; if not,
+        #: the batcher decides each of its packets in turn.
+        self.batch_stacks = any(
+            lane.batch_engine.stacked_from <= lane.batch_engine.n_lanes
+            for lane in self._lanes
+        )
         batcher.register(self)
 
     def set_batch_engine(self, direction: Direction, engine, row: int) -> None:
-        """Assign this cluster's lane in a shared batched engine."""
+        """Assign this cluster's lane in a shared batched engine: that
+        engine's lane ``row`` becomes the direction's engine, so
+        features land in its arena row."""
         lane = self._lanes[direction is Direction.INGRESS]
         lane.batch_engine = engine
         lane.batch_row = row
+        lane.engine = engine.lanes[row]
+        lane.input = lane.engine.input
 
     def batch_prepare(self, packet: Packet, arrival: float):
-        """Stage one held packet for an inference round.
+        """Stage one held packet for a stacked inference round.
 
-        Mirrors :meth:`receive` up to (and excluding) the model step —
+        Mirrors :meth:`decide` up to (and excluding) the model step —
         called by the batcher only after this cluster's previous packet
         was finalized, so the extractor clocks and macro state read
         here are exactly what the inline path would have seen.  The
-        clock is the packet's *arrival* time, not the flush time.
-        Returns ``(engine, row, features, macro_index, (bundle, flow))``.
+        clock is the packet's *arrival* time, not the flush time.  The
+        features land in the lane's input, its row of the batched
+        engine.  Returns ``(engine, row, macro_index, bundle, flow)``.
         """
         self.packets_handled += 1
         lane = self._lanes[packet.dst in self._shadow_servers]
         macro_index = self.macro.index
-        features = np.empty(FEATURE_COUNT)
         flow = self.extractor.extract_into(
-            features, packet, arrival, macro_index, lane.direction
+            lane.input, packet, arrival, macro_index, lane.direction
         )
-        model = (lane.bundle, flow)
-        return lane.batch_engine, lane.batch_row, features, macro_index, model
+        return lane.batch_engine, lane.batch_row, macro_index, lane.bundle, flow
 
     def batch_finalize(
         self,
         packet: Packet,
         arrival: float,
-        model: tuple,
+        bundle,
+        flow: FlowTemplate,
         drop_prob: float,
         latency_norm: float,
         seconds: float,
     ) -> None:
         """Apply one batched model outcome: :meth:`_finalize` with every
         clock read replaced by the packet's arrival time — bit-identical
-        bookkeeping to the inline float64 path.  ``model`` is what
-        :meth:`batch_prepare` returned last; ``seconds`` is the packet's
-        share of its inference round (the inline path's per-packet
-        accounting)."""
+        bookkeeping to the inline path.  ``bundle`` and ``flow`` are what
+        :meth:`batch_prepare` returned; ``seconds`` is the packet's
+        inference time (its share of a stacked round)."""
         self.inference_seconds += seconds
         if self._m_infer is not None:
             self._m_infer.observe(seconds)
-        bundle, flow = model
         self._finalize(packet, arrival, bundle, flow, drop_prob, latency_norm, True)
 
     # ------------------------------------------------------------------
@@ -365,8 +375,15 @@ class ApproximatedCluster(Entity):
         if self._batcher is not None:
             self._batcher.enqueue(self, packet)
             return
+        self.decide(packet, self.sim.now)
+
+    def decide(self, packet: Packet, now: float):
+        """Run the model on one packet that arrived at ``now`` and apply
+        its outcome.  The inline path, and the batcher's per-packet path
+        on an engine that does not stack, where ``now`` is the packet's
+        arrival and the step goes through the batched engine's memo.
+        Returns that engine (None inline)."""
         self.packets_handled += 1
-        now = self.sim.now
         lane = self._lanes[packet.dst in self._shadow_servers]
         macro_index = self.macro.index
         # Features land in the lane's input buffer — the fused engine's
@@ -375,8 +392,11 @@ class ApproximatedCluster(Entity):
         flow = self.extractor.extract_into(
             lane.input, packet, now, macro_index, lane.direction
         )
+        engine = lane.batch_engine
         start = perf_counter()
-        if lane.engine is not None:
+        if engine is not None:
+            drop_prob, latency_norm = engine.step_lane(lane.batch_row, macro_index)
+        elif lane.engine is not None:
             drop_prob, latency_norm = lane.engine.step(macro_index)
         else:
             bundle = lane.bundle
@@ -388,7 +408,10 @@ class ApproximatedCluster(Entity):
         self.inference_seconds += elapsed
         if self._m_infer is not None:
             self._m_infer.observe(elapsed)
-        self._finalize(packet, now, lane.bundle, flow, drop_prob, latency_norm, False)
+        self._finalize(
+            packet, now, lane.bundle, flow, drop_prob, latency_norm, engine is not None
+        )
+        return engine
 
     def _finalize(
         self,

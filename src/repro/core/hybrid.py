@@ -144,6 +144,20 @@ class ShardableHybrid:
         return self._remote_entity(name)
 
 
+def check_batching_options(batch_window_s: float, memoize_inference: bool) -> None:
+    """Reject a negative batching window, and a memo without a window
+    (the cache lives on the batched engines)."""
+    if batch_window_s < 0:
+        raise ValueError(
+            f"batch_window_s must be >= 0 (0 disables batching), got {batch_window_s}"
+        )
+    if memoize_inference and batch_window_s == 0:
+        raise ValueError(
+            "memoize_inference requires a positive batch_window_s: the memo "
+            "lives on the batched engines"
+        )
+
+
 @dataclass(frozen=True)
 class HybridConfig:
     """Options of a hybrid assembly.
@@ -173,23 +187,27 @@ class HybridConfig:
     batch_window_s:
         Event-horizon inference batching window (see
         :mod:`repro.core.batcher`): packets arriving at any
-        approximated cluster within the window are flushed as one
-        stacked GEMM round.  Clamped to the causality bound
-        (``MIN_REGION_LATENCY_S``); ``0`` (default) disables batching.
-        Requires ``use_fused_inference``.
+        approximated cluster within the window are flushed in rounds,
+        stacked into one GEMM from ``STACKED_MIN_WIDTH`` packets per
+        engine.  Clamped to the causality bound
+        (``MIN_REGION_LATENCY_S``); ``0`` (default) disables batching,
+        and a negative window is rejected.  Requires
+        ``use_fused_inference``.
     memoize_inference:
         Steady-state memoization on the batched engines (see
         :class:`~repro.nn.batch.MemoConfig`): repeated
         (features, hidden state, macro) transitions replay from a
-        cache instead of running the model.  Only takes effect with a
-        positive ``batch_window_s``.
+        cache instead of running the model.  Requires a positive
+        ``batch_window_s`` (rejected at construction otherwise).
     memo_exact:
-        Require exact array equality on cache hits (default): memoized
-        runs stay bit-identical to unmemoized ones.  Off allows
-        quantized-key hits — much higher hit rates under near-periodic
-        traffic, gated by ``repro validate`` instead of exactness.
+        Key the cache on the raw bytes of features and state (default):
+        memoized runs stay bit-identical to unmemoized ones.  Off keys
+        on quantized values and accepts those hits — much higher hit
+        rates under near-periodic traffic, gated by ``repro validate``
+        instead of exactness.
     memo_feature_decimals, memo_state_decimals:
-        Quantization (decimal places) of the cache keys.
+        Quantization (decimal places) of the cache keys; used only with
+        ``memo_exact=False``.
     memo_max_entries:
         FIFO capacity of each engine's cache.
     """
@@ -206,6 +224,9 @@ class HybridConfig:
     memo_feature_decimals: int = 6
     memo_state_decimals: int = 4
     memo_max_entries: int = 8192
+
+    def __post_init__(self) -> None:
+        check_batching_options(self.batch_window_s, self.memoize_inference)
 
 
 class HybridSimulation:
@@ -424,9 +445,10 @@ class HybridSimulation:
         Clusters sharing a compiled direction model (the paper's
         reusable-model configuration — and the common case) become
         lanes of one :class:`~repro.nn.batch.BatchedFusedEngine`, so a
-        flush round advances all of them with a single stacked GEMM.
-        Independently trained per-cluster models simply form more
-        groups with fewer lanes each.
+        flush round of at least ``STACKED_MIN_WIDTH`` of them advances
+        with a single stacked GEMM (a narrower round is its lane
+        steps).  Independently trained per-cluster models simply form
+        more groups with fewer lanes each.
         """
         from repro.core.batcher import InferenceBatcher
         from repro.nn.batch import MemoConfig, make_batched_engine
@@ -472,6 +494,7 @@ class HybridSimulation:
         self.batcher = InferenceBatcher(
             self.sim, config.batch_window_s, metrics=metrics, tracer=self.tracer
         )
+        self.failure_injector.before_change = self.batcher.drain
         for model in self.models.values():
             model.enable_batching(self.batcher)
 

@@ -88,7 +88,10 @@ class FailureInjector:
     Validates every referenced link against the topology up front (a
     typo in a spec fails at construction, not mid-run) and schedules
     one event per entry.  ``applied`` accumulates the events that have
-    fired, in order, as manifest-ready dicts.
+    fired, in order, as manifest-ready dicts.  ``before_change``, when
+    set, is called before each event changes routing: the hybrid's
+    inference batcher flushes there, so packets held from before the
+    event are decided under the routing they arrived in.
     """
 
     def __init__(
@@ -103,6 +106,7 @@ class FailureInjector:
         self.failures = normalize_failures(list(failures))
         self.tracer = tracer
         self.applied: list[dict] = []
+        self.before_change = None
         topology = routing.topology
         for event in self.failures:
             try:
@@ -116,6 +120,8 @@ class FailureInjector:
             sim.schedule_at(event.time, self._apply, event, priority=-10)
 
     def _apply(self, event: LinkFailure) -> None:
+        if self.before_change is not None:
+            self.before_change()
         changed = self.routing.set_link_state(event.a, event.b, up=event.action == "up")
         record = {
             "time": event.time,

@@ -13,42 +13,45 @@ per packet — memory bandwidth, not FLOPs).
 
 A lane *is* a scalar :class:`~repro.nn.infer.FusedInferenceEngine`
 whose buffers are views of its row of those matrices
-(:meth:`~repro.nn.infer.CompiledRecurrentModel.buffers`).  That gives
-the width rule: a round of one packet is ``lane.step`` — no gather,
-pack or scatter, over 1-D views built once — and only float32 rounds
-of width >= 2 run the stacked :meth:`~BatchedFusedEngine.predict_batch`.
+(:meth:`~repro.nn.infer.CompiledRecurrentModel.buffers`), and its
+``input`` — the head of its arena row — is where a caller writes the
+packet's features.  That gives the width rule: a round narrower than
+:data:`STACKED_MIN_WIDTH` is its lanes' scalar steps, one after
+another (no gather, pack or scatter, over 1-D views built once), and
+only float32 rounds of at least that width run the stacked
+:meth:`~BatchedFusedEngine.predict_batch`, which gathers the features
+along with the rest of each arena row.
 
 Numerics contract (mirrors the scalar engine):
 
 * **float64 has one arithmetic: the lane step.**  A GEMM is not
   row-wise bit-identical to the equivalent GEMVs on this BLAS (blocking
   reassociates the dot products), so a float64 round of any width is
-  its lanes' scalar steps, one after another — bit-identical to
-  independent scalar engines by construction.  Event-identity of
-  batched float64 hybrid runs rests on this.
-* **float32 uses real GEMMs** — the speed mode.  Within-tolerance, not
-  bit-identical, across widths.  At width 1 there is one arithmetic:
-  the scalar float32 engine computes exactly what ``predict_batch``
-  does on one row (bias folded into the GEMV over ``[x | h | 1]``, the
-  flat head GEMV, numpy's float64 sigmoid), so the width rule changes
-  no bit.
+  its lanes' scalar steps — bit-identical to independent scalar
+  engines by construction.  Event-identity of batched float64 hybrid
+  runs rests on this.
+* **float32 below the crossover is the lane step too**, so a batched
+  float32 run whose engines have fewer than :data:`STACKED_MIN_WIDTH`
+  lanes is the inline float32 run, bit for bit.
+* **float32 from the crossover uses real GEMMs** — the speed mode.
+  Within-tolerance, not bit-identical, against the lane step.
 
 Layered on top is a steady-state **memoization cache** (see
 ``PAPERS.md``: memoization and fast-forwarding for packet-level
-simulation).  Keys are quantized ``(macro_index, features, state)``
-triples; by default a hit additionally requires *exact* equality of
-the stored feature/state arrays, so a hit returns byte-identical
-results and memoized runs stay event-identical with unmemoized ones.
-(In practice recurrent float orbits almost never repeat *exactly* —
-exact mode is the safe default, not the fast one; the speed comes from
-``exact=False``, where a quantized-key match alone is accepted.)  On a
-hit the cache **fast-forwards**: the lane's state becomes a pointer
-into a successor chain of cache entries and each packet costs one
-feature quantization and a dict probe — no state touch, no GEMM at
-all — until the first miss restores the real matrices and resumes
-computing.  A miss costs little more than the step: a lane that has an
-entry is at that entry's state, so only a cold lane's state is captured
-before a step, and each entry quantizes its state into a key once.
+simulation).  In exact mode (the default) a key is the raw bytes of
+``(macro_index, lane input, lane state)``: equal bytes make an
+identical step, so a hit returns byte-identical results by
+construction and memoized runs stay event-identical with unmemoized
+ones.  Recurrent float orbits almost never repeat *exactly*, so a memo
+pays only through its rare hits and its miss must cost next to
+nothing: two ``tobytes``, a dict probe and an insert around the step,
+with no quantization and no array compare.  ``exact=False`` keys on
+quantized values instead and accepts a quantized match alone.  On a
+hit the cache **fast-forwards**: the lane stays *virtual* at the hit's
+entry, whose state bytes stand in for its state, and each further
+packet costs a key and a dict probe — no state touch, no GEMM at all
+— until the first miss restores the real state from the entry's
+bytes and resumes computing.
 """
 
 from __future__ import annotations
@@ -60,7 +63,19 @@ import numpy as np
 
 from repro.nn.infer import _GATE_CLIP, _LOGIT_FLOOR, CompiledRecurrentModel
 
-__all__ = ["BatchedFusedEngine", "MemoConfig", "make_batched_engine"]
+__all__ = [
+    "BatchedFusedEngine",
+    "MemoConfig",
+    "STACKED_MIN_WIDTH",
+    "make_batched_engine",
+]
+
+#: Narrowest float32 round that runs the stacked product.  Below it the
+#: gather, pack, scatter and 2-D head readout cost more than the weight
+#: reads they share, so the round is its lanes' scalar steps (DESIGN.md
+#: §9 tables: on the 1x32 and 2x128 models a stacked round of 2-3 lanes
+#: runs at 0.4-0.9x the lane step, one of 8 lanes at 1.6-1.8x).
+STACKED_MIN_WIDTH = 8
 
 
 class MemoConfig:
@@ -69,21 +84,18 @@ class MemoConfig:
     Parameters
     ----------
     feature_decimals, state_decimals:
-        Quantization used to build hash keys: values are rounded to
-        this many decimals before hashing.  Coarser keys mean more
-        candidate hits; with ``exact`` on, a key collision is resolved
-        by array comparison and only costs a miss.
+        Quantization of the hash keys when ``exact`` is off: values are
+        rounded to this many decimals before hashing.  Coarser keys
+        mean more hits.  Exact mode keys on raw bytes and ignores both.
     max_entries:
-        FIFO capacity of the global key table.  Entries referenced by
-        live successor chains stay reachable after eviction (the chain
-        holds them directly); eviction only stops *new* lookups from
-        finding them.
+        FIFO capacity of the key table.  A virtual lane keeps the
+        entry it is at after that entry is evicted.
     exact:
-        Require exact array equality on top of the quantized key
-        (default).  Guarantees memoized results are bit-identical to
-        recomputation.  Off trades that guarantee for a higher hit
-        rate under near-periodic (not exactly converged) traffic; the
-        fidelity gate (``repro validate``) is the guard rail then.
+        Key on the raw bytes of features and state (default), so a hit
+        is bit-identical to recomputation.  Off trades that guarantee
+        for a higher hit rate under near-periodic (not exactly
+        converged) traffic; the fidelity gate (``repro validate``) is
+        the guard rail then.
     """
 
     __slots__ = ("feature_decimals", "state_decimals", "max_entries", "exact")
@@ -101,36 +113,6 @@ class MemoConfig:
         self.state_decimals = state_decimals
         self.max_entries = max_entries
         self.exact = exact
-
-
-class _MemoEntry:
-    """One cached transition: (state, features, macro) -> outcome.
-
-    ``prev_state`` / ``state`` are exact flat copies of the lane state
-    before and after the step; ``state_key`` is ``state`` quantized,
-    computed the first time a lane at this entry misses its chain;
-    ``successors`` maps ``(macro_index, feature_key)`` to the entry
-    reached next — the fast-forward chain.
-    """
-
-    __slots__ = (
-        "features",
-        "prev_state",
-        "state",
-        "state_key",
-        "drop_prob",
-        "latency_norm",
-        "successors",
-    )
-
-    def __init__(self, features, prev_state, state, drop_prob, latency_norm) -> None:
-        self.features = features
-        self.prev_state = prev_state
-        self.state = state
-        self.state_key = None
-        self.drop_prob = drop_prob
-        self.latency_norm = latency_norm
-        self.successors: dict = {}
 
 
 class BatchedFusedEngine:
@@ -159,21 +141,26 @@ class BatchedFusedEngine:
     direction_label:
         Label for those counters.
 
-    The public surface is three calls:
+    A caller that owns the features writes them to ``lanes[row].input``
+    and steps:
 
-    * :meth:`predict_batch` — the raw step over distinct lanes: one
-      stacked product per layer in float32, the lane steps in float64;
-    * :meth:`predict_one` — single-lane step: the lane's own scalar
-      engine, bit-identical to a width-1 batch;
-    * :meth:`predict_rows` — what the batcher uses: memoization (when
-      enabled) around ``predict_one`` at width 1 and ``predict_batch``
-      from width 2.
+    * :meth:`step_lane` — one lane, through the memo when enabled: the
+      hybrid's per-packet step below the crossover;
+    * :meth:`step_rows` — distinct lanes, through the memo: lane steps
+      below :attr:`stacked_from`, the stacked product from it.
+
+    :meth:`predict_rows` is :meth:`step_rows` on a list of feature
+    vectors, and :meth:`predict_batch` the raw stacked step (no memo).
 
     Attributes
     ----------
     lanes:
         Lane ``r``'s :class:`~repro.nn.infer.FusedInferenceEngine`,
         stepping in row ``r`` of this engine's matrices.
+    stacked_from:
+        The narrowest round :meth:`step_rows` stacks:
+        :data:`STACKED_MIN_WIDTH` in float32; never (``n_lanes + 1``)
+        in float64 or when the engine has fewer lanes than that.
     """
 
     def __init__(
@@ -189,8 +176,10 @@ class BatchedFusedEngine:
         self.compiled = compiled
         self.n_lanes = n_lanes
         self.steps = 0
-        dtype = compiled.dtype
+        dtype = self._dtype = compiled.dtype
         self._exact = dtype == np.dtype(np.float64)
+        stacks = not self._exact and n_lanes >= STACKED_MIN_WIDTH
+        self.stacked_from = STACKED_MIN_WIDTH if stacks else n_lanes + 1
         # One matrix per engine buffer; row ``r`` of each is lane ``r``'s.
         blocks = compiled.buffers(n_lanes)
         self.lanes = [
@@ -200,10 +189,6 @@ class BatchedFusedEngine:
         self._all_rows = list(range(n_lanes))
         self._lane_index = np.arange(n_lanes)
         self._head_out = np.empty((n_lanes, compiled.head_flat.shape[1]), dtype=dtype)
-        # Feature packing buffer for stacked rounds (raw float64
-        # extractor output; the dtype cast happens on copy into the
-        # work arena, same as the scalar engine).
-        self._fpack = np.empty((n_lanes, compiled.input_size), dtype=np.float64)
         self._n0 = compiled.input_size
         self._arena = blocks["arena"]
         self._work = np.empty_like(self._arena)
@@ -232,20 +217,19 @@ class BatchedFusedEngine:
         self.memo_hits = 0
         self.memo_misses = 0
         self._memo_config = memo
-        #: Key -> entry in insertion order: FIFO eviction is O(1) and,
-        #: as in a dict, re-inserting a key keeps its place.
+        #: Key -> entry in insertion order: FIFO eviction is O(1).
         self._memo: OrderedDict = OrderedDict()
         self._lane_entry: list = [None] * n_lanes
         self._lane_virtual = [False] * n_lanes
         self._m_hits = None
         self._m_misses = None
-        if memo is not None:
+        self._raw_keys = memo is None or memo.exact
+        if not self._raw_keys:
             self._fscale = 10.0 ** memo.feature_decimals
             self._sscale = 10.0 ** memo.state_decimals
-            self._qfeat = np.empty((n_lanes, compiled.input_size), dtype=np.float64)
-            self._qrows = list(self._qfeat)
-            # The engine dtype: ``state * scale`` is computed in it either
-            # way, and rounding it there gives the same integers.
+            # The engine dtype, which the values are in: ``values *
+            # scale`` is computed in it either way.
+            self._qfeat = np.empty(compiled.input_size, dtype=dtype)
             self._qstate = np.empty_like(self.lanes[0].capture_state())
         if metrics is not None and metrics.handles_enabled() and memo is not None:
             self._m_hits = metrics.counter(
@@ -265,26 +249,99 @@ class BatchedFusedEngine:
         self._lane_virtual = [False] * self.n_lanes
 
     # ------------------------------------------------------------------
+    def step_lane(self, row: int, macro_index: int):
+        """Advance lane ``row`` on the features in its ``input``:
+        memo-aware, and always the lane's own scalar step on a miss."""
+        lane = self.lanes[row]
+        if self._memo_config is None:
+            self.steps += 1
+            return lane.step(macro_index)
+        key, hit = self._recall(row, macro_index)
+        if hit is not None:
+            return hit[2]
+        self.steps += 1
+        outcome = lane.step(macro_index)
+        self._remember(row, key, outcome)
+        return outcome
+
+    def step_rows(self, macro_indices: Sequence[int], rows: Sequence[int]) -> list:
+        """Advance distinct lanes on the features in their ``input``s.
+
+        Without a cache this is the lane steps below
+        :attr:`stacked_from` and the stacked product from it.  With
+        one, each lane is looked up first; only misses are computed,
+        under the same width rule, and every miss installs an entry.
+        """
+        if self._memo_config is None:
+            return self._compute(macro_indices, rows)
+        results: list = []
+        missed: list = []
+        recall = self._recall
+        for i, row in enumerate(rows):
+            key, hit = recall(row, macro_indices[i])
+            if hit is None:
+                missed.append((i, row, key))
+                results.append(None)
+            else:
+                results.append(hit[2])
+        if missed:
+            computed = self._compute(
+                [macro_indices[i] for i, _, _ in missed],
+                [row for _, row, _ in missed],
+            )
+            for (i, row, key), outcome in zip(missed, computed):
+                self._remember(row, key, outcome)
+                results[i] = outcome
+        return results
+
+    def predict_rows(
+        self,
+        features_list: Sequence[np.ndarray],
+        macro_indices: Sequence[int],
+        rows: Sequence[int],
+    ) -> list:
+        """:meth:`step_rows` after copying each feature vector into its
+        lane's input (raw, unstandardized features)."""
+        lanes = self.lanes
+        for features, row in zip(features_list, rows):
+            lanes[row].input[...] = features
+        return self.step_rows(macro_indices, rows)
+
     def predict_batch(
         self,
         features,
         macro_indices: Sequence[int],
         rows: Sequence[int],
     ) -> list:
-        """Advance each listed lane one step.
+        """Advance each listed lane one step, bypassing the memo (so
+        not for lanes a memo is tracking).
 
         ``features`` is ``(B, F)`` raw (unstandardized) features,
         ``macro_indices`` and ``rows`` are length-B sequences; **rows
         must be distinct** (the batcher's one-packet-per-lane rounds
         guarantee this).  Returns ``[(drop_prob, latency_norm), ...]``
         in input order.  float64 steps the lanes one by one; float32
-        runs one stacked product per layer.
+        runs one stacked product per layer at any width.
         """
+        self._arena[np.asarray(rows, dtype=np.intp), : self._n0] = features
         if self._exact:
-            return [
-                self.predict_one(features[i], macro_indices[i], row)
-                for i, row in enumerate(rows)
-            ]
+            return self._lane_steps(macro_indices, rows)
+        return self._stacked(macro_indices, rows)
+
+    def _compute(self, macro_indices, rows) -> list:
+        """Step distinct lanes, uncached, under the width rule."""
+        if len(rows) < self.stacked_from:
+            return self._lane_steps(macro_indices, rows)
+        return self._stacked(macro_indices, rows)
+
+    def _lane_steps(self, macro_indices, rows) -> list:
+        lanes = self.lanes
+        self.steps += len(rows)
+        return [lanes[row].step(macro) for macro, row in zip(macro_indices, rows)]
+
+    def _stacked(self, macro_indices, rows) -> list:
+        """The float32 stacked step over distinct lanes whose arena rows
+        (features included) hold their inputs."""
         batch = len(rows)
         if batch == self.n_lanes and list(rows) == self._all_rows:
             # Full-batch fast path: every lane steps, so the layer
@@ -296,7 +353,6 @@ class BatchedFusedEngine:
             row_index = np.asarray(rows, dtype=np.intp)
             work = self._work[:batch]
             np.take(self._arena, row_index, axis=0, out=work)
-        work[:, : self._n0] = features
         for (wb, off, span, h_off, h, zbuf, gc, gcwork, packed) in self._layers:
             if row_index is None:
                 gcw = gc
@@ -330,22 +386,6 @@ class BatchedFusedEngine:
         self.steps += batch
         return self._read_heads(work[:, self._top_off :], macro_indices, batch)
 
-    def predict_one(self, features: np.ndarray, macro_index: int, row: int):
-        """Single-lane step — a width-1 round: ``row``'s scalar engine."""
-        self.steps += 1
-        return self.lanes[row].predict(features, macro_index)
-
-    def _step_rows(self, features_list, macro_indices, rows) -> list:
-        """Step distinct lanes, uncached: the lane step at width 1, the
-        stacked step from width 2."""
-        batch = len(rows)
-        if batch == 1:
-            return [self.predict_one(features_list[0], macro_indices[0], rows[0])]
-        pack = self._fpack[:batch]
-        for i in range(batch):
-            pack[i] = features_list[i]
-        return self.predict_batch(pack, macro_indices, rows)
-
     def _read_heads(self, top: np.ndarray, macro_indices, batch: int) -> list:
         """Stacked-head readout for a float32 batch: one GEMM over every
         head for the whole batch, a pick of each row's pair and a
@@ -374,133 +414,63 @@ class BatchedFusedEngine:
         np.rint(buf, out=buf)
         return buf.tobytes()
 
-    def predict_rows(
-        self,
-        features_list: Sequence[np.ndarray],
-        macro_indices: Sequence[int],
-        rows: Sequence[int],
-    ) -> list:
-        """Memo-aware step over distinct lanes.
+    def _state_key(self, state: bytes) -> bytes:
+        """The key part of a lane at raw ``state``."""
+        if self._raw_keys:
+            return state
+        values = np.frombuffer(state, dtype=self._dtype)
+        return self._quantize(values, self._sscale, self._qstate)
 
-        Without a cache this is the lane step (width 1) or feature
-        packing + the stacked batch.  With one, each lane first tries
-        the fast-forward chain, then the global key table; only misses
-        are computed, the same way, and every miss installs a new
-        entry linked into its predecessor's chain.
+    def _recall(self, row: int, macro_index: int):
+        """Look lane ``row``'s next step up: ``(key, entry)``.
+
+        An entry is ``(state, state_key, outcome)``: the raw bytes of
+        the state the step leaves, the key part of a lane at that state,
+        and the step's ``(drop_prob, latency_norm)``.  On a hit the lane
+        is left virtual at the entry.  On a miss ``entry`` is None and
+        the lane holds its real state, ready to step; :meth:`_remember`
+        installs the result under ``key``.
         """
-        if self._memo_config is None:
-            return self._step_rows(features_list, macro_indices, rows)
-        return self._predict_rows_memo(features_list, macro_indices, rows)
-
-    def _predict_rows_memo(self, features_list, macro_indices, rows) -> list:
-        exact = self._memo_config.exact
-        batch = len(rows)
-        # Feature quantization is the whole cost of a fast-forward hit,
-        # so it runs vectorized over the packed block — three numpy
-        # calls per *batch*, then one ``tobytes`` per lane — instead of
-        # three calls per packet.
-        pack = self._fpack[:batch]
-        for i in range(batch):
-            pack[i] = features_list[i]
-        qblock = self._qfeat[:batch]
-        np.multiply(pack, self._fscale, out=qblock)
-        np.rint(qblock, out=qblock)
-        qrows = self._qrows
-        results: list = [None] * batch
-        pending: list = []  # (i, row, fkey, key, prev_entry, prev_state, features)
-        lanes = self.lanes
-        memo = self._memo
-        lane_entry = self._lane_entry
-        lane_virtual = self._lane_virtual
-        hits = 0
-        for i, row in enumerate(rows):
-            features = features_list[i]
-            fkey = (macro_indices[i], qrows[i].tobytes())
-            entry = lane_entry[row]
-            if entry is None:
-                # Cold lane: the one state capture before a step.
-                state = lanes[row].capture_state()
-                skey = self._quantize(state, self._sscale, self._qstate)
-            else:
-                nxt = entry.successors.get(fkey)
-                if nxt is not None and (
-                    not exact or np.array_equal(nxt.features, features)
-                ):
-                    # Fast-forward: stay virtual, never touch matrices.
-                    results[i] = (nxt.drop_prob, nxt.latency_norm)
-                    lane_entry[row] = nxt
-                    lane_virtual[row] = True
-                    hits += 1
-                    continue
-                # The lane is at ``entry.state`` (virtually, or for real
-                # since the step that captured it).
-                state = entry.state
-                skey = entry.state_key
-                if skey is None:
-                    skey = entry.state_key = self._quantize(
-                        state, self._sscale, self._qstate
-                    )
-            key = (fkey, skey)
-            cand = memo.get(key)
-            if cand is not None and (
-                not exact
-                or (
-                    np.array_equal(cand.features, features)
-                    and np.array_equal(cand.prev_state, state)
-                )
-            ):
-                results[i] = (cand.drop_prob, cand.latency_norm)
-                if entry is not None:
-                    # Close the chain: the lane state at ``entry`` is
-                    # (verifiably, in exact mode) ``cand.prev_state``,
-                    # so future walks fast-forward straight through
-                    # instead of re-paying quantize + lookup every time
-                    # a cycle wraps past this transition.
-                    entry.successors[fkey] = cand
-                lane_entry[row] = cand
-                lane_virtual[row] = True
-                hits += 1
-                continue
-            # Miss: the lane computes from ``state``; the new entry
-            # links to the predecessor (if any) and keeps ``state`` as
-            # its exact pre-step copy.
-            if lane_virtual[row]:
-                lanes[row].restore_state(state)
-                lane_virtual[row] = False
-            pending.append((i, row, fkey, key, entry, state, features))
-        if hits:
-            self.memo_hits += hits
+        lane = self.lanes[row]
+        entry = self._lane_entry[row]
+        if entry is None:
+            # Cold lane: the one state read before a step.
+            state = lane.state_bytes()
+            state_key = self._state_key(state)
+        else:
+            # The lane is at ``state`` (virtually, or for real since the
+            # step that produced it).
+            state, state_key, _ = entry
+        if self._raw_keys:
+            key = (macro_index, lane.input.tobytes(), state_key)
+        else:
+            features = self._quantize(lane.input, self._fscale, self._qfeat)
+            key = (macro_index, features, state_key)
+        hit = self._memo.get(key)
+        if hit is not None:
+            self._lane_entry[row] = hit
+            self._lane_virtual[row] = True
+            self.memo_hits += 1
             if self._m_hits is not None:
-                self._m_hits.inc(hits)
-        if pending:
-            self.memo_misses += len(pending)
-            if self._m_misses is not None:
-                self._m_misses.inc(len(pending))
-            if len(pending) == 1:
-                i, row, *_, features = pending[0]
-                computed = [self.predict_one(features, macro_indices[i], row)]
-            else:
-                computed = self._step_rows(
-                    [job[6] for job in pending],
-                    [macro_indices[job[0]] for job in pending],
-                    [job[1] for job in pending],
-                )
-            cap = self._memo_config.max_entries
-            for job, outcome in zip(pending, computed):
-                i, row, fkey, key, prev_entry, prev_state, features = job
-                results[i] = outcome
-                new = _MemoEntry(
-                    features, prev_state, lanes[row].capture_state(), *outcome
-                )
-                if len(memo) >= cap:
-                    # FIFO eviction; break the evictee's chain so dead
-                    # entries cannot keep arbitrarily long tails alive.
-                    memo.popitem(last=False)[1].successors.clear()
-                memo[key] = new
-                if prev_entry is not None:
-                    prev_entry.successors[fkey] = new
-                lane_entry[row] = new
-        return results
+                self._m_hits.inc()
+            return key, hit
+        if self._lane_virtual[row]:
+            lane.restore_state(np.frombuffer(state, dtype=self._dtype))
+            self._lane_virtual[row] = False
+        self.memo_misses += 1
+        if self._m_misses is not None:
+            self._m_misses.inc()
+        return key, None
+
+    def _remember(self, row: int, key: tuple, outcome) -> None:
+        """Install lane ``row``'s computed step under ``key``."""
+        state = self.lanes[row].state_bytes()
+        new = (state, self._state_key(state), outcome)
+        memo = self._memo
+        if len(memo) >= self._memo_config.max_entries:
+            memo.popitem(last=False)  # FIFO eviction
+        memo[key] = new
+        self._lane_entry[row] = new
 
 
 def make_batched_engine(

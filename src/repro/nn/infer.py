@@ -427,6 +427,14 @@ class FusedInferenceEngine:
         """Exact flat copy of the full recurrent state."""
         return np.concatenate(self._state, out=out)
 
+    def state_bytes(self) -> bytes:
+        """:meth:`capture_state`'s values as raw bytes (the exact memo's
+        key and entry payload)."""
+        out = b""
+        for view in self._state:
+            out += view.tobytes()
+        return out
+
     def restore_state(self, flat: np.ndarray) -> None:
         """Write a :meth:`capture_state` copy back."""
         cursor = 0

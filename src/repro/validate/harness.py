@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from repro.core.hybrid import HybridConfig, HybridSimulation
+from repro.core.hybrid import HybridConfig, HybridSimulation, check_batching_options
 from repro.core.pipeline import (
     ExperimentConfig,
     FullRunOutput,
@@ -81,6 +81,7 @@ class ValidateConfig:
     memo_exact: bool = True
 
     def __post_init__(self) -> None:
+        check_batching_options(self.batch_window_s, self.memoize_inference)
         if self.region_cluster == self.full_cluster:
             raise ValueError(
                 "region_cluster must differ from full_cluster: the compared "

@@ -81,6 +81,47 @@ class TestBatchedEventIdentity:
         assert _outcomes(r1) == _outcomes(r2)
         assert r1.events_executed == r2.events_executed
 
+    def test_routing_change_inside_a_window_keeps_outcomes(self, trained_bundle):
+        """Packets held when a link failure lands inside their batching
+        window must be decided under the routing they arrived in (their
+        flow's path features and egress), or the batched run leaves the
+        per-packet one: the failure drains them first.  Until the
+        failure, runs that differ only in its time are equal, so a
+        failure just after a held arrival lands inside its window."""
+        from repro.core.world import build_world
+
+        def config(fail_at):
+            return ExperimentConfig(
+                clos=ClosParams(clusters=3), load=0.25, duration_s=0.003, seed=7,
+                failures=[
+                    (fail_at, "core-0", "agg-c1-0"),
+                    (fail_at + 5e-4, "core-0", "agg-c1-0", "up"),
+                ],
+            )
+
+        inline = HybridConfig(elide_remote_traffic=False)
+        batched = HybridConfig(elide_remote_traffic=False, batch_window_s=1e-6)
+        world = build_world(config(0.0015), trained_bundle, hybrid=inline)
+        arrivals = []
+        world.hybrid.models[1].on_outcome = (
+            lambda now, latency, dropped: arrivals.append(now)
+        )
+        world.run()
+        # An arrival after a quiet microsecond opens its own window.
+        openers = [
+            now for before, now in zip(arrivals, arrivals[1:])
+            if 0.0012 < now < 0.0015 and now - before > 1e-6
+        ]
+        assert len(openers) >= 3
+        for opener in openers[:3]:
+            fail_at = opener + 0.4e-6
+            scalar, _ = run_hybrid_simulation(config(fail_at), trained_bundle, hybrid=inline)
+            held, hybrid_sim = run_hybrid_simulation(
+                config(fail_at), trained_bundle, hybrid=batched
+            )
+            assert held.determinism_signature() == scalar.determinism_signature()
+            assert hybrid_sim.failure_injector.applied
+
     def test_approximate_memo_stays_in_latency_bounds(self, trained_bundle):
         """exact=False is allowed to perturb outcomes (it is gated by
         the fidelity harness, not by exactness) but every decision
@@ -139,6 +180,30 @@ class TestBatcherConfiguration:
 
         with pytest.raises(ValueError):
             InferenceBatcher(Simulator(seed=1), 0.0)
+
+    @pytest.mark.parametrize("options", [
+        {"memoize_inference": True},
+        {"memoize_inference": True, "batch_window_s": 0.0},
+        {"batch_window_s": -1e-6},
+        {"batch_window_s": -1e-6, "memoize_inference": True},
+    ])
+    @pytest.mark.parametrize("config_type", ["hybrid", "cascade", "validate"])
+    def test_memo_without_window_and_negative_window_rejected(
+        self, config_type, options
+    ):
+        """A memo with no batching window (or a negative window) would
+        run unmemoized and unbatched without a word, so the config is
+        rejected at construction, naming the field."""
+        from repro.cascade import CascadeConfig
+        from repro.validate import ValidateConfig
+
+        make = {
+            "hybrid": HybridConfig,
+            "cascade": CascadeConfig,
+            "validate": ValidateConfig,
+        }[config_type]
+        with pytest.raises(ValueError, match="batch_window_s"):
+            make(**options)
 
     def test_window_clamped_to_causal_horizon(self):
         from repro.core.batcher import InferenceBatcher

@@ -83,8 +83,8 @@ BATCHED_MEMO = HybridConfig(
     elide_remote_traffic=False, batch_window_s=5e-7, memoize_inference=True
 )
 #: The float32 batched+memo path on a lock-step collective: three
-#: approximated clusters share one engine, so rounds of width 1 (the
-#: lane step) interleave with stacked GEMM rounds of width 2-3.
+#: approximated clusters share one engine per direction, so rounds are
+#: 1-3 packets wide.
 COLLECTIVE_F32 = ExperimentConfig(
     clos=ClosParams(clusters=4),
     load=0.15,
@@ -106,6 +106,13 @@ BATCHED_MEMO_F32 = HybridConfig(
     memoize_inference=True,
     inference_dtype="float32",
 )
+#: The same float32 scenario unmemoized, and inline (no window).  Its
+#: engines have three lanes, below the stacked crossover, so every
+#: batched round is its lanes' scalar steps: all three are one run.
+BATCHED_F32 = HybridConfig(
+    elide_remote_traffic=False, batch_window_s=1e-6, inference_dtype="float32"
+)
+INLINE_F32 = HybridConfig(elide_remote_traffic=False, inference_dtype="float32")
 VALIDATE_EXPERIMENT = ExperimentConfig(
     clos=ClosParams(clusters=2), load=0.25, duration_s=0.004, seed=17
 )
@@ -199,6 +206,20 @@ def test_hybrid(trained_bundle, name, config, hybrid):
     assert result.model_packets > 0
     _check(name, result.determinism_signature())
     assert result.events_executed == GOLDEN_EVENTS[name]
+
+
+@pytest.mark.parametrize(
+    "hybrid", [BATCHED_F32, INLINE_F32], ids=["batched_no_memo", "inline"]
+)
+def test_collective_f32_batched_memo_is_inline(trained_bundle, hybrid):
+    """Below the crossover a float32 batched round is the inline lane
+    step and an exact memo hit is that step's bytes: batched with exact
+    memo (the golden), batched without memo and inline float32 share
+    one signature — as ``hybrid_batched_memo`` and ``hybrid_inline`` do
+    in float64."""
+    result, _ = run_hybrid_simulation(COLLECTIVE_F32, trained_bundle, hybrid=hybrid)
+    assert result.model_packets > 0
+    _check("hybrid_collective_f32", result.determinism_signature())
 
 
 # ----------------------------------------------------------------------

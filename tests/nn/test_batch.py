@@ -1,10 +1,11 @@
-"""Tests for the lane-batched inference engine (ISSUE 6 tentpole).
+"""Tests for the lane-batched inference engine.
 
-The contract: ``predict_batch`` over B distinct lanes is equivalent to
-B *independent scalar engines* each taking one ``predict`` step — in
-float64 bit-exactly (event-identity of batched hybrid runs rests on
-this), in float32 within tolerance.  The memoization wrapper must be
-outcome-identical to the unmemoized engine in exact mode.
+The contract: a round over B distinct lanes is equivalent to B
+*independent scalar engines* each taking one ``predict`` step — bit
+for bit in float64 at every width and in float32 below
+``STACKED_MIN_WIDTH`` (event-identity of batched hybrid runs rests on
+this), within tolerance for stacked float32 rounds.  The exact memo
+must be outcome-identical to the unmemoized engine.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.micro import MicroModel, MicroModelConfig
 from repro.nn.infer import compile_inference
-from repro.nn.batch import MemoConfig, make_batched_engine
+from repro.nn.batch import STACKED_MIN_WIDTH, MemoConfig, make_batched_engine
 
 F32_TOLERANCE = 5e-3
 
@@ -136,12 +137,12 @@ def test_batched_float64_long_stream_full_and_ragged(heads):
 def test_lane_step_is_width_one_batch_property(
     heads, num_layers, dtype, memo, pool, seed
 ):
-    """A width-1 round is the lane's own scalar engine; on a twin
-    engine the same round runs the stacked ``predict_batch`` on a
-    width-1 pack.  Both must agree bit for bit — in float32 too, which
-    is what lets the batcher pick the lane step without changing the
-    simulation — while GEMM rounds of width 2-3 step the same lanes in
-    between.  A small feature pool makes the memo (exact mode) hit."""
+    """On three lanes every round is its lanes' scalar steps; a twin
+    engine runs the same rounds through the stacked ``predict_batch``.
+    At width 1 a GEMV over a 1-D slice and one over a ``(1, K)`` row are
+    the same BLAS call, so both agree bit for bit — in float32 too —
+    and on this small model the 2-3 row GEMMs agree as well.  A small
+    feature pool makes the memo (exact mode) hit."""
     compiled = _compiled(heads, 5, 6, num_layers, seed, dtype)
     lanes = make_batched_engine(compiled, 3, memo=MemoConfig() if memo else None)
     twin = make_batched_engine(compiled, 3)
@@ -158,6 +159,147 @@ def test_lane_step_is_width_one_batch_property(
     if not memo:  # memo hits leave lanes virtual: their buffers are stale
         for mine, theirs in zip(lanes.lanes, twin.lanes):
             np.testing.assert_array_equal(mine.capture_state(), theirs.capture_state())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    heads=st.sampled_from(["shared", "per_macro"]),
+    num_layers=st.integers(min_value=1, max_value=2),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    memo=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_narrow_rounds_are_independent_scalar_steps_property(
+    heads, num_layers, dtype, memo, seed
+):
+    """Rounds of width 1 to ``STACKED_MIN_WIDTH - 1`` on an engine wide
+    enough to stack are bit-identical to independent scalar engines, in
+    float32 as in float64, memo on or off.  A small feature pool makes
+    the exact memo hit, on other lanes' entries too."""
+    n_lanes = STACKED_MIN_WIDTH + 2
+    compiled = _compiled(heads, 5, 6, num_layers, seed, dtype)
+    engine = make_batched_engine(
+        compiled, n_lanes, memo=MemoConfig() if memo else None
+    )
+    scalars = [compiled.engine() for _ in range(n_lanes)]
+    rng = np.random.default_rng(seed + 23)
+    pool = rng.normal(scale=2.0, size=(3, 5))
+    packets = 0
+    for _ in range(16):
+        width = int(rng.integers(1, STACKED_MIN_WIDTH))
+        rows = sorted(rng.choice(n_lanes, size=width, replace=False).tolist())
+        feats = [pool[int(rng.integers(len(pool)))] for _ in rows]
+        macros = [int(rng.integers(4)) for _ in rows]
+        want = [
+            scalars[row].predict(x, macro_index=m)
+            for x, m, row in zip(feats, macros, rows)
+        ]
+        assert engine.predict_rows(feats, macros, rows) == want
+        packets += width
+    if memo:
+        assert engine.memo_hits + engine.memo_misses == packets
+        assert engine.steps == engine.memo_misses
+    else:
+        assert engine.steps == packets
+
+
+@pytest.mark.parametrize("memo", [False, True])
+def test_wide_float32_rounds_run_the_stacked_product(memo):
+    """From ``STACKED_MIN_WIDTH`` a float32 round is ``predict_batch``
+    (bit for bit against a twin engine; with the memo, every step of a
+    never-repeating stream is a miss computed at the round's width) and
+    stays within the float32 tolerance of independent scalar engines.
+    Float64 never stacks."""
+    n_lanes = STACKED_MIN_WIDTH + 4
+    compiled = _compiled("per_macro", 6, 16, 2, seed=5, dtype=np.float32)
+    engine = make_batched_engine(
+        compiled, n_lanes, memo=MemoConfig() if memo else None
+    )
+    assert engine.stacked_from == STACKED_MIN_WIDTH
+    twin = make_batched_engine(compiled, n_lanes)
+    scalars = [compiled.engine() for _ in range(n_lanes)]
+    rng = np.random.default_rng(61)
+    for _ in range(12):
+        width = int(rng.integers(STACKED_MIN_WIDTH, n_lanes + 1))
+        rows = sorted(rng.choice(n_lanes, size=width, replace=False).tolist())
+        feats = rng.normal(size=(width, 6))
+        macros = [int(rng.integers(4)) for _ in rows]
+        got = engine.predict_rows(list(feats), macros, rows)
+        assert got == twin.predict_batch(feats, macros, rows)
+        for (drop, latency), x, m, row in zip(got, feats, macros, rows):
+            want_drop, want_latency = scalars[row].predict(x, macro_index=m)
+            assert drop == pytest.approx(want_drop, abs=F32_TOLERANCE)
+            assert latency == pytest.approx(want_latency, abs=F32_TOLERANCE)
+    assert engine.memo_hits == 0
+    narrow = make_batched_engine(compiled, STACKED_MIN_WIDTH - 1)
+    f64 = _compiled("per_macro", 6, 16, 2, seed=5, dtype=np.float64)
+    for never in (narrow, make_batched_engine(f64, n_lanes)):
+        assert never.stacked_from > never.n_lanes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_exact_memo_hits_only_on_identical_bytes(dtype):
+    """An exact key is the raw bytes of (macro, input, state): a second
+    lane at the same state hits on the same input and macro, and misses
+    on a one-ulp input change, another macro, another state — or a
+    signed zero, whose bytes differ although its arithmetic does not."""
+    compiled = _compiled("per_macro", 4, 8, 1, seed=53, dtype=dtype)
+    engine = make_batched_engine(compiled, 2, memo=MemoConfig())
+    x = np.array([0.5, -1.25, 2.0, 0.0], dtype=dtype)
+    nudged = x.copy()
+    nudged[1] = np.nextafter(nudged[1], dtype(np.inf))
+    signed_zero = x.copy()
+    signed_zero[3] = -0.0
+
+    def hits(row, features, macro) -> bool:
+        before = engine.memo_hits
+        engine.predict_rows([features], [macro], [row])
+        return engine.memo_hits > before
+
+    for other, macro, hit in (
+        (x, 1, True),
+        (nudged, 1, False),
+        (x, 2, False),
+        (signed_zero, 1, False),
+    ):
+        engine.reset()
+        assert not hits(0, x, 1)  # lane 0, cold: computed and installed
+        assert hits(1, other, macro) is hit
+    engine.reset()
+    assert not hits(0, x, 1)
+    assert not hits(0, x, 1)  # same input and macro, lane 0's new state
+    assert hits(1, x, 1) and hits(1, x, 1)  # lane 1 walks lane 0's steps
+    # Counters survive reset: 12 packets, the 3 hits asserted above.
+    assert (engine.memo_hits, engine.memo_misses) == (3, 9)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lane_restored_from_bytes_continues_bit_identically(dtype):
+    """State bytes written back with ``np.frombuffer`` are the state: a
+    lane restored from another's bytes continues bit for bit, and so
+    does a memo lane that hit (virtual) and then missed."""
+    compiled = _compiled("shared", 5, 7, 2, seed=59, dtype=dtype)
+    rng = np.random.default_rng(67)
+    warm = rng.normal(size=(6, 5))
+    tail = rng.normal(size=(6, 5))
+    lane, other = make_batched_engine(compiled, 2).lanes
+    for x in warm:
+        lane.predict(x, 1)
+    other.restore_state(np.frombuffer(lane.state_bytes(), dtype=dtype))
+    assert other.state_bytes() == lane.state_bytes()
+    for i, x in enumerate(tail):
+        assert other.predict(x, i % 4) == lane.predict(x, i % 4)
+
+    engine = make_batched_engine(compiled, 2, memo=MemoConfig())
+    scalar = compiled.engine()
+    for x in warm:
+        engine.predict_rows([x], [1], [0])
+    for x in warm:  # lane 1 replays lane 0's steps: all hits
+        assert engine.predict_rows([x], [1], [1]) == [scalar.predict(x, 1)]
+    assert engine.memo_hits == len(warm)
+    for i, x in enumerate(tail):  # misses: lane 1 resumes from entry bytes
+        assert engine.predict_rows([x], [i % 4], [1]) == [scalar.predict(x, i % 4)]
+    assert engine.lanes[1].state_bytes() == scalar.state_bytes()
 
 
 def test_reset_restores_fresh_lanes():
@@ -249,19 +391,21 @@ class _RecordingTable(OrderedDict):
         min_size=1,
         max_size=60,
     ),
+    exact=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_memo_fifo_eviction_matches_list_model(cap, steps, seed):
+def test_memo_fifo_eviction_matches_list_model(cap, steps, exact, seed):
     """FIFO order of the key table against a list: a full table evicts
     its oldest key before every insert, and re-inserting a key that is
-    still present keeps its place.  Keys quantized to 0 decimals with
-    sub-unit features collide while the exact arrays differ, so exact
-    mode re-inserts existing keys."""
+    still present keeps its place.  With keys quantized to 0 decimals,
+    sub-unit features collide and hit; exact keys hit on repeats."""
     compiled = _compiled("per_macro", 3, 4, 1, seed, np.float64)
     engine = make_batched_engine(
         compiled,
         3,
-        memo=MemoConfig(feature_decimals=0, state_decimals=0, max_entries=cap),
+        memo=MemoConfig(
+            feature_decimals=0, state_decimals=0, max_entries=cap, exact=exact
+        ),
     )
     engine._memo = table = _RecordingTable()
     choices = np.random.default_rng(seed).uniform(-0.4, 0.4, size=(6, 3))
