@@ -13,6 +13,10 @@ A third prices the tracing layer two ways: the same synthetic rotation
 (flight recorder off gated < 0.5%) plus an end-to-end accounting
 estimate — cache-cold per-record cost times a real hybrid run's
 deterministic record count over its untraced CPU time — gated < 2%.
+The last section is counts, not timings: on the ledger's 16-cluster
+scenario in float32 with a batching window, the width of every
+inference round and the share of model packets whose flow has neither
+endpoint in the focal cluster.
 
 Results land in two places:
 
@@ -793,6 +797,91 @@ def _bench_model_packet_budget() -> dict:
     }
 
 
+def _bench_fabric_rounds() -> dict:
+    """Round widths on a wide fabric, and how many model packets are remote.
+
+    Reruns the ledger's ``hybrid_clos16`` scenario (16-cluster Clos,
+    load 0.25, remote traffic kept; trial 0 of seed 42) with float32
+    inference and a 1 us batching window.  Its 15 approximated clusters
+    share one engine per direction, so a flush round can reach the
+    stacked crossover (``STACKED_MIN_WIDTH``).  Counted here, with the
+    simulation untouched:
+
+    * the width of every round, from each ``step_rows`` call — every
+      round of an engine of at least ``STACKED_MIN_WIDTH`` float32
+      lanes goes through it, the narrow ones as lane steps;
+    * the model packets whose flow has neither endpoint in the focal
+      (full-fidelity) cluster, from each ``receive`` call.
+    """
+    from collections import Counter
+    from unittest import mock
+
+    from benchmarks.ledger import adapter, measure, workloads
+    from repro.core.cluster_model import ApproximatedCluster
+    from repro.core.hybrid import HybridConfig
+    from repro.core.training import TrainedClusterModel
+    from repro.core.world import build_world
+    from repro.nn.batch import STACKED_MIN_WIDTH, BatchedFusedEngine
+
+    workload = workloads.BY_NAME["hybrid_clos16"]
+    profile = measure.PROFILES["full" if FULL_SIZE else "quick"]
+    if profile.sim_s is not None:
+        workload = workloads.at_duration(workload, profile.sim_s)
+    measure.CACHE_DIR.mkdir(exist_ok=True)
+    model_dir, _ = adapter.ensure_model(measure.CACHE_DIR, profile.train_batches)
+    seed = measure.trial_seed(42, 0)
+    config = adapter._experiment(workload.scenario, seed)
+    hybrid = HybridConfig(
+        **workload.options["hybrid"], inference_dtype="float32", batch_window_s=1e-6
+    )
+    trained = TrainedClusterModel.load(model_dir)
+    full = hybrid.full_cluster
+    widths: Counter = Counter()
+    received, remote = [0], [0]
+    step_rows = BatchedFusedEngine.step_rows
+    receive = ApproximatedCluster.receive
+
+    def counted_step_rows(engine, macros, rows):
+        widths[len(rows)] += 1
+        return step_rows(engine, macros, rows)
+
+    def counted_receive(cluster, packet, from_node):
+        received[0] += 1
+        if cluster_of[packet.src] != full and cluster_of[packet.dst] != full:
+            remote[0] += 1
+        return receive(cluster, packet, from_node)
+
+    with mock.patch.object(BatchedFusedEngine, "step_rows", counted_step_rows), \
+            mock.patch.object(ApproximatedCluster, "receive", counted_receive):
+        world = build_world(config, trained, hybrid=hybrid)
+        servers = world.hybrid.topology.servers()
+        cluster_of = {node.name: node.cluster for node in servers}
+        world.run()
+    batcher = world.hybrid.batcher
+    packets = world.hybrid.model_packets_handled()
+    rounds = sum(widths.values())
+    # Both counts are complete: every round went through step_rows and
+    # every model packet through receive.
+    assert rounds == batcher.batched_rounds, (rounds, batcher.batched_rounds)
+    assert sum(w * n for w, n in widths.items()) == batcher.batched_packets
+    assert received[0] == packets, (received[0], packets)
+    stacked = {w: n for w, n in widths.items() if w >= STACKED_MIN_WIDTH}
+    return {
+        "workload": f"ledger {workload.name} scenario, {config.duration_s * 1e3:g} ms, "
+        f"traffic seed {seed}, float32, batch_window_s=1e-6, remote traffic kept",
+        "model_packets": packets,
+        "rounds": rounds,
+        "round_widths": {str(w): widths[w] for w in sorted(widths)},
+        "stacked_min_width": STACKED_MIN_WIDTH,
+        "stacked_rounds": sum(stacked.values()),
+        "stacked_packet_share": (
+            sum(w * n for w, n in stacked.items()) / packets if packets else 0.0
+        ),
+        "remote_packets": remote[0],
+        "remote_packet_share": remote[0] / packets if packets else 0.0,
+    }
+
+
 def test_hotpath_inference_speedup():
     """Fused vs. reference single-packet latency across model variants."""
     variants = {"lstm": "shared", "lstm_per_macro": "per_macro"}
@@ -802,6 +891,7 @@ def test_hotpath_inference_speedup():
     overhead = _bench_metrics_overhead()
     trace_overhead = _bench_trace_overhead()
     budget = _bench_model_packet_budget()
+    fabric = _bench_fabric_rounds()
 
     default = results["lstm"]
     payload = {
@@ -820,6 +910,7 @@ def test_hotpath_inference_speedup():
         "metrics_overhead": overhead,
         "trace_overhead": trace_overhead,
         "model_packet_budget": budget,
+        "fabric_rounds": fabric,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -917,6 +1008,17 @@ def test_hotpath_inference_speedup():
             )
         ],
     ) + f"\n({budget['workload']}; {budget['method']})"
+    fabric_table = format_table(
+        ["round width", "rounds"],
+        [[width, str(count)] for width, count in fabric["round_widths"].items()],
+    ) + (
+        f"\n({fabric['workload']}; {fabric['stacked_rounds']} of "
+        f"{fabric['rounds']} rounds stack (width >= {fabric['stacked_min_width']}),"
+        f" carrying {fabric['stacked_packet_share']:.1%} of "
+        f"{fabric['model_packets']} model packets; "
+        f"{fabric['remote_packet_share']:.1%} of model packets have neither "
+        "endpoint in the focal cluster)"
+    )
     write_result(
         "hotpath_inference",
         format_table(
@@ -931,7 +1033,9 @@ def test_hotpath_inference_speedup():
         + "\n\n"
         + overhead_table
         + "\n\n"
-        + budget_table,
+        + budget_table
+        + "\n\n"
+        + fabric_table,
     )
 
     for name, r in results.items():

@@ -69,7 +69,7 @@ def run_variant(name: str, tcp: TcpConfig, ecn_threshold: int | None) -> dict:
         "queue_peak_kb": queue_peak / 1000,
         "fct_p50_ms": float(np.percentile(fcts, 50)) * 1e3 if fcts.size else float("nan"),
         "fct_p99_ms": float(np.percentile(fcts, 99)) * 1e3 if fcts.size else float("nan"),
-        "rtt_p99_us": float(np.percentile(net.rtt_monitor(0).values, 99)) * 1e6,
+        "rtt_p99_us": float(np.percentile(net.rtt_samples(0), 99)) * 1e6,
     }
 
 

@@ -49,7 +49,7 @@ def run_at_load(load: float, seed: int = 3) -> dict[str, float]:
     sim.run(until=DURATION_S)
 
     fcts = np.asarray(gen.completed_fcts())
-    rtts = np.asarray(net.rtt_monitor(0).values)
+    rtts = np.asarray(net.rtt_samples(0))
     # 4-hop base RTT (same-cluster cross-rack) for slowdown normalization.
     slowdowns = slowdown_by_bucket(gen.flows, 10e9, base_rtt_s=13e-6)
     return {

@@ -175,7 +175,9 @@ class CascadeConfig:
     memo_exact: bool = True
 
     def __post_init__(self) -> None:
-        check_batching_options(self.batch_window_s, self.memoize_inference)
+        check_batching_options(
+            self.batch_window_s, self.memoize_inference, self.use_fused_inference
+        )
         if self.epoch_s <= 0:
             raise ValueError(f"epoch_s must be positive, got {self.epoch_s}")
         if self.window_epochs < 1:

@@ -132,11 +132,10 @@ class FidelityController:
         self._calm: dict[int, int] = {region: 0 for region in self.regions}
         self._cooldown: dict[int, int] = {region: 0 for region in self.regions}
         self._breached: set[int] = set()
-        self._epoch_counter = metrics.counter("cascade.epochs") if metrics else None
-        self._promo_counter = (
-            metrics.counter("cascade.promotions") if metrics else None
-        )
-        self._demo_counter = metrics.counter("cascade.demotions") if metrics else None
+        if metrics:
+            metrics.bind_counter("cascade.epochs", lambda: self.epochs_evaluated)
+            metrics.bind_counter("cascade.promotions", lambda: self.log.promotions)
+            metrics.bind_counter("cascade.demotions", lambda: self.log.demotions)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -178,8 +177,6 @@ class FidelityController:
         """
         config = self.config
         self.epochs_evaluated += 1
-        if self._epoch_counter is not None:
-            self._epoch_counter.inc()
         cutoff = now - config.window_s
         self.reference.evict_before(cutoff)
         for region in self.regions:
@@ -282,10 +279,6 @@ class FidelityController:
         self.tiers[region] = to_tier
         self._cooldown[region] = self.config.cooldown_epochs
         self._calm[region] = 0
-        if kind == "promote" and self._promo_counter is not None:
-            self._promo_counter.inc()
-        if kind == "demote" and self._demo_counter is not None:
-            self._demo_counter.inc()
         return self._record(
             epoch, now, region, from_tier, to_tier,
             kind=kind, ratio=ratio, components=components, reason=reason,

@@ -106,12 +106,12 @@ class InferenceBatcher:
         #: Engine -> its (memo_hits, memo_misses) after its last round.
         self._memo_seen: dict = {}
         self._m_batch_size = None
-        self._m_fallbacks = None
-        self._m_flushes = None
         if metrics is not None and metrics.handles_enabled():
             self._m_batch_size = metrics.histogram("hybrid.batch_size")
-            self._m_fallbacks = metrics.counter("hybrid.scalar_fallbacks")
-            self._m_flushes = metrics.counter("hybrid.batch_flushes")
+            metrics.bind_counter(
+                "hybrid.scalar_fallbacks", lambda: self.scalar_fallbacks
+            )
+            metrics.bind_counter("hybrid.batch_flushes", lambda: self.flushes)
 
     # ------------------------------------------------------------------
     def register(self, cluster) -> None:
@@ -128,11 +128,6 @@ class InferenceBatcher:
             self._flush_event = self.sim.schedule(
                 self.window_s, self._flush, priority=FLUSH_PRIORITY
             )
-
-    @property
-    def pending(self) -> int:
-        """Held packets not yet flushed."""
-        return sum(len(lane) for lane in self._lanes.values())
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
@@ -158,8 +153,6 @@ class InferenceBatcher:
         if not lanes:
             return
         self.flushes += 1
-        if self._m_flushes is not None:
-            self._m_flushes.inc()
         tracer = self._tracer
         while lanes:
             # One round: the oldest held packet of every cluster, in
@@ -201,8 +194,6 @@ class InferenceBatcher:
                 self.batched_packets += width
                 if width < engine.stacked_from:
                     self.scalar_fallbacks += 1
-                    if self._m_fallbacks is not None:
-                        self._m_fallbacks.inc()
                 if self._m_batch_size is not None:
                     self._m_batch_size.observe(float(width))
                 if tracer is not None:

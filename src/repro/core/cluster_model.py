@@ -34,7 +34,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.streaming import StreamingStats
 from repro.core.features import (
     FEATURE_COUNT,
     Direction,
@@ -241,7 +240,7 @@ class ApproximatedCluster(Entity):
         self.conflicts_resolved = 0
         self.rate_fallbacks = 0  # distinct egress nodes that needed one
         self.inference_seconds = 0.0
-        self.latency_stats = StreamingStats()
+        self.latency_sum = 0.0  # over delivered packets
 
         #: Per-packet outcome tap (see class docstring).
         self.on_outcome = None
@@ -259,9 +258,6 @@ class ApproximatedCluster(Entity):
         # Observability handles (resolved once; None == disabled).
         self._m_infer = None
         self._m_latency = None
-        self._m_drops = None
-        self._m_conflicts = None
-        self._m_rate_fallbacks = None
         if metrics is not None and metrics.handles_enabled():
             cluster = self.region.name
             self._m_infer = metrics.histogram(
@@ -270,12 +266,18 @@ class ApproximatedCluster(Entity):
             self._m_latency = metrics.histogram(
                 "hybrid.predicted_latency_s", cluster=cluster
             )
-            self._m_drops = metrics.counter("hybrid.model_drops", cluster=cluster)
-            self._m_conflicts = metrics.counter(
-                "hybrid.conflicts_resolved", cluster=cluster
+            metrics.bind_counter(
+                "hybrid.model_drops", lambda: self.packets_dropped, cluster=cluster
             )
-            self._m_rate_fallbacks = metrics.counter(
-                "hybrid.egress_rate_fallbacks", cluster=cluster
+            metrics.bind_counter(
+                "hybrid.conflicts_resolved",
+                lambda: self.conflicts_resolved,
+                cluster=cluster,
+            )
+            metrics.bind_counter(
+                "hybrid.egress_rate_fallbacks",
+                lambda: self.rate_fallbacks,
+                cluster=cluster,
             )
             transitions = metrics.counter("hybrid.macro_transitions", cluster=cluster)
             by_edge = {}
@@ -428,8 +430,6 @@ class ApproximatedCluster(Entity):
         conflict resolution and the single egress event."""
         if self.rng.random() < drop_prob:
             self.packets_dropped += 1
-            if self._m_drops is not None:
-                self._m_drops.inc()
             if self._tracer is not None:
                 self._tracer.event(
                     "model.drop",
@@ -447,7 +447,7 @@ class ApproximatedCluster(Entity):
             latency = MIN_REGION_LATENCY_S
         elif latency > MAX_REGION_LATENCY_S:
             latency = MAX_REGION_LATENCY_S
-        self.latency_stats.add(latency)
+        self.latency_sum += latency
         if self._m_latency is not None:
             self._m_latency.observe(latency)
         self.macro.observe(now, latency)
@@ -465,8 +465,6 @@ class ApproximatedCluster(Entity):
         if deliver_at < earliest:
             deliver_at = earliest
             self.conflicts_resolved += 1
-            if self._m_conflicts is not None:
-                self._m_conflicts.inc()
         target.last_delivery = deliver_at
         self.packets_delivered += 1
         trace = None
@@ -527,8 +525,6 @@ class ApproximatedCluster(Entity):
                     "conflict-resolution serialization"
                 )
             self.rate_fallbacks += 1
-            if self._m_rate_fallbacks is not None:
-                self._m_rate_fallbacks.inc()
         target = self._targets[name] = _EgressTarget(
             name, self.resolve_entity(name), boundary, rate
         )

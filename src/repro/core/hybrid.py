@@ -144,12 +144,21 @@ class ShardableHybrid:
         return self._remote_entity(name)
 
 
-def check_batching_options(batch_window_s: float, memoize_inference: bool) -> None:
-    """Reject a negative batching window, and a memo without a window
-    (the cache lives on the batched engines)."""
+def check_batching_options(
+    batch_window_s: float, memoize_inference: bool, use_fused_inference: bool
+) -> None:
+    """Reject a negative batching window, a window without the fused
+    engine (the reference ``predict_step`` path has no batched form),
+    and a memo without a window (the cache lives on the batched
+    engines)."""
     if batch_window_s < 0:
         raise ValueError(
             f"batch_window_s must be >= 0 (0 disables batching), got {batch_window_s}"
+        )
+    if batch_window_s > 0 and not use_fused_inference:
+        raise ValueError(
+            "batch_window_s requires use_fused_inference=True: the reference "
+            "predict_step path has no batched form"
         )
     if memoize_inference and batch_window_s == 0:
         raise ValueError(
@@ -226,7 +235,9 @@ class HybridConfig:
     memo_max_entries: int = 8192
 
     def __post_init__(self) -> None:
-        check_batching_options(self.batch_window_s, self.memoize_inference)
+        check_batching_options(
+            self.batch_window_s, self.memoize_inference, self.use_fused_inference
+        )
 
 
 class HybridSimulation:
@@ -454,11 +465,6 @@ class HybridSimulation:
         from repro.nn.batch import MemoConfig, make_batched_engine
 
         config = self.config
-        if not config.use_fused_inference:
-            raise ValueError(
-                "batch_window_s requires use_fused_inference=True "
-                "(the reference predict_step path has no batched form)"
-            )
         memo = None
         if config.memoize_inference:
             memo = MemoConfig(
@@ -572,15 +578,3 @@ class HybridSimulation:
                 memo_misses=sum(e.memo_misses for e in self._batch_engines),
             )
         return hot_path_summary(totals, wallclock_s)
-
-    def observed_rtt_samples(self) -> list[float]:
-        """RTTs observed by the full-fidelity cluster's hosts.
-
-        The paper draws its accuracy comparison (Figure 4) from the
-        fully simulated region.  A PDES shard that owns none of the
-        full cluster's hosts has no monitor and reports no samples.
-        """
-        monitor = self.network.rtt_monitors.get(self.full_cluster)
-        if monitor is None:
-            return []
-        return monitor.values.tolist()

@@ -381,11 +381,15 @@ class World:
         """Measurements of the finished run."""
         sim, hybrid, traffic = self.sim, self.hybrid, self.traffic
         model_drops = hybrid.model_drops()
-        rtts = hybrid.observed_rtt_samples()
         if hybrid.trained is None and isinstance(traffic, ScheduledFlows):
             # The Figure 1 engine (no model, a pre-drawn schedule on any
             # graph) has no observation region: it pools every cluster.
             rtts = hybrid.network.all_rtt_samples()
+        else:
+            # The paper draws its accuracy comparison (Figure 4) from
+            # the full-fidelity cluster's hosts; a PDES shard that owns
+            # none of them reports no samples.
+            rtts = list(hybrid.network.rtt_samples(hybrid.full_cluster))
         return RunResult(
             sim_seconds=self.config.duration_s,
             wallclock_seconds=sim.wallclock_elapsed,

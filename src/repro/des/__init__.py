@@ -14,8 +14,6 @@ Public API
     heap entry, which is its cancellation handle.
 ``Entity``
     Base class for simulation components (switches, hosts, links, ...).
-``Monitor`` / ``TimeSeries`` / ``Counter``
-    Lightweight statistics collection.
 ``SimulationError``, ``SchedulingError``
     Kernel error types.
 """
@@ -23,17 +21,13 @@ Public API
 from repro.des.errors import SchedulingError, SimulationError
 from repro.des.kernel import Simulator
 from repro.des.entities import Entity, Timer
-from repro.des.monitors import Counter, Monitor, TimeSeries
 from repro.des.rng import RandomStreams
 
 __all__ = [
-    "Counter",
     "Entity",
-    "Monitor",
     "RandomStreams",
     "SchedulingError",
     "SimulationError",
     "Simulator",
-    "TimeSeries",
     "Timer",
 ]

@@ -79,13 +79,13 @@ class EpochFlowSimulator:
         self.flows_completed = 0
         self.bytes_admitted = 0
         self.rate_recomputations = 0
-        registry = metrics
-        self._completed_counter = (
-            registry.counter("flowsim.flows_completed") if registry else None
-        )
-        self._recompute_counter = (
-            registry.counter("flowsim.rate_recomputes") if registry else None
-        )
+        if metrics:
+            metrics.bind_counter(
+                "flowsim.flows_completed", lambda: self.flows_completed
+            )
+            metrics.bind_counter(
+                "flowsim.rate_recomputes", lambda: self.rate_recomputations
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -177,8 +177,6 @@ class EpochFlowSimulator:
             result = FlowResult(spec=flow.spec, completion_time=self.now)
             drained.append(result)
             self.flows_completed += 1
-            if self._completed_counter is not None:
-                self._completed_counter.inc()
             if self.on_completion is not None:
                 self.on_completion(result)
         return drained
@@ -203,8 +201,6 @@ class EpochFlowSimulator:
             result = FlowResult(spec=flow.spec, completion_time=completion_time)
             drained.append(result)
             self.flows_completed += 1
-            if self._completed_counter is not None:
-                self._completed_counter.inc()
             if self.on_completion is not None:
                 self.on_completion(result)
         return drained
@@ -234,8 +230,6 @@ class EpochFlowSimulator:
             return
         self._rates_dirty = False
         self.rate_recomputations += 1
-        if self._recompute_counter is not None:
-            self._recompute_counter.inc()
         flows = list(self._active.values())
         # Progressive filling over the links actually crossed: the
         # allocation is identical (untouched links never bind) but the

@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 from repro.des.entities import Entity
 from repro.des.kernel import Simulator
-from repro.des.monitors import Monitor
 from repro.net.packet import Packet
 from repro.net.port import Port
 from repro.net.tcp.config import TcpConfig
@@ -37,9 +36,9 @@ class Host(Entity):
         self._port_counter = itertools.count(10_000)
         self.packets_received = 0
         self.unmatched_packets = 0
-        #: RTT monitor shared by all senders on this host (assigned by
-        #: the network assembler so experiments can scope it).
-        self.rtt_monitor: Optional[Monitor] = None
+        #: RTT sample list shared by all senders on this host (its
+        #: cluster's list, assigned by the network assembler).
+        self.rtt_samples: Optional[list[float]] = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -89,7 +88,7 @@ class Host(Entity):
             total_bytes=total_bytes,
             config=self.tcp_config,
             on_complete=on_complete,
-            rtt_monitor=self.rtt_monitor,
+            rtt_samples=self.rtt_samples,
         )
         receiver = TcpReceiver(
             host=dst_host,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.des.kernel import Simulator
-from repro.des.monitors import Counter, Monitor
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.net.port import DEFAULT_QUEUE_BYTES, Port, Receiver
@@ -88,22 +87,21 @@ class Network:
         self.excluded_nodes = frozenset(excluded_nodes)
         overrides = dict(receiver_overrides or {})
 
-        self.drop_counter = Counter("drops")
+        #: Packets dropped anywhere in the network.
+        self.total_drops = 0
         self.hosts: dict[str, Host] = {}
         self.switches: dict[str, Switch] = {}
         self._ports: dict[tuple[str, str], Port] = {}
-        #: One RTT monitor per cluster id (None key = core-attached).
-        self.rtt_monitors: dict[Optional[int], Monitor] = {}
+        #: RTT samples per cluster id (None key = core-attached); each
+        #: host's senders append to their cluster's list.
+        self._rtt_samples: dict[Optional[int], list[float]] = {}
 
         for node in topology.nodes:
             if node.name in self.excluded_nodes:
                 continue
             if node.role is NodeRole.SERVER:
                 host = Host(sim, node.name, self.config.tcp)
-                monitor = self.rtt_monitors.setdefault(
-                    node.cluster, Monitor(f"rtt-cluster-{node.cluster}")
-                )
-                host.rtt_monitor = monitor
+                host.rtt_samples = self._rtt_samples.setdefault(node.cluster, [])
                 self.hosts[node.name] = host
             else:
                 self.switches[node.name] = Switch(sim, node.name, self.routing)
@@ -142,7 +140,7 @@ class Network:
 
     # ------------------------------------------------------------------
     def _on_drop(self, packet: Packet) -> None:
-        self.drop_counter.increment()
+        self.total_drops += 1
 
     # ------------------------------------------------------------------
     # Lookups
@@ -163,29 +161,19 @@ class Network:
         """All directed ports keyed by (owner, peer)."""
         return dict(self._ports)
 
-    def rtt_monitor(self, cluster: Optional[int]) -> Monitor:
-        """RTT samples observed by hosts of one cluster."""
-        return self.rtt_monitors[cluster]
+    def rtt_samples(self, cluster: Optional[int]) -> list[float]:
+        """RTT samples observed by the hosts of one cluster, in order
+        (empty when this network has none of its hosts).  The live
+        list: copy it to keep a snapshot."""
+        return self._rtt_samples.get(cluster, [])
 
     def all_rtt_samples(self) -> list[float]:
         """RTT samples pooled across every cluster."""
-        samples: list[float] = []
-        for monitor in self.rtt_monitors.values():
-            samples.extend(monitor.values.tolist())
-        return samples
+        return [rtt for samples in self._rtt_samples.values() for rtt in samples]
 
     # ------------------------------------------------------------------
     # Aggregate statistics
     # ------------------------------------------------------------------
-    @property
-    def total_drops(self) -> int:
-        """Packets dropped anywhere in the network."""
-        return self.drop_counter.count
-
     def total_queued_bytes(self) -> int:
         """Bytes sitting in queues right now (congestion snapshot)."""
         return sum(port.queued_bytes for port in self._ports.values())
-
-    def total_packets_forwarded(self) -> int:
-        """Sum of switch forwarding counts."""
-        return sum(switch.packets_forwarded for switch in self.switches.values())

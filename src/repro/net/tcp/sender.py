@@ -18,7 +18,6 @@ from typing import Callable, Optional, Protocol
 
 from repro.des.entities import Timer
 from repro.des.kernel import Simulator
-from repro.des.monitors import Monitor
 from repro.net.packet import Packet, TcpFlags, flow_hash_of
 from repro.net.tcp.config import TcpConfig
 from repro.net.tcp.rtt import RttEstimator
@@ -61,8 +60,8 @@ class TcpSender:
         Protocol knobs.
     on_complete:
         Callback ``(flow_completion_time_s) -> None``.
-    rtt_monitor:
-        Optional monitor that receives every valid RTT sample — this
+    rtt_samples:
+        Optional list that every valid RTT sample is appended to — this
         feeds the paper's Figure 4 CDFs ("RTTs observed by hosts").
     """
 
@@ -75,7 +74,7 @@ class TcpSender:
         total_bytes: int,
         config: TcpConfig,
         on_complete: Optional[Callable[[float], None]] = None,
-        rtt_monitor: Optional[Monitor] = None,
+        rtt_samples: Optional[list[float]] = None,
     ) -> None:
         if total_bytes <= 0:
             raise ValueError(f"total_bytes must be positive, got {total_bytes}")
@@ -86,7 +85,7 @@ class TcpSender:
         self.total_bytes = total_bytes
         self.config = config
         self.on_complete = on_complete
-        self.rtt_monitor = rtt_monitor
+        self.rtt_samples = rtt_samples
         #: The flow's ECMP hash, stamped on every segment (computed once
         #: here so no switch on the path rehashes the 5-tuple).
         self.path_hash = flow_hash_of(host.name, dst, src_port, dst_port)
@@ -317,8 +316,8 @@ class TcpSender:
         if self._timed_seq is not None and ackno > self._timed_seq:
             sample = self.host.sim.now - self._timed_at
             self.rtt.observe(sample)
-            if self.rtt_monitor is not None:
-                self.rtt_monitor.record(sample)
+            if self.rtt_samples is not None:
+                self.rtt_samples.append(sample)
             self._timed_seq = None
 
     # ------------------------------------------------------------------

@@ -136,8 +136,9 @@ class BatchedFusedEngine:
     memo:
         Optional :class:`MemoConfig` enabling the steady-state cache.
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`; hit/miss counters
-        (``infer.memo_hits`` / ``infer.memo_misses``) resolve once here.
+        Optional :class:`~repro.obs.MetricsRegistry`; its hit/miss
+        counters (``infer.memo_hits`` / ``infer.memo_misses``) read
+        :attr:`memo_hits` / :attr:`memo_misses`.
     direction_label:
         Label for those counters.
 
@@ -221,8 +222,6 @@ class BatchedFusedEngine:
         self._memo: OrderedDict = OrderedDict()
         self._lane_entry: list = [None] * n_lanes
         self._lane_virtual = [False] * n_lanes
-        self._m_hits = None
-        self._m_misses = None
         self._raw_keys = memo is None or memo.exact
         if not self._raw_keys:
             self._fscale = 10.0 ** memo.feature_decimals
@@ -232,11 +231,11 @@ class BatchedFusedEngine:
             self._qfeat = np.empty(compiled.input_size, dtype=dtype)
             self._qstate = np.empty_like(self.lanes[0].capture_state())
         if metrics is not None and metrics.handles_enabled() and memo is not None:
-            self._m_hits = metrics.counter(
-                "infer.memo_hits", direction=direction_label
+            metrics.bind_counter(
+                "infer.memo_hits", lambda: self.memo_hits, direction=direction_label
             )
-            self._m_misses = metrics.counter(
-                "infer.memo_misses", direction=direction_label
+            metrics.bind_counter(
+                "infer.memo_misses", lambda: self.memo_misses, direction=direction_label
             )
 
     def reset(self) -> None:
@@ -451,15 +450,11 @@ class BatchedFusedEngine:
             self._lane_entry[row] = hit
             self._lane_virtual[row] = True
             self.memo_hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
             return key, hit
         if self._lane_virtual[row]:
             lane.restore_state(np.frombuffer(state, dtype=self._dtype))
             self._lane_virtual[row] = False
         self.memo_misses += 1
-        if self._m_misses is not None:
-            self._m_misses.inc()
         return key, None
 
     def _remember(self, row: int, key: tuple, outcome) -> None:

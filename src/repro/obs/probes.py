@@ -161,7 +161,9 @@ def attach_hybrid_probes(
         )
         probes.add(
             "model_latency_mean_s",
-            lambda m=model: m.latency_stats.mean if m.latency_stats.count else 0.0,
+            lambda m=model: (m.latency_sum / m.packets_delivered)
+            if m.packets_delivered
+            else 0.0,
             **labels,
         )
     return probes.start()

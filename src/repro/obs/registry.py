@@ -4,10 +4,16 @@ Every subsystem that measures something — the DES event loop, the
 trainer, the hybrid hot path, the sweep scheduler — measures it through
 one :class:`MetricsRegistry`, so a run's telemetry shares a single
 schema and lands in one place (the run manifest and, optionally, a
-JSONL stream).  Before this layer existed the repo had five ad-hoc
-mechanisms (``hot_path_counters`` dicts, ``inference_seconds`` floats,
-sim-time log prefixes, packet-tracer rows, ``StreamingStats``
-objects), none of which agreed on names or reached the manifests.
+JSONL stream).
+
+Every count and sample lives in one place: a plain field or list on
+the object that produces it (``RunResult`` and ``hot_path_counters``
+are built from those fields).  The registry publishes such a count by
+reading the field (:meth:`MetricsRegistry.bind_counter`), never by
+keeping a copy of its own.  Handles that a producer updates itself
+remain only for distributions (histograms, spans) and for counters
+created when their first event happens (link failures, invariant
+violations, macro transitions).
 
 Design constraints, in order:
 
@@ -43,7 +49,7 @@ from __future__ import annotations
 import json
 import time as _wallclock
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.analysis.streaming import StreamingStats
 
@@ -60,20 +66,34 @@ def _labels_dict(key: LabelKey) -> dict[str, str]:
 
 
 class Counter:
-    """A labeled, monotonically non-decreasing count."""
+    """A labeled, monotonically non-decreasing count.
 
-    __slots__ = ("name", "labels", "value")
+    Its value is what :meth:`inc` added plus what its readers return:
+    a count its producer already keeps as a plain field is bound with
+    :meth:`MetricsRegistry.bind_counter` and read when ``value`` is
+    asked for, so it lives in one place.
+    """
+
+    __slots__ = ("name", "labels", "_added", "_reads")
 
     def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
-        self.value = 0.0
+        self._added = 0.0
+        self._reads: list[Callable[[], float]] = []
 
     def inc(self, by: float = 1.0) -> None:
         """Add ``by`` (must be non-negative)."""
         if by < 0:
             raise ValueError(f"counter {self.name!r} increment must be >= 0, got {by}")
-        self.value += by
+        self._added += by
+
+    @property
+    def value(self) -> float:
+        value = self._added
+        for read in self._reads:
+            value += read()
+        return value
 
 
 class Gauge:
@@ -290,6 +310,17 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._counters[key] = Counter(name, key[1])
         return instrument
+
+    def bind_counter(self, name: str, read: Callable[[], float], **labels: Any) -> None:
+        """Publish a count its producer keeps as a plain field.
+
+        The counter for ``(name, labels)`` (created here, so it takes
+        this place in the snapshot order) calls ``read`` whenever its
+        value is asked for; producers bound to one key add up.  A
+        disabled registry ignores the binding.
+        """
+        if self.enabled:
+            self.counter(name, **labels)._reads.append(read)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """The gauge for ``(name, labels)``."""

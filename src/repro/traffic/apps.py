@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.des.entities import Entity
 from repro.des.kernel import Simulator
-from repro.des.monitors import Monitor
 from repro.net.network import Network
 from repro.net.tcp.receiver import TcpReceiver
 from repro.net.tcp.sender import TcpSender
@@ -127,7 +126,6 @@ class TrafficGenerator(Entity):
         #: :func:`repro.core.pipeline.make_generator`).
         self.collective = None
 
-        self.fct_monitor = Monitor("fct")
         self.flows: list[FlowRecord] = []
         self.flows_started = 0
         self.flows_completed = 0
@@ -213,7 +211,6 @@ class TrafficGenerator(Entity):
         def handle_complete(fct: float, record: FlowRecord = record, trace=trace) -> None:
             record.completion_time = self.now
             self.flows_completed += 1
-            self.fct_monitor.record(fct)
             if trace is not None:
                 self._tracer.event(
                     "flow.complete", trace=trace, fct=fct, size=record.size_bytes
@@ -318,7 +315,7 @@ class ScheduledFlows:
                 total_bytes=flow.size_bytes,
                 config=tcp,
                 on_complete=self._completion_tap(flow, trace),
-                rtt_monitor=src_host.rtt_monitor,
+                rtt_samples=src_host.rtt_samples,
             )
             src_host.register_sender(sender)
             self.flows_started += 1

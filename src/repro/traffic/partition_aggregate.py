@@ -22,7 +22,6 @@ from typing import Optional
 
 from repro.des.entities import Entity
 from repro.des.kernel import Simulator
-from repro.des.monitors import Monitor
 from repro.net.network import Network
 
 #: Request size: a query/RPC header-and-keys message (2 KB).
@@ -105,7 +104,6 @@ class PartitionAggregateGenerator(Entity):
 
         self.queries: list[QueryRecord] = []
         self.queries_completed = 0
-        self.qct_monitor = Monitor("qct")
         self._rng = sim.rng.stream("partition_aggregate")
         self._started = False
 
@@ -157,7 +155,6 @@ class PartitionAggregateGenerator(Entity):
             if record.responses_done == len(record.workers):
                 record.completion_time = self.now
                 self.queries_completed += 1
-                self.qct_monitor.record(record.qct)
 
         sender = worker_host.open_flow(
             root_host, record.response_bytes, on_complete=on_response_done

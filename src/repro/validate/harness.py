@@ -81,7 +81,9 @@ class ValidateConfig:
     memo_exact: bool = True
 
     def __post_init__(self) -> None:
-        check_batching_options(self.batch_window_s, self.memoize_inference)
+        check_batching_options(
+            self.batch_window_s, self.memoize_inference, self.use_fused_inference
+        )
         if self.region_cluster == self.full_cluster:
             raise ValueError(
                 "region_cluster must differ from full_cluster: the compared "

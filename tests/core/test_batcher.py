@@ -159,20 +159,23 @@ class TestBatcherConfiguration:
         assert COUNTER_KEYS <= set(counters)
         assert all(counters[key] == 0.0 for key in COUNTER_KEYS)
 
-    def test_window_requires_fused_inference(self, trained_bundle):
-        from repro.core.hybrid import HybridSimulation
-        from repro.des.kernel import Simulator
-        from repro.topology.clos import build_clos
+    def test_window_requires_fused_inference(self):
+        """The reference predict_step path has no batched form, so every
+        config that carries a window rejects it without the fused
+        engine at construction (a spec at load), before any model is
+        trained or fetched."""
+        from repro.cascade import CascadeConfig
+        from repro.runs.spec import ScenarioSpec
+        from repro.validate import ValidateConfig
 
-        with pytest.raises(ValueError, match="fused"):
-            HybridSimulation(
-                Simulator(seed=1),
-                build_clos(ClosParams(clusters=2)),
-                trained_bundle,
-                config=HybridConfig(
-                    use_fused_inference=False, batch_window_s=1e-6
-                ),
-            )
+        options = {"use_fused_inference": False, "batch_window_s": 1e-6}
+        for make in (HybridConfig, CascadeConfig, ValidateConfig):
+            with pytest.raises(ValueError, match="use_fused_inference"):
+                make(**options)
+        with pytest.raises(ValueError, match="use_fused_inference"):
+            ScenarioSpec.from_dict({"name": "x", "stage": "hybrid", "hybrid": options})
+        # Without a window the reference path is a valid choice.
+        HybridConfig(use_fused_inference=False)
 
     def test_batcher_rejects_nonpositive_window(self):
         from repro.core.batcher import InferenceBatcher

@@ -12,6 +12,7 @@ from repro.core.pipeline import (
     run_full_simulation,
     run_hybrid_simulation,
 )
+from repro.core.world import build_world
 from repro.topology.clos import ClosParams, build_clos, server_name
 
 # The trained model comes from the session-scoped ``trained_bundle``
@@ -69,20 +70,28 @@ class TestHybridExecution:
         config = ExperimentConfig(
             clos=ClosParams(clusters=4), load=0.25, duration_s=0.004, seed=22
         )
-        result, hybrid = run_hybrid_simulation(config, trained_bundle)
+        world = build_world(config, trained_bundle)
+        hybrid = world.hybrid
+        # Every model outcome goes through the tap: record each one.
+        outcomes = {cluster: [] for cluster in hybrid.models}
+        for cluster, model in hybrid.models.items():
+            model.on_outcome = lambda now, latency, dropped, out=outcomes[cluster]: (
+                out.append((latency, dropped))
+            )
+        world.run()
+        result = world.result()
         assert result.model_packets > 0
         assert result.flows_elided > 0
         assert result.flows_completed > 0
         assert len(result.rtt_samples) > 0
-        # Model predictions respect the physical floor, and the
-        # streaming stats cover every delivered packet.
-        for model in hybrid.models.values():
-            stats = model.latency_stats
-            assert stats.count == model.packets_delivered
-            if stats.count:
-                assert stats.min >= MIN_REGION_LATENCY_S
-                for latency in stats.sample:
-                    assert latency >= MIN_REGION_LATENCY_S
+        # Model predictions respect the physical floor on every
+        # delivered packet, and the running sum covers exactly those.
+        for cluster, model in hybrid.models.items():
+            delivered = [lat for lat, dropped in outcomes[cluster] if not dropped]
+            assert len(outcomes[cluster]) == model.packets_handled
+            assert len(delivered) == model.packets_delivered
+            assert all(lat >= MIN_REGION_LATENCY_S for lat in delivered)
+            assert model.latency_sum == sum(delivered)
         # The hot-path counters account for real inference work.
         assert hybrid.inference_seconds() > 0.0
         counters = hybrid.hot_path_counters(wallclock_s=result.wallclock_seconds)

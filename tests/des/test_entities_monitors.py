@@ -1,4 +1,4 @@
-"""Tests for Entity/Timer helpers and the statistics monitors."""
+"""Tests for the Entity/Timer helpers."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.des.entities import Entity, Timer
 from repro.des.kernel import Simulator
-from repro.des.monitors import Counter, Monitor, TimeSeries
 
 
 class TestEntity:
@@ -74,54 +73,3 @@ class TestTimer:
         sim.run()
         assert count[0] == 3
 
-
-class TestMonitor:
-    def test_statistics(self):
-        m = Monitor("x")
-        m.extend([1.0, 2.0, 3.0, 4.0])
-        assert m.mean() == 2.5
-        assert m.min() == 1.0
-        assert m.max() == 4.0
-        assert len(m) == 4
-        assert m.percentile(50) == 2.5
-
-    def test_empty_monitor_nan(self):
-        m = Monitor("x")
-        assert np.isnan(m.mean())
-        assert np.isnan(m.percentile(99))
-
-
-class TestTimeSeries:
-    def test_window_selection(self):
-        ts = TimeSeries("q")
-        for t in range(10):
-            ts.record(float(t), float(t * 10))
-        window = ts.window(2.0, 5.0)
-        assert window.tolist() == [20.0, 30.0, 40.0]
-
-    def test_resample_mean(self):
-        ts = TimeSeries("lat")
-        ts.record(0.1, 1.0)
-        ts.record(0.2, 3.0)
-        ts.record(1.5, 10.0)
-        times, means = ts.resample_mean(1.0)
-        assert times.tolist() == [0.0, 1.0]
-        assert means.tolist() == [2.0, 10.0]
-
-    def test_resample_empty(self):
-        ts = TimeSeries("lat")
-        times, means = ts.resample_mean(1.0)
-        assert times.size == 0 and means.size == 0
-
-
-class TestCounter:
-    def test_increments(self):
-        c = Counter("drops")
-        c.increment()
-        c.increment(5)
-        assert int(c) == 6
-
-    def test_negative_rejected(self):
-        c = Counter("drops")
-        with pytest.raises(ValueError):
-            c.increment(-1)

@@ -32,8 +32,11 @@ class TestNetworkAssembly:
     def test_rtt_monitors_per_cluster(self, small_clos):
         sim = Simulator()
         net = Network(sim, small_clos)
-        assert set(net.rtt_monitors) == {0, 1}
-        assert net.host(server_name(0, 0, 0)).rtt_monitor is net.rtt_monitor(0)
+        # One list per cluster, shared by that cluster's hosts.
+        assert net.host(server_name(0, 0, 0)).rtt_samples is net.rtt_samples(0)
+        assert net.host(server_name(1, 0, 0)).rtt_samples is net.rtt_samples(1)
+        assert net.rtt_samples(0) is not net.rtt_samples(1)
+        assert net.rtt_samples(None) == []
 
     def test_excluded_without_override_rejected(self, small_clos):
         sim = Simulator()

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.core.hybrid import HybridSimulation
+from repro.cascade import CascadeConfig, TierBudget, run_cascade_simulation
+from repro.core.hybrid import HybridConfig, HybridSimulation
 from repro.core.pipeline import (
     ExperimentConfig,
     RunResult,
@@ -14,11 +15,81 @@ from repro.core.pipeline import (
 )
 from repro.des.kernel import Simulator
 from repro.obs import MetricsRegistry, read_jsonl
+from repro.pdes import HybridShardConfig, run_hybrid_sharded
 from repro.topology.clos import ClosParams, build_clos
 
 RUN_CONFIG = ExperimentConfig(
     clos=ClosParams(clusters=2), load=0.25, duration_s=0.003, seed=31
 )
+#: Batched inference with the exact memo (the default key), float64.
+BATCHED_MEMO = HybridConfig(
+    elide_remote_traffic=False, batch_window_s=5e-7, memoize_inference=True
+)
+#: Three clusters: two approximated ones share each direction's engine.
+BATCHED_RUN = ExperimentConfig(
+    clos=ClosParams(clusters=3), load=0.25, duration_s=0.003, seed=7
+)
+#: A cascade run short enough for the suite that still promotes.
+CASCADE_RUN = ExperimentConfig(
+    clos=ClosParams(clusters=3), load=0.25, duration_s=0.004, seed=31
+)
+CASCADE = CascadeConfig(
+    epoch_s=0.001, window_epochs=3, min_window_samples=4, budget=TierBudget(ks=0.2)
+)
+
+#: Counters the registry reads from a producer's field.
+READ_THROUGH = {
+    "hybrid.model_drops",
+    "hybrid.conflicts_resolved",
+    "hybrid.egress_rate_fallbacks",
+    "hybrid.scalar_fallbacks",
+    "hybrid.batch_flushes",
+    "infer.memo_hits",
+    "infer.memo_misses",
+    "cascade.epochs",
+    "cascade.promotions",
+    "cascade.demotions",
+    "flowsim.flows_completed",
+    "flowsim.rate_recomputes",
+}
+
+
+def _read_through(snapshot) -> dict:
+    """(name, labels) -> value of every read-through counter."""
+    return {
+        (c["name"], tuple(sorted(c.get("labels", {}).items()))): c["value"]
+        for c in snapshot["counters"]
+        if c["name"] in READ_THROUGH
+    }
+
+
+def _cluster_fields(models) -> dict:
+    fields = {}
+    for model in models:
+        labels = (("cluster", model.region.name),)
+        fields["hybrid.model_drops", labels] = model.packets_dropped
+        fields["hybrid.conflicts_resolved", labels] = model.conflicts_resolved
+        fields["hybrid.egress_rate_fallbacks", labels] = model.rate_fallbacks
+    return fields
+
+
+def _hybrid_fields(hybrid, trained) -> dict:
+    """The producer fields behind a hybrid's read-through counters."""
+    fields = _cluster_fields(hybrid.models.values())
+    batcher = hybrid.batcher
+    if batcher is not None:
+        fields["hybrid.scalar_fallbacks", ()] = batcher.scalar_fallbacks
+        fields["hybrid.batch_flushes", ()] = batcher.flushes
+        compiled = trained.compiled(hybrid.config.inference_dtype)
+        direction_of = {id(c): d.name.lower() for d, c in compiled.directions.items()}
+        for engine in hybrid._batch_engines:
+            labels = (("direction", direction_of[id(engine.compiled)]),)
+            for name, count in (
+                ("infer.memo_hits", engine.memo_hits),
+                ("infer.memo_misses", engine.memo_misses),
+            ):
+                fields[name, labels] = fields.get((name, labels), 0) + count
+    return fields
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +145,41 @@ class TestHybridInstrumentation:
 
 class TestDeterminismInvariant:
     def test_metrics_do_not_perturb_seeded_runs(self, trained_bundle):
-        bare, _ = run_hybrid_simulation(RUN_CONFIG, trained_bundle)
-        observed, _ = run_hybrid_simulation(
-            RUN_CONFIG, trained_bundle, metrics=MetricsRegistry()
-        )
-        assert observed.rtt_samples == bare.rtt_samples
-        assert observed.fcts == bare.fcts
-        assert observed.drops == bare.drops
-        assert observed.model_packets == bare.model_packets
-        assert observed.model_drops == bare.model_drops
-        # The only event-count delta is the probe ticks themselves.
-        assert observed.events_executed > bare.events_executed
+        """Obs on == obs off: inline, batched with the exact memo, and
+        the cascade (whose decisions and fluid side must not move
+        either)."""
+
+        def inline(metrics):
+            result, _ = run_hybrid_simulation(RUN_CONFIG, trained_bundle, metrics=metrics)
+            return result, ""
+
+        def batched(metrics):
+            result, _ = run_hybrid_simulation(
+                BATCHED_RUN, trained_bundle, hybrid=BATCHED_MEMO, metrics=metrics
+            )
+            return result, ""
+
+        def cascade(metrics):
+            result, cascade_sim = run_cascade_simulation(
+                CASCADE_RUN, trained_bundle, cascade=CASCADE, metrics=metrics
+            )
+            assert cascade_sim.decision_log.promotions > 0
+            return result.result, (
+                cascade_sim.decision_log.to_json() + json.dumps(result.fluid_fcts)
+            )
+
+        for run in (inline, batched, cascade):
+            bare, bare_extra = run(None)
+            observed, observed_extra = run(MetricsRegistry())
+            assert observed.rtt_samples == bare.rtt_samples
+            assert observed.fcts == bare.fcts
+            assert observed.drops == bare.drops
+            assert observed.model_packets == bare.model_packets
+            assert observed.model_drops == bare.model_drops
+            assert observed.hot_path["memo_hits"] == bare.hot_path["memo_hits"]
+            assert observed_extra == bare_extra
+            # The only event-count delta is the probe ticks themselves.
+            assert observed.events_executed > bare.events_executed
 
     def test_disabled_registry_equals_no_registry(self, trained_bundle):
         bare, _ = run_hybrid_simulation(RUN_CONFIG, trained_bundle)
@@ -93,6 +188,74 @@ class TestDeterminismInvariant:
         )
         assert disabled.events_executed == bare.events_executed
         assert disabled.rtt_samples == bare.rtt_samples
+
+
+class TestReadThroughCounters:
+    def test_counters_equal_their_producers_fields(self, trained_bundle):
+        """Every read-through counter in a snapshot is its producer's
+        field: batched + memo hybrid, cascade, and each worker of a
+        2-worker sharded hybrid."""
+        reg = MetricsRegistry()
+        _, hybrid = run_hybrid_simulation(
+            BATCHED_RUN, trained_bundle, hybrid=BATCHED_MEMO, metrics=reg
+        )
+        expected = _hybrid_fields(hybrid, trained_bundle)
+        assert expected["infer.memo_misses", (("direction", "egress"),)] > 0
+        assert _read_through(reg.snapshot()) == expected
+
+        reg = MetricsRegistry()
+        _, cascade_sim = run_cascade_simulation(
+            CASCADE_RUN, trained_bundle, cascade=CASCADE, metrics=reg
+        )
+        expected = _hybrid_fields(cascade_sim.hybrid, trained_bundle)
+        expected.update({
+            ("cascade.epochs", ()): cascade_sim.controller.epochs_evaluated,
+            ("cascade.promotions", ()): cascade_sim.decision_log.promotions,
+            ("cascade.demotions", ()): cascade_sim.decision_log.demotions,
+            ("flowsim.flows_completed", ()): cascade_sim.fluid.flows_completed,
+            ("flowsim.rate_recomputes", ()): cascade_sim.fluid.rate_recomputations,
+        })
+        assert expected["cascade.promotions", ()] > 0
+        assert _read_through(reg.snapshot()) == expected
+
+        # A worker's producers live in its process: its batcher and
+        # engines report through the worker's result, and each cluster
+        # decides exactly as in the one-process run above.
+        sharded = run_hybrid_sharded(
+            BATCHED_RUN,
+            trained_bundle,
+            shard=HybridShardConfig(workers=2, metrics=True),
+            hybrid=BATCHED_MEMO,
+        )
+        per_cluster = _cluster_fields(hybrid.models.values())
+        clusters_seen = set()
+        for stats in sharded.worker_stats:
+            counters = _read_through(stats.metrics_snapshot)
+            hot = stats.result.hot_path
+            for key, value in counters.items():
+                name, labels = key
+                if name.startswith("infer."):
+                    continue
+                if labels:
+                    clusters_seen.add(labels)
+                    assert value == per_cluster[key], key
+                else:
+                    field = {
+                        "hybrid.scalar_fallbacks": "scalar_fallbacks",
+                        "hybrid.batch_flushes": "batch_flushes",
+                    }[name]
+                    assert value == hot[field], key
+            for name, field in (
+                ("infer.memo_hits", "memo_hits"),
+                ("infer.memo_misses", "memo_misses"),
+            ):
+                total = sum(v for (n, _), v in counters.items() if n == name)
+                assert total == hot[field]
+            drops = sum(
+                v for (n, _), v in counters.items() if n == "hybrid.model_drops"
+            )
+            assert drops == stats.result.model_drops
+        assert clusters_seen == {labels for _, labels in per_cluster}
 
 
 class TestRateGuards:

@@ -62,6 +62,25 @@ class TestCounterGauge:
         with pytest.raises(ValueError):
             MetricsRegistry().counter("n").inc(-1)
 
+    def test_bound_counter_reads_its_producers_when_asked(self):
+        reg = MetricsRegistry()
+        reg.counter("first").inc()
+        box = {"a": 0, "b": 0}
+        reg.bind_counter("bound", lambda: box["a"], cluster=1)
+        reg.bind_counter("bound", lambda: box["b"], cluster=1)  # same key: adds up
+        box["a"], box["b"] = 3, 4
+        assert reg.counter("bound", cluster=1).value == 7.0
+        box["a"] = 5
+        snap = reg.snapshot()
+        # Read at snapshot time, in the order the counters were made.
+        assert [c["name"] for c in snap["counters"]] == ["first", "bound"]
+        assert snap["counters"][1]["value"] == 9.0
+
+    def test_disabled_registry_ignores_bindings(self):
+        reg = MetricsRegistry(enabled=False)
+        reg.bind_counter("bound", lambda: 1 / 0)
+        assert reg.snapshot() == {"enabled": False}
+
     def test_gauge_last_write_wins(self):
         gauge = MetricsRegistry().gauge("g")
         gauge.set(1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.des.kernel import Simulator
-from repro.des.monitors import Monitor
 from repro.net.host import Host
 from repro.net.network import Network, NetworkConfig
 from repro.net.packet import Packet
@@ -73,8 +72,8 @@ class TcpPair:
         )
         self.host_a: Host = self.network.host("a")
         self.host_b: Host = self.network.host("b")
-        self.rtt_monitor = Monitor("rtt")
-        self.host_a.rtt_monitor = self.rtt_monitor
+        self.rtt_samples: list[float] = []
+        self.host_a.rtt_samples = self.rtt_samples
         self.fcts: list[float] = []
 
         self.loss_filter: Optional[LossFilter] = None

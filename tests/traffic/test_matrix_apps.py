@@ -100,7 +100,7 @@ class TestTrafficGenerator:
         sim.run(until=0.01)
         assert gen.flows_started > 5
         assert gen.flows_completed > 0
-        assert len(gen.fct_monitor) == gen.flows_completed
+        assert len(gen.completed_fcts()) == gen.flows_completed
         assert all(fct > 0 for fct in gen.completed_fcts())
 
     def test_deterministic_across_runs(self, small_clos):

@@ -68,7 +68,7 @@ class TestPartitionAggregate:
 
     def test_qct_monitor_matches_completions(self, small_clos):
         gen, _, _ = _run(small_clos)
-        assert len(gen.qct_monitor) == gen.queries_completed
+        assert len(gen.completed_qcts()) == gen.queries_completed
 
     def test_validation(self, small_clos):
         sim = Simulator()
