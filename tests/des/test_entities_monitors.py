@@ -1,12 +1,13 @@
-"""Tests for the Entity/Timer helpers."""
+"""Tests for the Entity/Timer helpers and the counter that replaced the
+DES monitors' drop counter."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.des.entities import Entity, Timer
 from repro.des.kernel import Simulator
+from repro.obs.registry import Counter
 
 
 class TestEntity:
@@ -73,3 +74,15 @@ class TestTimer:
         sim.run()
         assert count[0] == 3
 
+
+class TestCounter:
+    def test_increments(self):
+        c = Counter("drops")
+        c.inc()
+        c.inc(5)
+        assert c.value == 6
+
+    def test_negative_rejected(self):
+        c = Counter("drops")
+        with pytest.raises(ValueError):
+            c.inc(-1)
