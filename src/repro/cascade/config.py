@@ -10,8 +10,10 @@ A cascade run assigns every cluster of one fabric to a fidelity tier:
 * :attr:`Tier.FLOWSIM` — max-min fluid flows, no packets at all.
 
 :class:`CascadeConfig` carries the initial assignment, per-region
-fidelity budgets (:class:`TierBudget`), and the
-:class:`~repro.cascade.controller.FidelityController` cadence knobs.
+fidelity budgets (:class:`TierBudget`), the
+:class:`~repro.cascade.controller.FidelityController` cadence knobs,
+and the :class:`~repro.core.hybrid.HybridConfig` of the packet/model
+side.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Any, Mapping, Optional
 
-from repro.core.hybrid import HybridConfig, check_batching_options
+from repro.core.hybrid import HybridConfig, matched_load, nest_hybrid_options
 
 
 class Tier(IntEnum):
@@ -114,12 +116,6 @@ class CascadeConfig:
 
     Attributes
     ----------
-    focal_cluster:
-        The cluster simulated at full packet fidelity for the whole
-        run.  It doubles as the controller's in-run reference: data
-        center symmetry (the paper's own argument for one reusable
-        model) makes its windowed FCT/latency distributions the ground
-        truth that approximated regions are scored against.
     epoch_s:
         Controller cadence in simulated seconds: windows are scored
         and tier transitions applied only at epoch boundaries.
@@ -149,13 +145,16 @@ class CascadeConfig:
         prevents promote/demote flapping on window noise).
     max_promotions_per_epoch:
         Promotion pacing; the worst-breaching regions go first.
-    macro_bucket_s, use_fused_inference, inference_dtype,
-    batch_window_s, memoize_inference, memo_exact:
-        Passed through to :class:`~repro.core.hybrid.HybridConfig` for
-        the packet/model side of the cascade.
+    hybrid:
+        The packet/model side.  Its ``full_cluster`` is the focal
+        cluster: full packet fidelity for the whole run, and the
+        controller's in-run reference (data center symmetry makes its
+        windows the ground truth regions are scored against).
+        Background flows are diverted, never elided, and models are
+        per cluster: ``elide_remote_traffic`` and ``single_black_box``
+        must be False.
     """
 
-    focal_cluster: int = 0
     epoch_s: float = 0.002
     window_epochs: int = 3
     initial_tier: Tier = Tier.FLOWSIM
@@ -167,17 +166,19 @@ class CascadeConfig:
     demote_patience: int = 2
     cooldown_epochs: int = 1
     max_promotions_per_epoch: int = 1
-    macro_bucket_s: float = 0.001
-    use_fused_inference: bool = True
-    inference_dtype: str = "float64"
-    batch_window_s: float = 0.0
-    memoize_inference: bool = False
-    memo_exact: bool = True
+    hybrid: HybridConfig = field(default_factory=matched_load)
 
     def __post_init__(self) -> None:
-        check_batching_options(
-            self.batch_window_s, self.memoize_inference, self.use_fused_inference
-        )
+        if self.hybrid.elide_remote_traffic:
+            raise ValueError(
+                "elide_remote_traffic must be False for the cascade: it diverts "
+                "background flows to the fluid tier instead of eliding them"
+            )
+        if self.hybrid.single_black_box:
+            raise ValueError(
+                "single_black_box must be False for the cascade: it keys its "
+                "models, windows and tiers by cluster"
+            )
         if self.epoch_s <= 0:
             raise ValueError(f"epoch_s must be positive, got {self.epoch_s}")
         if self.window_epochs < 1:
@@ -211,12 +212,13 @@ class CascadeConfig:
                 "structural (the focal cluster); start regions at "
                 "flowsim or hybrid"
             )
+        full = self.hybrid.full_cluster
         for region, tier in self.pin_tiers.items():
-            if tier is Tier.DES and region != self.focal_cluster:
+            if tier is Tier.DES and region != full:
                 raise ValueError(
                     f"cannot pin region {region} to des: the packet network "
                     "binds receivers at construction, so only the focal "
-                    f"cluster ({self.focal_cluster}) runs at full fidelity"
+                    f"cluster (full_cluster={full}) runs at full fidelity"
                 )
 
     # ------------------------------------------------------------------
@@ -238,38 +240,17 @@ class CascadeConfig:
     def is_pinned(self, region: int) -> bool:
         return region in self.pin_tiers
 
-    def hybrid_config(self) -> HybridConfig:
-        """The hybrid assembly options the cascade's packet side uses.
-
-        ``elide_remote_traffic`` is always False: background flows are
-        not dropped — they are *diverted* to the fluid tier (or carried
-        by the models when a region is at hybrid), so every tier sees
-        the load the workload actually offers.
-        """
-        return HybridConfig(
-            full_cluster=self.focal_cluster,
-            elide_remote_traffic=False,
-            macro_bucket_s=self.macro_bucket_s,
-            use_fused_inference=self.use_fused_inference,
-            inference_dtype=self.inference_dtype,
-            batch_window_s=self.batch_window_s,
-            memoize_inference=self.memoize_inference,
-            memo_exact=self.memo_exact,
-        )
-
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "CascadeConfig":
         """Build from a parsed spec/CLI dict (JSON-typed values).
 
-        Tier names arrive as strings, budgets as nested dicts, and
-        mapping keys as strings (JSON objects) — all normalized here.
+        The :class:`~repro.core.hybrid.HybridConfig` keys are flat
+        beside the controller's and build ``hybrid``.  Tier names
+        arrive as strings, budgets as nested dicts, and mapping keys as
+        strings (JSON objects) — all normalized here.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown CascadeConfig fields: {sorted(unknown)}")
-        kwargs: dict[str, Any] = dict(raw)
+        kwargs = nest_hybrid_options(cls, raw)
         if "initial_tier" in kwargs:
             kwargs["initial_tier"] = Tier.parse(kwargs["initial_tier"])
         if "budget" in kwargs and not isinstance(kwargs["budget"], TierBudget):

@@ -98,13 +98,13 @@ class CascadeSimulation:
             sim,
             topology,
             trained,
-            config=self.config.hybrid_config(),
+            config=self.config.hybrid,
             metrics=metrics,
             tracer=tracer,
             **assembly,
         )
         self.topology = topology
-        self.focal_cluster = self.config.focal_cluster
+        self.focal_cluster = self.config.hybrid.full_cluster
         self.regions = sorted(self.hybrid.approx_clusters)
         unknown_pins = [
             region

@@ -102,20 +102,6 @@ def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
                         "sim-time probe samples) as JSONL to this file")
 
 
-def _add_batching_arguments(parser: argparse.ArgumentParser) -> list:
-    arg = parser.add_argument
-    return [
-        arg("--batch-window", type=float, default=0.0, dest="batch_window_s", metavar="SECONDS",
-            help="event-horizon inference batching window; 0 disables "
-            "(clamped to the minimum region latency for causality)"),
-        arg("--memoize", action="store_true", dest="memoize_inference",
-            help="cache steady-state inference outcomes (requires --batch-window)"),
-        arg("--memo-approximate", action="store_false", dest="memo_exact",
-            help="accept quantized-key memo hits without exact verification "
-            "(faster; validate fidelity with `repro validate`)"),
-    ]
-
-
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> list:
     arg = parser.add_argument
     return [
@@ -132,14 +118,25 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> list:
     ]
 
 
-def _add_hybrid_arguments(parser: argparse.ArgumentParser) -> list:
+def _add_hybrid_arguments(parser: argparse.ArgumentParser, placement: bool = True) -> list:
+    """The HybridConfig flags; ``placement=False`` leaves out the full
+    cluster and remote-traffic pair, which cascade and validate spell
+    their own way."""
     arg = parser.add_argument
-    return [
+    flags = [
         arg("--full-cluster", type=int, default=0),
         arg("--keep-remote-traffic", action="store_false", dest="elide_remote_traffic",
             help="simulate traffic between approximated clusters too"),
-        *_add_batching_arguments(parser),
-        *_add_trace_arguments(parser),
+    ] if placement else []
+    return flags + [
+        arg("--batch-window", type=float, default=0.0, dest="batch_window_s", metavar="SECONDS",
+            help="event-horizon inference batching window; 0 disables "
+            "(clamped to the minimum region latency for causality)"),
+        arg("--memoize", action="store_true", dest="memoize_inference",
+            help="cache steady-state inference outcomes (requires --batch-window)"),
+        arg("--memo-approximate", action="store_false", dest="memo_exact",
+            help="accept quantized-key memo hits without exact verification "
+            "(faster; validate fidelity with `repro validate`)"),
     ]
 
 
@@ -427,7 +424,7 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
     _print_run(
         result.result,
         f"cascade simulation: {args.clusters} clusters, "
-        f"focal cluster {args.focal_cluster}",
+        f"focal cluster {args.full_cluster}",
     )
     summary = result.summary
     print(
@@ -968,6 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     arg("--single-black-box", action="store_true",
         help="replace everything outside the full cluster with one model (Section 7)")
     _add_hybrid_arguments(hybrid)
+    _add_trace_arguments(hybrid)
     _add_scenario_arguments(hybrid)
     _add_metrics_argument(hybrid)
 
@@ -991,6 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
         arg("--worker-metrics", action="store_true", dest="metrics",
             help="collect a per-worker metrics snapshot (hybrid mode)"),
         *_add_hybrid_arguments(pdes),
+        *_add_trace_arguments(pdes),
     ]
     pdes.set_defaults(hybrid_only=hybrid_only)
 
@@ -1000,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     arg = cascade.add_argument
     arg("--model", required=True, help="model bundle directory")
-    arg("--focal-cluster", type=int, default=0,
+    arg("--focal-cluster", type=int, default=0, dest="full_cluster", metavar="FOCAL_CLUSTER",
         help="cluster kept at full packet fidelity (the in-run reference)")
     arg("--budget", type=float, default=0.35, dest="ks", metavar="KS",
         help="per-region K-S fidelity budget on windowed FCTs vs the focal region")
@@ -1029,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
     arg("--decision-log", default=None, metavar="PATH",
         help="write the controller's auditable decision log (JSON) here")
     _add_scenario_arguments(cascade)
-    _add_batching_arguments(cascade)
+    _add_hybrid_arguments(cascade, placement=False)
     _add_metrics_argument(cascade)
     _add_trace_arguments(cascade)
 
@@ -1069,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     arg("--report-json", default=None, metavar="PATH",
         help="write the full fidelity report as JSON here")
     _add_scenario_arguments(validate)
-    _add_batching_arguments(validate)
+    _add_hybrid_arguments(validate, placement=False)
     _add_metrics_argument(validate)
 
     evaluate = _stage(

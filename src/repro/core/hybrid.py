@@ -20,8 +20,8 @@ configuration:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass, fields
+from typing import Any, Mapping, Optional, Union
 
 from repro.core.cluster_model import ApproximatedCluster
 from repro.core.region import Region
@@ -144,29 +144,6 @@ class ShardableHybrid:
         return self._remote_entity(name)
 
 
-def check_batching_options(
-    batch_window_s: float, memoize_inference: bool, use_fused_inference: bool
-) -> None:
-    """Reject a negative batching window, a window without the fused
-    engine (the reference ``predict_step`` path has no batched form),
-    and a memo without a window (the cache lives on the batched
-    engines)."""
-    if batch_window_s < 0:
-        raise ValueError(
-            f"batch_window_s must be >= 0 (0 disables batching), got {batch_window_s}"
-        )
-    if batch_window_s > 0 and not use_fused_inference:
-        raise ValueError(
-            "batch_window_s requires use_fused_inference=True: the reference "
-            "predict_step path has no batched form"
-        )
-    if memoize_inference and batch_window_s == 0:
-        raise ValueError(
-            "memoize_inference requires a positive batch_window_s: the memo "
-            "lives on the batched engines"
-        )
-
-
 @dataclass(frozen=True)
 class HybridConfig:
     """Options of a hybrid assembly.
@@ -179,7 +156,7 @@ class HybridConfig:
     elide_remote_traffic:
         Skip flows between two approximated clusters entirely.
     macro_bucket_s:
-        Macro classifier bucket for the runtime classifiers.
+        Macro classifier bucket for the runtime classifiers (> 0).
     single_black_box:
         Section 7's limit case: instead of one model per approximated
         cluster, replace *everything* outside the full cluster — core
@@ -192,7 +169,7 @@ class HybridConfig:
         falls back to the reference ``predict_step`` oracle path.
     inference_dtype:
         Engine precision — ``"float64"`` (default, reference-exact to
-        <= 1e-9) or ``"float32"`` (opt-in speed mode).
+        <= 1e-9) or ``"float32"`` (opt-in speed mode); nothing else is accepted.
     batch_window_s:
         Event-horizon inference batching window (see
         :mod:`repro.core.batcher`): packets arriving at any
@@ -200,7 +177,7 @@ class HybridConfig:
         stacked into one GEMM from ``STACKED_MIN_WIDTH`` packets per
         engine.  Clamped to the causality bound
         (``MIN_REGION_LATENCY_S``); ``0`` (default) disables batching,
-        and a negative window is rejected.  Requires
+        and a negative or NaN window is rejected.  Requires
         ``use_fused_inference``.
     memoize_inference:
         Steady-state memoization on the batched engines (see
@@ -218,7 +195,7 @@ class HybridConfig:
         Quantization (decimal places) of the cache keys; used only with
         ``memo_exact=False``.
     memo_max_entries:
-        FIFO capacity of each engine's cache.
+        FIFO capacity of each engine's cache (>= 1).
     """
 
     full_cluster: int = 0
@@ -235,9 +212,63 @@ class HybridConfig:
     memo_max_entries: int = 8192
 
     def __post_init__(self) -> None:
-        check_batching_options(
-            self.batch_window_s, self.memoize_inference, self.use_fused_inference
-        )
+        # Checked here, a bad option fails a spec at load, before any
+        # model is trained or fetched.
+        window = self.batch_window_s
+        if not window >= 0:  # NaN too: it would turn batching off unseen
+            raise ValueError(
+                f"batch_window_s must be >= 0 (0 disables batching), got {window}"
+            )
+        if window > 0 and not self.use_fused_inference:
+            raise ValueError(
+                "batch_window_s requires use_fused_inference=True: the reference "
+                "predict_step path has no batched form"
+            )
+        if self.memoize_inference and window == 0:
+            raise ValueError(
+                "memoize_inference requires a positive batch_window_s: the memo "
+                "lives on the batched engines"
+            )
+        dtype = self.inference_dtype
+        if dtype not in ("float64", "float32"):
+            raise ValueError(f"inference_dtype must be float64 or float32, got {dtype!r}")
+        if not self.macro_bucket_s > 0:
+            raise ValueError(f"macro_bucket_s must be positive, got {self.macro_bucket_s}")
+        if self.memo_max_entries < 1:
+            raise ValueError(f"memo_max_entries must be >= 1, got {self.memo_max_entries}")
+
+
+#: The flat option keys of a :class:`HybridConfig`.
+HYBRID_KEYS = frozenset(f.name for f in fields(HybridConfig))
+
+
+def matched_load(**options: Any) -> HybridConfig:
+    """A :class:`HybridConfig` that keeps the flows between approximated
+    clusters: the default of the stages that score approximated regions
+    against the offered load (the cascade, validate)."""
+    return HybridConfig(**{"elide_remote_traffic": False, **options})
+
+
+def option_keys(cls) -> frozenset[str]:
+    """The flat option keys of config dataclass ``cls``: its field
+    names, a ``hybrid`` field spelt as the :data:`HYBRID_KEYS`."""
+    names = {f.name for f in fields(cls)}
+    if "hybrid" in names:
+        names = names - {"hybrid"} | HYBRID_KEYS
+    return frozenset(names)
+
+
+def nest_hybrid_options(cls, raw: Mapping[str, Any]) -> dict[str, Any]:
+    """``cls``'s keyword arguments from flat options: the
+    :data:`HYBRID_KEYS` build its ``hybrid`` on :func:`matched_load`."""
+    unknown = set(raw) - option_keys(cls)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    kwargs = {key: value for key, value in raw.items() if key not in HYBRID_KEYS}
+    hybrid = {key: value for key, value in raw.items() if key in HYBRID_KEYS}
+    if hybrid:
+        kwargs["hybrid"] = matched_load(**hybrid)
+    return kwargs
 
 
 class HybridSimulation:

@@ -429,8 +429,8 @@ def build_world(
 
     ``trained`` (``None``: every cluster packet-level), ``hybrid``
     (its ``full_cluster`` is also whose RTTs the result reports),
-    ``cascade`` (a :class:`~repro.cascade.config.CascadeConfig`, which
-    supplies the hybrid options itself) and ``shard`` (a PDES worker's
+    ``cascade`` (a :class:`~repro.cascade.config.CascadeConfig`, whose
+    own ``hybrid`` is used instead) and ``shard`` (a PDES worker's
     ownership seam) are the placement.  ``metrics`` / ``tracer`` /
     ``invariants`` are the RNG-free, outcome-neutral taps; sim-time
     probes tick every ``probe_period_s`` (default ``duration_s / 50``)

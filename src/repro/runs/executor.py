@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.analysis.stats import percentile_summary
-from repro.core.hybrid import HybridConfig, hot_path_summary
+from repro.core.hybrid import HybridConfig, hot_path_summary, option_keys
 from repro.core.pipeline import ExperimentConfig, RunResult, run_hybrid_simulation
 from repro.core.world import build_world
 from repro.obs import MetricsRegistry
@@ -70,10 +70,8 @@ def _stage_config_types(stage: str) -> dict[str, type]:
 
 def stage_option_keys(stage: str) -> frozenset[str]:
     """The keys ``stage``'s options (a spec's ``hybrid`` block) accept:
-    its config fields, plus the trace keys of a traced stage."""
-    keys = {
-        f.name for cls in _stage_config_types(stage).values() for f in fields(cls)
-    }
+    its configs' option keys, plus the trace keys of a traced stage."""
+    keys = set().union(*map(option_keys, _stage_config_types(stage).values()))
     if stage in _TRACED_STAGES:
         keys.update(TRACE_KEYS)
     return frozenset(keys)
@@ -96,7 +94,7 @@ def stage_configs(stage: str, options: Mapping[str, Any]) -> dict[str, Any]:
         )
     configs: dict[str, Any] = {}
     for name, cls in _stage_config_types(stage).items():
-        names = {f.name for f in fields(cls)}
+        names = option_keys(cls)
         kwargs = {key: value for key, value in options.items() if key in names}
         build = getattr(cls, "from_dict", None)
         try:

@@ -10,19 +10,24 @@ kernel and to every approximated cluster, so structural violations
 surface in the same report as the statistical scores.
 
 Both sides share ``config.seed``, the topology, and the workload
-distributions; the harness defaults ``elide_remote_traffic=False`` so
-the hybrid carries the *identical* offered load (eliding background
-flows is a speed feature, not a fidelity-neutral one).  All scores are
-computed over simulated time from seeded inputs, so running the same
-pair twice produces byte-identical reports.
+distributions; :class:`ValidateConfig`'s hybrid keeps remote traffic
+by default so the hybrid carries the *identical* offered load (eliding
+background flows is a speed feature, not a fidelity-neutral one).  All
+scores are computed over simulated time from seeded inputs, so running
+the same pair twice produces byte-identical reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Optional
 
-from repro.core.hybrid import HybridConfig, HybridSimulation, check_batching_options
+from repro.core.hybrid import (
+    HybridConfig,
+    HybridSimulation,
+    matched_load,
+    nest_hybrid_options,
+)
 from repro.core.pipeline import (
     ExperimentConfig,
     FullRunOutput,
@@ -52,50 +57,35 @@ class ValidateConfig:
     region_cluster:
         The cluster under comparison: its boundary is traced in the
         full run and approximated in the hybrid run.  Must differ from
-        ``full_cluster``.
-    full_cluster:
-        The cluster kept at full fidelity on the hybrid side.
-    macro_bucket_s:
-        Bucket of both the runtime classifiers and the offline
-        macro-timeline replay.
-    elide_remote_traffic:
-        Defaults to False here (unlike :class:`HybridConfig`): the
-        pair must carry identical offered workloads to be comparable.
-    use_fused_inference, inference_dtype:
-        Passed through to :class:`HybridConfig`.
-    batch_window_s, memoize_inference, memo_exact:
-        Passed through to :class:`HybridConfig` — this is how the
-        batched hot path and the memoization cache get validated: the
-        differential pair is the fidelity gate for any approximation
-        the fast path introduces.
+        ``hybrid.full_cluster``.
+    hybrid:
+        The hybrid side.  Remote traffic is kept by default: the pair
+        must carry identical offered workloads.  ``macro_bucket_s``
+        also buckets the macro-timeline replay; the batching and memo
+        options are how the fast path gets validated.  The region's
+        own model is tapped, so ``single_black_box`` must be False.
     """
 
     region_cluster: int = 1
-    full_cluster: int = 0
-    macro_bucket_s: float = 0.001
-    elide_remote_traffic: bool = False
-    use_fused_inference: bool = True
-    inference_dtype: str = "float64"
-    batch_window_s: float = 0.0
-    memoize_inference: bool = False
-    memo_exact: bool = True
+    hybrid: HybridConfig = field(default_factory=matched_load)
 
     def __post_init__(self) -> None:
-        check_batching_options(
-            self.batch_window_s, self.memoize_inference, self.use_fused_inference
-        )
-        if self.region_cluster == self.full_cluster:
+        if self.region_cluster == self.hybrid.full_cluster:
             raise ValueError(
                 "region_cluster must differ from full_cluster: the compared "
-                f"region has to be approximated (both are {self.full_cluster})"
+                f"region has to be approximated (both are {self.region_cluster})"
+            )
+        if self.hybrid.single_black_box:
+            raise ValueError(
+                "single_black_box must be False for validate: it taps the "
+                "region_cluster's own model"
             )
 
-    def hybrid_config(self) -> HybridConfig:
-        """The hybrid-assembly options this validation implies (every
-        field but ``region_cluster`` is a :class:`HybridConfig` field)."""
-        options = asdict(self)
-        del options["region_cluster"]
-        return HybridConfig(**options)
+    @classmethod
+    def from_dict(cls, raw: Mapping[str, Any]) -> "ValidateConfig":
+        """Build from flat spec/CLI options (the
+        :class:`HybridConfig` keys build ``hybrid``)."""
+        return cls(**nest_hybrid_options(cls, raw))
 
 
 @dataclass
@@ -143,7 +133,7 @@ def run_differential_pair(
     full_output = run_full_simulation(
         config,
         collect_cluster=vc.region_cluster,
-        observe_cluster=vc.full_cluster,
+        observe_cluster=vc.hybrid.full_cluster,
         metrics=metrics,
     )
     records = full_output.records
@@ -159,7 +149,7 @@ def run_differential_pair(
     world = build_world(
         config,
         trained,
-        hybrid=vc.hybrid_config(),
+        hybrid=vc.hybrid,
         metrics=metrics,
         invariants=checker,
         topology=topology,
@@ -180,7 +170,7 @@ def run_differential_pair(
         hybrid_outcomes=hybrid_outcomes,
         trained=trained,
         duration_s=config.duration_s,
-        bucket_s=vc.macro_bucket_s,
+        bucket_s=vc.hybrid.macro_bucket_s,
         checker=checker,
     )
     return DifferentialResult(

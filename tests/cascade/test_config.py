@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cascade import CascadeConfig, Tier, TierBudget
+from repro.core.hybrid import HybridConfig
 
 
 class TestTier:
@@ -62,11 +63,15 @@ class TestCascadeConfig:
 
     def test_pinning_non_focal_region_to_des_rejected(self):
         with pytest.raises(ValueError, match="cannot pin region 2 to des"):
-            CascadeConfig(focal_cluster=0, pin_tiers={2: Tier.DES})
+            CascadeConfig(pin_tiers={2: Tier.DES})
+        with pytest.raises(ValueError, match=r"cannot pin region 0 .*full_cluster=1"):
+            CascadeConfig.from_dict({"full_cluster": 1, "pin_tiers": {"0": "des"}})
 
     def test_pinning_focal_to_des_allowed(self):
-        config = CascadeConfig(focal_cluster=0, pin_tiers={0: Tier.DES})
+        config = CascadeConfig(pin_tiers={0: Tier.DES})
         assert config.tier_for(0) is Tier.DES
+        config = CascadeConfig.from_dict({"full_cluster": 2, "pin_tiers": {"2": "des"}})
+        assert config.tier_for(2) is Tier.DES
 
     def test_tier_for_respects_pins_then_initial(self):
         config = CascadeConfig(
@@ -93,16 +98,25 @@ class TestCascadeConfig:
             CascadeConfig(max_promotions_per_epoch=0)
 
     def test_hybrid_config_keeps_remote_traffic(self):
-        config = CascadeConfig(focal_cluster=1, batch_window_s=1e-6)
-        hybrid = config.hybrid_config()
-        assert hybrid.full_cluster == 1
+        config = CascadeConfig.from_dict({"full_cluster": 1, "batch_window_s": 1e-6})
+        assert config.hybrid == HybridConfig(
+            full_cluster=1, elide_remote_traffic=False, batch_window_s=1e-6
+        )
         # Background flows are diverted to the fluid tier, never elided.
-        assert hybrid.elide_remote_traffic is False
-        assert hybrid.batch_window_s == 1e-6
+        assert CascadeConfig().hybrid.elide_remote_traffic is False
+        with pytest.raises(ValueError, match="elide_remote_traffic"):
+            CascadeConfig(hybrid=HybridConfig())
+        with pytest.raises(ValueError, match="elide_remote_traffic"):
+            CascadeConfig.from_dict({"elide_remote_traffic": True})
+
+    def test_single_black_box_rejected(self):
+        """The cascade keys models, windows and tiers by cluster."""
+        with pytest.raises(ValueError, match="single_black_box"):
+            CascadeConfig.from_dict({"single_black_box": True})
 
     def test_from_dict_normalizes_json_types(self):
         config = CascadeConfig.from_dict({
-            "focal_cluster": 0,
+            "full_cluster": 1,
             "initial_tier": "hybrid",
             "budget": {"ks": 0.2},
             "region_budgets": {"2": {"ks": 0.1}},
@@ -112,6 +126,7 @@ class TestCascadeConfig:
         assert config.budget.ks == 0.2
         assert config.region_budgets[2].ks == 0.1
         assert config.pin_tiers[3] is Tier.FLOWSIM
+        assert config.hybrid.full_cluster == 1
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown CascadeConfig fields"):

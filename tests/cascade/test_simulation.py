@@ -46,7 +46,7 @@ class TestDispatch:
         return CascadeSimulation(sim, topology, trained_bundle, config=CASCADE)
 
     def test_focal_cluster_is_des(self, fresh):
-        assert fresh.tier_of(CASCADE.focal_cluster) is Tier.DES
+        assert fresh.tier_of(CASCADE.hybrid.full_cluster) is Tier.DES
         for region in fresh.regions:
             assert fresh.tier_of(region) is Tier.FLOWSIM
 

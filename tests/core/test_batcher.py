@@ -161,17 +161,18 @@ class TestBatcherConfiguration:
 
     def test_window_requires_fused_inference(self):
         """The reference predict_step path has no batched form, so every
-        config that carries a window rejects it without the fused
-        engine at construction (a spec at load), before any model is
-        trained or fetched."""
-        from repro.cascade import CascadeConfig
+        stage that takes a window rejects it without the fused engine
+        when its configs are built (a spec at load), before any model
+        is trained or fetched."""
+        from repro.runs.executor import stage_configs
         from repro.runs.spec import ScenarioSpec
-        from repro.validate import ValidateConfig
 
         options = {"use_fused_inference": False, "batch_window_s": 1e-6}
-        for make in (HybridConfig, CascadeConfig, ValidateConfig):
+        with pytest.raises(ValueError, match="use_fused_inference"):
+            HybridConfig(**options)
+        for stage in ("hybrid", "pdes-hybrid", "cascade", "validate"):
             with pytest.raises(ValueError, match="use_fused_inference"):
-                make(**options)
+                stage_configs(stage, options)
         with pytest.raises(ValueError, match="use_fused_inference"):
             ScenarioSpec.from_dict({"name": "x", "stage": "hybrid", "hybrid": options})
         # Without a window the reference path is a valid choice.
@@ -195,18 +196,13 @@ class TestBatcherConfiguration:
         self, config_type, options
     ):
         """A memo with no batching window (or a negative window) would
-        run unmemoized and unbatched without a word, so the config is
-        rejected at construction, naming the field."""
-        from repro.cascade import CascadeConfig
-        from repro.validate import ValidateConfig
+        run unmemoized and unbatched without a word, so the stage's
+        options are rejected when its configs are built, naming the
+        field."""
+        from repro.runs.executor import stage_configs
 
-        make = {
-            "hybrid": HybridConfig,
-            "cascade": CascadeConfig,
-            "validate": ValidateConfig,
-        }[config_type]
         with pytest.raises(ValueError, match="batch_window_s"):
-            make(**options)
+            stage_configs(config_type, options)
 
     def test_window_clamped_to_causal_horizon(self):
         from repro.core.batcher import InferenceBatcher
@@ -229,7 +225,9 @@ class TestValidateWithBatching:
         batched = run_differential_pair(
             config,
             trained_bundle,
-            validate=ValidateConfig(batch_window_s=1e-6, memoize_inference=True),
+            validate=ValidateConfig.from_dict(
+                {"batch_window_s": 1e-6, "memoize_inference": True}
+            ),
         )
         batched.checker.assert_clean()
         assert batched.checker.violations == []

@@ -109,7 +109,6 @@ class TestArgvToConfig:
             "--batch-window", "1e-6", "--memoize", "--memo-approximate",
         ])
         assert configs["cascade"] == CascadeConfig(
-            focal_cluster=1,
             epoch_s=0.001,
             window_epochs=4,
             initial_tier=Tier.HYBRID,
@@ -120,9 +119,13 @@ class TestArgvToConfig:
             demote_patience=3,
             cooldown_epochs=2,
             max_promotions_per_epoch=2,
-            batch_window_s=1e-6,
-            memoize_inference=True,
-            memo_exact=False,
+            hybrid=HybridConfig(
+                full_cluster=1,
+                elide_remote_traffic=False,
+                batch_window_s=1e-6,
+                memoize_inference=True,
+                memo_exact=False,
+            ),
         )
 
     def test_validate_defaults(self):
@@ -135,8 +138,11 @@ class TestArgvToConfig:
             "--batch-window", "1e-6", "--memoize",
         ])
         assert configs["validate"] == ValidateConfig(
-            region_cluster=2, full_cluster=1, elide_remote_traffic=True,
-            batch_window_s=1e-6, memoize_inference=True,
+            region_cluster=2,
+            hybrid=HybridConfig(
+                full_cluster=1, elide_remote_traffic=True,
+                batch_window_s=1e-6, memoize_inference=True,
+            ),
         )
 
     def test_validate_without_model_trains_the_fallback_bundle(self):

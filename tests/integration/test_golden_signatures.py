@@ -39,6 +39,7 @@ from repro.pdes import (
     run_hybrid_sharded,
     run_parallel_simulation,
 )
+from repro.runs.executor import run_stage
 from repro.topology.clos import ClosParams
 from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 from repro.traffic.distributions import UNIFORM_SMALL_CDF, EmpiricalSizeDistribution
@@ -78,6 +79,13 @@ CASCADE_EXPERIMENT = ExperimentConfig(
 CASCADE = CascadeConfig(
     epoch_s=0.001, window_epochs=3, min_window_samples=4, budget=TierBudget(ks=0.2)
 )
+#: ``CASCADE`` as a spec's ``hybrid`` table.
+CASCADE_OPTIONS = {
+    "epoch_s": 0.001, "window_epochs": 3, "min_window_samples": 4, "budget": {"ks": 0.2}
+}
+#: Spec tables without and with the batched hot path and exact memo:
+#: the same simulation, flush events aside (signatures leave them out).
+BATCHING_OPTIONS = [{}, {"batch_window_s": 5e-7, "memoize_inference": True}]
 KEEP_REMOTE = HybridConfig(elide_remote_traffic=False)
 BATCHED_MEMO = HybridConfig(
     elide_remote_traffic=False, batch_window_s=5e-7, memoize_inference=True
@@ -225,15 +233,36 @@ def test_collective_f32_batched_memo_is_inline(trained_bundle, hybrid):
 # ----------------------------------------------------------------------
 # Cascade: packet side, controller decisions, fluid side
 # ----------------------------------------------------------------------
+def _check_cascade(result, cascade_sim) -> None:
+    assert result.fluid_fcts and cascade_sim.decision_log.entries
+    _check("cascade_result", result.result.determinism_signature())
+    _check("cascade_decision_log", cascade_sim.decision_log.to_json())
+    _check("cascade_fluid_fcts", json.dumps(result.fluid_fcts))
+
+
 def test_cascade(trained_bundle):
     result, cascade_sim = run_cascade_simulation(
         CASCADE_EXPERIMENT, trained_bundle, cascade=CASCADE
     )
-    assert result.fluid_fcts and cascade_sim.decision_log.entries
-    _check("cascade_result", result.result.determinism_signature())
+    _check_cascade(result, cascade_sim)
     assert result.result.events_executed == GOLDEN_EVENTS["cascade_result"]
-    _check("cascade_decision_log", cascade_sim.decision_log.to_json())
-    _check("cascade_fluid_fcts", json.dumps(result.fluid_fcts))
+
+
+@pytest.mark.parametrize("batching", BATCHING_OPTIONS, ids=["inline", "batched_memo"])
+def test_cascade_through_run_stage(trained_bundle, batching):
+    """The spec path (flat options, matched-load defaults) is the same
+    cascade, batched or not."""
+    run = run_stage(
+        "cascade", CASCADE_EXPERIMENT, {**CASCADE_OPTIONS, **batching}, trained_bundle
+    )
+    _check_cascade(run.result, run.detail)
+    hot = run.result.result.hot_path
+    if batching:
+        assert hot["batched_packets"] > 0
+        assert hot["memo_hits"] + hot["memo_misses"] == hot["batched_packets"]
+    else:
+        assert hot["batched_packets"] == 0
+        assert run.result.result.events_executed == GOLDEN_EVENTS["cascade_result"]
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +285,14 @@ def test_sharded(trained_bundle, workers):
 # ----------------------------------------------------------------------
 def test_validate_report(trained_bundle):
     diff = run_differential_pair(VALIDATE_EXPERIMENT, trained_bundle)
+    _check("validate_report", json.dumps(diff.report.to_dict(), sort_keys=True))
+
+
+@pytest.mark.parametrize("batching", BATCHING_OPTIONS, ids=["inline", "batched_memo"])
+def test_validate_report_through_run_stage(trained_bundle, batching):
+    """A spec table keeps the remote traffic, as the default
+    :class:`ValidateConfig` does, whether or not it sets a hybrid key."""
+    diff = run_stage("validate", VALIDATE_EXPERIMENT, batching, trained_bundle).result
     _check("validate_report", json.dumps(diff.report.to_dict(), sort_keys=True))
 
 

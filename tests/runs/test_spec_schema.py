@@ -68,10 +68,45 @@ class TestHybridKeys:
         assert stage_option_keys("pdes-hybrid") == (
             _names(HybridConfig) | _names(HybridShardConfig)
         )
-        assert stage_option_keys("cascade") == _names(CascadeConfig) | set(TRACE_KEYS)
-        assert stage_option_keys("validate") == _names(ValidateConfig)
+        # A stage config's ``hybrid`` field is spelt as the flat
+        # HybridConfig keys it holds.
+        assert stage_option_keys("cascade") == (
+            _names(CascadeConfig) - {"hybrid"} | _names(HybridConfig) | set(TRACE_KEYS)
+        )
+        assert stage_option_keys("validate") == (
+            _names(ValidateConfig) - {"hybrid"} | _names(HybridConfig)
+        )
         for stage in ("simulate", "train", "evaluate"):
             assert stage_option_keys(stage) == frozenset()
+
+    @pytest.mark.parametrize("stage", ["hybrid", "pdes-hybrid", "cascade", "validate"])
+    def test_every_model_stage_takes_every_hybrid_key(self, stage):
+        """One HybridConfig for every stage that runs a model: each takes
+        all of its keys, and no two of the stage's configs share a name
+        (a flat key must mean one field)."""
+        from repro.runs.executor import _stage_config_types, stage_option_keys
+
+        assert _names(HybridConfig) <= stage_option_keys(stage)
+        configs = list(_stage_config_types(stage).values())
+        if any("hybrid" in _names(cls) for cls in configs):
+            configs.append(HybridConfig)
+        names = [f.name for cls in configs for f in fields(cls) if f.name != "hybrid"]
+        assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("options,message", [
+        # NaN passed every comparison: a memoized run had neither
+        # batching nor memo.
+        ({"batch_window_s": float("nan"), "memoize_inference": True}, "batch_window_s"),
+        ({"inference_dtype": "float16"}, "inference_dtype"),
+        ({"macro_bucket_s": 0.0}, "macro_bucket_s"),
+        ({"memo_max_entries": 0}, "memo_max_entries"),
+    ], ids=["nan_window", "float16", "zero_bucket", "empty_memo"])
+    def test_bad_hybrid_option_fails_at_load(self, options, message):
+        """Refused when the spec is parsed, not when the world is built
+        after ``runs submit`` has trained the model."""
+        for stage in ("hybrid", "cascade", "validate"):
+            with pytest.raises(ValueError, match=message):
+                ScenarioSpec.from_dict({"name": "x", "stage": stage, "hybrid": options})
 
     def test_experiment_keys_are_the_config_fields(self):
         from repro.runs.spec import EXPERIMENT_KEYS

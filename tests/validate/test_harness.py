@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.hybrid import HybridConfig
 from repro.core.pipeline import ExperimentConfig
 from repro.topology.clos import ClosParams
 from repro.validate import ValidateConfig, run_differential_pair
@@ -22,7 +23,9 @@ def pair(trained_bundle):
 class TestValidateConfig:
     def test_region_must_be_approximated(self):
         with pytest.raises(ValueError, match="region_cluster"):
-            ValidateConfig(region_cluster=0, full_cluster=0)
+            ValidateConfig(region_cluster=0)
+        with pytest.raises(ValueError, match="region_cluster"):
+            ValidateConfig.from_dict({"region_cluster": 2, "full_cluster": 2})
 
     def test_region_must_exist(self, trained_bundle):
         with pytest.raises(ValueError, match="region_cluster"):
@@ -31,7 +34,15 @@ class TestValidateConfig:
             )
 
     def test_hybrid_config_carries_matched_workload_default(self):
-        assert ValidateConfig().hybrid_config().elide_remote_traffic is False
+        assert ValidateConfig().hybrid == HybridConfig(elide_remote_traffic=False)
+        config = ValidateConfig.from_dict({"full_cluster": 1, "region_cluster": 0})
+        assert config.hybrid == HybridConfig(full_cluster=1, elide_remote_traffic=False)
+
+    def test_single_black_box_rejected(self):
+        """The harness taps the region's own model, so a rest-of-network
+        model would fail later with a KeyError."""
+        with pytest.raises(ValueError, match="single_black_box"):
+            ValidateConfig.from_dict({"single_black_box": True})
 
 
 class TestDifferentialPair:
