@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from repro.core.features import (
     Direction,
     FlowTemplate,
     RegionFeatureExtractor,
+    ServerIndex,
 )
 from repro.core.macro import AutoRegressiveMacroClassifier
 from repro.core.region import Region
@@ -166,6 +167,9 @@ class ApproximatedCluster(Entity):
         ``model.drop`` event, both attributed to the packet's flow
         trace id; invariant findings carry the same id.  Same hot-path
         contract: one ``is not None`` branch per packet when absent.
+    servers:
+        The topology's :class:`~repro.core.features.ServerIndex`,
+        shared by every model of one world (built here when omitted).
 
     Attributes
     ----------
@@ -192,6 +196,7 @@ class ApproximatedCluster(Entity):
         metrics=None,
         invariants=None,
         tracer=None,
+        servers: Optional[ServerIndex] = None,
     ) -> None:
         if isinstance(region, int):
             region = Region.cluster(topology, region)
@@ -204,7 +209,7 @@ class ApproximatedCluster(Entity):
         self.rng = rng
         self.use_fused = use_fused
 
-        self.extractor = RegionFeatureExtractor(topology, routing, region)
+        self.extractor = RegionFeatureExtractor(topology, routing, region, servers=servers)
         self.macro = AutoRegressiveMacroClassifier(
             trained.calibration, bucket_s=macro_bucket_s
         )

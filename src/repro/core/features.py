@@ -101,6 +101,48 @@ class FlowTemplate:
         self.egress = None
 
 
+class ServerIndex:
+    """Every server's coordinates and the scales that normalize them.
+
+    One scan of a topology's servers; a world builds it once and hands
+    it to each of its extractors, which only read it.
+
+    Attributes
+    ----------
+    info:
+        Server name -> (cluster index, ToR index, slot).
+    max_tor, max_slot, max_agg:
+        One past the largest ToR, slot and Cluster-switch index.
+    num_cores, num_clusters:
+        Core switch and cluster counts (at least 1).
+    """
+
+    __slots__ = ("info", "max_tor", "max_slot", "max_agg", "num_cores", "num_clusters")
+
+    def __init__(self, topology: Topology) -> None:
+        self.info: dict[str, tuple[int, int, int]] = {}
+        max_tor = 1
+        max_slot = 1
+        for server in topology.servers():
+            tor_name = next(
+                nbr
+                for nbr in topology.neighbors(server.name)
+                if topology.node(nbr).role is NodeRole.TOR
+            )
+            tor_index = topology.node(tor_name).index
+            slot = server.index
+            cluster_index = server.cluster if server.cluster is not None else 0
+            self.info[server.name] = (cluster_index, tor_index, slot)
+            max_tor = max(max_tor, tor_index + 1)
+            max_slot = max(max_slot, slot + 1)
+        self.max_tor = max_tor
+        self.max_slot = max_slot
+        aggs = topology.nodes_with_role(NodeRole.CLUSTER)
+        self.max_agg = max((node.index + 1 for node in aggs), default=1)
+        self.num_cores = max(len(topology.nodes_with_role(NodeRole.CORE)), 1)
+        self.num_clusters = max(len(topology.cluster_ids()), 1)
+
+
 class RegionFeatureExtractor:
     """Feature computation for one approximated cluster.
 
@@ -125,6 +167,9 @@ class RegionFeatureExtractor:
         shorthand for ``Region.cluster(topology, index)``.
     ema_alpha:
         Smoothing for the inter-arrival moving average.
+    servers:
+        The topology's :class:`ServerIndex`; every extractor of one
+        world shares one (built here when omitted).
     """
 
     def __init__(
@@ -133,6 +178,7 @@ class RegionFeatureExtractor:
         routing: EcmpRouting,
         region: Region | int,
         ema_alpha: float = 0.1,
+        servers: Optional[ServerIndex] = None,
     ) -> None:
         self.topology = topology
         self.routing = routing
@@ -141,29 +187,7 @@ class RegionFeatureExtractor:
         self.region = region
         self.ema_alpha = ema_alpha
 
-        servers = topology.servers()
-        self._num_clusters = max(len(topology.cluster_ids()), 1)
-        self._server_info: dict[str, tuple[int, int, int]] = {}
-        max_tor = 1
-        max_slot = 1
-        for server in servers:
-            tor_name = next(
-                nbr
-                for nbr in topology.neighbors(server.name)
-                if topology.node(nbr).role is NodeRole.TOR
-            )
-            tor_index = topology.node(tor_name).index
-            slot = server.index
-            cluster_index = server.cluster if server.cluster is not None else 0
-            self._server_info[server.name] = (cluster_index, tor_index, slot)
-            max_tor = max(max_tor, tor_index + 1)
-            max_slot = max(max_slot, slot + 1)
-        self._max_tor = max_tor
-        self._max_slot = max_slot
-        aggs = topology.nodes_with_role(NodeRole.CLUSTER)
-        self._max_agg = max((node.index + 1 for node in aggs), default=1)
-        cores = topology.nodes_with_role(NodeRole.CORE)
-        self._num_cores = max(len(cores), 1)
+        self.servers = servers if servers is not None else ServerIndex(topology)
         self._ingress_clock = _DirectionClock()
         self._egress_clock = _DirectionClock()
         #: Valid for the routing tables of ``_routing_epoch`` only.
@@ -184,24 +208,25 @@ class RegionFeatureExtractor:
         hops are encoded as 0 with ``has_core`` flagging core usage.
         """
         path = self.routing.path(packet.src, packet.dst, packet.flow_hash())
+        servers = self.servers
         tor_in = agg = core = tor_out = 0.0
         has_core = 0.0
         seen_tor = False
         for name in path:
             node = self.topology.node(name)
             if node.role is NodeRole.CORE:
-                core = (node.index + 1) / self._num_cores
+                core = (node.index + 1) / servers.num_cores
                 has_core = 1.0
             elif self.region.contains_switch(name):
                 if node.role is NodeRole.TOR:
-                    value = (node.index + 1) / self._max_tor
+                    value = (node.index + 1) / servers.max_tor
                     if not seen_tor:
                         tor_in = value
                         seen_tor = True
                     else:
                         tor_out = value
                 elif node.role is NodeRole.CLUSTER:
-                    agg = (node.index + 1) / self._max_agg
+                    agg = (node.index + 1) / servers.max_agg
         return (tor_in, agg, core, tor_out, has_core)
 
     def flow(self, packet: Packet) -> FlowTemplate:
@@ -213,16 +238,17 @@ class RegionFeatureExtractor:
         flow = self._flows.get(key)
         if flow is not None:
             return flow
-        src_cluster, src_tor, src_slot = self._server_info[packet.src]
-        dst_cluster, dst_tor, dst_slot = self._server_info[packet.dst]
+        servers = self.servers
+        src_cluster, src_tor, src_slot = servers.info[packet.src]
+        dst_cluster, dst_tor, dst_slot = servers.info[packet.dst]
         direction = self.direction_of(packet)
         row = np.zeros(FEATURE_COUNT)
-        row[0] = (src_cluster + 1) / self._num_clusters
-        row[1] = (src_tor + 1) / self._max_tor
-        row[2] = (src_slot + 1) / self._max_slot
-        row[3] = (dst_cluster + 1) / self._num_clusters
-        row[4] = (dst_tor + 1) / self._max_tor
-        row[5] = (dst_slot + 1) / self._max_slot
+        row[0] = (src_cluster + 1) / servers.num_clusters
+        row[1] = (src_tor + 1) / servers.max_tor
+        row[2] = (src_slot + 1) / servers.max_slot
+        row[3] = (dst_cluster + 1) / servers.num_clusters
+        row[4] = (dst_tor + 1) / servers.max_tor
+        row[5] = (dst_slot + 1) / servers.max_slot
         row[6:11] = self._path_features(packet)
         row[_DIRECTION_FLAG] = 1.0 if direction is Direction.INGRESS else 0.0
         row.flags.writeable = False

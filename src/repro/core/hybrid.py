@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional, Union
 
 from repro.core.cluster_model import ApproximatedCluster
+from repro.core.features import ServerIndex
 from repro.core.region import Region
 from repro.core.training import TrainedClusterModel
 from repro.des.kernel import Simulator
@@ -368,6 +369,8 @@ class HybridSimulation:
         )
 
         routing = make_routing(topology, routing_config)
+        # One server index for every model's feature extractor.
+        servers = ServerIndex(topology) if trained is not None else None
         self.models: dict[int, ApproximatedCluster] = {}
         self.fabric_models: dict[str, ApproximatedCluster] = {}
         excluded: set[str] = set()
@@ -388,6 +391,7 @@ class HybridSimulation:
                 metrics=metrics,
                 invariants=invariants,
                 tracer=tracer,
+                servers=servers,
             )
 
         if self.config.single_black_box and trained is not None:

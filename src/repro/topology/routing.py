@@ -6,10 +6,11 @@ paths to the destination, chosen by a deterministic hash of the flow
 identifier so that all packets of a flow take the same path (avoiding
 reordering).
 
-:class:`EcmpRouting` precomputes, for every (node, destination) pair,
-the set of next hops that lie on some shortest path, via one BFS per
-destination.  At forwarding time the next hop is
-``nexthops[flow_hash % len(nexthops)]``.
+:class:`EcmpRouting` precomputes, for every switch and every
+destination, the set of next hops that lie on some shortest path, via
+one BFS per switch over the switch graph; a host with one link shares
+its switch's table (see :meth:`EcmpRouting._rebuild`).  At forwarding
+time the next hop is ``nexthops[flow_hash % len(nexthops)]``.
 
 The paper also notes (Section 4.2) that ECMP path choice is
 deterministic given the header, which is what lets the approximated
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Protocol
 
-from repro.topology.graph import Topology
+from repro.topology.graph import NodeRole, Topology
 
 #: Multiplier/increment of a splitmix-style integer hash; chosen for
 #: good avalanche behaviour on small integers.
@@ -140,9 +141,12 @@ class EcmpRouting:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         # _nexthops[dst][node] -> sorted list of neighbor names on
-        # shortest paths from node to dst.
+        # shortest paths from node to dst, for every node but a
+        # single-link host (see _rebuild).
         self._nexthops: dict[str, dict[str, list[str]]] = {}
-        self._distance: dict[str, dict[str, int]] = {}
+        #: Single-link host -> ``[its switch]``, the host's one next hop
+        #: toward every destination its switch reaches.
+        self._uplink: dict[str, list[str]] = {}
         #: Links currently failed, as frozensets of the two endpoints.
         self._failed: set[frozenset[str]] = set()
         #: How many times the tables were recomputed after a topology
@@ -154,10 +158,20 @@ class EcmpRouting:
     # Table construction and link state
     # ------------------------------------------------------------------
     def _rebuild(self, initial: bool = False) -> None:
+        """Recompute the tables from the live links.
+
+        A server whose one live link goes to a switch lies on no
+        shortest path but its own, and every path to or from it runs
+        through that link.  So the BFS runs only from the other nodes
+        (the switches of a fabric), over the graph without those hosts.
+        Such a host's table is its switch's table, sharing its hop
+        lists, plus the entry ``switch -> [host]``; as a source it is
+        resolved by :meth:`_host_hops`.  Every answer equals that of
+        one BFS per node over the whole graph.
+        """
         topology = self.topology
-        # One adjacency snapshot for all destinations: neighbors() builds
-        # a fresh list per call, which dominates table construction on
-        # large fabrics (one BFS per destination touches every node).
+        # One adjacency snapshot for all BFS roots: neighbors() builds a
+        # fresh list per call.
         adjacency = {
             node.name: [
                 neighbor
@@ -166,10 +180,27 @@ class EcmpRouting:
             ]
             for node in topology.nodes
         }
-        self._nexthops.clear()
-        self._distance.clear()
+        uplink = {}
         for node in topology.nodes:
-            self._compute_for_destination(node.name, adjacency)
+            live = adjacency[node.name]
+            if (
+                node.role is NodeRole.SERVER
+                and len(live) == 1
+                and topology.node(live[0]).role.is_switch
+            ):
+                uplink[node.name] = live
+        inner = {
+            name: [neighbor for neighbor in neighbors if neighbor not in uplink]
+            for name, neighbors in adjacency.items()
+            if name not in uplink
+        }
+        nexthops = {dst: _shortest_next_hops(dst, inner) for dst in inner}
+        for host, (switch,) in uplink.items():
+            table = nexthops[switch].copy()
+            table[switch] = [host]
+            nexthops[host] = table
+        self._nexthops = nexthops
+        self._uplink = uplink
         if not initial:
             self.table_rebuilds += 1
 
@@ -204,36 +235,23 @@ class EcmpRouting:
         """Currently-failed links as sorted endpoint pairs."""
         return sorted(tuple(sorted(key)) for key in self._failed)
 
-    def _compute_for_destination(
-        self, dst: str, adjacency: dict[str, list[str]]
-    ) -> None:
-        # Next hops fall out of the BFS itself: scanning edge
-        # (current, neighbor) with dist[neighbor] == dist[current] + 1
-        # proves ``current`` lies on a shortest path from ``neighbor``
-        # to ``dst``, and every edge is scanned from both sides — so no
-        # second all-nodes pass is needed.
-        dist: dict[str, int] = {dst: 0}
-        nexthops: dict[str, list[str]] = {}
-        queue: deque[str] = deque([dst])
-        while queue:
-            current = queue.popleft()
-            next_d = dist[current] + 1
-            for neighbor in adjacency[current]:
-                d = dist.get(neighbor)
-                if d is None:
-                    dist[neighbor] = next_d
-                    queue.append(neighbor)
-                    nexthops[neighbor] = [current]
-                elif d == next_d:
-                    nexthops[neighbor].append(current)
-        for hops in nexthops.values():
-            hops.sort()
-        self._nexthops[dst] = nexthops
-        self._distance[dst] = dist
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _host_hops(self, node: str, dst: str) -> list[str]:
+        """Slow path of a table miss: a single-link host's one next hop.
+
+        The host forwards to its switch whenever that switch is ``dst``
+        or reaches it; any other miss (unknown node or destination,
+        ``node == dst``, no live route) is a :class:`NoRouteError`.
+        """
+        hops = self._uplink.get(node)
+        if hops is not None and node != dst:
+            table = self._nexthops.get(dst)
+            if table is not None and (hops[0] == dst or hops[0] in table):
+                return hops
+        raise NoRouteError(node, dst)
+
     def next_hops(self, node: str, dst: str) -> list[str]:
         """All equal-cost next hops from ``node`` toward ``dst``."""
         if node == dst:
@@ -241,7 +259,7 @@ class EcmpRouting:
         try:
             return self._nexthops[dst][node]
         except KeyError:
-            raise NoRouteError(node, dst) from None
+            return self._host_hops(node, dst)
 
     def next_hop(self, node: str, dst: str, flow_hash: int) -> str:
         """The ECMP-selected next hop for a flow at ``node``."""
@@ -267,13 +285,19 @@ class EcmpRouting:
         """
         try:
             hops = self._nexthops[dst][node]
-        except KeyError:  # unknown pair, or node == dst
-            raise NoRouteError(node, dst) from None
+        except KeyError:  # a host source, an unknown pair, or node == dst
+            hops = self._host_hops(node, dst)
         return hops[flow_hash % len(hops)]
 
     def distance(self, src: str, dst: str) -> int:
-        """Hop count of the shortest path."""
-        return self._distance[dst][src]
+        """Hop count of the shortest path: that of the canonical :meth:`path`.
+
+        Raises :class:`NoRouteError` when either node is unknown or no
+        live route joins them.
+        """
+        if dst not in self._nexthops:
+            raise NoRouteError(src, dst)
+        return len(self.path(src, dst, 0)) - 1
 
     def path(self, src: str, dst: str, flow_hash: int) -> list[str]:
         """The full ECMP path a flow takes, including both endpoints.
@@ -290,6 +314,34 @@ class EcmpRouting:
             if len(path) > self.topology.node_count:
                 raise RuntimeError(f"routing loop from {src!r} to {dst!r}")
         return path
+
+
+def _shortest_next_hops(
+    dst: str, adjacency: dict[str, list[str]]
+) -> dict[str, list[str]]:
+    """One BFS from ``dst``: node -> sorted next hops on its shortest paths."""
+    # Next hops fall out of the BFS itself: scanning edge
+    # (current, neighbor) with dist[neighbor] == dist[current] + 1
+    # proves ``current`` lies on a shortest path from ``neighbor`` to
+    # ``dst``, and every edge is scanned from both sides — so no second
+    # all-nodes pass is needed.
+    dist: dict[str, int] = {dst: 0}
+    nexthops: dict[str, list[str]] = {}
+    queue: deque[str] = deque([dst])
+    while queue:
+        current = queue.popleft()
+        next_d = dist[current] + 1
+        for neighbor in adjacency[current]:
+            d = dist.get(neighbor)
+            if d is None:
+                dist[neighbor] = next_d
+                queue.append(neighbor)
+                nexthops[neighbor] = [current]
+            elif d == next_d:
+                nexthops[neighbor].append(current)
+    for hops in nexthops.values():
+        hops.sort()
+    return nexthops
 
 
 class FlowletRouting(EcmpRouting):
@@ -325,9 +377,10 @@ class FlowletRouting(EcmpRouting):
         now: float = 0.0,
         port_load: Optional[Callable[[str], int]] = None,
     ) -> str:
-        hops = self.next_hops(node, dst)
-        if not hops:
-            raise NoRouteError(node, dst)
+        try:
+            hops = self._nexthops[dst][node]
+        except KeyError:
+            hops = self._host_hops(node, dst)
         state = self._flowlets.get((node, flow_hash))
         if state is None:
             state = [now, 0]
@@ -363,9 +416,10 @@ class AdaptiveRouting(EcmpRouting):
         now: float = 0.0,
         port_load: Optional[Callable[[str], int]] = None,
     ) -> str:
-        hops = self.next_hops(node, dst)
-        if not hops:
-            raise NoRouteError(node, dst)
+        try:
+            hops = self._nexthops[dst][node]
+        except KeyError:
+            hops = self._host_hops(node, dst)
         if port_load is None or len(hops) == 1:
             return hops[flow_hash % len(hops)]
         loads = [port_load(hop) for hop in hops]

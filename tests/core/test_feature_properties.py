@@ -128,15 +128,16 @@ def _extract_reference(extractor, clocks, packet, now, macro_state, direction):
         else:
             clock[1] += extractor.ema_alpha * (gap - clock[1])
     clock[0] = now
-    src_cluster, src_tor, src_slot = extractor._server_info[packet.src]
-    dst_cluster, dst_tor, dst_slot = extractor._server_info[packet.dst]
+    servers = extractor.servers
+    src_cluster, src_tor, src_slot = servers.info[packet.src]
+    dst_cluster, dst_tor, dst_slot = servers.info[packet.dst]
     features = np.empty(FEATURE_COUNT)
-    features[0] = (src_cluster + 1) / extractor._num_clusters
-    features[1] = (src_tor + 1) / extractor._max_tor
-    features[2] = (src_slot + 1) / extractor._max_slot
-    features[3] = (dst_cluster + 1) / extractor._num_clusters
-    features[4] = (dst_tor + 1) / extractor._max_tor
-    features[5] = (dst_slot + 1) / extractor._max_slot
+    features[0] = (src_cluster + 1) / servers.num_clusters
+    features[1] = (src_tor + 1) / servers.max_tor
+    features[2] = (src_slot + 1) / servers.max_slot
+    features[3] = (dst_cluster + 1) / servers.num_clusters
+    features[4] = (dst_tor + 1) / servers.max_tor
+    features[5] = (dst_slot + 1) / servers.max_slot
     features[6:11] = extractor._path_features(packet)
     features[11] = math.log1p(max(gap, 0.0) * 1e6)
     features[12] = (

@@ -10,10 +10,12 @@ from repro.core.features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
     RegionFeatureExtractor,
+    ServerIndex,
 )
 from repro.core.macro import MacroState
+from repro.core.world import ExperimentConfig, build_world
 from repro.net.packet import Packet
-from repro.topology.clos import server_name
+from repro.topology.clos import ClosParams, server_name
 
 
 def _extractor(small_clos, small_clos_routing, cluster=1):
@@ -218,3 +220,18 @@ class TestRoutingInvalidation:
         assert routing.set_link_state(agg, core, up=True)
         restored = ext.extract(packet, 2e-4, MacroState.MINIMAL)
         np.testing.assert_array_equal(restored[path_slice], before[path_slice])
+
+
+class TestServerIndex:
+    def test_every_model_of_a_world_shares_one_index(self, trained_bundle):
+        """One scan of the servers per world, not one per approximated
+        cluster: every model's extractor reads the same index object."""
+        config = ExperimentConfig(
+            clos=ClosParams(clusters=4), load=0.1, duration_s=0.001, seed=3
+        )
+        world = build_world(config, trained_bundle)
+        indexes = {id(model.extractor.servers) for model in world.hybrid.models.values()}
+        assert len(world.hybrid.models) == 3
+        assert len(indexes) == 1
+        shared = next(iter(world.hybrid.models.values())).extractor.servers
+        assert shared.info == ServerIndex(world.hybrid.topology).info
