@@ -47,7 +47,7 @@ import numpy as np
 from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.core.micro import MicroModel, MicroModelConfig
-from repro.nn.batch import MemoConfig, make_batched_engine
+from repro.nn.batch import make_batched_engine
 from repro.nn.data import Standardizer
 from repro.nn.infer import compile_inference
 
@@ -58,9 +58,8 @@ JSON_PATH = REPO_ROOT / "BENCH_hotpath.json"
 PACKETS = int(os.environ.get("REPRO_HOTPATH_PACKETS", "2000"))
 TRIALS = 5
 WARMUP = 200
-#: The steady-state memo section needs thousands of warmup rounds to
-#: converge; the smoke run keeps the code path covered but its numbers
-#: (and the related soft floors) only apply to full-size runs.
+#: The smoke run keeps every code path covered, but its numbers (and
+#: the soft floors below) only apply to full-size runs.
 FULL_SIZE = PACKETS >= 2000
 
 #: Round widths of the raw batched sweep.  2 and 3 are what a 4-cluster
@@ -93,8 +92,6 @@ TRACE_ENABLED_OVERHEAD_BOUND = 0.02
 #: checked-in JSON carries the real numbers; these only catch gross
 #: regressions without flaking on noisy runners.
 MIN_BATCHED_SPEEDUP_F32 = 1.5  # raw, batch >= 64, vs same-run scalar f32
-MIN_STEADY_SPEEDUP = 4.0  # memoized steady state vs same-run scalar f32
-MIN_STEADY_HIT_RATE = 0.8
 
 #: The model-packet budget across the one-pass rebuild of the per-packet
 #: path, by the method of :func:`_bench_model_packet_budget`: medians of 5
@@ -218,25 +215,16 @@ def _time_batched(engine, feature_rounds, macro_rounds, rows) -> float:
 
 
 def _bench_batched() -> dict:
-    """The lane-batched engine: raw GEMM batching by width, plus the
-    memoized steady state on a periodic workload.
+    """The lane-batched engine: raw GEMM batching by width.
 
-    Two honestly separated numbers:
-
-    * ``raw`` — ``predict_rows`` over the first ``width`` lanes of an
-      engine with ``max(width, MIN_LANES)`` lanes, every packet
-      computed.  Below ``STACKED_MIN_WIDTH`` a round is its lanes'
-      scalar steps; from it the stacked GEMM, bounded below by the
-      per-packet GEMM floor of this machine, so the curve flattens once
-      the weights are read once per round.  Width 1 is also timed with exact memoization on
-      (``*_memo_us``): a random stream never hits, so that row prices
-      the cache's miss path on top of the step.
-    * ``steady_state`` — quantized-key memoization (``exact=False``)
-      under a periodic feature stream, *after* cache warmup: the regime
-      the cache targets (steady traffic repeating its regime), where
-      packets stop paying for GEMMs at all.  The hit rate is reported
-      alongside — the speedup only applies where the workload actually
-      revisits cached transitions.
+    ``raw`` is ``predict_rows`` over the first ``width`` lanes of an
+    engine with ``max(width, MIN_LANES)`` lanes, every packet computed.
+    Below ``STACKED_MIN_WIDTH`` a round is its lanes' scalar steps; from
+    it the stacked GEMM, bounded below by the per-packet GEMM floor of
+    this machine, so the curve flattens once the weights are read once
+    per round.  Width 1 is also timed with the memo on (``*_memo_us``):
+    a random stream never hits, so that row prices the cache's miss
+    path on top of the step.
 
     Speedups are against the *same-run* scalar fused float32 engine —
     the strongest pre-existing path, measured here under identical
@@ -279,7 +267,7 @@ def _bench_batched() -> dict:
         if width == 1:
             for label, compiled in (("f32", compiled32), ("f64", compiled64)):
                 engines[f"{label}_memo"] = make_batched_engine(
-                    compiled, lanes, memo=MemoConfig()
+                    compiled, lanes, memo=True
                 )
         setups[width] = (rows, feature_rounds, macro_rounds, engines)
 
@@ -313,45 +301,7 @@ def _bench_batched() -> dict:
             entry[f"speedup_{label}"] = scalar_us / (per_packet * 1e6)
         raw[str(width)] = entry
 
-    # Steady state: 64 lanes fed an exactly periodic stream; warm the
-    # cache until the quantized orbit closes, then time pure hits.
-    width = 64
-    period = 4
-    rows = list(range(width))
-    engine = make_batched_engine(
-        compiled32, width, memo=MemoConfig(exact=False)
-    )
-    rng = np.random.default_rng(12)
-    periodic = [rng.normal(size=input_size) for _ in range(period)]
-    warmup_rounds = 4500 if FULL_SIZE else 30
-    measure_rounds = 1500 if FULL_SIZE else 10
-    step = 0
-    for _ in range(warmup_rounds):
-        engine.predict_rows(
-            [periodic[step % period]] * width, [step % 4] * width, rows
-        )
-        step += 1
-    engine.memo_hits = engine.memo_misses = 0
-    best = float("inf")
-    for _ in range(TRIALS):
-        start = time.perf_counter()
-        for _ in range(measure_rounds):
-            engine.predict_rows(
-                [periodic[step % period]] * width, [step % 4] * width, rows
-            )
-            step += 1
-        best = min(best, (time.perf_counter() - start) / (measure_rounds * width))
-    seen = engine.memo_hits + engine.memo_misses
-    steady_us = best * 1e6
-    steady = {
-        "batch": width,
-        "workload": f"period-{period} feature stream, all lanes",
-        "warmup_rounds": warmup_rounds,
-        "us_per_packet": steady_us,
-        "hit_rate": engine.memo_hits / seen if seen else 0.0,
-        "speedup": scalar_us / steady_us,
-    }
-    return {"scalar_f32_us": scalar_us, "raw": raw, "steady_state": steady}
+    return {"scalar_f32_us": scalar_us, "raw": raw}
 
 
 #: Round widths of the ledger-model crossover sweep: what a 4-cluster
@@ -421,7 +371,7 @@ def _bench_batched_ledger() -> dict:
                 "stacked": (stacked, make_batched_engine(compiled, lanes)),
                 "lane_step_memo": (
                     lane_steps,
-                    make_batched_engine(compiled, lanes, memo=MemoConfig()),
+                    make_batched_engine(compiled, lanes, memo=True),
                 ),
             },
         )
@@ -926,7 +876,6 @@ def test_hotpath_inference_speedup():
         ]
         for name, r in results.items()
     ]
-    steady = batched["steady_state"]
     batched_rows = [
         [
             f"{width} of {entry['lanes']} lanes{label}",
@@ -939,15 +888,6 @@ def test_hotpath_inference_speedup():
         for label, suffix in (("", ""), (", exact memo", "_memo"))
         if f"f32{suffix}_us" in entry
     ]
-    batched_rows.append(
-        [
-            f"{steady['batch']} (memo)",
-            "-",
-            f"{steady['us_per_packet']:.2f}",
-            "-",
-            f"{steady['speedup']:.2f}x @ {steady['hit_rate']:.0%} hits",
-        ]
-    )
     batched_table = format_table(
         ["round width", "f64 us/pkt", "f32 us/pkt", "f64 speedup", "f32 speedup"],
         batched_rows,
@@ -1065,5 +1005,3 @@ def test_hotpath_inference_speedup():
             assert (
                 batched["raw"][width]["speedup_f32"] >= MIN_BATCHED_SPEEDUP_F32
             ), (width, batched)
-        assert steady["speedup"] >= MIN_STEADY_SPEEDUP, steady
-        assert steady["hit_rate"] >= MIN_STEADY_HIT_RATE, steady

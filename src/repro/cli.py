@@ -134,9 +134,6 @@ def _add_hybrid_arguments(parser: argparse.ArgumentParser, placement: bool = Tru
             "(clamped to the minimum region latency for causality)"),
         arg("--memoize", action="store_true", dest="memoize_inference",
             help="cache steady-state inference outcomes (requires --batch-window)"),
-        arg("--memo-approximate", action="store_false", dest="memo_exact",
-            help="accept quantized-key memo hits without exact verification "
-            "(faster; validate fidelity with `repro validate`)"),
     ]
 
 

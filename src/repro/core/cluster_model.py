@@ -139,8 +139,6 @@ class ApproximatedCluster(Entity):
         network is constructed after the models.
     rng:
         Random stream for sampling the drop Bernoulli.
-    macro_bucket_s:
-        Macro classifier bucket (match training for consistency).
     use_fused:
         Run the fused, allocation-free inference engine
         (:mod:`repro.nn.infer`) instead of the reference
@@ -190,7 +188,6 @@ class ApproximatedCluster(Entity):
         trained: TrainedClusterModel,
         resolve_entity: Callable[[str], object],
         rng: np.random.Generator,
-        macro_bucket_s: float = 0.001,
         use_fused: bool = True,
         inference_dtype: str | np.dtype = np.float64,
         metrics=None,
@@ -210,9 +207,7 @@ class ApproximatedCluster(Entity):
         self.use_fused = use_fused
 
         self.extractor = RegionFeatureExtractor(topology, routing, region, servers=servers)
-        self.macro = AutoRegressiveMacroClassifier(
-            trained.calibration, bucket_s=macro_bucket_s
-        )
+        self.macro = AutoRegressiveMacroClassifier(trained.calibration)
         # Compiled weights are cached on (and shared via) the trained
         # bundle; each cluster owns only its per-direction hidden
         # states and scratch.

@@ -50,7 +50,6 @@ def evaluate_on_records(
     trained: TrainedClusterModel,
     records: list[PacketCrossing],
     extractor: RegionFeatureExtractor,
-    macro_bucket_s: float = 0.001,
 ) -> dict[Direction, DirectionEvaluation]:
     """Score a trained bundle against ground-truth crossings.
 
@@ -60,7 +59,7 @@ def evaluate_on_records(
     """
     if not records:
         raise ValueError("no records to evaluate on")
-    macro = AutoRegressiveMacroClassifier(trained.calibration, bucket_s=macro_bucket_s)
+    macro = AutoRegressiveMacroClassifier(trained.calibration)
     states = {
         direction: bundle.model.initial_state()
         for direction, bundle in trained.directions.items()

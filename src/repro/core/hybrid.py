@@ -156,8 +156,6 @@ class HybridConfig:
         region; data center symmetry makes the choice arbitrary).
     elide_remote_traffic:
         Skip flows between two approximated clusters entirely.
-    macro_bucket_s:
-        Macro classifier bucket for the runtime classifiers (> 0).
     single_black_box:
         Section 7's limit case: instead of one model per approximated
         cluster, replace *everything* outside the full cluster — core
@@ -182,35 +180,23 @@ class HybridConfig:
         ``use_fused_inference``.
     memoize_inference:
         Steady-state memoization on the batched engines (see
-        :class:`~repro.nn.batch.MemoConfig`): repeated
-        (features, hidden state, macro) transitions replay from a
-        cache instead of running the model.  Requires a positive
+        :mod:`repro.nn.batch`): a (features, hidden state, macro)
+        transition seen byte for byte before replays from a cache
+        instead of running the model, so memoized runs stay
+        bit-identical to unmemoized ones.  Requires a positive
         ``batch_window_s`` (rejected at construction otherwise).
-    memo_exact:
-        Key the cache on the raw bytes of features and state (default):
-        memoized runs stay bit-identical to unmemoized ones.  Off keys
-        on quantized values and accepts those hits — much higher hit
-        rates under near-periodic traffic, gated by ``repro validate``
-        instead of exactness.
-    memo_feature_decimals, memo_state_decimals:
-        Quantization (decimal places) of the cache keys; used only with
-        ``memo_exact=False``.
-    memo_max_entries:
-        FIFO capacity of each engine's cache (>= 1).
+
+    The macro classifiers bucket time by
+    :data:`~repro.core.macro.MACRO_BUCKET_S`, the bucket training used.
     """
 
     full_cluster: int = 0
     elide_remote_traffic: bool = True
-    macro_bucket_s: float = 0.001
     single_black_box: bool = False
     use_fused_inference: bool = True
     inference_dtype: str = "float64"
     batch_window_s: float = 0.0
     memoize_inference: bool = False
-    memo_exact: bool = True
-    memo_feature_decimals: int = 6
-    memo_state_decimals: int = 4
-    memo_max_entries: int = 8192
 
     def __post_init__(self) -> None:
         # Checked here, a bad option fails a spec at load, before any
@@ -233,10 +219,6 @@ class HybridConfig:
         dtype = self.inference_dtype
         if dtype not in ("float64", "float32"):
             raise ValueError(f"inference_dtype must be float64 or float32, got {dtype!r}")
-        if not self.macro_bucket_s > 0:
-            raise ValueError(f"macro_bucket_s must be positive, got {self.macro_bucket_s}")
-        if self.memo_max_entries < 1:
-            raise ValueError(f"memo_max_entries must be >= 1, got {self.memo_max_entries}")
 
 
 #: The flat option keys of a :class:`HybridConfig`.
@@ -385,7 +367,6 @@ class HybridSimulation:
                 trained=bundle,
                 resolve_entity=self._resolve_entity,
                 rng=sim.rng.stream(stream),
-                macro_bucket_s=self.config.macro_bucket_s,
                 use_fused=self.config.use_fused_inference,
                 inference_dtype=self.config.inference_dtype,
                 metrics=metrics,
@@ -497,17 +478,9 @@ class HybridSimulation:
         more groups with fewer lanes each.
         """
         from repro.core.batcher import InferenceBatcher
-        from repro.nn.batch import MemoConfig, make_batched_engine
+        from repro.nn.batch import make_batched_engine
 
         config = self.config
-        memo = None
-        if config.memoize_inference:
-            memo = MemoConfig(
-                feature_decimals=config.memo_feature_decimals,
-                state_decimals=config.memo_state_decimals,
-                max_entries=config.memo_max_entries,
-                exact=config.memo_exact,
-            )
         # Group (cluster, direction) pairs by compiled weight identity.
         # Iteration over self.models is insertion-ordered, making lane
         # assignment (and therefore the whole run) deterministic.
@@ -525,7 +498,7 @@ class HybridSimulation:
             engine = make_batched_engine(
                 compiled_dir,
                 n_lanes=len(members),
-                memo=memo,
+                memo=config.memoize_inference,
                 metrics=metrics,
                 direction_label=direction.name.lower(),
             )

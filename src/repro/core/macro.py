@@ -101,6 +101,12 @@ def calibrate_macro(
     return MacroCalibration(latency_low_s=latency_low, drop_rate_high=drop_high)
 
 
+#: The macro classifier's bucket of simulated time.  Training, the
+#: hybrid's runtime classifiers, evaluation and the fidelity replay all
+#: bucket by it, so a trained model sees the regimes it learned.
+MACRO_BUCKET_S = 0.001
+
+
 class AutoRegressiveMacroClassifier:
     """Streaming four-state classifier over per-packet observations.
 
@@ -111,7 +117,8 @@ class AutoRegressiveMacroClassifier:
     bucket_s:
         State is re-evaluated once per bucket of simulated time —
         the "seconds scale" of the paper's two-timescale analysis,
-        scaled down with our shorter simulations.
+        scaled down with our shorter simulations.  Every stage uses
+        :data:`MACRO_BUCKET_S`; tests drive other buckets.
     ema_alpha:
         Smoothing factor for the latency/drop EMAs.
 
@@ -128,7 +135,7 @@ class AutoRegressiveMacroClassifier:
     def __init__(
         self,
         calibration: MacroCalibration,
-        bucket_s: float = 0.001,
+        bucket_s: float = MACRO_BUCKET_S,
         ema_alpha: float = 0.2,
     ) -> None:
         if bucket_s <= 0:

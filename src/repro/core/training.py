@@ -158,7 +158,6 @@ def build_direction_datasets(
     records: list[PacketCrossing],
     extractor: RegionFeatureExtractor,
     calibration: Optional[MacroCalibration] = None,
-    macro_bucket_s: float = 0.001,
 ) -> tuple[dict[Direction, DirectionDataset], MacroCalibration]:
     """Replay crossings in time order and compute features.
 
@@ -175,7 +174,7 @@ def build_direction_datasets(
         if not latencies:
             raise ValueError("trace contains no delivered packets; cannot calibrate")
         calibration = calibrate_macro(latencies, drops)
-    macro = AutoRegressiveMacroClassifier(calibration, bucket_s=macro_bucket_s)
+    macro = AutoRegressiveMacroClassifier(calibration)
 
     events: list[tuple[float, int, str, PacketCrossing]] = []
     for record in records:
@@ -515,14 +514,11 @@ def train_cluster_model(
     records: list[PacketCrossing],
     extractor: RegionFeatureExtractor,
     config: Optional[MicroModelConfig] = None,
-    macro_bucket_s: float = 0.001,
     metrics=None,
 ) -> TrainedClusterModel:
     """End-to-end: crossings -> datasets -> two trained directional models."""
     config = config or MicroModelConfig()
-    datasets, calibration = build_direction_datasets(
-        records, extractor, macro_bucket_s=macro_bucket_s
-    )
+    datasets, calibration = build_direction_datasets(records, extractor)
     directions: dict[Direction, DirectionModel] = {}
     summary: dict[str, float] = {}
     for direction, dataset in datasets.items():

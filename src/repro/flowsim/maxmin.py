@@ -69,15 +69,18 @@ def max_min_fair_rates(
         flows = link_flows.get(bottleneck)
         if not flows or remaining[bottleneck] / len(flows) != bottleneck_share:
             continue  # stale entry
-        frozen_now = list(flows)
-        touched: set[LinkId] = set()
-        for i in frozen_now:
+        # Flows in index order and links in first-touch order: a set of
+        # link ids iterates in per-process string-hash order, which would
+        # make the push order (the tie-break) and a rate's last bit
+        # depend on PYTHONHASHSEED.
+        touched: dict[LinkId, None] = {}
+        for i in sorted(flows):
             rates[i] = bottleneck_share
             unfrozen.discard(i)
             for link in flow_links[i]:
                 remaining[link] -= bottleneck_share
                 link_flows[link].discard(i)
-                touched.add(link)
+                touched[link] = None
         # Guard against tiny negative residue from float subtraction.
         remaining[bottleneck] = max(remaining[bottleneck], 0.0)
         for link in touched:

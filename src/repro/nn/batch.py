@@ -38,26 +38,25 @@ Numerics contract (mirrors the scalar engine):
 
 Layered on top is a steady-state **memoization cache** (see
 ``PAPERS.md``: memoization and fast-forwarding for packet-level
-simulation).  In exact mode (the default) a key is the raw bytes of
-``(macro_index, lane input, lane state)``: equal bytes make an
-identical step, so a hit returns byte-identical results by
-construction and memoized runs stay event-identical with unmemoized
-ones.  Recurrent float orbits almost never repeat *exactly*, so a memo
-pays only through its rare hits and its miss must cost next to
-nothing: two ``tobytes``, a dict probe and an insert around the step,
-with no quantization and no array compare.  ``exact=False`` keys on
-quantized values instead and accepts a quantized match alone.  On a
-hit the cache **fast-forwards**: the lane stays *virtual* at the hit's
-entry, whose state bytes stand in for its state, and each further
-packet costs a key and a dict probe — no state touch, no GEMM at all
-— until the first miss restores the real state from the entry's
-bytes and resumes computing.
+simulation).  A key is the raw bytes of ``(macro_index, lane input,
+lane state)``: equal bytes make an identical step, so a hit returns
+byte-identical results by construction and memoized runs stay
+event-identical with unmemoized ones.  Recurrent float orbits almost
+never repeat *exactly*, so a memo pays only through its rare hits and
+its miss must cost next to nothing: two ``tobytes``, a dict probe and
+an insert around the step, with no array compare.  On a hit the cache
+**fast-forwards**: the lane stays *virtual* at the hit's entry, whose
+state bytes stand in for its state, and each further packet costs a
+key and a dict probe — no state touch, no GEMM at all — until the
+first miss restores the real state from the entry's bytes and resumes
+computing.  The key table holds at most :data:`MEMO_MAX_ENTRIES`
+entries and evicts the oldest first.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +64,7 @@ from repro.nn.infer import _GATE_CLIP, _LOGIT_FLOOR, CompiledRecurrentModel
 
 __all__ = [
     "BatchedFusedEngine",
-    "MemoConfig",
+    "MEMO_MAX_ENTRIES",
     "STACKED_MIN_WIDTH",
     "make_batched_engine",
 ]
@@ -77,42 +76,9 @@ __all__ = [
 #: runs at 0.4-0.9x the lane step, one of 8 lanes at 1.6-1.8x).
 STACKED_MIN_WIDTH = 8
 
-
-class MemoConfig:
-    """Steady-state memoization options (see module docstring).
-
-    Parameters
-    ----------
-    feature_decimals, state_decimals:
-        Quantization of the hash keys when ``exact`` is off: values are
-        rounded to this many decimals before hashing.  Coarser keys
-        mean more hits.  Exact mode keys on raw bytes and ignores both.
-    max_entries:
-        FIFO capacity of the key table.  A virtual lane keeps the
-        entry it is at after that entry is evicted.
-    exact:
-        Key on the raw bytes of features and state (default), so a hit
-        is bit-identical to recomputation.  Off trades that guarantee
-        for a higher hit rate under near-periodic (not exactly
-        converged) traffic; the fidelity gate (``repro validate``) is
-        the guard rail then.
-    """
-
-    __slots__ = ("feature_decimals", "state_decimals", "max_entries", "exact")
-
-    def __init__(
-        self,
-        feature_decimals: int = 6,
-        state_decimals: int = 4,
-        max_entries: int = 8192,
-        exact: bool = True,
-    ) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.feature_decimals = feature_decimals
-        self.state_decimals = state_decimals
-        self.max_entries = max_entries
-        self.exact = exact
+#: FIFO capacity of an engine's memo key table.  A virtual lane keeps
+#: the entry it is at after that entry is evicted.
+MEMO_MAX_ENTRIES = 8192
 
 
 class BatchedFusedEngine:
@@ -134,7 +100,7 @@ class BatchedFusedEngine:
         Number of independent recurrent streams (one per approximated
         cluster sharing these weights).  Also the maximum batch width.
     memo:
-        Optional :class:`MemoConfig` enabling the steady-state cache.
+        Enable the steady-state cache.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; its hit/miss
         counters (``infer.memo_hits`` / ``infer.memo_misses``) read
@@ -168,7 +134,7 @@ class BatchedFusedEngine:
         self,
         compiled: CompiledRecurrentModel,
         n_lanes: int,
-        memo: Optional[MemoConfig] = None,
+        memo: bool = False,
         metrics=None,
         direction_label: str = "all",
     ) -> None:
@@ -217,20 +183,12 @@ class BatchedFusedEngine:
         # -- memoization state ------------------------------------------
         self.memo_hits = 0
         self.memo_misses = 0
-        self._memo_config = memo
+        self._memoize = memo
         #: Key -> entry in insertion order: FIFO eviction is O(1).
         self._memo: OrderedDict = OrderedDict()
         self._lane_entry: list = [None] * n_lanes
         self._lane_virtual = [False] * n_lanes
-        self._raw_keys = memo is None or memo.exact
-        if not self._raw_keys:
-            self._fscale = 10.0 ** memo.feature_decimals
-            self._sscale = 10.0 ** memo.state_decimals
-            # The engine dtype, which the values are in: ``values *
-            # scale`` is computed in it either way.
-            self._qfeat = np.empty(compiled.input_size, dtype=dtype)
-            self._qstate = np.empty_like(self.lanes[0].capture_state())
-        if metrics is not None and metrics.handles_enabled() and memo is not None:
+        if metrics is not None and metrics.handles_enabled() and memo:
             metrics.bind_counter(
                 "infer.memo_hits", lambda: self.memo_hits, direction=direction_label
             )
@@ -252,12 +210,12 @@ class BatchedFusedEngine:
         """Advance lane ``row`` on the features in its ``input``:
         memo-aware, and always the lane's own scalar step on a miss."""
         lane = self.lanes[row]
-        if self._memo_config is None:
+        if not self._memoize:
             self.steps += 1
             return lane.step(macro_index)
         key, hit = self._recall(row, macro_index)
         if hit is not None:
-            return hit[2]
+            return hit[1]
         self.steps += 1
         outcome = lane.step(macro_index)
         self._remember(row, key, outcome)
@@ -271,7 +229,7 @@ class BatchedFusedEngine:
         one, each lane is looked up first; only misses are computed,
         under the same width rule, and every miss installs an entry.
         """
-        if self._memo_config is None:
+        if not self._memoize:
             return self._compute(macro_indices, rows)
         results: list = []
         missed: list = []
@@ -282,7 +240,7 @@ class BatchedFusedEngine:
                 missed.append((i, row, key))
                 results.append(None)
             else:
-                results.append(hit[2])
+                results.append(hit[1])
         if missed:
             computed = self._compute(
                 [macro_indices[i] for i, _, _ in missed],
@@ -408,43 +366,25 @@ class BatchedFusedEngine:
     # ------------------------------------------------------------------
     # Memoization
     # ------------------------------------------------------------------
-    def _quantize(self, values: np.ndarray, scale: float, buf: np.ndarray) -> bytes:
-        np.multiply(values, scale, out=buf)
-        np.rint(buf, out=buf)
-        return buf.tobytes()
-
-    def _state_key(self, state: bytes) -> bytes:
-        """The key part of a lane at raw ``state``."""
-        if self._raw_keys:
-            return state
-        values = np.frombuffer(state, dtype=self._dtype)
-        return self._quantize(values, self._sscale, self._qstate)
-
     def _recall(self, row: int, macro_index: int):
         """Look lane ``row``'s next step up: ``(key, entry)``.
 
-        An entry is ``(state, state_key, outcome)``: the raw bytes of
-        the state the step leaves, the key part of a lane at that state,
-        and the step's ``(drop_prob, latency_norm)``.  On a hit the lane
-        is left virtual at the entry.  On a miss ``entry`` is None and
-        the lane holds its real state, ready to step; :meth:`_remember`
-        installs the result under ``key``.
+        An entry is ``(state, outcome)``: the raw bytes of the state
+        the step leaves and the step's ``(drop_prob, latency_norm)``.
+        On a hit the lane is left virtual at the entry.  On a miss
+        ``entry`` is None and the lane holds its real state, ready to
+        step; :meth:`_remember` installs the result under ``key``.
         """
         lane = self.lanes[row]
         entry = self._lane_entry[row]
         if entry is None:
             # Cold lane: the one state read before a step.
             state = lane.state_bytes()
-            state_key = self._state_key(state)
         else:
             # The lane is at ``state`` (virtually, or for real since the
             # step that produced it).
-            state, state_key, _ = entry
-        if self._raw_keys:
-            key = (macro_index, lane.input.tobytes(), state_key)
-        else:
-            features = self._quantize(lane.input, self._fscale, self._qfeat)
-            key = (macro_index, features, state_key)
+            state = entry[0]
+        key = (macro_index, lane.input.tobytes(), state)
         hit = self._memo.get(key)
         if hit is not None:
             self._lane_entry[row] = hit
@@ -459,10 +399,9 @@ class BatchedFusedEngine:
 
     def _remember(self, row: int, key: tuple, outcome) -> None:
         """Install lane ``row``'s computed step under ``key``."""
-        state = self.lanes[row].state_bytes()
-        new = (state, self._state_key(state), outcome)
+        new = (self.lanes[row].state_bytes(), outcome)
         memo = self._memo
-        if len(memo) >= self._memo_config.max_entries:
+        if len(memo) >= MEMO_MAX_ENTRIES:
             memo.popitem(last=False)  # FIFO eviction
         memo[key] = new
         self._lane_entry[row] = new
@@ -471,7 +410,7 @@ class BatchedFusedEngine:
 def make_batched_engine(
     compiled: CompiledRecurrentModel,
     n_lanes: int,
-    memo: Optional[MemoConfig] = None,
+    memo: bool = False,
     metrics=None,
     direction_label: str = "all",
 ) -> BatchedFusedEngine:

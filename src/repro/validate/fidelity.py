@@ -32,6 +32,7 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import ks_distance, wasserstein_distance
 from repro.core.macro import (
+    MACRO_BUCKET_S,
     AutoRegressiveMacroClassifier,
     MacroCalibration,
     MacroState,
@@ -74,7 +75,7 @@ def macro_timeline(
     outcomes: Sequence[Outcome],
     calibration: MacroCalibration,
     duration_s: float,
-    bucket_s: float,
+    bucket_s: float = MACRO_BUCKET_S,
     ema_alpha: float = 0.2,
 ) -> list[int]:
     """Per-bucket macro states from replaying an outcome stream.

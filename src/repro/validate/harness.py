@@ -60,8 +60,7 @@ class ValidateConfig:
         ``hybrid.full_cluster``.
     hybrid:
         The hybrid side.  Remote traffic is kept by default: the pair
-        must carry identical offered workloads.  ``macro_bucket_s``
-        also buckets the macro-timeline replay; the batching and memo
+        must carry identical offered workloads; the batching and memo
         options are how the fast path gets validated.  The region's
         own model is tapped, so ``single_black_box`` must be False.
     """
@@ -170,7 +169,6 @@ def run_differential_pair(
         hybrid_outcomes=hybrid_outcomes,
         trained=trained,
         duration_s=config.duration_s,
-        bucket_s=vc.hybrid.macro_bucket_s,
         checker=checker,
     )
     return DifferentialResult(
@@ -191,7 +189,6 @@ def build_report(
     hybrid_outcomes: list[Outcome],
     trained: TrainedClusterModel,
     duration_s: float,
-    bucket_s: float,
     checker: InvariantChecker,
 ) -> FidelityReport:
     """Reduce a matched pair's raw streams to a fidelity report."""
@@ -209,12 +206,8 @@ def build_report(
     full_tput = full_result.flows_completed / duration_s
     hybrid_tput = hybrid_result.flows_completed / duration_s
 
-    truth_timeline = macro_timeline(
-        full_outcomes, trained.calibration, duration_s, bucket_s
-    )
-    hybrid_timeline = macro_timeline(
-        hybrid_outcomes, trained.calibration, duration_s, bucket_s
-    )
+    truth_timeline = macro_timeline(full_outcomes, trained.calibration, duration_s)
+    hybrid_timeline = macro_timeline(hybrid_outcomes, trained.calibration, duration_s)
     return FidelityReport(
         fct=compare_samples(full_result.fcts, hybrid_result.fcts),
         latency=compare_samples(full_latencies, hybrid_latencies),

@@ -122,21 +122,6 @@ class TestBatchedEventIdentity:
             assert held.determinism_signature() == scalar.determinism_signature()
             assert hybrid_sim.failure_injector.applied
 
-    def test_approximate_memo_stays_in_latency_bounds(self, trained_bundle):
-        """exact=False is allowed to perturb outcomes (it is gated by
-        the fidelity harness, not by exactness) but every decision
-        still flows through the clamps and invariant checks."""
-        result, hybrid_sim = run_hybrid_simulation(
-            CONFIG,
-            trained_bundle,
-            hybrid=HybridConfig(
-                batch_window_s=1e-6, memoize_inference=True, memo_exact=False
-            ),
-        )
-        assert result.model_packets > 0
-        for sample in result.rtt_samples:
-            assert sample > 0.0
-
     def test_float32_batched_close_to_scalar_float32(self, trained_bundle):
         scalar, _ = run_hybrid_simulation(
             CONFIG, trained_bundle, hybrid=HybridConfig(inference_dtype="float32")

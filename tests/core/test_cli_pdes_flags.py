@@ -11,7 +11,6 @@ from repro.cli import main
 @pytest.mark.parametrize("flag", [
     ["--memoize"],
     ["--batch-window", "1e-6"],
-    ["--memo-approximate"],
     ["--model", "bundle"],
     ["--full-cluster", "1"],
     ["--keep-remote-traffic"],

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.cascade import CascadeConfig, Tier, TierBudget
-from repro.cli import build_parser, spec_from_args
+from repro.cli import build_parser, main, spec_from_args
 from repro.core.hybrid import HybridConfig
 from repro.core.micro import MicroModelConfig
 from repro.core.pipeline import ExperimentConfig
@@ -60,11 +60,11 @@ class TestArgvToConfig:
         configs = _configs([
             "hybrid", "--model", "m", "--full-cluster", "1",
             "--keep-remote-traffic", "--single-black-box",
-            "--batch-window", "1e-6", "--memoize", "--memo-approximate",
+            "--batch-window", "1e-6", "--memoize",
         ])
         assert configs["hybrid"] == HybridConfig(
             full_cluster=1, elide_remote_traffic=False, single_black_box=True,
-            batch_window_s=1e-6, memoize_inference=True, memo_exact=False,
+            batch_window_s=1e-6, memoize_inference=True,
         )
 
     def test_trace_flags_set_the_recorder_capacity(self):
@@ -106,7 +106,7 @@ class TestArgvToConfig:
             "--initial-tier", "hybrid", "--pin-tier", "2=flowsim",
             "--demote-fraction", "0.4", "--demote-patience", "3",
             "--cooldown-epochs", "2", "--max-promotions", "2",
-            "--batch-window", "1e-6", "--memoize", "--memo-approximate",
+            "--batch-window", "1e-6", "--memoize",
         ])
         assert configs["cascade"] == CascadeConfig(
             epoch_s=0.001,
@@ -124,7 +124,6 @@ class TestArgvToConfig:
                 elide_remote_traffic=False,
                 batch_window_s=1e-6,
                 memoize_inference=True,
-                memo_exact=False,
             ),
         )
 
@@ -276,6 +275,16 @@ def test_argv_and_spec_build_equal_configs(stage):
     assert stage_configs(stage, from_argv.hybrid) == stage_configs(stage, from_spec.hybrid)
     if stage == "train":
         assert (from_argv.training, from_argv.micro) == (from_spec.training, from_spec.micro)
+
+
+@pytest.mark.parametrize("stage", [["hybrid"], ["pdes", "--hybrid"], ["cascade"], ["validate"]])
+def test_memo_approximate_flag_is_gone(stage, capsys):
+    """The quantized memo was removed: its flag is a usage error."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*stage, "--model", "m", "--batch-window", "1e-6", "--memoize",
+              "--memo-approximate"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --memo-approximate" in capsys.readouterr().err
 
 
 def test_cascade_smoke_example_matches_its_command_line():

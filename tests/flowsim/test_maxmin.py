@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.flowsim.maxmin import max_min_fair_rates
 
 
@@ -40,6 +47,40 @@ class TestMaxMinBasics:
 
     def test_no_flows(self):
         assert max_min_fair_rates([], {"l1": 1.0}) == []
+
+
+#: Four links over string node names, two of whose fair shares tie
+#: while flows freeze: the order a set of such links iterates in is the
+#: per-process string hash, so a rate's last bit used to follow it.
+_HASH_ORDER_INSTANCE = textwrap.dedent(
+    """
+    from repro.flowsim.maxmin import max_min_fair_rates
+
+    A, B, C, D = ("n0", "n1"), ("n2", "n0"), ("n2", "n3"), ("n3", "n2")
+    capacities = {A: 1e9, B: 3e9, C: 3e9, D: 3e9}
+    flows = [
+        [C, A, B, D], [A], [D, B, C], [A, D, B, C], [C, D, B], [C, B, A, D],
+        [B], [B, C, A, D], [B, D], [A, B, D], [D, C],
+    ]
+    print(repr(max_min_fair_rates(flows, capacities)))
+    """
+)
+
+
+def test_rates_do_not_depend_on_string_hash_seed():
+    """Same instance, two processes with different ``PYTHONHASHSEED``:
+    the rates must agree bit for bit (seeds 0 and 2 put flows 6 and 10
+    on opposite sides of a one-ulp split when links froze in set order)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_ORDER_INSTANCE],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @st.composite

@@ -11,6 +11,7 @@ must be outcome-identical to the unmemoized engine.
 from __future__ import annotations
 
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.core.micro import MicroModel, MicroModelConfig
 from repro.nn.infer import compile_inference
-from repro.nn.batch import STACKED_MIN_WIDTH, MemoConfig, make_batched_engine
+from repro.nn import batch
+from repro.nn.batch import STACKED_MIN_WIDTH, make_batched_engine
 
 F32_TOLERANCE = 5e-3
 
@@ -47,7 +49,7 @@ def _compiled(heads, input_size, hidden_size, num_layers, seed, dtype):
     )
 
 
-def _run_pair(compiled, n_lanes, schedule, seed, memo=None):
+def _run_pair(compiled, n_lanes, schedule, seed, memo=False):
     """Drive batched lanes and independent scalar engines through the
     same per-lane feature streams; returns (batched, scalar) outcome
     lists in schedule order.
@@ -142,9 +144,9 @@ def test_lane_step_is_width_one_batch_property(
     At width 1 a GEMV over a 1-D slice and one over a ``(1, K)`` row are
     the same BLAS call, so both agree bit for bit — in float32 too —
     and on this small model the 2-3 row GEMMs agree as well.  A small
-    feature pool makes the memo (exact mode) hit."""
+    feature pool makes the memo hit."""
     compiled = _compiled(heads, 5, 6, num_layers, seed, dtype)
-    lanes = make_batched_engine(compiled, 3, memo=MemoConfig() if memo else None)
+    lanes = make_batched_engine(compiled, 3, memo=memo)
     twin = make_batched_engine(compiled, 3)
     rng = np.random.default_rng(seed + 17)
     stream = rng.normal(scale=2.0, size=(pool, 5))
@@ -178,9 +180,7 @@ def test_narrow_rounds_are_independent_scalar_steps_property(
     the exact memo hit, on other lanes' entries too."""
     n_lanes = STACKED_MIN_WIDTH + 2
     compiled = _compiled(heads, 5, 6, num_layers, seed, dtype)
-    engine = make_batched_engine(
-        compiled, n_lanes, memo=MemoConfig() if memo else None
-    )
+    engine = make_batched_engine(compiled, n_lanes, memo=memo)
     scalars = [compiled.engine() for _ in range(n_lanes)]
     rng = np.random.default_rng(seed + 23)
     pool = rng.normal(scale=2.0, size=(3, 5))
@@ -212,9 +212,7 @@ def test_wide_float32_rounds_run_the_stacked_product(memo):
     Float64 never stacks."""
     n_lanes = STACKED_MIN_WIDTH + 4
     compiled = _compiled("per_macro", 6, 16, 2, seed=5, dtype=np.float32)
-    engine = make_batched_engine(
-        compiled, n_lanes, memo=MemoConfig() if memo else None
-    )
+    engine = make_batched_engine(compiled, n_lanes, memo=memo)
     assert engine.stacked_from == STACKED_MIN_WIDTH
     twin = make_batched_engine(compiled, n_lanes)
     scalars = [compiled.engine() for _ in range(n_lanes)]
@@ -244,7 +242,7 @@ def test_exact_memo_hits_only_on_identical_bytes(dtype):
     on a one-ulp input change, another macro, another state — or a
     signed zero, whose bytes differ although its arithmetic does not."""
     compiled = _compiled("per_macro", 4, 8, 1, seed=53, dtype=dtype)
-    engine = make_batched_engine(compiled, 2, memo=MemoConfig())
+    engine = make_batched_engine(compiled, 2, memo=True)
     x = np.array([0.5, -1.25, 2.0, 0.0], dtype=dtype)
     nudged = x.copy()
     nudged[1] = np.nextafter(nudged[1], dtype(np.inf))
@@ -290,7 +288,7 @@ def test_lane_restored_from_bytes_continues_bit_identically(dtype):
     for i, x in enumerate(tail):
         assert other.predict(x, i % 4) == lane.predict(x, i % 4)
 
-    engine = make_batched_engine(compiled, 2, memo=MemoConfig())
+    engine = make_batched_engine(compiled, 2, memo=True)
     scalar = compiled.engine()
     for x in warm:
         engine.predict_rows([x], [1], [0])
@@ -304,7 +302,7 @@ def test_lane_restored_from_bytes_continues_bit_identically(dtype):
 
 def test_reset_restores_fresh_lanes():
     compiled = _compiled("per_macro", 5, 12, 2, seed=19, dtype=np.float64)
-    engine = make_batched_engine(compiled, 2, memo=MemoConfig())
+    engine = make_batched_engine(compiled, 2, memo=True)
     rng = np.random.default_rng(6)
     stream = [rng.normal(size=5) for _ in range(12)]
     baseline = [engine.predict_rows([x], [i % 4], [i % 2]) for i, x in enumerate(stream)]
@@ -332,7 +330,7 @@ def test_exact_memo_is_outcome_identical_property(heads, n_lanes, period, seed):
     rng = np.random.default_rng(seed + 13)
     periodic = [rng.normal(size=4) for _ in range(period)]
     plain = make_batched_engine(compiled, n_lanes)
-    memoized = make_batched_engine(compiled, n_lanes, memo=MemoConfig())
+    memoized = make_batched_engine(compiled, n_lanes, memo=True)
     rows = list(range(n_lanes))
     for step in range(30):
         feats = [periodic[step % period] for _ in rows]
@@ -340,26 +338,6 @@ def test_exact_memo_is_outcome_identical_property(heads, n_lanes, period, seed):
         assert memoized.predict_rows(feats, macros, rows) == plain.predict_rows(
             feats, macros, rows
         )
-
-
-def test_approximate_memo_hits_and_fast_forwards():
-    """exact=False under an exactly periodic feature stream must start
-    hitting once the quantized state revisits a seen key, and a hit
-    must not corrupt the lane (the next miss restores real state)."""
-    compiled = _compiled("shared", 4, 8, 1, seed=41, dtype=np.float64)
-    engine = make_batched_engine(
-        compiled, 1, memo=MemoConfig(exact=False, state_decimals=2)
-    )
-    rng = np.random.default_rng(8)
-    periodic = [rng.normal(size=4) for _ in range(3)]
-    for step in range(4000):
-        engine.predict_rows([periodic[step % 3]], [0], [0])
-    assert engine.memo_hits > 0
-    # Break the period: the miss path must restore concrete state and
-    # keep producing finite, sane outcomes.
-    drop, latency = engine.predict_rows([rng.normal(size=4)], [1], [0])[0]
-    assert 0.0 <= drop <= 1.0
-    assert np.isfinite(latency)
 
 
 class _RecordingTable(OrderedDict):
@@ -391,26 +369,19 @@ class _RecordingTable(OrderedDict):
         min_size=1,
         max_size=60,
     ),
-    exact=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_memo_fifo_eviction_matches_list_model(cap, steps, exact, seed):
+def test_memo_fifo_eviction_matches_list_model(cap, steps, seed):
     """FIFO order of the key table against a list: a full table evicts
     its oldest key before every insert, and re-inserting a key that is
-    still present keeps its place.  With keys quantized to 0 decimals,
-    sub-unit features collide and hit; exact keys hit on repeats."""
+    still present keeps its place.  Keys hit on exact repeats."""
     compiled = _compiled("per_macro", 3, 4, 1, seed, np.float64)
-    engine = make_batched_engine(
-        compiled,
-        3,
-        memo=MemoConfig(
-            feature_decimals=0, state_decimals=0, max_entries=cap, exact=exact
-        ),
-    )
+    engine = make_batched_engine(compiled, 3, memo=True)
     engine._memo = table = _RecordingTable()
     choices = np.random.default_rng(seed).uniform(-0.4, 0.4, size=(6, 3))
-    for row, choice, macro in steps:
-        engine.predict_rows([choices[choice]], [macro], [row])
+    with mock.patch.object(batch, "MEMO_MAX_ENTRIES", cap):
+        for row, choice, macro in steps:
+            engine.predict_rows([choices[choice]], [macro], [row])
     model: list = []
     evicted: list = []
     for op, key in table.log:
@@ -429,10 +400,11 @@ def test_memo_fifo_eviction_matches_list_model(cap, steps, exact, seed):
 
 def test_memo_capacity_is_bounded():
     compiled = _compiled("shared", 4, 8, 1, seed=43, dtype=np.float64)
-    engine = make_batched_engine(compiled, 1, memo=MemoConfig(max_entries=16))
+    engine = make_batched_engine(compiled, 1, memo=True)
     rng = np.random.default_rng(9)
-    for _ in range(200):  # every step is a distinct key -> all misses
-        engine.predict_rows([rng.normal(size=4)], [0], [0])
+    with mock.patch.object(batch, "MEMO_MAX_ENTRIES", 16):
+        for _ in range(200):  # every step is a distinct key -> all misses
+            engine.predict_rows([rng.normal(size=4)], [0], [0])
     assert len(engine._memo) <= 16
     assert engine.memo_misses == 200
 
@@ -441,5 +413,3 @@ def test_rejects_bad_construction():
     compiled = _compiled("shared", 4, 8, 1, seed=47, dtype=np.float64)
     with pytest.raises(ValueError):
         make_batched_engine(compiled, 0)
-    with pytest.raises(ValueError):
-        MemoConfig(max_entries=0)

@@ -55,6 +55,15 @@ class TestHybridKeys:
                 {"name": "x", "stage": stage, "hybrid": {"full_cluster": 0}}
             )
 
+    @pytest.mark.parametrize("key", ["memo_exact", "memo_max_entries", "macro_bucket_s"])
+    @pytest.mark.parametrize("stage", ["hybrid", "pdes-hybrid", "cascade", "validate"])
+    def test_removed_memo_and_bucket_keys_rejected_at_load(self, stage, key):
+        """The quantized memo, the memo capacity and the macro bucket are
+        no longer options: a spec that still sets one is refused, naming
+        the key, instead of running on the fixed behaviour."""
+        with pytest.raises(ValueError, match=rf"unknown 'hybrid' keys \['{key}'\]"):
+            ScenarioSpec.from_dict({"name": "x", "stage": stage, "hybrid": {key: False}})
+
     def test_bad_value_fails_at_load(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             ScenarioSpec.from_dict(
@@ -98,9 +107,7 @@ class TestHybridKeys:
         # batching nor memo.
         ({"batch_window_s": float("nan"), "memoize_inference": True}, "batch_window_s"),
         ({"inference_dtype": "float16"}, "inference_dtype"),
-        ({"macro_bucket_s": 0.0}, "macro_bucket_s"),
-        ({"memo_max_entries": 0}, "memo_max_entries"),
-    ], ids=["nan_window", "float16", "zero_bucket", "empty_memo"])
+    ], ids=["nan_window", "float16"])
     def test_bad_hybrid_option_fails_at_load(self, options, message):
         """Refused when the spec is parsed, not when the world is built
         after ``runs submit`` has trained the model."""
