@@ -1,4 +1,4 @@
-"""Cascade configuration: tiers, budgets, and controller knobs.
+"""Cascade configuration: tiers, the fidelity budget, and the cadence.
 
 A cascade run assigns every cluster of one fabric to a fidelity tier:
 
@@ -9,18 +9,19 @@ A cascade run assigns every cluster of one fabric to a fidelity tier:
   (:class:`~repro.core.cluster_model.ApproximatedCluster`),
 * :attr:`Tier.FLOWSIM` — max-min fluid flows, no packets at all.
 
-:class:`CascadeConfig` carries the initial assignment, per-region
-fidelity budgets (:class:`TierBudget`), the
-:class:`~repro.cascade.controller.FidelityController` cadence knobs,
-and the :class:`~repro.core.hybrid.HybridConfig` of the packet/model
-side.
+:class:`CascadeConfig` carries the pinned regions, the fidelity
+budget (:class:`TierBudget`), the
+:class:`~repro.cascade.controller.FidelityController` cadence and
+scoring window, and the :class:`~repro.core.hybrid.HybridConfig` of
+the packet/model side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from repro.core.hybrid import HybridConfig, matched_load, nest_hybrid_options
 
@@ -55,44 +56,23 @@ class TierBudget:
     """Fidelity budget of one region — how wrong it is allowed to be.
 
     The controller reduces a region's windowed scores to one breach
-    ratio: the maximum of each component's score divided by its budget
-    (components with a ``None`` budget are ignored).  Ratio > 1 means
-    the region is outside budget and is a promotion candidate.
+    ratio: the maximum of each component's score divided by its budget.
+    Ratio > 1 means the region is outside budget and is a promotion
+    candidate.
 
     Attributes
     ----------
     ks:
         Max tolerated K-S distance between the region's windowed FCT
-        distribution and the focal (reference) region's.
-    latency_ks:
-        Same bound for per-packet region latency windows; ``None``
-        (default) reuses ``ks``.
-    wasserstein_s:
-        Optional absolute Wasserstein-1 bound on FCT windows, seconds.
-    drop_delta:
-        Max tolerated absolute drop-rate difference vs the reference.
+        (and per-packet latency) distribution and the focal (reference)
+        region's.
     """
 
     ks: float = 0.35
-    latency_ks: Optional[float] = None
-    wasserstein_s: Optional[float] = None
-    drop_delta: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ks <= 1.0:
             raise ValueError(f"ks budget must be in (0, 1], got {self.ks}")
-        if self.latency_ks is not None and not 0.0 < self.latency_ks <= 1.0:
-            raise ValueError(
-                f"latency_ks budget must be in (0, 1], got {self.latency_ks}"
-            )
-        if self.wasserstein_s is not None and self.wasserstein_s <= 0:
-            raise ValueError(
-                f"wasserstein_s budget must be positive, got {self.wasserstein_s}"
-            )
-        if self.drop_delta <= 0:
-            raise ValueError(
-                f"drop_delta budget must be positive, got {self.drop_delta}"
-            )
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "TierBudget":
@@ -101,18 +81,14 @@ class TierBudget:
             raise ValueError(f"unknown TierBudget fields: {sorted(unknown)}")
         return cls(**raw)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "ks": self.ks,
-            "latency_ks": self.latency_ks,
-            "wasserstein_s": self.wasserstein_s,
-            "drop_delta": self.drop_delta,
-        }
-
 
 @dataclass(frozen=True)
 class CascadeConfig:
     """Options of one cascade run.
+
+    Every unpinned non-focal region starts at :attr:`Tier.FLOWSIM`; the
+    controller's pacing and hysteresis are the constants of
+    :mod:`repro.cascade.controller`.
 
     Attributes
     ----------
@@ -121,12 +97,8 @@ class CascadeConfig:
         and tier transitions applied only at epoch boundaries.
     window_epochs:
         Sliding scoring horizon, in epochs.
-    initial_tier:
-        Starting tier of every non-focal region not pinned otherwise.
     budget:
-        Default per-region :class:`TierBudget`.
-    region_budgets:
-        Per-region budget overrides (region index -> budget).
+        Every region's :class:`TierBudget`.
     pin_tiers:
         region index -> tier for regions the controller must not move.
         Pinning a non-focal region to :attr:`Tier.DES` is rejected:
@@ -135,16 +107,6 @@ class CascadeConfig:
     min_window_samples:
         Both FCT windows (reference and region) must hold at least
         this many samples before scores drive decisions.
-    demote_fraction:
-        A region is "calm" in an epoch when its breach ratio stays
-        below this fraction of 1.0.
-    demote_patience:
-        Consecutive calm epochs required before a demotion.
-    cooldown_epochs:
-        Epochs a region sits out after any transition (hysteresis —
-        prevents promote/demote flapping on window noise).
-    max_promotions_per_epoch:
-        Promotion pacing; the worst-breaching regions go first.
     hybrid:
         The packet/model side.  Its ``full_cluster`` is the focal
         cluster: full packet fidelity for the whole run, and the
@@ -157,15 +119,9 @@ class CascadeConfig:
 
     epoch_s: float = 0.002
     window_epochs: int = 3
-    initial_tier: Tier = Tier.FLOWSIM
     budget: TierBudget = field(default_factory=TierBudget)
-    region_budgets: Mapping[int, TierBudget] = field(default_factory=dict)
     pin_tiers: Mapping[int, Tier] = field(default_factory=dict)
     min_window_samples: int = 8
-    demote_fraction: float = 0.5
-    demote_patience: int = 2
-    cooldown_epochs: int = 1
-    max_promotions_per_epoch: int = 1
     hybrid: HybridConfig = field(default_factory=matched_load)
 
     def __post_init__(self) -> None:
@@ -179,8 +135,10 @@ class CascadeConfig:
                 "single_black_box must be False for the cascade: it keys its "
                 "models, windows and tiers by cluster"
             )
-        if self.epoch_s <= 0:
-            raise ValueError(f"epoch_s must be positive, got {self.epoch_s}")
+        # NaN and inf pass a plain ``<= 0`` test and would only fail
+        # when the first epoch is scheduled, after the model has loaded.
+        if not (math.isfinite(self.epoch_s) and self.epoch_s > 0):
+            raise ValueError(f"epoch_s must be positive and finite, got {self.epoch_s}")
         if self.window_epochs < 1:
             raise ValueError(
                 f"window_epochs must be >= 1, got {self.window_epochs}"
@@ -188,29 +146,6 @@ class CascadeConfig:
         if self.min_window_samples < 1:
             raise ValueError(
                 f"min_window_samples must be >= 1, got {self.min_window_samples}"
-            )
-        if not 0.0 < self.demote_fraction < 1.0:
-            raise ValueError(
-                f"demote_fraction must be in (0, 1), got {self.demote_fraction}"
-            )
-        if self.demote_patience < 1:
-            raise ValueError(
-                f"demote_patience must be >= 1, got {self.demote_patience}"
-            )
-        if self.cooldown_epochs < 0:
-            raise ValueError(
-                f"cooldown_epochs must be >= 0, got {self.cooldown_epochs}"
-            )
-        if self.max_promotions_per_epoch < 1:
-            raise ValueError(
-                "max_promotions_per_epoch must be >= 1, "
-                f"got {self.max_promotions_per_epoch}"
-            )
-        if self.initial_tier is Tier.DES:
-            raise ValueError(
-                "initial_tier cannot be des: packet-tier membership is "
-                "structural (the focal cluster); start regions at "
-                "flowsim or hybrid"
             )
         full = self.hybrid.full_cluster
         for region, tier in self.pin_tiers.items():
@@ -227,15 +162,10 @@ class CascadeConfig:
         """The sliding scoring horizon in simulated seconds."""
         return self.epoch_s * self.window_epochs
 
-    def budget_for(self, region: int) -> TierBudget:
-        return self.region_budgets.get(region, self.budget)
-
     def tier_for(self, region: int) -> Tier:
-        """The tier a non-focal region starts the run in."""
-        pinned = self.pin_tiers.get(region)
-        if pinned is not None:
-            return pinned
-        return self.initial_tier
+        """The tier a non-focal region starts the run in: its pin, else
+        :attr:`Tier.FLOWSIM`."""
+        return self.pin_tiers.get(region, Tier.FLOWSIM)
 
     def is_pinned(self, region: int) -> bool:
         return region in self.pin_tiers
@@ -247,23 +177,12 @@ class CascadeConfig:
 
         The :class:`~repro.core.hybrid.HybridConfig` keys are flat
         beside the controller's and build ``hybrid``.  Tier names
-        arrive as strings, budgets as nested dicts, and mapping keys as
-        strings (JSON objects) — all normalized here.
+        arrive as strings, the budget as a nested dict, and mapping
+        keys as strings (JSON objects) — all normalized here.
         """
         kwargs = nest_hybrid_options(cls, raw)
-        if "initial_tier" in kwargs:
-            kwargs["initial_tier"] = Tier.parse(kwargs["initial_tier"])
         if "budget" in kwargs and not isinstance(kwargs["budget"], TierBudget):
             kwargs["budget"] = TierBudget.from_dict(kwargs["budget"])
-        if "region_budgets" in kwargs:
-            kwargs["region_budgets"] = {
-                int(region): (
-                    budget
-                    if isinstance(budget, TierBudget)
-                    else TierBudget.from_dict(budget)
-                )
-                for region, budget in kwargs["region_budgets"].items()
-            }
         if "pin_tiers" in kwargs:
             kwargs["pin_tiers"] = {
                 int(region): Tier.parse(tier)

@@ -11,17 +11,17 @@ Decision rules, in order:
 
 * **promote** — ratio > 1 and the region is below :attr:`Tier.HYBRID`:
   the fluid approximation is visibly outside budget, move the region
-  up one tier.  At most ``max_promotions_per_epoch`` promotions per
-  epoch, worst ratio first.
+  up one tier.  At most :data:`MAX_PROMOTIONS_PER_EPOCH` promotions
+  per epoch, worst ratio first.
 * **breach at ceiling** — ratio > 1 at :attr:`Tier.HYBRID`: full DES
   membership is structural (receivers bind at network construction),
   so the breach is logged as an audit record instead of acted on.
-* **demote** — ratio stayed below ``demote_fraction`` for
-  ``demote_patience`` consecutive scoreable epochs at
+* **demote** — ratio stayed at or below :data:`DEMOTE_FRACTION` for
+  :data:`DEMOTE_PATIENCE` consecutive scoreable epochs at
   :attr:`Tier.HYBRID`: the cheap tier would have been good enough,
   move the region down.
 
-Every transition starts a ``cooldown_epochs`` refractory period.
+Every transition starts a :data:`COOLDOWN_EPOCHS` refractory period.
 All inputs are simulated-time quantities from seeded streams and
 regions are visited in sorted order, so the full decision sequence —
 and the JSON decision log — is byte-identical across re-runs with the
@@ -37,6 +37,18 @@ from typing import Any, Optional
 
 from repro.cascade.config import CascadeConfig, Tier, TierBudget
 from repro.validate.windows import RegionWindows, score_region
+
+#: A scored epoch is "calm" when the breach ratio is at or below this.
+DEMOTE_FRACTION = 0.5
+#: Consecutive calm epochs at hybrid before a demotion.
+DEMOTE_PATIENCE = 2
+#: Epochs a region sits out after any transition (hysteresis against
+#: promote/demote flapping on window noise).
+COOLDOWN_EPOCHS = 1
+#: Promotion pacing; the worst-breaching regions go first.
+MAX_PROMOTIONS_PER_EPOCH = 1
+#: Max tolerated absolute drop-rate difference from the reference.
+DROP_DELTA_BUDGET = 0.05
 
 
 @dataclass
@@ -100,7 +112,7 @@ class FidelityController:
     Parameters
     ----------
     config:
-        Budgets and cadence knobs.
+        Budget, cadence and pins.
     regions:
         The non-focal cluster indices under control.
     reference:
@@ -144,9 +156,10 @@ class FidelityController:
     ) -> tuple[float, dict[str, float]]:
         """Reduce one region's windowed scores to (ratio, components).
 
-        Each component is ``score / budget``; the ratio is their max.
-        Components whose score is unavailable (starved window) or
-        whose budget is ``None`` are omitted.
+        Each component is ``score / budget``: both K-S scores against
+        ``budget.ks``, the drop-rate delta against
+        :data:`DROP_DELTA_BUDGET`.  The ratio is their max; components
+        whose score is unavailable (starved window) are omitted.
         """
         components: dict[str, float] = {}
         fct_ks = scores["fct"].get("ks")
@@ -154,15 +167,9 @@ class FidelityController:
             components["fct_ks"] = fct_ks / budget.ks
         latency_ks = scores["latency"].get("ks")
         if latency_ks is not None:
-            components["latency_ks"] = latency_ks / (
-                budget.latency_ks if budget.latency_ks is not None else budget.ks
-            )
-        if budget.wasserstein_s is not None:
-            fct_w1 = scores["fct"].get("wasserstein")
-            if fct_w1 is not None:
-                components["fct_w1"] = fct_w1 / budget.wasserstein_s
+            components["latency_ks"] = latency_ks / budget.ks
         components["drop_delta"] = (
-            abs(scores["drop_rate"]["delta"]) / budget.drop_delta
+            abs(scores["drop_rate"]["delta"]) / DROP_DELTA_BUDGET
         )
         ratio = max(components.values()) if components else 0.0
         return ratio, components
@@ -200,7 +207,7 @@ class FidelityController:
                 # A starved window is idleness, not fidelity evidence:
                 # it neither accuses nor acquits.
                 continue
-            ratio, components = self.breach_ratio(scores, config.budget_for(region))
+            ratio, components = self.breach_ratio(scores, config.budget)
             tier = self.tiers[region]
             if ratio > 1.0:
                 self._calm[region] = 0
@@ -225,12 +232,9 @@ class FidelityController:
                     )
                 continue
             self._breached.discard(region)
-            if ratio <= config.demote_fraction:
+            if ratio <= DEMOTE_FRACTION:
                 self._calm[region] += 1
-                if (
-                    self._calm[region] >= config.demote_patience
-                    and tier is Tier.HYBRID
-                ):
+                if self._calm[region] >= DEMOTE_PATIENCE and tier is Tier.HYBRID:
                     decisions.append(
                         self._apply(
                             epoch, now, region, tier, Tier.FLOWSIM,
@@ -238,7 +242,7 @@ class FidelityController:
                             ratio=ratio,
                             components=components,
                             reason=(
-                                f"ratio <= {config.demote_fraction} for "
+                                f"ratio <= {DEMOTE_FRACTION} for "
                                 f"{self._calm[region]} consecutive epochs"
                             ),
                         )
@@ -250,7 +254,7 @@ class FidelityController:
         # so pacing never depends on dict iteration.
         promotion_candidates.sort(key=lambda item: (-item[0], item[1]))
         for ratio, region, components in promotion_candidates[
-            : config.max_promotions_per_epoch
+            :MAX_PROMOTIONS_PER_EPOCH
         ]:
             decisions.append(
                 self._apply(
@@ -277,7 +281,7 @@ class FidelityController:
         reason: str,
     ) -> Decision:
         self.tiers[region] = to_tier
-        self._cooldown[region] = self.config.cooldown_epochs
+        self._cooldown[region] = COOLDOWN_EPOCHS
         self._calm[region] = 0
         return self._record(
             epoch, now, region, from_tier, to_tier,

@@ -42,6 +42,8 @@ from repro.core.features import FEATURE_NAMES
 from repro.core.micro import MicroModelConfig
 from repro.core.pipeline import ExperimentConfig, RunResult, train_reusable_model
 from repro.core.training import TrainedClusterModel
+from repro.des.errors import SimulationError
+from repro.pdes.engine import WorkerCrashError
 from repro.runs.executor import StageRun, run_stage, stage_option_keys
 from repro.runs.spec import EXPERIMENT_KEYS, ScenarioSpec, experiment_from_dict
 from repro.topology.clos import build_clos
@@ -193,7 +195,7 @@ def _hybrid_table(stage: str, args: argparse.Namespace) -> dict:
         if not args.trace_capacity:
             del table["trace_capacity"]
     if stage == "cascade":
-        table["budget"] = _table(args, ("ks", "wasserstein_s", "drop_delta"))
+        table["budget"] = {"ks": args.ks}
         table["pin_tiers"] = _parse_pin_tiers(args.pin_tier)
     return table
 
@@ -1000,28 +1002,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="cluster kept at full packet fidelity (the in-run reference)")
     arg("--budget", type=float, default=0.35, dest="ks", metavar="KS",
         help="per-region K-S fidelity budget on windowed FCTs vs the focal region")
-    arg("--drop-budget", type=float, default=0.05, dest="drop_delta", metavar="DELTA",
-        help="max tolerated absolute drop-rate difference vs the focal region")
-    arg("--wasserstein-budget", type=float, default=None, dest="wasserstein_s",
-        metavar="SECONDS", help="optional absolute Wasserstein-1 budget on windowed FCTs")
     arg("--epoch-s", type=float, default=0.002, metavar="SECONDS",
         help="controller cadence in simulated seconds")
     arg("--window-epochs", type=int, default=3, help="sliding scoring horizon, in epochs")
     arg("--min-window-samples", type=int, default=8,
         help="FCT samples both windows need before scores drive decisions")
-    arg("--initial-tier", default="flowsim", metavar="TIER",
-        help="starting tier of unpinned regions (flowsim|hybrid)")
     arg("--pin-tier", action="append", default=None, metavar="REGION=TIER",
         help="pin one region to a tier the controller must not move "
         "(repeatable, e.g. --pin-tier 2=hybrid)")
-    arg("--demote-fraction", type=float, default=0.5,
-        help="breach-ratio fraction under which an epoch counts as calm")
-    arg("--demote-patience", type=int, default=2,
-        help="consecutive calm epochs required before a demotion")
-    arg("--cooldown-epochs", type=int, default=1,
-        help="epochs a region sits out after any transition")
-    arg("--max-promotions", type=int, default=1, dest="max_promotions_per_epoch",
-        metavar="N", help="promotion pacing per epoch (worst-breaching regions first)")
     arg("--decision-log", default=None, metavar="PATH",
         help="write the controller's auditable decision log (JSON) here")
     _add_scenario_arguments(cascade)
@@ -1163,6 +1151,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # windows, ...); render it as a CLI error, not a traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except (SimulationError, WorkerCrashError) as error:
+        # A run that failed mid-simulation (an unroutable packet after
+        # a link failure, a crashed PDES worker): name the error and
+        # print its structured context, as a failed manifest records it.
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        details = getattr(error, "details", None)
+        if callable(details):
+            print(json.dumps(details(), indent=2, sort_keys=True), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -19,6 +19,7 @@ the one place a :class:`RunResult` is made; PDES workers call
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
@@ -112,11 +113,12 @@ class ExperimentConfig:
                 f"matrix must be uniform|permutation|incast, got {self.matrix!r}"
             )
         # Sweep schedulers build configs from parsed spec files; bad
-        # numbers must fail here, not surface as NaNs mid-simulation.
-        if not self.load > 0:
-            raise ValueError(f"load must be > 0, got {self.load}")
-        if not self.duration_s > 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        # numbers must fail here, not surface as NaNs mid-simulation
+        # (or, for an infinite load or duration, as a run that never ends).
+        if not (math.isfinite(self.load) and self.load > 0):
+            raise ValueError(f"load must be > 0 and finite, got {self.load}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be > 0 and finite, got {self.duration_s}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -167,6 +167,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until != until:
+            # Every ``time > nan`` is False: the horizon would never hit.
+            raise ValueError("Simulator.run(until=nan): the horizon must be a number")
         self._running = True
         self._stopped = False
         started = _wallclock.perf_counter()

@@ -21,6 +21,7 @@ the :func:`pdes_counters` block.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time as _wallclock
 from dataclasses import dataclass
@@ -66,10 +67,16 @@ class PdesConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.window_s is not None and self.window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {self.window_s}")
+        # NaN passes a plain ``<= 0`` test, and a NaN window never
+        # reaches its horizon: the window loop would spin forever.
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(
+                f"duration_s must be positive and finite, got {self.duration_s}"
+            )
+        if self.window_s is not None and not (
+            math.isfinite(self.window_s) and self.window_s > 0
+        ):
+            raise ValueError(f"window_s must be positive and finite, got {self.window_s}")
 
 
 def resolve_window(

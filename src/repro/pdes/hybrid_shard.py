@@ -55,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -140,11 +141,16 @@ class HybridShardConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.window_s is not None and self.window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {self.window_s}")
-        if self.worker_timeout_s <= 0:
+        # NaN passes a plain ``<= 0`` test, and a NaN window never
+        # reaches its horizon: the window loop would spin forever.
+        if self.window_s is not None and not (
+            math.isfinite(self.window_s) and self.window_s > 0
+        ):
+            raise ValueError(f"window_s must be positive and finite, got {self.window_s}")
+        if not (math.isfinite(self.worker_timeout_s) and self.worker_timeout_s > 0):
             raise ValueError(
-                f"worker_timeout_s must be positive, got {self.worker_timeout_s}"
+                "worker_timeout_s must be positive and finite, "
+                f"got {self.worker_timeout_s}"
             )
         if self.trace_capacity < 1:
             raise ValueError(

@@ -34,6 +34,29 @@ def _controller(regions, config=None, region_values=None, reference_values=None)
 BREACHING = [5e-3] * 8  # K-S = 1 against the 1e-3 reference
 
 
+def _promoted(region_values):
+    """Region 1 reaches hybrid the way a run moves it there: it breaches
+    at flowsim, is promoted at epoch 1 and sits out epoch 2, the one
+    cooldown epoch.  From epoch 3 on its FCT window holds
+    ``region_values``."""
+    config = CascadeConfig(min_window_samples=4)
+    controller, _, windows = _controller(
+        [1], config=config, region_values={1: BREACHING}
+    )
+    assert [d.kind for d in controller.evaluate(epoch=1, now=config.epoch_s)] == [
+        "promote"
+    ]
+    assert controller.evaluate(epoch=2, now=config.epoch_s) == []  # cooldown
+    assert controller.tiers[1] is Tier.HYBRID
+    windows[1] = RegionWindows()
+    _fill(windows[1], region_values, time=config.epoch_s)
+    return controller, windows
+
+
+def _kinds(controller, epoch):
+    return [d.kind for d in controller.evaluate(epoch=epoch, now=controller.config.epoch_s)]
+
+
 class TestBreachRatio:
     def test_components_scaled_by_budget(self):
         scores = {
@@ -41,24 +64,14 @@ class TestBreachRatio:
             "latency": {"ks": 0.1},
             "drop_rate": {"delta": -0.02},
         }
-        budget = TierBudget(ks=0.4, drop_delta=0.05)
+        budget = TierBudget(ks=0.4)
         ratio, components = FidelityController.breach_ratio(scores, budget)
         assert components["fct_ks"] == pytest.approx(0.5)
         assert components["latency_ks"] == pytest.approx(0.25)
+        # The drop-rate delta is scored against the fixed 0.05 budget.
         assert components["drop_delta"] == pytest.approx(0.4)
-        assert "fct_w1" not in components  # no wasserstein budget set
+        assert "fct_w1" not in components  # the Wasserstein distance is not scored
         assert ratio == pytest.approx(0.5)
-
-    def test_wasserstein_component_when_budgeted(self):
-        scores = {
-            "fct": {"ks": 0.0, "wasserstein": 2e-3},
-            "latency": {},
-            "drop_rate": {"delta": 0.0},
-        }
-        budget = TierBudget(ks=0.4, wasserstein_s=1e-3)
-        ratio, components = FidelityController.breach_ratio(scores, budget)
-        assert components["fct_w1"] == pytest.approx(2.0)
-        assert ratio == pytest.approx(2.0)
 
     def test_latency_ks_falls_back_to_ks_budget(self):
         scores = {
@@ -87,10 +100,8 @@ class TestPromotion:
         assert decisions[0].ratio > 1.0
 
     def test_promotion_pacing_worst_first(self):
-        config = CascadeConfig(
-            min_window_samples=4, max_promotions_per_epoch=1,
-            budget=TierBudget(ks=0.35),
-        )
+        """One promotion per epoch, worst breach first."""
+        config = CascadeConfig(min_window_samples=4, budget=TierBudget(ks=0.35))
         # Region 2 breaches harder (bigger drop delta via drops).
         controller, _, windows = _controller(
             [1, 2], config=config,
@@ -102,11 +113,11 @@ class TestPromotion:
         assert len(decisions) == 1
         assert decisions[0].region == 2
         assert controller.tiers[1] is Tier.FLOWSIM  # waits its turn
+        (second,) = controller.evaluate(epoch=2, now=config.epoch_s)
+        assert (second.kind, second.region) == ("promote", 1)
 
     def test_promotion_tie_broken_by_region_index(self):
-        config = CascadeConfig(
-            min_window_samples=4, max_promotions_per_epoch=1,
-        )
+        config = CascadeConfig(min_window_samples=4)
         controller, _, _ = _controller(
             [3, 1], config=config,
             region_values={1: BREACHING, 3: BREACHING},
@@ -136,79 +147,69 @@ class TestPromotion:
 
 class TestCeilingBreach:
     def test_breach_at_hybrid_is_audited_not_acted_on(self):
-        config = CascadeConfig(
-            min_window_samples=4, initial_tier=Tier.HYBRID, cooldown_epochs=0
-        )
-        controller, _, _ = _controller(
-            [1], config=config, region_values={1: BREACHING}
-        )
-        decisions = controller.evaluate(epoch=1, now=config.epoch_s)
+        controller, _ = _promoted(BREACHING)
+        decisions = controller.evaluate(epoch=3, now=controller.config.epoch_s)
         assert [d.kind for d in decisions] == ["breach_at_ceiling"]
         assert not decisions[0].is_transition
         assert controller.tiers[1] is Tier.HYBRID
 
     def test_persistent_breach_logged_once(self):
-        config = CascadeConfig(
-            min_window_samples=4, initial_tier=Tier.HYBRID, cooldown_epochs=0
-        )
-        controller, _, _ = _controller(
-            [1], config=config, region_values={1: BREACHING}
-        )
-        first = controller.evaluate(epoch=1, now=config.epoch_s)
-        second = controller.evaluate(epoch=2, now=config.epoch_s)
-        assert len(first) == 1 and second == []
-        assert len(controller.log.entries) == 1
+        controller, _ = _promoted(BREACHING)
+        assert _kinds(controller, 3) == ["breach_at_ceiling"]
+        assert _kinds(controller, 4) == []
+        assert [e["kind"] for e in controller.log.entries] == [
+            "promote", "breach_at_ceiling",
+        ]
 
 
 class TestDemotion:
     def test_calm_hybrid_region_demoted_after_patience(self):
-        config = CascadeConfig(
-            min_window_samples=4, initial_tier=Tier.HYBRID,
-            demote_patience=2, cooldown_epochs=0,
-        )
-        controller, _, _ = _controller([1], config=config)
-        assert controller.evaluate(epoch=1, now=config.epoch_s) == []
-        decisions = controller.evaluate(epoch=2, now=config.epoch_s)
+        """Demoted after exactly two calm scored epochs."""
+        controller, _ = _promoted([1e-3] * 8)
+        assert _kinds(controller, 3) == []
+        decisions = controller.evaluate(epoch=4, now=controller.config.epoch_s)
         assert [d.kind for d in decisions] == ["demote"]
+        assert decisions[0].entry["reason"] == "ratio <= 0.5 for 2 consecutive epochs"
         assert controller.tiers[1] is Tier.FLOWSIM
 
     def test_breach_resets_patience(self):
-        config = CascadeConfig(
-            min_window_samples=4, initial_tier=Tier.HYBRID,
-            demote_patience=2, cooldown_epochs=0, budget=TierBudget(ks=0.35),
-        )
-        controller, _, windows = _controller([1], config=config)
-        assert controller.evaluate(epoch=1, now=config.epoch_s) == []
+        controller, windows = _promoted([1e-3] * 8)
+        assert _kinds(controller, 3) == []
         # An in-window breach: replace the region's samples.
-        _fill(windows[1], BREACHING, time=config.epoch_s)
-        decisions = controller.evaluate(epoch=2, now=config.epoch_s)
-        assert [d.kind for d in decisions] == ["breach_at_ceiling"]
+        windows[1] = RegionWindows()
+        _fill(windows[1], BREACHING, time=controller.config.epoch_s)
+        assert _kinds(controller, 4) == ["breach_at_ceiling"]
         assert controller.tiers[1] is Tier.HYBRID
+        # The calm streak starts over: two more calm epochs to demote.
+        windows[1] = RegionWindows()
+        _fill(windows[1], [1e-3] * 8, time=controller.config.epoch_s)
+        assert _kinds(controller, 5) == []
+        assert _kinds(controller, 6) == ["demote"]
 
     def test_calm_flowsim_region_stays(self):
-        config = CascadeConfig(
-            min_window_samples=4, demote_patience=1, cooldown_epochs=0
-        )
+        config = CascadeConfig(min_window_samples=4)
         controller, _, _ = _controller([1], config=config)
-        assert controller.evaluate(epoch=1, now=config.epoch_s) == []
+        for epoch in (1, 2, 3):
+            assert controller.evaluate(epoch=epoch, now=config.epoch_s) == []
         assert controller.tiers[1] is Tier.FLOWSIM
 
 
 class TestCooldown:
     def test_transition_starts_refractory_period(self):
-        config = CascadeConfig(
-            min_window_samples=4, cooldown_epochs=2, budget=TierBudget(ks=0.35)
-        )
-        controller, _, _ = _controller(
-            [1], config=config, region_values={1: BREACHING}
-        )
-        promoted = controller.evaluate(epoch=1, now=config.epoch_s)
-        assert [d.kind for d in promoted] == ["promote"]
-        # Still breaching, but in cooldown: no audit record yet.
-        assert controller.evaluate(epoch=2, now=config.epoch_s) == []
-        assert controller.evaluate(epoch=3, now=config.epoch_s) == []
-        after = controller.evaluate(epoch=4, now=config.epoch_s)
-        assert [d.kind for d in after] == ["breach_at_ceiling"]
+        """A move, either way, skips exactly one epoch."""
+        # Promoted at epoch 1; still breaching, but in cooldown at
+        # epoch 2: no audit record until epoch 3.
+        controller, windows = _promoted(BREACHING)
+        assert _kinds(controller, 3) == ["breach_at_ceiling"]
+        windows[1] = RegionWindows()
+        _fill(windows[1], [1e-3] * 8, time=controller.config.epoch_s)
+        assert _kinds(controller, 4) == []
+        assert _kinds(controller, 5) == ["demote"]
+        # Breaching again at flowsim, but sitting out epoch 6.
+        windows[1] = RegionWindows()
+        _fill(windows[1], BREACHING, time=controller.config.epoch_s)
+        assert _kinds(controller, 6) == []
+        assert _kinds(controller, 7) == ["promote"]
 
 
 class TestDecisionLog:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -43,6 +49,22 @@ class TestSimulate:
         assert "full simulation" in out
         assert "events executed" in out
         assert "flows started" in out
+
+    def test_failed_run_is_an_error_not_a_traceback(self):
+        """Isolating a host makes a later packet to it unroutable: the
+        run fails with exit 1 and a one-line error plus its details."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "--clusters", "2",
+             "--duration", "0.003", "--load", "0.3",
+             "--fail-link", "0.0005:server-c0-t0-s0:tor-c0-0"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: UnroutablePacketError: ")
+        assert '"failed_links"' in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_trace_csv(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"
@@ -219,6 +241,14 @@ class TestCascade:
         ])
         assert code == 2
         assert "cannot pin region 2 to des" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epoch_s", ["nan", "inf"])
+    def test_non_finite_epoch_exits_2(self, model_dir, epoch_s, capsys):
+        code = main([
+            "cascade", "--model", str(model_dir), "--epoch-s", epoch_s,
+        ])
+        assert code == 2
+        assert "epoch_s must be positive and finite" in capsys.readouterr().err
 
     def test_missing_model_exits_2(self, tmp_path, capsys):
         code = main([

@@ -101,24 +101,17 @@ class TestArgvToConfig:
     def test_cascade_flags(self):
         configs = _configs([
             "cascade", "--model", "m", "--clusters", "3", "--focal-cluster", "1",
-            "--budget", "0.2", "--drop-budget", "0.1", "--wasserstein-budget", "1e-4",
+            "--budget", "0.2",
             "--epoch-s", "0.001", "--window-epochs", "4", "--min-window-samples", "5",
-            "--initial-tier", "hybrid", "--pin-tier", "2=flowsim",
-            "--demote-fraction", "0.4", "--demote-patience", "3",
-            "--cooldown-epochs", "2", "--max-promotions", "2",
+            "--pin-tier", "2=flowsim",
             "--batch-window", "1e-6", "--memoize",
         ])
         assert configs["cascade"] == CascadeConfig(
             epoch_s=0.001,
             window_epochs=4,
-            initial_tier=Tier.HYBRID,
-            budget=TierBudget(ks=0.2, wasserstein_s=1e-4, drop_delta=0.1),
+            budget=TierBudget(ks=0.2),
             pin_tiers={2: Tier.FLOWSIM},
             min_window_samples=5,
-            demote_fraction=0.4,
-            demote_patience=3,
-            cooldown_epochs=2,
-            max_promotions_per_epoch=2,
             hybrid=HybridConfig(
                 full_cluster=1,
                 elide_remote_traffic=False,
@@ -285,6 +278,19 @@ def test_memo_approximate_flag_is_gone(stage, capsys):
               "--memo-approximate"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --memo-approximate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    "--drop-budget", "--wasserstein-budget", "--initial-tier", "--demote-fraction",
+    "--demote-patience", "--cooldown-epochs", "--max-promotions",
+])
+def test_removed_cascade_flags_are_gone(flag, capsys):
+    """The controller's pacing, hysteresis and secondary budgets are
+    constants: their flags are usage errors."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cascade", "--model", "m", flag, "1"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_cascade_smoke_example_matches_its_command_line():

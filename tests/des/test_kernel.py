@@ -185,6 +185,17 @@ class TestSimulatorRun:
         sim.schedule(1.0, reenter)
         sim.run()
 
+    def test_nan_horizon_rejected(self):
+        """Every ``time > nan`` is False: a NaN horizon would never be
+        reached, so the run would not stop at it."""
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            sim.run(until=float("nan"))
+        assert sim.events_executed == 0
+        sim.run(until=2.0)  # the kernel is still usable
+        assert sim.events_executed == 1
+
     def test_events_spawned_during_run_execute(self):
         sim = Simulator()
         fired = []

@@ -216,6 +216,18 @@ def test_default_window_respects_tighter_bound():
         )
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_window_and_timeout_rejected(value):
+    """A NaN window never reaches its horizon (``time > nan`` is always
+    False), so cross-worker packets would never be exchanged."""
+    with pytest.raises(ValueError, match="window_s"):
+        PdesConfig(window_s=value)
+    with pytest.raises(ValueError, match="window_s"):
+        HybridShardConfig(window_s=value)
+    with pytest.raises(ValueError, match="worker_timeout_s"):
+        HybridShardConfig(worker_timeout_s=value)
+
+
 def test_single_worker_has_no_model_bound():
     """A 1-worker shard has no cut to cross; the window falls back to
     the run duration and batching imposes no constraint."""

@@ -80,6 +80,13 @@ class TestParsing:
                 _spec_dict(experiment={"load": -1.0, "duration_s": 0.001})
             )
 
+    @pytest.mark.parametrize("key", ["duration_s", "load"])
+    def test_infinite_load_or_duration_fails_fast(self, key):
+        """An infinite duration (or load) would be a run that never ends."""
+        experiment = {"load": 0.25, "duration_s": 0.001, key: float("inf")}
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            ScenarioSpec.from_dict(_spec_dict(experiment=experiment))
+
     def test_alpha_axis_requires_model_stage(self):
         with pytest.raises(ValueError, match="alpha"):
             ScenarioSpec.from_dict(_spec_dict(sweep={"alpha": [0.5]}))

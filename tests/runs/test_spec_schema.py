@@ -64,6 +64,24 @@ class TestHybridKeys:
         with pytest.raises(ValueError, match=rf"unknown 'hybrid' keys \['{key}'\]"):
             ScenarioSpec.from_dict({"name": "x", "stage": stage, "hybrid": {key: False}})
 
+    @pytest.mark.parametrize("key", [
+        "initial_tier", "region_budgets", "demote_fraction", "demote_patience",
+        "cooldown_epochs", "max_promotions_per_epoch",
+    ])
+    def test_removed_cascade_keys_rejected_at_load(self, key):
+        """The controller's pacing and hysteresis are constants: a
+        cascade spec that still sets one is refused, naming the key."""
+        with pytest.raises(ValueError, match=rf"unknown 'hybrid' keys \['{key}'\]"):
+            ScenarioSpec.from_dict({"name": "x", "stage": "cascade", "hybrid": {key: 1}})
+
+    @pytest.mark.parametrize("key", ["latency_ks", "wasserstein_s", "drop_delta"])
+    def test_removed_budget_keys_rejected_at_load(self, key):
+        with pytest.raises(ValueError, match=rf"unknown TierBudget fields: \['{key}'\]"):
+            ScenarioSpec.from_dict({
+                "name": "x", "stage": "cascade",
+                "hybrid": {"budget": {"ks": 0.35, key: 0.1}},
+            })
+
     def test_bad_value_fails_at_load(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             ScenarioSpec.from_dict(
