@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional, Union
 
 from repro.core.cluster_model import ApproximatedCluster
-from repro.core.features import ServerIndex
+from repro.core.features import FEATURE_COUNT, ServerIndex
 from repro.core.region import Region
 from repro.core.training import TrainedClusterModel
 from repro.des.kernel import Simulator
@@ -337,6 +337,13 @@ class HybridSimulation:
         if metrics is not None:
             sim.metrics = metrics
         net_config = net_config or NetworkConfig()
+        bundles = trained.values() if isinstance(trained, Mapping) else [trained]
+        for bundle in bundles:
+            if bundle is not None and bundle.config.input_size != FEATURE_COUNT:
+                raise ValueError(
+                    f"model bundle takes {bundle.config.input_size} features "
+                    f"per packet, but the simulator extracts {FEATURE_COUNT}"
+                )
 
         cluster_ids = topology.cluster_ids()
         if self.config.full_cluster not in cluster_ids:

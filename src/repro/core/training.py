@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -480,28 +481,44 @@ class TrainedClusterModel:
 
     @classmethod
     def load(cls, directory: str | Path) -> "TrainedClusterModel":
-        """Inverse of :meth:`save`."""
+        """Inverse of :meth:`save`.
+
+        A missing bundle raises :class:`FileNotFoundError`.  A corrupt
+        one (an unreadable archive or JSON file, missing or misshapen
+        parameters) raises :class:`ValueError` naming the bundle and
+        the file, so it fails at load rather than mid-run.
+        """
         directory = Path(directory)
-        meta = json.loads((directory / "bundle.json").read_text())
-        config = dict(meta["config"])
-        if config.pop("cell", "lstm") != "lstm":
-            raise ValueError(f"{directory}: only LSTM model bundles can be loaded")
-        config = MicroModelConfig(**config)
-        calibration = MacroCalibration(**meta["calibration"])
-        directions: dict[Direction, DirectionModel] = {}
-        for value in meta["directions"]:
-            direction = Direction(value)
-            model = MicroModel(config, np.random.default_rng(0))
-            metadata = load_module_state(model, directory / f"{value}.npz")
-            standardizer = Standardizer.from_state_dict(
-                {"mean": metadata["feature_mean"], "std": metadata["feature_std"]}
-            )
-            directions[direction] = DirectionModel(
-                model=model,
-                feature_standardizer=standardizer,
-                latency_mean=float(metadata["latency_mean"]),
-                latency_std=float(metadata["latency_std"]),
-            )
+        source = directory / "bundle.json"
+        try:
+            meta = json.loads(source.read_text())
+            config = dict(meta["config"])
+            if config.pop("cell", "lstm") != "lstm":
+                raise ValueError("only LSTM model bundles can be loaded")
+            config = MicroModelConfig(**config)
+            calibration = MacroCalibration(**meta["calibration"])
+            directions: dict[Direction, DirectionModel] = {}
+            for value in meta["directions"]:
+                direction = Direction(value)
+                source = directory / f"{value}.npz"
+                model = MicroModel(config, np.random.default_rng(0))
+                metadata = load_module_state(model, source)
+                standardizer = Standardizer.from_state_dict(
+                    {"mean": metadata["feature_mean"], "std": metadata["feature_std"]}
+                )
+                directions[direction] = DirectionModel(
+                    model=model,
+                    feature_standardizer=standardizer,
+                    latency_mean=float(metadata["latency_mean"]),
+                    latency_std=float(metadata["latency_std"]),
+                )
+        except FileNotFoundError:
+            raise
+        except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as error:
+            raise ValueError(
+                f"cannot load model bundle {directory}: {source.name}: "
+                f"{type(error).__name__}: {error}"
+            ) from None
         return cls(
             config=config,
             calibration=calibration,

@@ -61,8 +61,8 @@ class Network:
     config:
         Protocol and queue parameters.
     routing:
-        Precomputed ECMP tables; computed here if omitted.  The hybrid
-        simulator passes the *full* topology's tables even though some
+        ECMP routing; built here if omitted.  The hybrid
+        simulator passes the *full* topology's routing even though some
         switches are excluded — routing knowledge of the replaced
         region is a model input (paper Section 4.2).
     excluded_nodes:

@@ -89,6 +89,8 @@ class Topology:
     _nodes: dict[str, Node] = field(default_factory=dict)
     _links: list[Link] = field(default_factory=list)
     _adjacency: dict[str, dict[str, Link]] = field(default_factory=dict)
+    #: Cluster index (``None`` included) -> its nodes, in insertion order.
+    _clusters: dict[Optional[int], list[Node]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Construction
@@ -99,6 +101,7 @@ class Topology:
             raise ValueError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         self._adjacency[node.name] = {}
+        self._clusters.setdefault(node.cluster, []).append(node)
         return node
 
     def add_link(self, a: str, b: str, rate_bps: float, delay_s: float) -> Link:
@@ -167,13 +170,12 @@ class Topology:
         return [n for n in self._nodes.values() if n.role.is_switch]
 
     def cluster_nodes(self, cluster: int) -> list[Node]:
-        """All nodes assigned to cluster ``cluster``."""
-        return [n for n in self._nodes.values() if n.cluster == cluster]
+        """All nodes assigned to cluster ``cluster``, in insertion order."""
+        return list(self._clusters.get(cluster, ()))
 
     def cluster_ids(self) -> list[int]:
         """Sorted list of distinct cluster indices present."""
-        ids = {n.cluster for n in self._nodes.values() if n.cluster is not None}
-        return sorted(ids)
+        return sorted(c for c in self._clusters if c is not None)
 
     def validate_connected(self) -> None:
         """Raise ``ValueError`` unless the topology is one component."""

@@ -6,11 +6,14 @@ paths to the destination, chosen by a deterministic hash of the flow
 identifier so that all packets of a flow take the same path (avoiding
 reordering).
 
-:class:`EcmpRouting` precomputes, for every switch and every
-destination, the set of next hops that lie on some shortest path, via
-one BFS per switch over the switch graph; a host with one link shares
-its switch's table (see :meth:`EcmpRouting._rebuild`).  At forwarding
-time the next hop is ``nexthops[flow_hash % len(nexthops)]``.
+:class:`EcmpRouting` holds, for each (node, destination) pair some
+lookup has asked for, the sorted set of next hops that lie on some
+shortest path.  A pair is filled on its first lookup from one
+distance-only BFS per destination over the switch graph, so a run pays
+for the destinations its traffic uses, not for the whole fabric; a host
+with one link reuses its switch's distances (see
+:meth:`EcmpRouting._fill_hops`).  At forwarding time the next hop is
+``nexthops[flow_hash % len(nexthops)]``.
 
 The paper also notes (Section 4.2) that ECMP path choice is
 deterministic given the header, which is what lets the approximated
@@ -121,10 +124,10 @@ class PortLoad(Protocol):
 
 
 class EcmpRouting:
-    """Precomputed ECMP next-hop tables for a topology.
+    """ECMP next-hop tables for a topology, filled on first lookup.
 
     Next-hop lists are sorted by node name so the table is independent
-    of graph insertion order.
+    of graph insertion order, and of the order lookups fill it in.
 
     This class doubles as the ``RoutingPolicy`` seam: subclasses
     override :meth:`select_next_hop` (the per-packet forwarding
@@ -141,9 +144,15 @@ class EcmpRouting:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         # _nexthops[dst][node] -> sorted list of neighbor names on
-        # shortest paths from node to dst, for every node but a
-        # single-link host (see _rebuild).
+        # shortest paths from node to dst, for each pair a lookup has
+        # filled (see _fill_hops); never for a single-link host source.
         self._nexthops: dict[str, dict[str, list[str]]] = {}
+        #: dst -> hop count to ``dst`` from every node that reaches it,
+        #: over the switch graph; one BFS on the destination's first miss.
+        self._distances: dict[str, dict[str, int]] = {}
+        #: The live links of every node but a single-link host (the
+        #: switch graph the distance BFS runs over).
+        self._inner: dict[str, list[str]] = {}
         #: Single-link host -> ``[its switch]``, the host's one next hop
         #: toward every destination its switch reaches.
         self._uplink: dict[str, list[str]] = {}
@@ -158,28 +167,32 @@ class EcmpRouting:
     # Table construction and link state
     # ------------------------------------------------------------------
     def _rebuild(self, initial: bool = False) -> None:
-        """Recompute the tables from the live links.
+        """Snapshot the live links and drop every filled entry.
 
         A server whose one live link goes to a switch lies on no
         shortest path but its own, and every path to or from it runs
-        through that link.  So the BFS runs only from the other nodes
-        (the switches of a fabric), over the graph without those hosts.
-        Such a host's table is its switch's table, sharing its hop
-        lists, plus the entry ``switch -> [host]``; as a source it is
-        resolved by :meth:`_host_hops`.  Every answer equals that of
-        one BFS per node over the whole graph.
+        through that link.  So distances are computed only over the
+        other nodes (the switches of a fabric), on the graph without
+        those hosts, and such a host is resolved through its switch by
+        :meth:`_fill_hops`.  Every answer equals that of one BFS per
+        node over the whole graph.  No BFS runs here: a pair is filled
+        on its first lookup.
         """
         topology = self.topology
+        failed = self._failed
         # One adjacency snapshot for all BFS roots: neighbors() builds a
         # fresh list per call.
-        adjacency = {
-            node.name: [
-                neighbor
-                for neighbor in topology.neighbors(node.name)
-                if frozenset((node.name, neighbor)) not in self._failed
-            ]
-            for node in topology.nodes
-        }
+        adjacency = {}
+        for node in topology.nodes:
+            name = node.name
+            live = topology.neighbors(name)
+            if failed:
+                live = [
+                    neighbor
+                    for neighbor in live
+                    if frozenset((name, neighbor)) not in failed
+                ]
+            adjacency[name] = live
         uplink = {}
         for node in topology.nodes:
             live = adjacency[node.name]
@@ -189,23 +202,19 @@ class EcmpRouting:
                 and topology.node(live[0]).role.is_switch
             ):
                 uplink[node.name] = live
-        inner = {
+        self._inner = {
             name: [neighbor for neighbor in neighbors if neighbor not in uplink]
             for name, neighbors in adjacency.items()
             if name not in uplink
         }
-        nexthops = {dst: _shortest_next_hops(dst, inner) for dst in inner}
-        for host, (switch,) in uplink.items():
-            table = nexthops[switch].copy()
-            table[switch] = [host]
-            nexthops[host] = table
-        self._nexthops = nexthops
         self._uplink = uplink
+        self._nexthops = {}
+        self._distances = {}
         if not initial:
             self.table_rebuilds += 1
 
     def set_link_state(self, a: str, b: str, up: bool) -> bool:
-        """Mark the ``a``–``b`` link up or down and recompute the tables.
+        """Mark the ``a``–``b`` link up or down and drop the filled tables.
 
         Returns ``True`` when the state actually changed (and a rebuild
         happened); re-failing a dead link or re-raising a live one is a
@@ -238,19 +247,53 @@ class EcmpRouting:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _host_hops(self, node: str, dst: str) -> list[str]:
-        """Slow path of a table miss: a single-link host's one next hop.
+    def _fill_distances(self, dst: str) -> Optional[dict[str, int]]:
+        """Compute and keep ``dst``'s distance map (``None``: unknown).
 
-        The host forwards to its switch whenever that switch is ``dst``
-        or reaches it; any other miss (unknown node or destination,
-        ``node == dst``, no live route) is a :class:`NoRouteError`.
+        A single-link host destination shares its switch's map: every
+        path to it ends with that switch's one hop.
         """
+        via = self._uplink.get(dst)
+        if via is not None:
+            dist = self._distances.get(via[0]) or self._fill_distances(via[0])
+        elif dst in self._inner:
+            dist = _bfs_distances(dst, self._inner)
+        else:
+            return None
+        self._distances[dst] = dist
+        return dist
+
+    def _fill_hops(self, node: str, dst: str) -> list[str]:
+        """Slow path of a table miss: fill, store and return the pair.
+
+        ``node``'s next hops toward ``dst`` are its neighbors one hop
+        closer in ``dst``'s distance map.  A single-link host source
+        forwards to its switch whenever that switch is ``dst`` or
+        reaches it, and is never stored.  Any other miss (unknown node
+        or destination, ``node == dst``, no live route) is a
+        :class:`NoRouteError`.
+        """
+        dist = self._distances.get(dst) or self._fill_distances(dst)
+        if dist is None or node == dst:
+            raise NoRouteError(node, dst)
         hops = self._uplink.get(node)
-        if hops is not None and node != dst:
-            table = self._nexthops.get(dst)
-            if table is not None and (hops[0] == dst or hops[0] in table):
+        if hops is not None:
+            if hops[0] in dist:
                 return hops
-        raise NoRouteError(node, dst)
+            raise NoRouteError(node, dst)
+        d = dist.get(node)
+        if d is None:  # an unknown node, or one cut off from dst
+            raise NoRouteError(node, dst)
+        via = self._uplink.get(dst)
+        if via is not None and via[0] == node:
+            hops = [dst]
+        else:
+            hops = sorted(
+                neighbor for neighbor in self._inner[node]
+                if dist.get(neighbor) == d - 1
+            )
+        self._nexthops.setdefault(dst, {})[node] = hops
+        return hops
 
     def next_hops(self, node: str, dst: str) -> list[str]:
         """All equal-cost next hops from ``node`` toward ``dst``."""
@@ -259,7 +302,7 @@ class EcmpRouting:
         try:
             return self._nexthops[dst][node]
         except KeyError:
-            return self._host_hops(node, dst)
+            return self._fill_hops(node, dst)
 
     def next_hop(self, node: str, dst: str, flow_hash: int) -> str:
         """The ECMP-selected next hop for a flow at ``node``."""
@@ -286,7 +329,7 @@ class EcmpRouting:
         try:
             hops = self._nexthops[dst][node]
         except KeyError:  # a host source, an unknown pair, or node == dst
-            hops = self._host_hops(node, dst)
+            hops = self._fill_hops(node, dst)
         return hops[flow_hash % len(hops)]
 
     def distance(self, src: str, dst: str) -> int:
@@ -295,7 +338,7 @@ class EcmpRouting:
         Raises :class:`NoRouteError` when either node is unknown or no
         live route joins them.
         """
-        if dst not in self._nexthops:
+        if dst not in self.topology:
             raise NoRouteError(src, dst)
         return len(self.path(src, dst, 0)) - 1
 
@@ -316,32 +359,18 @@ class EcmpRouting:
         return path
 
 
-def _shortest_next_hops(
-    dst: str, adjacency: dict[str, list[str]]
-) -> dict[str, list[str]]:
-    """One BFS from ``dst``: node -> sorted next hops on its shortest paths."""
-    # Next hops fall out of the BFS itself: scanning edge
-    # (current, neighbor) with dist[neighbor] == dist[current] + 1
-    # proves ``current`` lies on a shortest path from ``neighbor`` to
-    # ``dst``, and every edge is scanned from both sides — so no second
-    # all-nodes pass is needed.
+def _bfs_distances(dst: str, adjacency: dict[str, list[str]]) -> dict[str, int]:
+    """One BFS from ``dst``: hop count from every node that reaches it."""
     dist: dict[str, int] = {dst: 0}
-    nexthops: dict[str, list[str]] = {}
     queue: deque[str] = deque([dst])
     while queue:
         current = queue.popleft()
         next_d = dist[current] + 1
         for neighbor in adjacency[current]:
-            d = dist.get(neighbor)
-            if d is None:
+            if neighbor not in dist:
                 dist[neighbor] = next_d
                 queue.append(neighbor)
-                nexthops[neighbor] = [current]
-            elif d == next_d:
-                nexthops[neighbor].append(current)
-    for hops in nexthops.values():
-        hops.sort()
-    return nexthops
+    return dist
 
 
 class FlowletRouting(EcmpRouting):
@@ -380,7 +409,7 @@ class FlowletRouting(EcmpRouting):
         try:
             hops = self._nexthops[dst][node]
         except KeyError:
-            hops = self._host_hops(node, dst)
+            hops = self._fill_hops(node, dst)
         state = self._flowlets.get((node, flow_hash))
         if state is None:
             state = [now, 0]
@@ -419,7 +448,7 @@ class AdaptiveRouting(EcmpRouting):
         try:
             hops = self._nexthops[dst][node]
         except KeyError:
-            hops = self._host_hops(node, dst)
+            hops = self._fill_hops(node, dst)
         if port_load is None or len(hops) == 1:
             return hops[flow_hash % len(hops)]
         loads = [port_load(hop) for hop in hops]

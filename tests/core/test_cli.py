@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from tests.bad_bundles import BAD_BUNDLES
 
 
 class TestParser:
@@ -132,6 +134,19 @@ class TestTrainAndHybrid:
         ])
         assert code == 2
         assert "cannot load" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(BAD_BUNDLES))
+    def test_hybrid_bad_model_exits_2(self, kind, tmp_path, capsys, trained_bundle):
+        """A corrupt or wrong-width bundle is refused before the run."""
+        message = BAD_BUNDLES[kind](trained_bundle, tmp_path / kind)
+        code = main([
+            "hybrid", "--model", str(tmp_path / kind),
+            "--clusters", "4", "--duration", "1e-4",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert "Traceback" not in err
 
     def test_evaluate_subcommand(self, tmp_path, capsys):
         model_dir = tmp_path / "eval_model"

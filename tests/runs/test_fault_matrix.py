@@ -4,8 +4,13 @@ traceback."""
 
 from __future__ import annotations
 
-from repro.runs import ScenarioSpec
+import re
+
+import pytest
+
+from repro.runs import ModelRegistry, ScenarioSpec, model_fingerprint
 from repro.runs.executor import execute_run
+from tests.bad_bundles import BAD_BUNDLES
 
 
 def test_isolated_host_ends_in_failed_manifest(tmp_path):
@@ -29,3 +34,23 @@ def test_isolated_host_ends_in_failed_manifest(tmp_path):
     assert details["dst"] == "server-c0-t0-s0"
     assert details["switch"].startswith("tor-")
     assert details["failed_links"] == [["server-c0-t0-s0", "tor-c0-0"]]
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_BUNDLES))
+def test_bad_model_bundle_ends_in_failed_manifest(kind, tmp_path, trained_bundle):
+    """A corrupt or wrong-width bundle in the registry fails the run at
+    load or world build, with a message naming what is wrong."""
+    spec = ScenarioSpec.from_dict({
+        "name": f"bad-bundle-{kind}",
+        "stage": "hybrid",
+        "experiment": {"clusters": 2, "load": 0.25, "duration_s": 1e-4, "seed": 0},
+        "training": {"clusters": 2, "load": 0.25, "duration_s": 0.004, "seed": 7},
+    })
+    (request,) = spec.expand()
+    registry = ModelRegistry(tmp_path / "models")
+    entry = registry.entry_dir(model_fingerprint(request.training, request.micro))
+    message = BAD_BUNDLES[kind](trained_bundle, entry)
+    manifest = execute_run(request, str(tmp_path / "runs"), str(registry.root), attempt=1)
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "ValueError"
+    assert re.search(message, manifest["error"]["message"])

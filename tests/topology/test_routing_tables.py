@@ -1,12 +1,14 @@
 """The routing tables answer exactly as one BFS per node over the whole graph.
 
-:class:`EcmpRouting` runs its BFS only from switches and gives a
-single-link host its switch's table; a host source is resolved on the
-lookup's slow path.  The reference here is the all-pairs BFS that
+:class:`EcmpRouting` fills a (node, destination) pair on its first
+lookup, from a distance-only BFS over the switch graph; a single-link
+host reuses its switch's distances, and a host source is resolved on
+the lookup's slow path.  The reference here is the all-pairs BFS that
 design replaced: every query under every policy must return its value
-or raise its exception type — on random Clos shapes and fat-tree k=4,
-with random failed links (host links and fabric partitions included),
-for every (node, destination) pair plus an unknown node.
+or raise its exception type — on random Clos and leaf-spine shapes and
+fat-tree k=4, with random failed links (host links and fabric
+partitions included), for every (node, destination) pair plus an
+unknown node, before and after the failures and after a recovery.
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import ExperimentConfig, run_full_simulation
 from repro.topology.clos import ClosParams, build_clos
 from repro.topology.fattree import FatTreeParams, build_fat_tree
 from repro.topology.graph import Node, NodeRole, Topology
+from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 from repro.topology.routing import (
     ROUTING_POLICIES,
+    EcmpRouting,
     NoRouteError,
     RoutingConfig,
     make_routing,
@@ -137,7 +142,28 @@ topologies = st.one_of(
         cores=st.integers(1, 3),
     ).map(build_clos),
     st.just(FatTreeParams(k=4)).map(build_fat_tree),
+    st.builds(
+        LeafSpineParams,
+        tors=st.integers(1, 3),
+        spines=st.integers(1, 3),
+        servers_per_tor=st.integers(1, 3),
+    ).map(build_leaf_spine),
 )
+
+
+def _assert_cluster_index_is_a_scan(topology: Topology) -> None:
+    nodes = list(topology.nodes)
+    ids = sorted({node.cluster for node in nodes if node.cluster is not None})
+    assert topology.cluster_ids() == ids
+    for cluster in [*ids, None]:
+        assert topology.cluster_nodes(cluster) == [
+            node for node in nodes if node.cluster == cluster
+        ]
+
+
+def _assert_nothing_filled(routing) -> None:
+    assert routing._nexthops == {}
+    assert routing._distances == {}
 
 
 @st.composite
@@ -158,21 +184,56 @@ def failed_worlds(draw):
 @settings(max_examples=40, deadline=None)
 def test_tables_answer_as_all_pairs_bfs(world, salt):
     topology, failed = world
+    _assert_cluster_index_is_a_scan(topology)
     routings = [
         make_routing(topology, RoutingConfig(policy=policy))
         for policy in sorted(ROUTING_POLICIES)
     ]
     for routing in routings:
-        for a, b in map(sorted, failed):
+        _assert_nothing_filled(routing)
+    _assert_same_answers(routings, AllPairsBfs(topology, set()), topology, salt)
+    for routing in routings:
+        # Each state change drops every fill and counts one rebuild.
+        for count, (a, b) in enumerate(map(sorted, failed), start=1):
             assert routing.set_link_state(a, b, up=False)
+            assert routing.table_rebuilds == count
+            _assert_nothing_filled(routing)
     _assert_same_answers(routings, AllPairsBfs(topology, failed), topology, salt)
     if failed:
-        # Bring one link back: the rebuilt tables must follow the oracle.
+        # Bring one link back: the refilled tables must follow the oracle.
         a, b = sorted(min(failed, key=sorted))
         for routing in routings:
             assert routing.set_link_state(a, b, up=True)
+            assert routing.table_rebuilds == len(failed) + 1
+            _assert_nothing_filled(routing)
         failed.discard(frozenset((a, b)))
         _assert_same_answers(routings, AllPairsBfs(topology, failed), topology, salt)
+
+
+def test_a_run_fills_only_the_pairs_it_looks_up(monkeypatch):
+    """A 2-cluster run routes server to server: it fills the pairs its
+    packets ask for, and no Cluster or core switch is ever a BFS root."""
+    asked = set()
+    fill = EcmpRouting._fill_hops
+
+    def recording(self, node, dst):
+        asked.add((node, dst))
+        return fill(self, node, dst)
+
+    monkeypatch.setattr(EcmpRouting, "_fill_hops", recording)
+    config = ExperimentConfig(
+        clos=ClosParams(clusters=2), load=0.25, duration_s=0.002, seed=3
+    )
+    output = run_full_simulation(config, collect_cluster=1)
+    routing = output.extractor.routing
+    assert output.result.flows_completed > 0
+    filled = {(node, dst) for dst, row in routing._nexthops.items() for node in row}
+    assert filled and filled <= asked
+    fabric = {
+        node.name for node in routing.topology.nodes
+        if node.role in (NodeRole.CLUSTER, NodeRole.CORE)
+    }
+    assert routing._distances and not fabric & routing._distances.keys()
 
 
 def test_hosts_that_are_not_single_link_leaves_get_their_own_bfs():
