@@ -79,8 +79,9 @@ def main() -> None:
           f"{full.events_executed / hybrid_result.events_executed:.2f}x")
     print(f"  wall-clock ratio  (full/hybrid): "
           f"{full.wallclock_seconds / hybrid_result.wallclock_seconds:.2f}x")
-    print("\nSpeedups grow with cluster count; see "
-          "benchmarks/bench_fig5_speedup.py for the Figure 5 sweep.")
+    print("\nSpeedups grow with cluster count; the Figure 5 sweep is "
+          "`repro runs submit --spec examples/specs/paper/fig5.toml --out runs/fig5` "
+          "then `repro runs report runs/fig5 --table fig5`.")
 
 
 if __name__ == "__main__":

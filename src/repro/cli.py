@@ -45,6 +45,7 @@ from repro.core.training import TrainedClusterModel
 from repro.des.errors import SimulationError
 from repro.pdes.engine import WorkerCrashError
 from repro.runs.executor import StageRun, run_stage, stage_option_keys
+from repro.runs.report import TABLES, sweep_report
 from repro.runs.spec import EXPERIMENT_KEYS, ScenarioSpec, experiment_from_dict
 from repro.topology.clos import build_clos
 from repro.traffic.collectives import CollectiveConfig
@@ -609,7 +610,7 @@ def _cmd_runs_submit(args: argparse.Namespace) -> int:
     scheduler = SweepScheduler(spec, args.out, registry_root=args.registry, config=config)
     print(
         f"submitting sweep {spec.name!r}: {len(spec.expand())} runs "
-        f"({spec.stage} stage, {args.workers} workers) -> {args.out}"
+        f"({'/'.join(spec.stages)} stage, {args.workers} workers) -> {args.out}"
     )
     manifests = scheduler.submit()
     rows = [
@@ -653,6 +654,15 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
         raise ValueError(str(error)) from None
     print(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
     return 0
+
+
+def _cmd_runs_report(args: argparse.Namespace) -> int:
+    text, failures = sweep_report(args.out, args.table)
+    if text:
+        print(text)
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_models_ls(args: argparse.Namespace) -> int:
@@ -1086,6 +1096,13 @@ def build_parser() -> argparse.ArgumentParser:
     arg = _command(runs, "show", _cmd_runs_show, "print one run's full manifest").add_argument
     arg("run_id", help="run id (see 'repro runs status')")
     arg("--out", default="runs", help="sweep output directory")
+    arg = _command(
+        runs, "report", _cmd_runs_report,
+        "render a paper table from a sweep's manifests and check its shape",
+    ).add_argument
+    arg("out", help="sweep output directory")
+    arg("--table", required=True, choices=sorted(TABLES),
+        help="which table: fig5, events (A1), model (A4, A9) or fidelity (A5, A6)")
 
     models = _group(
         commands, "models", "model registry: list and garbage-collect trained bundles"

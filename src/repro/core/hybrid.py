@@ -20,7 +20,9 @@ configuration:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from repro.core.cluster_model import ApproximatedCluster
@@ -254,6 +256,22 @@ def nest_hybrid_options(cls, raw: Mapping[str, Any]) -> dict[str, Any]:
     return kwargs
 
 
+def check_model_width(bundle: Any) -> None:
+    """Refuse a :class:`TrainedClusterModel`, or a saved one's reference
+    (a :class:`~repro.pdes.ModelRef`: its width is in ``bundle.json``),
+    that does not take :data:`FEATURE_COUNT` features per packet."""
+    if isinstance(bundle, TrainedClusterModel):
+        width = bundle.config.input_size
+    else:
+        meta = json.loads((Path(bundle.path) / "bundle.json").read_text())
+        width = meta["config"]["input_size"]
+    if width != FEATURE_COUNT:
+        raise ValueError(
+            f"model bundle takes {width} features per packet, "
+            f"but the simulator extracts {FEATURE_COUNT}"
+        )
+
+
 class HybridSimulation:
     """A network where most cluster fabrics are ML models.
 
@@ -339,11 +357,8 @@ class HybridSimulation:
         net_config = net_config or NetworkConfig()
         bundles = trained.values() if isinstance(trained, Mapping) else [trained]
         for bundle in bundles:
-            if bundle is not None and bundle.config.input_size != FEATURE_COUNT:
-                raise ValueError(
-                    f"model bundle takes {bundle.config.input_size} features "
-                    f"per packet, but the simulator extracts {FEATURE_COUNT}"
-                )
+            if bundle is not None:
+                check_model_width(bundle)
 
         cluster_ids = topology.cluster_ids()
         if self.config.full_cluster not in cluster_ids:

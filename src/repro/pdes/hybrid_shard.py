@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.core.cluster_model import MIN_REGION_LATENCY_S
-from repro.core.hybrid import HybridConfig, hot_path_summary
+from repro.core.hybrid import HybridConfig, check_model_width, hot_path_summary
 from repro.core.training import TrainedClusterModel
 from repro.core.world import ExperimentConfig, RunResult, make_generator
 from repro.des.kernel import Simulator
@@ -401,6 +401,7 @@ def run_hybrid_sharded(
             "depend on cross-worker flow completions; run them under the "
             "hybrid or cascade engines"
         )
+    check_model_width(model)
     topology = build_clos(config.clos)
     partitions = partition_hybrid(topology, hybrid.full_cluster, shard.workers)
     pdes_config = PdesConfig(

@@ -20,8 +20,10 @@ train-once / evaluate-many workflow made durable):
     model provenance), plus list/filter/compare over a sweep.
 ``repro.runs.executor``
     The worker-side stage runner the scheduler dispatches.
+``repro.runs.report``
+    Paper tables and their shape checks from a finished sweep.
 
-CLI: ``repro runs submit|status|show`` and ``repro models ls|gc``.
+CLI: ``repro runs submit|status|show|report`` and ``repro models ls|gc``.
 """
 
 from repro.runs.fingerprint import (
@@ -35,18 +37,17 @@ from repro.runs.scheduler import SchedulerConfig, SweepScheduler
 from repro.runs.spec import (
     MODEL_STAGES,
     STAGES,
-    SWEEP_AXES,
     RunRequest,
     ScenarioSpec,
     derive_seed,
     load_spec,
+    sweep_axes,
 )
 from repro.runs.executor import execute_run
 
 __all__ = [
     "MODEL_STAGES",
     "STAGES",
-    "SWEEP_AXES",
     "ModelRegistry",
     "RegistryEntry",
     "RegistryLookup",
@@ -63,4 +64,5 @@ __all__ = [
     "model_fingerprint",
     "model_fingerprint_payload",
     "summarize_statuses",
+    "sweep_axes",
 ]

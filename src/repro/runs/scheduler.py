@@ -102,7 +102,7 @@ class SweepScheduler:
         #: this one watches the orchestration.  Disabled by default —
         #: every span/counter then resolves to a shared no-op.
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        if registry_root is None and spec.stage in MODEL_STAGES:
+        if registry_root is None and any(stage in MODEL_STAGES for stage in spec.stages):
             registry_root = self.out_dir / "models"
         self.registry_root = Path(registry_root) if registry_root is not None else None
         self._registry = (

@@ -7,11 +7,12 @@ pipeline stage (``simulate`` / ``train`` / ``hybrid`` / ``cascade``
 list of :class:`RunRequest` objects — the unit the scheduler dispatches
 to worker processes and the manifest layer records.
 
-Seeds are *derived* per run: the spec's master seed plus the run's axis
-assignment are hashed into a 31-bit seed, so every point of a sweep
-gets an independent-but-reproducible workload stream (same spec + same
-master seed => identical derived seeds, always).  Manifests record both
-the master and the derived seed.
+Seeds are *derived* per run: the spec's master seed plus the run's
+experiment-axis assignment are hashed into a 31-bit seed, so every
+workload point of a sweep gets an independent-but-reproducible stream
+(same spec + same master seed => identical derived seeds, always), and
+cells that differ only in stage, model or option run the same flows.
+Manifests record both the master and the derived seed.
 
 Stages that need a trained cluster model (``train``, ``hybrid``,
 ``evaluate``, ``validate``) carry a *training* configuration alongside
@@ -35,7 +36,7 @@ from repro.core.micro import MicroModelConfig
 from repro.core.pipeline import ExperimentConfig
 from repro.net.network import NetworkConfig
 from repro.net.tcp.config import TcpConfig
-from repro.runs.executor import stage_configs
+from repro.runs.executor import stage_configs, stage_option_keys
 from repro.topology.clos import ClosParams
 
 #: Pipeline stages a spec can request.
@@ -52,11 +53,25 @@ STAGES = (
 #: Stages that need a trained cluster model (and hence a registry).
 MODEL_STAGES = ("train", "hybrid", "pdes-hybrid", "cascade", "evaluate", "validate")
 
-#: Sweep axes and where each one applies.
-EXPERIMENT_AXES = ("load", "seed", "duration_s", "matrix", "intra_cluster_fraction")
-TOPOLOGY_AXES = ("clusters",)
-MICRO_AXES = ("alpha",)
-SWEEP_AXES = EXPERIMENT_AXES + TOPOLOGY_AXES + MICRO_AXES
+#: Axes that shape the workload; only these seed it.
+EXPERIMENT_AXES = ("load", "seed", "duration_s", "matrix", "intra_cluster_fraction", "clusters")
+#: Axes of the trained model: every :class:`MicroModelConfig` field but
+#: its width and its ``seed`` (a ``seed`` axis is the experiment's).
+MICRO_AXES = tuple(
+    f.name for f in fields(MicroModelConfig) if f.name not in ("input_size", "seed")
+)
+
+
+def sweep_axes(stages: tuple[str, ...]) -> frozenset[str]:
+    """The axes a spec running ``stages`` may sweep: the experiment axes,
+    ``stage``, the micro axes if every stage trains a model, and the
+    option keys every stage takes (the ``hybrid`` block must suit every
+    stage too)."""
+    allowed = set(EXPERIMENT_AXES) | {"stage"}
+    if all(stage in MODEL_STAGES for stage in stages):
+        allowed.update(MICRO_AXES)
+    allowed.update(frozenset.intersection(*map(stage_option_keys, stages)))
+    return frozenset(allowed)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -134,7 +149,8 @@ def derive_seed(name: str, master_seed: int, axes: dict[str, Any]) -> int:
 
     Depends only on (spec name, master seed, axis assignment) — not on
     the run's position in the expansion — so inserting a sweep value
-    does not reseed the existing points.
+    does not reseed the existing points.  :meth:`ScenarioSpec.expand`
+    passes only the run's :data:`EXPERIMENT_AXES`.
     """
     payload = json.dumps(
         {"axes": axes, "name": name, "seed": master_seed},
@@ -177,16 +193,17 @@ class ScenarioSpec:
     name:
         Sweep identity; run ids are ``<name>-<index:04d>``.
     stage:
-        Which pipeline stage each run executes.
+        Which pipeline stage each run executes (``"simulate"`` when
+        unset), or ``None`` when a ``stage`` axis picks it per run.
     experiment:
         Base evaluation-run configuration (seed here is the *master*
         seed from which per-run seeds are derived).
     training:
         Training-run configuration for model stages (defaults to the
-        paper's two-cluster setup).  Constant across the sweep unless
-        an axis explicitly targets it (``alpha``).
+        paper's two-cluster setup).  Constant across the sweep.
     micro:
-        Micro-model architecture/training hyper-parameters.
+        Micro-model architecture/training hyper-parameters; a micro
+        axis replaces one field per run.
     hybrid:
         The stage's options: fields of
         :class:`~repro.core.hybrid.HybridConfig` (``hybrid``; plus
@@ -200,7 +217,7 @@ class ScenarioSpec:
     sweep:
         Axis name -> list of values; runs are the Cartesian product,
         expanded with axes in sorted-name order and values in the
-        given order.
+        given order; :func:`sweep_axes` names the axes.
     inject:
         Test hooks keyed by run index (as int): ``fail_attempts`` makes
         the worker raise on the first N attempts; ``hang_s`` makes it
@@ -208,7 +225,7 @@ class ScenarioSpec:
     """
 
     name: str
-    stage: str = "simulate"
+    stage: Optional[str] = None
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     training: Optional[ExperimentConfig] = None
     micro: Optional[MicroModelConfig] = None
@@ -222,27 +239,36 @@ class ScenarioSpec:
                 f"spec name {self.name!r} must match {_NAME_RE.pattern} "
                 "(it becomes a directory prefix)"
             )
-        if self.stage not in STAGES:
-            raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
-        for axis, values in self.sweep.items():
-            if axis not in SWEEP_AXES:
+        if "stage" in self.sweep:
+            if self.stage is not None:
                 raise ValueError(
-                    f"unknown sweep axis {axis!r}; allowed: {sorted(SWEEP_AXES)}"
+                    "'stage' given both at top level and as a sweep axis; pick one"
                 )
+        elif self.stage is None:
+            self.stage = "simulate"
+        for axis, values in self.sweep.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"sweep axis {axis!r} needs a non-empty list of values")
-        if "alpha" in self.sweep and self.stage not in MODEL_STAGES:
+        for stage in self.stages:
+            if stage not in STAGES:
+                raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
+        allowed = sweep_axes(self.stages)
+        for axis in sorted(set(self.sweep) - allowed):
             raise ValueError(
-                f"sweep axis 'alpha' requires a model stage {MODEL_STAGES}"
+                f"unknown sweep axis {axis!r} for stage(s) {list(self.stages)}; "
+                f"allowed: {sorted(allowed)} (micro-model axes need a model stage)"
             )
-        if self.stage in MODEL_STAGES:
+        if any(stage in MODEL_STAGES for stage in self.stages):
             if self.training is None:
                 self.training = ExperimentConfig(
                     clos=ClosParams(clusters=2), seed=self.experiment.seed
                 )
             if self.micro is None:
                 self.micro = MicroModelConfig()
-        stage_configs(self.stage, self.hybrid)
+        # Every cell's configs are built here, so a bad value fails at
+        # load, not in a worker.
+        for request in self.expand():
+            stage_configs(request.stage, request.hybrid)
         for index, hooks in self.inject.items():
             unknown = set(hooks) - _INJECT_KEYS
             if unknown:
@@ -250,6 +276,11 @@ class ScenarioSpec:
                     f"inject[{index}]: unknown hooks {sorted(unknown)}; "
                     f"allowed: {sorted(_INJECT_KEYS)}"
                 )
+
+    @property
+    def stages(self) -> tuple[str, ...]:
+        """The stages this spec's runs execute, in sweep order."""
+        return tuple(self.sweep["stage"]) if "stage" in self.sweep else (self.stage,)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -303,7 +334,7 @@ class ScenarioSpec:
         inject = {int(k): dict(v) for k, v in raw.get("inject", {}).items()}
         return cls(
             name=name,
-            stage=raw.get("stage", "simulate"),
+            stage=raw.get("stage"),
             experiment=experiment,
             training=training,
             micro=micro,
@@ -317,10 +348,11 @@ class ScenarioSpec:
         :meth:`from_dict` reads it back as an equal spec."""
         out: dict[str, Any] = {
             "name": self.name,
-            "stage": self.stage,
             "experiment": _experiment_to_dict(self.experiment),
             "sweep": {k: list(v) for k, v in self.sweep.items()},
         }
+        if self.stage is not None:
+            out["stage"] = self.stage
         if self.training is not None:
             out["training"] = _experiment_to_dict(self.training)
         if self.micro is not None:
@@ -335,47 +367,43 @@ class ScenarioSpec:
     def expand(self) -> list[RunRequest]:
         """The deterministic run list (sorted axes, given value order)."""
         axes = sorted(self.sweep)
-        points: list[dict[str, Any]]
-        if axes:
-            points = [
-                dict(zip(axes, combo))
-                for combo in itertools.product(*(self.sweep[axis] for axis in axes))
-            ]
-        else:
-            points = [{}]
+        points = [
+            dict(zip(axes, combo))
+            for combo in itertools.product(*(self.sweep[axis] for axis in axes))
+        ]
         requests: list[RunRequest] = []
         for index, assignment in enumerate(points):
-            experiment = self.experiment
-            micro = self.micro
-            exp_updates = {
-                axis: value
-                for axis, value in assignment.items()
-                if axis in EXPERIMENT_AXES
+            workload = {a: v for a, v in assignment.items() if a in EXPERIMENT_AXES}
+            model = {a: v for a, v in assignment.items() if a in MICRO_AXES}
+            options = {
+                a: v for a, v in assignment.items()
+                if a not in workload and a not in model and a != "stage"
             }
-            if "clusters" in assignment:
+            experiment = self.experiment
+            if "clusters" in workload:
                 experiment = replace(
-                    experiment, clos=replace(experiment.clos, clusters=assignment["clusters"])
+                    experiment, clos=replace(experiment.clos, clusters=workload["clusters"])
                 )
-            master_seed = int(exp_updates.get("seed", experiment.seed))
-            derived = derive_seed(self.name, master_seed, assignment)
-            exp_updates["seed"] = derived
-            experiment = replace(experiment, **exp_updates)
-            if "alpha" in assignment:
-                assert micro is not None  # enforced in __post_init__
-                micro = replace(micro, alpha=assignment["alpha"])
+            master_seed = int(workload.get("seed", experiment.seed))
+            derived = derive_seed(self.name, master_seed, workload)
+            experiment = replace(
+                experiment,
+                **{a: v for a, v in workload.items() if a not in ("clusters", "seed")},
+                seed=derived,
+            )
             requests.append(
                 RunRequest(
                     run_id=f"{self.name}-{index:04d}",
                     index=index,
                     spec_name=self.name,
-                    stage=self.stage,
+                    stage=assignment.get("stage", self.stage),
                     axes=assignment,
                     seed_master=master_seed,
                     seed_derived=derived,
                     experiment=experiment,
                     training=self.training,
-                    micro=micro,
-                    hybrid=dict(self.hybrid),
+                    micro=replace(self.micro, **model) if model else self.micro,
+                    hybrid={**self.hybrid, **options},
                     inject=dict(self.inject.get(index, {})),
                 )
             )

@@ -135,12 +135,19 @@ class TestTrainAndHybrid:
         assert code == 2
         assert "cannot load" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", sorted(BAD_BUNDLES))
-    def test_hybrid_bad_model_exits_2(self, kind, tmp_path, capsys, trained_bundle):
-        """A corrupt or wrong-width bundle is refused before the run."""
+    @pytest.mark.parametrize("command,kind", [
+        pytest.param(command, kind, id=f"{prefix}{kind}")
+        for prefix, command in (
+            ("", ["hybrid"]), ("pdes-", ["pdes", "--hybrid", "--workers", "2"]),
+        )
+        for kind in sorted(BAD_BUNDLES)
+    ])
+    def test_hybrid_bad_model_exits_2(self, command, kind, tmp_path, capsys, trained_bundle):
+        """A corrupt or wrong-width bundle is refused before the run,
+        and before a sharded run forks its workers."""
         message = BAD_BUNDLES[kind](trained_bundle, tmp_path / kind)
         code = main([
-            "hybrid", "--model", str(tmp_path / kind),
+            *command, "--model", str(tmp_path / kind),
             "--clusters", "4", "--duration", "1e-4",
         ])
         assert code == 2

@@ -51,9 +51,9 @@ class TestParallel:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_matches_single_thread_flow_completions(self, leafspine, workers):
         flows = _small_workload(leafspine, duration=0.002, load=0.15)
-        single = run_single_threaded(leafspine, flows, duration_s=0.5)
+        single = run_single_threaded(leafspine, flows, duration_s=0.02)
         parallel = run_parallel_simulation(
-            leafspine, flows, PdesConfig(workers=workers, duration_s=0.5)
+            leafspine, flows, PdesConfig(workers=workers, duration_s=0.02)
         )
         assert parallel.flows_completed == single.flows_completed == len(flows)
 
@@ -68,7 +68,7 @@ class TestParallel:
     def test_one_worker_degenerate_case(self, leafspine):
         flows = _small_workload(leafspine, duration=0.001, load=0.1)
         result = run_parallel_simulation(
-            leafspine, flows, PdesConfig(workers=1, duration_s=0.3)
+            leafspine, flows, PdesConfig(workers=1, duration_s=0.02)
         )
         assert result.flows_completed == len(flows)
         assert result.pdes["messages"] == 0
@@ -76,7 +76,7 @@ class TestParallel:
     def test_rtt_and_fct_stats_collected(self, leafspine):
         flows = _small_workload(leafspine, duration=0.003)
         result = run_parallel_simulation(
-            leafspine, flows, PdesConfig(workers=2, duration_s=0.5)
+            leafspine, flows, PdesConfig(workers=2, duration_s=0.02)
         )
         assert len(result.fcts) == result.flows_completed
         assert all(f > 0 for f in result.fcts)

@@ -29,7 +29,7 @@ def world():
 
 def test_parallel_run_reproducible(world):
     topo, flows = world
-    config = PdesConfig(workers=2, duration_s=0.3, seed=131)
+    config = PdesConfig(workers=2, duration_s=0.02, seed=131)
     first = run_parallel_simulation(topo, flows, config)
     second = run_parallel_simulation(topo, flows, config)
     assert first.flows_completed == second.flows_completed
@@ -46,9 +46,9 @@ def test_parallel_matches_single_thread_outcomes(world):
     from repro.pdes.engine import run_single_threaded
 
     topo, flows = world
-    single = run_single_threaded(topo, flows, duration_s=0.3, seed=131)
+    single = run_single_threaded(topo, flows, duration_s=0.02, seed=131)
     parallel = run_parallel_simulation(
-        topo, flows, PdesConfig(workers=2, duration_s=0.3, seed=131)
+        topo, flows, PdesConfig(workers=2, duration_s=0.02, seed=131)
     )
     assert single.flows_completed == parallel.flows_completed == len(flows)
     for a, b in zip(sorted(single.fcts), sorted(parallel.fcts)):

@@ -36,13 +36,19 @@ def test_isolated_host_ends_in_failed_manifest(tmp_path):
     assert details["failed_links"] == [["server-c0-t0-s0", "tor-c0-0"]]
 
 
-@pytest.mark.parametrize("kind", sorted(BAD_BUNDLES))
-def test_bad_model_bundle_ends_in_failed_manifest(kind, tmp_path, trained_bundle):
+@pytest.mark.parametrize("stage,kind", [
+    pytest.param(stage, kind, id=f"{prefix}{kind}")
+    for prefix, stage in (("", "hybrid"), ("pdes-", "pdes-hybrid"))
+    for kind in sorted(BAD_BUNDLES)
+])
+def test_bad_model_bundle_ends_in_failed_manifest(stage, kind, tmp_path, trained_bundle):
     """A corrupt or wrong-width bundle in the registry fails the run at
-    load or world build, with a message naming what is wrong."""
+    load or world build, with a message naming what is wrong; the
+    sharded stage reads a registry bundle's width from its
+    ``bundle.json`` before it forks a worker."""
     spec = ScenarioSpec.from_dict({
         "name": f"bad-bundle-{kind}",
-        "stage": "hybrid",
+        "stage": stage,
         "experiment": {"clusters": 2, "load": 0.25, "duration_s": 1e-4, "seed": 0},
         "training": {"clusters": 2, "load": 0.25, "duration_s": 0.004, "seed": 7},
     })

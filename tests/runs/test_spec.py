@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.runs import ScenarioSpec, derive_seed, load_spec
+from repro.runs.executor import stage_configs
 from repro.runs.spec import MODEL_STAGES
 
 
@@ -66,6 +67,60 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown sweep axis"):
             ScenarioSpec.from_dict(_spec_dict(sweep={"bananas": [1]}))
 
+    @pytest.mark.parametrize("stage,allowed,refused", [
+        ("simulate", "'seed', 'stage'", "'elide_remote_traffic'"),
+        ("hybrid", "'elide_remote_traffic'", "'region_cluster'"),
+        ("validate", "'region_cluster'", "'workers'"),
+    ])
+    def test_unknown_axis_names_the_stage_axes(self, stage, allowed, refused):
+        """The refusal lists the axes allowed for the spec's stage: the
+        experiment fields, ``stage``, micro fields on a model stage, and
+        that stage's option keys."""
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_dict(_spec_dict(stage=stage, sweep={"bananas": [1]}))
+        message = str(excinfo.value)
+        assert f"for stage(s) ['{stage}']" in message and allowed in message
+        assert refused not in message
+        assert ("'hidden_size'" in message) == (stage in MODEL_STAGES)
+
+    def test_micro_axis_on_simulate_refused(self):
+        with pytest.raises(ValueError, match="'hidden_size'.*need a model stage"):
+            ScenarioSpec.from_dict(_spec_dict(sweep={"hidden_size": [8]}))
+        # Also when only some of a stage axis's stages train a model.
+        with pytest.raises(ValueError, match="'heads'.*need a model stage"):
+            ScenarioSpec.from_dict(_spec_dict(
+                stage=None, sweep={"stage": ["simulate", "hybrid"], "heads": ["shared"]}
+            ))
+
+    def test_stage_at_top_level_and_as_axis_refused(self):
+        with pytest.raises(ValueError, match="'stage' given both.*pick one"):
+            ScenarioSpec.from_dict(_spec_dict(sweep={"stage": ["simulate", "hybrid"]}))
+
+    def test_hybrid_block_must_suit_every_stage_of_the_axis(self):
+        """``simulate`` takes no options, so beside it the block is empty:
+        a key is refused, naming the stage, not dropped for that cell."""
+        raw = _spec_dict(stage=None, sweep={"stage": ["simulate", "hybrid"]})
+        with pytest.raises(ValueError, match=r"stage 'simulate'.*\['elide_remote_traffic'\]"):
+            ScenarioSpec.from_dict({**raw, "hybrid": {"elide_remote_traffic": True}})
+        with pytest.raises(ValueError, match="unknown sweep axis 'elide_remote_traffic'"):
+            ScenarioSpec.from_dict({
+                **raw, "sweep": {"stage": ["simulate", "hybrid"],
+                                 "elide_remote_traffic": [True]},
+            })
+        with pytest.raises(ValueError, match=r"stage 'hybrid'.*\['region_cluster'\]"):
+            ScenarioSpec.from_dict({
+                **raw, "sweep": {"stage": ["validate", "hybrid"]},
+                "hybrid": {"region_cluster": 1},
+            })
+
+    def test_bad_axis_value_fails_at_load(self):
+        with pytest.raises(ValueError, match="hidden_size"):
+            ScenarioSpec.from_dict(_spec_dict(stage="hybrid", sweep={"hidden_size": [0]}))
+        with pytest.raises(ValueError, match="inference_dtype"):
+            ScenarioSpec.from_dict(
+                _spec_dict(stage="hybrid", sweep={"inference_dtype": ["float16"]})
+            )
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="non-empty list"):
             ScenarioSpec.from_dict(_spec_dict(sweep={"load": []}))
@@ -123,6 +178,69 @@ class TestExpansion:
         assert all(r.micro.alpha == 0.25 for r in runs)
         # The training config is untouched by evaluation-side axes.
         assert all(r.training.clos.clusters == 2 for r in runs)
+
+    def test_micro_and_option_axes_reach_their_configs(self):
+        spec = ScenarioSpec.from_dict(_spec_dict(
+            stage="validate", hybrid={"region_cluster": 1},
+            sweep={"hidden_size": [8, 16], "elide_remote_traffic": [False, True]},
+        ))
+        runs = spec.expand()
+        assert [r.micro.hidden_size for r in runs] == [8, 16, 8, 16]
+        assert [r.hybrid for r in runs] == [
+            {"region_cluster": 1, "elide_remote_traffic": elide}
+            for elide in (False, False, True, True)
+        ]
+        validate = [stage_configs(r.stage, r.hybrid)["validate"] for r in runs]
+        assert [v.hybrid.elide_remote_traffic for v in validate] == [False, False, True, True]
+        assert all(v.region_cluster == 1 for v in validate)
+        # The spec's own micro table is the base every cell changes one field of.
+        assert all(r.micro.num_layers == spec.micro.num_layers for r in runs)
+
+    def test_stage_axis_sets_stage_per_cell(self):
+        spec = ScenarioSpec.from_dict(_spec_dict(
+            stage=None, sweep={"stage": ["simulate", "hybrid"], "clusters": [2, 4]},
+        ))
+        assert spec.stage is None and spec.stages == ("simulate", "hybrid")
+        runs = spec.expand()
+        assert [(r.stage, r.needs_model) for r in runs] == [
+            ("simulate", False), ("hybrid", True), ("simulate", False), ("hybrid", True),
+        ]
+        # One model stage is enough for the training defaults.
+        assert spec.training is not None and spec.micro is not None
+        again = ScenarioSpec.from_dict(spec.to_dict())
+        assert again.expand() == runs and "stage" not in spec.to_dict()
+
+    @pytest.mark.parametrize("stage,sweep", [
+        ("hybrid", {"stage": ["simulate", "hybrid"]}),
+        ("hybrid", {"hidden_size": [8, 16]}),
+        ("hybrid", {"alpha": [0.25, 0.5]}),
+        ("validate", {"elide_remote_traffic": [False, True]}),
+    ], ids=["stage", "micro", "alpha", "option"])
+    def test_non_workload_axes_share_the_seed(self, stage, sweep):
+        """Only experiment axes seed the workload: cells that differ in
+        stage, model or option run the same flows."""
+        raw = _spec_dict(stage=None if "stage" in sweep else stage,
+                         sweep={"clusters": [2, 4], **sweep})
+        runs = ScenarioSpec.from_dict(raw).expand()
+        by_clusters = {}
+        for run in runs:
+            by_clusters.setdefault(run.experiment.clos.clusters, set()).add(run.seed_derived)
+        assert [len(seeds) for seeds in by_clusters.values()] == [1, 1]
+        assert len(set.union(*by_clusters.values())) == 2
+
+    def test_experiment_axis_seeds_are_unchanged(self):
+        """Specs that sweep only experiment axes keep the seeds they
+        were derived with before the stage, micro and option axes."""
+        runs = ScenarioSpec.from_dict(_spec_dict()).expand()
+        assert [r.seed_derived for r in runs] == [
+            456043581, 1144974424, 247378028, 1523631514,
+        ]
+        runs = ScenarioSpec.from_dict(_spec_dict(
+            sweep={"clusters": [2, 4], "matrix": ["uniform", "permutation"]}
+        )).expand()
+        assert [r.seed_derived for r in runs] == [
+            1721065931, 1583187606, 764137101, 899603780,
+        ]
 
     def test_derived_seeds_deterministic(self):
         spec_a = ScenarioSpec.from_dict(_spec_dict())

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cascade import CascadeConfig
 from repro.core.hybrid import HybridConfig
+from repro.core.micro import MicroModelConfig
 from repro.core.pipeline import ExperimentConfig
 from repro.pdes import HybridShardConfig
 from repro.runs import STAGES, ScenarioSpec
@@ -138,6 +139,23 @@ class TestHybridKeys:
 
         assert EXPERIMENT_KEYS == _names(ExperimentConfig) | {"clusters"}
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_sweep_axes_are_the_config_fields(self, stage):
+        """Axes come from the configs: the experiment fields, every
+        micro-model field but its width and seed (on a model stage),
+        the stage's option keys, and ``stage``."""
+        from repro.runs.executor import stage_option_keys
+        from repro.runs.spec import (
+            EXPERIMENT_AXES, EXPERIMENT_KEYS, MICRO_AXES, MODEL_STAGES, sweep_axes,
+        )
+
+        assert set(EXPERIMENT_AXES) <= EXPERIMENT_KEYS
+        assert set(MICRO_AXES) == _names(MicroModelConfig) - {"input_size", "seed"}
+        micro = set(MICRO_AXES) if stage in MODEL_STAGES else set()
+        assert sweep_axes((stage,)) == (
+            set(EXPERIMENT_AXES) | micro | stage_option_keys(stage) | {"stage"}
+        )
+
 
 #: One spec per stage, each exercising what its stage carries.
 ROUND_TRIP = {
@@ -154,7 +172,7 @@ ROUND_TRIP = {
     "hybrid": {
         "experiment": {"clusters": 2, "duration_s": 0.002, "seed": 9},
         "hybrid": {"batch_window_s": 1e-6, "memoize_inference": True, "trace": True},
-        "sweep": {"clusters": [2, 4]},
+        "sweep": {"clusters": [2, 4], "hidden_size": [4, 8]},
     },
     "pdes-hybrid": {
         "hybrid": {"workers": 2, "trace": True, "elide_remote_traffic": False},
@@ -170,7 +188,10 @@ ROUND_TRIP = {
         "hybrid": {"epoch_s": 0.001, "budget": {"ks": 0.2}, "pin_tiers": {"2": "hybrid"}},
     },
     "evaluate": {"sweep": {"alpha": [0.1, 1.0]}},
-    "validate": {"routing": "adaptive", "hybrid": {"region_cluster": 1}},
+    "validate": {
+        "routing": "adaptive", "hybrid": {"region_cluster": 1},
+        "sweep": {"elide_remote_traffic": [False, True]},
+    },
 }
 
 
