@@ -104,9 +104,7 @@ class FlowsimToHybridAdapter(TierAdapter):
             size = max(int(math.ceil(remaining_bytes)), 1)
             # Reuse the port reserved at diversion time so the packet
             # flow hashes onto the path the fluid tier charged.
-            ctx.launch_carried_flow(
-                spec.src, spec.dst, size, src_port=spec.src_port or None
-            )
+            ctx.launch_carried_flow(spec.src, spec.dst, size, src_port=spec.src_port)
         return Handoff(
             region=region,
             from_tier=self.from_tier,

@@ -32,6 +32,7 @@ import argparse
 import datetime
 import json
 import sys
+import time
 from dataclasses import fields
 from typing import Any, Optional, Sequence
 
@@ -466,19 +467,18 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
 
 
 def _generated_workload(config: ExperimentConfig):
-    """``(topology, flows)``: the experiment as a pre-drawn flow list."""
-    from repro.flowsim.workload import generate_workload
+    """``(topology, flows)``: the experiment as a pre-drawn flow list —
+    the flows and ports ``repro simulate`` launches."""
+    from repro.core.hybrid import HybridConfig
+    from repro.pdes import extract_flow_schedule
 
     topology = build_clos(config.clos)
-    flows = generate_workload(
-        topology, duration_s=config.duration_s, load=config.load,
-        sizes=config.sizes(), seed=config.seed,
-    )
-    return topology, flows
+    kept = HybridConfig(elide_remote_traffic=False)
+    return topology, extract_flow_schedule(topology, config, kept)
 
 
 def _cmd_flowsim(args: argparse.Namespace) -> int:
-    from repro.flowsim import FlowLevelSimulator
+    from repro.flowsim import EpochFlowSimulator
     from repro.flowsim.workload import load_workload
 
     config = experiment_from_dict(_experiment_table(args))
@@ -491,14 +491,15 @@ def _cmd_flowsim(args: argparse.Namespace) -> int:
     else:
         topology, flows = _generated_workload(config)
     metrics = _metrics_from_args(args)
-    simulator = FlowLevelSimulator(topology, metrics=metrics)
+    simulator = EpochFlowSimulator(topology, metrics=metrics)
+    started = time.perf_counter()
     try:
         results = simulator.run(flows)
     except ValueError as error:
         raise ValueError(f"invalid workload: {error}") from None
     rows = [
         ["flows simulated", len(results)],
-        ["wall-clock (s)", simulator.wallclock_elapsed],
+        ["wall-clock (s)", time.perf_counter() - started],
         ["rate recomputes", simulator.rate_recomputations],
         ["bytes transferred", sum(r.spec.size_bytes for r in results)],
     ]

@@ -15,6 +15,22 @@ compares past it — and that pop order does not depend on the heap's
 layout, so once blank entries outnumber live ones :meth:`cancel` drops
 them and re-heapifies in place without changing what runs when.
 
+A PDES worker needs one more thing: a packet from another worker is
+scheduled at a window barrier, so its seq is later than the one it had
+in one process, and a tie it meets runs in another order.
+:meth:`Simulator.order_ties_by_cause` makes the seq slot
+``(cause, seq)``, where an event's *cause* is ``(time, priority,
+cause)`` of the event that scheduled it (``()`` for one scheduled
+before the run), so ties compare their parents, then grandparents, and
+so on.  In one process this order *is* the seq order (an event scheduled
+earlier was scheduled by an event that ran earlier), so it changes
+nothing there — provided no event schedules one for its own instant at
+a lower priority value than its own, which would run after its parent
+yet sort before it.  A message carries a detached copy of its cause
+(:meth:`Simulator.running_cause`), so across workers the one-process
+order holds wherever two tied events' ancestries differ within the
+generations it carries.
+
 Determinism matters for this reproduction in two ways.  First, the
 paper's training pipeline (Section 4) records packet traces from a full
 simulation and replays the same workload against the hybrid simulator;
@@ -44,6 +60,13 @@ COMPACT_FLOOR = 64
 _INF = math.inf
 
 
+def _detach(cause: tuple, generations: int) -> tuple:
+    """``cause`` cut to its first ``generations`` levels."""
+    if not cause or generations == 0:
+        return ()
+    return (cause[0], cause[1], _detach(cause[2], generations - 1))
+
+
 class Simulator:
     """The DES event loop.
 
@@ -69,6 +92,9 @@ class Simulator:
         self.rng = RandomStreams(seed)
         self._heap: list[list] = []
         self._dead = 0  # cancelled entries still in the heap
+        # Tie order by cause (order_ties_by_cause): the cause events
+        # scheduled now receive; None when off.
+        self._cause: Optional[tuple] = None
         self._running = False
         self._stopped = False
         # Event accounting (used by ablation A1 and the Figure 5 bench).
@@ -113,14 +139,25 @@ class Simulator:
             )
         seq = self.events_scheduled
         self.events_scheduled = seq + 1
-        entry = [self.now + delay, priority, seq, fn, args]
+        cause = self._cause
+        key = seq if cause is None else (cause, seq)
+        entry = [self.now + delay, priority, key, fn, args]
         heappush(self._heap, entry)
         return entry
 
     def schedule_at(
-        self, time: float, fn: Callable[..., None], *args, priority: int = DEFAULT_PRIORITY
+        self,
+        time: float,
+        fn: Callable[..., None],
+        *args,
+        priority: int = DEFAULT_PRIORITY,
+        cause: Optional[tuple] = None,
     ) -> list:
-        """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
+        """Schedule ``fn(*args)`` at absolute simulated time ``time``.
+
+        ``cause`` overrides the cause the event would get from the
+        running one (a PDES message's, see :meth:`running_cause`).
+        """
         if not self.now <= time < _INF:
             self._reject(
                 f"event time must be finite, got {time!r}"
@@ -129,7 +166,9 @@ class Simulator:
             )
         seq = self.events_scheduled
         self.events_scheduled = seq + 1
-        entry = [time, priority, seq, fn, args]
+        if cause is None:
+            cause = self._cause
+        entry = [time, priority, seq if cause is None else (cause, seq), fn, args]
         heappush(self._heap, entry)
         return entry
 
@@ -137,6 +176,26 @@ class Simulator:
         if self.on_scheduling_error is not None:
             self.on_scheduling_error(message)
         raise SchedulingError(message)
+
+    def order_ties_by_cause(self) -> None:
+        """Order same-time, same-priority events by their causes, then
+        by seq (module docstring).  Pending events become roots, which
+        precede every event scheduled by a running one."""
+        for entry in self._heap:
+            entry[2] = ((), entry[2])
+        heapify(self._heap)
+        self._cause = ()
+
+    def running_cause(self, generations: int) -> Optional[tuple]:
+        """A picklable copy of the running event's cause, ``generations``
+        deep (``None`` unless ties are ordered by cause).
+
+        What a PDES message sent from a zero-delay hop carries: its
+        delivery then ties as the hop's own event would have.
+        """
+        if self._cause is None:
+            return None
+        return _detach(self._cause[2] if self._cause else (), generations)
 
     def cancel(self, entry: list) -> None:
         """Cancel a pending event (no-op if already executed or cancelled)."""
@@ -177,6 +236,7 @@ class Simulator:
         pop = heappop
         horizon = _INF if until is None else until
         budget = -1 if max_events is None else max(max_events, 0)
+        by_cause = self._cause is not None
         executed = 0
         span = self.metrics.span("des.run") if self.metrics is not None else None
         if span is not None:
@@ -196,6 +256,8 @@ class Simulator:
                 entry[3] = None
                 self.now = time
                 executed += 1
+                if by_cause:
+                    self._cause = (time, entry[1], entry[2][0])
                 fn(*entry[4])
                 if self._stopped:
                     break

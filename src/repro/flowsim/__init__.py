@@ -15,7 +15,6 @@ paper positions itself against.
 from repro.flowsim.epoch import EpochFlowSimulator
 from repro.flowsim.maxmin import max_min_fair_rates
 from repro.flowsim.simulator import (
-    FlowLevelSimulator,
     FlowResult,
     FlowSpec,
     validate_flow_spec,
@@ -24,7 +23,6 @@ from repro.flowsim.simulator import (
 
 __all__ = [
     "EpochFlowSimulator",
-    "FlowLevelSimulator",
     "FlowResult",
     "FlowSpec",
     "max_min_fair_rates",

@@ -1,13 +1,14 @@
-"""Epoch-steppable fluid engine for the cascade's lowest tier.
+"""The max-min fluid engine: a whole workload, or the cascade's lowest tier.
 
-:class:`EpochFlowSimulator` is the online form of
-:class:`~repro.flowsim.simulator.FlowLevelSimulator`: instead of
-consuming a complete workload in one ``run()`` call, flows are
-``admit()``-ed as the enclosing DES generates them and the fluid state
-is advanced to the DES clock with ``step_to()`` at every cascade epoch
-boundary.  Completions are surfaced through the ``on_completion``
-callback as they are discovered, so the cascade's sliding fidelity
-windows see fluid FCTs with the same online discipline as packet FCTs.
+:class:`EpochFlowSimulator` runs a complete workload in one ``run()``
+call (the flow-level baseline), or online: flows are ``admit()``-ed as
+the enclosing DES generates them and the fluid state is advanced to the
+DES clock with ``step_to()`` at every cascade epoch boundary.  ``run()``
+is the online drive fed the whole workload, so batch and online runs of
+the same flows are event-identical by construction.  Completions are
+surfaced through the ``on_completion`` callback as they are discovered,
+so the cascade's sliding fidelity windows see fluid FCTs with the same
+online discipline as packet FCTs.
 
 ``extract()`` is the tier-handoff primitive: it removes the in-flight
 flows a promotion decision reassigns to the packet world and reports
@@ -23,7 +24,7 @@ given.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.flowsim.maxmin import max_min_fair_rates
 from repro.flowsim.simulator import (
@@ -31,6 +32,7 @@ from repro.flowsim.simulator import (
     FlowSpec,
     _ActiveFlow,
     validate_flow_spec,
+    validate_flow_specs,
 )
 from repro.topology.graph import Topology
 from repro.topology.routing import EcmpRouting, ecmp_hash, name_key
@@ -50,9 +52,6 @@ class EpochFlowSimulator:
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; publishes
         ``flowsim.flows_completed`` and ``flowsim.rate_recomputes``.
-    validate:
-        Validate every admitted spec (default).  Off for callers that
-        already validated (``FlowLevelSimulator.run`` batch mode).
     """
 
     def __init__(
@@ -60,11 +59,9 @@ class EpochFlowSimulator:
         topology: Topology,
         routing: Optional[EcmpRouting] = None,
         metrics=None,
-        validate: bool = True,
     ) -> None:
         self.topology = topology
         self.routing = routing or EcmpRouting(topology)
-        self._validate = validate
         self._capacities: dict[tuple[str, str], float] = {}
         for link in topology.links:
             self._capacities[(link.a, link.b)] = link.rate_bps
@@ -101,30 +98,42 @@ class EpochFlowSimulator:
         """Directed links on the flow's policy-chosen path.
 
         The hash basis is the packet tier's ``Packet.flow_hash()``:
-        (src, dst, src_port, dst_port).  Specs that carry their real
-        port pair (tier handoffs do) therefore charge exactly the links
-        the packet flow will traverse after a flowsim→hybrid handoff.
-        Legacy specs without ports fall back to a synthetic
-        ``10_000 + flow_id`` source port — deterministic, but only
-        coincidentally aligned with :meth:`Host.allocate_port`.
+        (src, dst, src_port, dst_port), so a spec charges exactly the
+        links its packet flow traverses (and, after a flowsim→hybrid
+        handoff, will traverse).
         """
-        src_port = spec.src_port if spec.src_port else 10_000 + spec.flow_id
         flow_hash = ecmp_hash(
-            name_key(spec.src), name_key(spec.dst), src_port, spec.dst_port
+            name_key(spec.src), name_key(spec.dst), spec.src_port, spec.dst_port
         )
         path = self.routing.path(spec.src, spec.dst, flow_hash)
         return list(zip(path[:-1], path[1:]))
 
     # ------------------------------------------------------------------
-    def admit(self, spec: FlowSpec) -> None:
+    def run(self, flows: Sequence[FlowSpec]) -> list[FlowResult]:
+        """Simulate a whole workload to completion; results by flow id.
+
+        The workload is validated up front (unique ids and source
+        ports, positive sizes, non-negative start times, routable
+        server endpoints) — ``ValueError`` names the offending flow and
+        field.  Flows are then admitted in start order and drained.
+        """
+        validate_flow_specs(flows, self.topology, self.routing)
+        results: list[FlowResult] = []
+        for spec in sorted(flows, key=lambda f: (f.start_time, f.flow_id)):
+            results += self.admit(spec)
+        results += self.run_to_completion()
+        return sorted(results, key=lambda r: r.spec.flow_id)
+
+    def admit(self, spec: FlowSpec) -> list[FlowResult]:
         """Add a flow; fluid time first advances to its start time.
 
         Admissions must be non-decreasing in ``start_time`` relative to
         the engine clock (the DES generates arrivals in order), and
         flow ids must be unique among flows ever admitted live.
+        Returns the completions drained by that advance (see
+        :meth:`step_to`).
         """
-        if self._validate:
-            validate_flow_spec(spec, self.topology)
+        validate_flow_spec(spec, self.topology)
         if spec.flow_id in self._active:
             raise ValueError(f"duplicate flow id {spec.flow_id} admitted")
         if spec.start_time < self.now:
@@ -132,16 +141,12 @@ class EpochFlowSimulator:
                 f"flow {spec.flow_id} starts at {spec.start_time} but fluid "
                 f"time is already {self.now}; admissions must be in order"
             )
-        self.step_to(spec.start_time)
-        flow = _ActiveFlow(spec, self._flow_links(spec))
-        if spec.size_bytes <= 0:
-            # Reachable only with validate=False; refuse the silent
-            # zero-duration completion either way.
-            raise ValueError(f"flow {spec.flow_id} has non-positive size")
-        self._active[spec.flow_id] = flow
+        drained = self.step_to(spec.start_time)
+        self._active[spec.flow_id] = _ActiveFlow(spec, self._flow_links(spec))
         self.flows_admitted += 1
         self.bytes_admitted += spec.size_bytes
         self._rates_dirty = True
+        return drained
 
     def resume(self, spec: FlowSpec, remaining_bytes: float) -> None:
         """Admit a flow mid-transfer (demotion handoff): only
@@ -155,9 +160,9 @@ class EpochFlowSimulator:
         """Advance fluid time to ``t``, draining completions on the way.
 
         Completions strictly before ``t`` are emitted (ties with an
-        arrival at exactly ``t`` resolve arrival-first, matching the
-        batch simulator's event order).  Returns the completions in
-        occurrence order; each is also passed to ``on_completion``.
+        arrival at exactly ``t`` resolve arrival-first).  Returns the
+        completions in occurrence order; each is also passed to
+        ``on_completion``.
         """
         if t < self.now:
             raise ValueError(f"cannot step backwards: {t} < now={self.now}")

@@ -1,11 +1,12 @@
-"""Event-driven fluid flow-level simulator.
+"""Flow specs, results and workload validation of the fluid simulator.
 
 Events are flow arrivals and flow completions only — no packets, no
 queues, no TCP.  Between consecutive events every active flow drains at
 its max-min fair rate; rates are recomputed whenever the active set
-changes.  Complexity is O(events x links), orders of magnitude below
-packet DES — and correspondingly blind to queuing delay, drops, and
-burst effects, which is the trade the paper criticizes.
+changes (:class:`~repro.flowsim.epoch.EpochFlowSimulator`).  Complexity
+is O(events x links), orders of magnitude below packet DES — and
+correspondingly blind to queuing delay, drops, and burst effects, which
+is the trade the paper criticizes.
 
 Flows follow the same ECMP-hash-selected path the packet simulator
 would pick, so the two simulators are directly comparable per flow.
@@ -14,9 +15,8 @@ would pick, so the two simulators are directly comparable per flow.
 from __future__ import annotations
 
 import math
-import time as _wallclock
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.topology.graph import NodeRole, Topology
 from repro.topology.routing import EcmpRouting
@@ -26,11 +26,9 @@ from repro.topology.routing import EcmpRouting
 class FlowSpec:
     """One flow to simulate: endpoints, size, arrival time, and ports.
 
-    ``src_port``/``dst_port`` carry the flow's real transport ports so
-    the fluid tier hashes onto the *same* path the packet tier would
-    take after a handoff.  ``src_port=0`` (legacy specs) falls back to
-    the synthetic ``10_000 + flow_id`` port, which only matches the
-    per-host counter by accident — tier handoffs must populate it.
+    ``src_port``/``dst_port`` carry the flow's real transport ports —
+    the source port is the one its host allocates — so every engine
+    hashes the flow onto the *same* ECMP path.
     """
 
     flow_id: int
@@ -38,7 +36,7 @@ class FlowSpec:
     dst: str
     size_bytes: int
     start_time: float
-    src_port: int = 0
+    src_port: int
     dst_port: int = 80
 
 
@@ -102,14 +100,29 @@ def validate_flow_spec(
             ) from error
 
 
+def check_flow_identities(flows: Sequence[FlowSpec]) -> None:
+    """Refuse duplicate flow ids and two flows that share a
+    (src, src_port) pair: the second would cross-wire TCP demux."""
+    if len({f.flow_id for f in flows}) != len(flows):
+        raise ValueError("duplicate flow ids in workload")
+    owner: dict[tuple[str, int], int] = {}
+    for spec in flows:
+        first = owner.setdefault((spec.src, spec.src_port), spec.flow_id)
+        if first != spec.flow_id:
+            raise ValueError(
+                f"flows {first} and {spec.flow_id} share source port "
+                f"{spec.src}:{spec.src_port}"
+            )
+
+
 def validate_flow_specs(
-    flows: list[FlowSpec],
+    flows: Sequence[FlowSpec],
     topology: Topology,
     routing: Optional[EcmpRouting] = None,
 ) -> None:
-    """Validate a whole workload: per-flow checks plus unique ids."""
-    if len({f.flow_id for f in flows}) != len(flows):
-        raise ValueError("duplicate flow ids in workload")
+    """Validate a whole workload: per-flow checks plus unique ids and
+    source ports."""
+    check_flow_identities(flows)
     for spec in flows:
         validate_flow_spec(spec, topology, routing)
 
@@ -124,58 +137,3 @@ class _ActiveFlow:
         self.remaining_bits = spec.size_bytes * 8.0
         self.rate = 0.0
         self.links = links
-
-
-class FlowLevelSimulator:
-    """Max-min fluid simulation over a topology.
-
-    Parameters
-    ----------
-    topology:
-        The network; per-direction link capacities come from it.
-    routing:
-        ECMP tables (computed if omitted).
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`; runs publish
-        ``flowsim.flows_completed`` and ``flowsim.rate_recomputes``.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        routing: Optional[EcmpRouting] = None,
-        metrics=None,
-    ) -> None:
-        self.topology = topology
-        self.routing = routing or EcmpRouting(topology)
-        self.metrics = metrics
-        self.wallclock_elapsed = 0.0
-        self.rate_recomputations = 0
-
-    def run(self, flows: list[FlowSpec]) -> list[FlowResult]:
-        """Simulate all flows to completion; returns results by flow.
-
-        The whole workload is validated up front (unique ids, positive
-        sizes, non-negative start times, routable server endpoints) —
-        ``ValueError`` names the offending flow and field.
-
-        Implemented as a batch drive of the epoch-steppable engine
-        (:class:`~repro.flowsim.epoch.EpochFlowSimulator`), so batch
-        and online runs of the same workload are event-identical by
-        construction.
-        """
-        from repro.flowsim.epoch import EpochFlowSimulator
-
-        started = _wallclock.perf_counter()
-        validate_flow_specs(flows, self.topology, self.routing)
-        engine = EpochFlowSimulator(
-            self.topology, self.routing, metrics=self.metrics, validate=False
-        )
-        results: list[FlowResult] = []
-        engine.on_completion = results.append
-        for spec in sorted(flows, key=lambda f: (f.start_time, f.flow_id)):
-            engine.admit(spec)
-        engine.run_to_completion()
-        self.rate_recomputations += engine.rate_recomputations
-        self.wallclock_elapsed += _wallclock.perf_counter() - started
-        return sorted(results, key=lambda r: r.spec.flow_id)

@@ -1,9 +1,14 @@
-"""Workload pre-generation shared by flow-level, PDES, and packet runs.
+"""Pre-drawn workloads: a seeded flow schedule, and workload files.
 
 The PDES engine needs the complete flow schedule up front (flows span
 partitions and processes), and fair cross-simulator comparisons need
-all simulators to see the *identical* workload.  This module samples a
-deterministic flow list once, which any engine can then consume.
+all simulators to see the *identical* workload.
+:func:`generate_workload` draws that schedule from the live
+:class:`~repro.traffic.apps.TrafficGenerator`
+(:func:`~repro.traffic.apps.draw_flow_schedule`), so every flow, and
+the source port its host gives it, is the one a packet-level run with
+the same seed launches.  A saved workload file pins the schedule
+exactly, ports included.
 """
 
 from __future__ import annotations
@@ -11,11 +16,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-from repro.des.rng import RandomStreams
-from repro.flowsim.simulator import FlowSpec
+from repro.flowsim.simulator import FlowSpec, check_flow_identities
+from repro.net.host import host_port_counters
 from repro.topology.graph import Topology
+from repro.traffic.apps import TrafficGenerator, draw_flow_schedule
 from repro.traffic.arrivals import PoissonArrivals, arrival_rate_for_load
 from repro.traffic.distributions import EmpiricalSizeDistribution
 from repro.traffic.matrix import TrafficMatrix, UniformMatrix
@@ -30,38 +34,30 @@ def generate_workload(
     link_rate_bps: float = 10e9,
     matrix: TrafficMatrix | None = None,
 ) -> list[FlowSpec]:
-    """Sample a complete flow schedule.
-
-    Uses the same named RNG streams as the live
-    :class:`~repro.traffic.apps.TrafficGenerator` so a pre-generated
-    schedule and a live generator with the same seed describe the same
-    stochastic workload family (not packet-for-packet identical — the
-    live generator interleaves draws with simulation — but identically
-    distributed and internally deterministic).
-    """
+    """The flows a live :class:`TrafficGenerator` with this seed, load,
+    size distribution and matrix (default uniform) launches in
+    ``duration_s``, each with its host-allocated source port."""
     if duration_s <= 0:
         raise ValueError(f"duration_s must be positive, got {duration_s}")
-    streams = RandomStreams(seed)
-    arrival_rng = streams.stream("traffic.arrivals")
-    pair_rng = streams.stream("traffic.pairs")
-    size_rng = streams.stream("traffic.sizes")
-    matrix = matrix or UniformMatrix(topology)
-    num_servers = len(topology.servers())
-    rate = arrival_rate_for_load(load, num_servers, link_rate_bps, sizes.mean())
-    arrivals = PoissonArrivals(rate)
-
-    flows: list[FlowSpec] = []
-    for flow_id, start in enumerate(arrivals.arrival_times(arrival_rng, duration_s)):
-        src, dst = matrix.sample_pair(pair_rng)
-        size = max(int(sizes.sample(size_rng)), 1)
-        flows.append(
-            FlowSpec(flow_id=flow_id, src=src, dst=dst, size_bytes=size, start_time=start)
-        )
-    return flows
+    rate = arrival_rate_for_load(
+        load, len(topology.servers()), link_rate_bps, sizes.mean()
+    )
+    return draw_flow_schedule(
+        topology,
+        seed,
+        duration_s,
+        lambda sim, network: TrafficGenerator(
+            sim,
+            network,
+            matrix=matrix or UniformMatrix(topology),
+            sizes=sizes,
+            arrivals=PoissonArrivals(rate),
+        ),
+    )
 
 
 def save_workload(flows: list[FlowSpec], path: str | Path) -> None:
-    """Persist a flow schedule as JSON.
+    """Persist a flow schedule, ports included, as JSON.
 
     A saved schedule pins an experiment's workload exactly — across
     simulators, machines, and future versions of the samplers — which
@@ -74,6 +70,8 @@ def save_workload(flows: list[FlowSpec], path: str | Path) -> None:
             "dst": f.dst,
             "size_bytes": f.size_bytes,
             "start_time": f.start_time,
+            "src_port": f.src_port,
+            "dst_port": f.dst_port,
         }
         for f in flows
     ]
@@ -81,10 +79,21 @@ def save_workload(flows: list[FlowSpec], path: str | Path) -> None:
 
 
 def load_workload(path: str | Path) -> list[FlowSpec]:
-    """Inverse of :func:`save_workload`; validates flow-id uniqueness."""
+    """Inverse of :func:`save_workload`.
+
+    A row without a ``src_port`` gets the port its source host would
+    allocate, numbered per host in file order.  Duplicate flow ids and
+    shared (src, src_port) pairs are refused.
+    """
     rows = json.loads(Path(path).read_text())
-    flows = [FlowSpec(**row) for row in rows]
-    ids = [f.flow_id for f in flows]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"workload file {path} contains duplicate flow ids")
+    ports = host_port_counters()
+    flows = [
+        FlowSpec(**row) if "src_port" in row
+        else FlowSpec(**row, src_port=next(ports[row.get("src")]))
+        for row in rows
+    ]
+    try:
+        check_flow_identities(flows)
+    except ValueError as error:
+        raise ValueError(f"workload file {path}: {error}") from None
     return flows

@@ -10,7 +10,8 @@ and the receiver on the destination host directly (no handshake — see
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from collections import defaultdict
+from typing import Callable, Iterator, Optional
 
 from repro.des.entities import Entity
 from repro.des.kernel import Simulator
@@ -23,6 +24,19 @@ from repro.net.tcp.sender import TcpSender
 #: Connection demux key: (peer name, local port, remote port).
 ConnKey = tuple[str, int, int]
 
+#: First ephemeral source port of every host.  Each host numbers the
+#: flows it opens from here in launch order; a pre-drawn schedule
+#: replays that numbering (:func:`host_port_counters`), so a flow hashes
+#: onto the same ECMP path whichever engine carries it.
+FLOW_PORT_BASE = 10_000
+
+
+def host_port_counters() -> defaultdict[str, Iterator[int]]:
+    """One :meth:`Host.allocate_port` counter per host name, created on
+    first use: ``next(counters[src])`` is the port ``src`` would give
+    its next flow."""
+    return defaultdict(lambda: itertools.count(FLOW_PORT_BASE))
+
 
 class Host(Entity):
     """A server: one NIC, many TCP connections."""
@@ -33,7 +47,7 @@ class Host(Entity):
         self.nic: Optional[Port] = None
         self._senders: dict[ConnKey, TcpSender] = {}
         self._receivers: dict[ConnKey, TcpReceiver] = {}
-        self._port_counter = itertools.count(10_000)
+        self._port_counter = itertools.count(FLOW_PORT_BASE)
         self.packets_received = 0
         self.unmatched_packets = 0
         #: RTT sample list shared by all senders on this host (its

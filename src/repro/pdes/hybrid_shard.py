@@ -22,9 +22,10 @@ Determinism contract (the test pack's foundation):
 * The flow schedule is extracted once, up front, by running the real
   :class:`~repro.traffic.apps.TrafficGenerator` with a
   ``flow_dispatch`` hook that claims every flow after all randomness
-  is drawn (:func:`extract_flow_schedule`).  Ephemeral source ports
-  are replicated in schedule order per source host, exactly matching
-  :meth:`~repro.net.host.Host.open_flow` allocation.
+  is drawn (:func:`~repro.traffic.apps.draw_flow_schedule`).
+  Ephemeral source ports are numbered in schedule order per source
+  host, exactly as :meth:`~repro.net.host.Host.open_flow` allocates
+  them.
 * Cross-worker packets keep their exact single-process timestamps: the
   sending port's propagation delay is zeroed and the
   :class:`~repro.pdes.stub.RemoteStub` re-adds the real link delay, so
@@ -53,7 +54,6 @@ combines them with :meth:`~repro.core.world.RunResult.merge` into a
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import tempfile
@@ -64,14 +64,13 @@ from repro.core.cluster_model import MIN_REGION_LATENCY_S
 from repro.core.hybrid import HybridConfig, check_model_width, hot_path_summary
 from repro.core.training import TrainedClusterModel
 from repro.core.world import ExperimentConfig, RunResult, make_generator
-from repro.des.kernel import Simulator
-from repro.flowsim.simulator import FlowSpec
 from repro.obs.trace import DEFAULT_TRACE_CAPACITY, merge_traces
 from repro.pdes.engine import PdesConfig, pdes_counters, resolve_window, run_workers
-from repro.pdes.worker import FLOW_PORT_BASE, ShardPlan, ShardStats
+from repro.pdes.worker import ShardPlan, ShardStats
 from repro.topology.clos import build_clos
 from repro.topology.graph import Topology
 from repro.topology.partition import partition_hybrid
+from repro.traffic.apps import FlowSchedule, draw_flow_schedule
 
 
 # ----------------------------------------------------------------------
@@ -161,27 +160,6 @@ class HybridShardConfig:
 # ----------------------------------------------------------------------
 # Flow-schedule extraction
 # ----------------------------------------------------------------------
-class _TopologyShim:
-    """Just enough network for :func:`make_generator` to calibrate load."""
-
-    def __init__(self, topology: Topology) -> None:
-        self.topology = topology
-
-    def host(self, name: str):  # pragma: no cover - dispatch claims all flows
-        raise RuntimeError(
-            "schedule extraction must not open flows; flow_dispatch should "
-            "have claimed every arrival"
-        )
-
-
-class FlowSchedule(list):
-    """A pre-drawn flow schedule: a list of :class:`FlowSpec` that also
-    counts the arrivals remote-traffic elision dropped (``elided``) —
-    flows no worker sees, so only the coordinator can report them."""
-
-    elided = 0
-
-
 def extract_flow_schedule(
     topology: Topology,
     config: ExperimentConfig,
@@ -189,18 +167,11 @@ def extract_flow_schedule(
 ) -> FlowSchedule:
     """Pre-draw the exact flow schedule of a hybrid experiment.
 
-    Runs the real :class:`~repro.traffic.apps.TrafficGenerator` — same
-    seed, same named RNG streams, same elision filter — against a
-    topology shim, with a ``flow_dispatch`` hook that claims every
-    surviving flow *after* all randomness is drawn.  The recorded
-    (src, dst, size, start) tuples are therefore bit-identical to what
-    the single-process hybrid would launch, and ``elided`` equals its
-    ``flows_elided``.  Ephemeral source ports
-    are replicated per source host in schedule order, matching
-    :meth:`~repro.net.host.Host.open_flow`'s ``itertools.count(10_000)``
-    allocation, so TCP demux keys agree across worker boundaries.
+    :func:`~repro.traffic.apps.draw_flow_schedule` of the generator
+    :func:`make_generator` builds for ``config``, with the hybrid's
+    elision filter: the flows, ports and ``elided`` count the
+    single-process hybrid would launch.
     """
-    sim = Simulator(seed=config.seed)
     cluster_of = {node.name: node.cluster for node in topology.servers()}
     full = hybrid.full_cluster
 
@@ -209,30 +180,19 @@ def extract_flow_schedule(
             return True
         return cluster_of[src] == full or cluster_of[dst] == full
 
-    flows = FlowSchedule()
-    next_port: dict[str, "itertools.count"] = {}
-
-    def dispatch(src: str, dst: str, size_bytes: int) -> bool:
-        port = next(next_port.setdefault(src, itertools.count(FLOW_PORT_BASE)))
-        flows.append(FlowSpec(len(flows), src, dst, size_bytes, sim.now, port))
-        return True
-
     if config.collective is not None:
         # Collective chunk launches are gated on flow completions the
         # shim cannot produce; sharded runs reject collectives up front
         # (see run_hybrid_sharded) and extraction ignores them.
         config = dataclasses.replace(config, collective=None)
-    generator = make_generator(
-        sim,
-        _TopologyShim(topology),
-        config,
-        flow_filter=flow_filter,
-        flow_dispatch=dispatch,
+    return draw_flow_schedule(
+        topology,
+        config.seed,
+        config.duration_s,
+        lambda sim, network: make_generator(
+            sim, network, config, flow_filter=flow_filter
+        ),
     )
-    generator.start()
-    sim.run(until=config.duration_s)
-    flows.elided = generator.flows_elided
-    return flows
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ causality guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.des.kernel import Simulator
 from repro.net.packet import Packet
@@ -34,21 +35,35 @@ class RemoteMessage:
     packet:
         The packet itself (pickled across the process boundary —
         the serialization cost MPI-based PDES also pays).
+    cause:
+        The delivery event's cause when the worker orders ties by cause
+        (:meth:`~repro.des.kernel.Simulator.order_ties_by_cause`).
     """
 
     target_node: str
     from_node: str
     deliver_at: float
     packet: Packet
+    cause: Optional[tuple] = None
 
 
-def _enqueue(remote, from_node: str, deliver_at: float, packet: Packet) -> None:
+#: Generations of a cut-link packet's cause it carries across the
+#: barrier when its worker orders ties by cause: enough for the tied
+#: events of a leaf-spine or Clos fabric, whose symmetric paths can
+#: share every hop time for several hops.
+CAUSE_GENERATIONS = 32
+
+
+def _enqueue(
+    remote, from_node: str, deliver_at: float, packet: Packet, cause=None
+) -> None:
     """Queue one delivery to ``remote``'s node for its owning worker."""
     message = RemoteMessage(
         target_node=remote.name,
         from_node=from_node,
         deliver_at=deliver_at,
         packet=packet,
+        cause=cause,
     )
     per_link = remote.outbox.setdefault(remote.owner_worker, {})
     per_link.setdefault((from_node, remote.name), []).append(message)
@@ -74,11 +89,14 @@ class RemoteStub:
     def receive(self, packet: Packet, from_node: str) -> None:
         """Queue the packet for the owning worker.
 
-        Called at transmission-complete time; adds the link's real
-        propagation delay to produce the delivery timestamp.
+        Called at transmission-complete time, from the zero-delay
+        delivery event that stands in for the real one: adds the link's
+        real propagation delay to produce the delivery timestamp, and
+        that event's cause is the real one's.
         """
         delay = self.topology.link_between(from_node, self.name).delay_s
-        _enqueue(self, from_node, self.sim.now + delay, packet)
+        cause = self.sim.running_cause(CAUSE_GENERATIONS)
+        _enqueue(self, from_node, self.sim.now + delay, packet, cause)
 
 
 class RemoteEntityProxy:

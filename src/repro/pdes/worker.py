@@ -40,12 +40,9 @@ from repro.obs.trace import FlightRecorder
 from repro.pdes.stub import RemoteEntityProxy, RemoteMessage, RemoteStub
 from repro.topology.graph import Topology
 from repro.topology.partition import owner_map
-from repro.traffic.apps import FLOW_DST_PORT, FLOW_PORT_BASE
 from repro.validate.invariants import InvariantChecker
 
 __all__ = [
-    "FLOW_DST_PORT",
-    "FLOW_PORT_BASE",
     "ShardPlan",
     "ShardStats",
     "shard_worker_main",
@@ -183,7 +180,13 @@ def _schedule_incoming(
                     window=window_seq,
                     target=message.target_node,
                 )
-            sim.schedule_at(deliver_at, entity.receive, message.packet, message.from_node)
+            sim.schedule_at(
+                deliver_at,
+                entity.receive,
+                message.packet,
+                message.from_node,
+                cause=message.cause,
+            )
     return count, violations
 
 
@@ -265,6 +268,9 @@ def _run_shard(
 
     if plan.inject_crash == worker_index:
         sim.schedule_at(min(window_s, config.duration_s) / 2, _crash, worker_index)
+    if trained is None:
+        # Same-time ties run in the order one process gives them.
+        sim.order_ties_by_cause()
 
     parent_conn.send(("ready", worker_index))
     go = parent_conn.recv()

@@ -183,8 +183,12 @@ class SweepScheduler:
                 executor = self._reap_timeouts(
                     executor, pending, inflight, training_inflight
                 )
-        finally:
+        except BaseException:
             executor.shutdown(wait=False, cancel_futures=True)
+            raise
+        # Drained: join the pool's workers and management thread here
+        # rather than leave them to the interpreter's exit hook.
+        executor.shutdown(wait=True)
 
     def _dispatch(
         self,

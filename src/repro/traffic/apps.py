@@ -16,26 +16,20 @@ work was skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Optional, Sequence
 
 from repro.des.entities import Entity
 from repro.des.kernel import Simulator
+from repro.flowsim.simulator import FlowSpec
+from repro.net.host import host_port_counters
 from repro.net.network import Network
 from repro.net.tcp.receiver import TcpReceiver
 from repro.net.tcp.sender import TcpSender
+from repro.topology.graph import Topology
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.distributions import EmpiricalSizeDistribution
 from repro.traffic.matrix import TrafficMatrix
-
-if TYPE_CHECKING:
-    from repro.flowsim.simulator import FlowSpec
-
-
-#: Transport ports of pre-registered flows: a :class:`FlowSpec` without
-#: a ``src_port`` gets ``FLOW_PORT_BASE + flow_id`` — the base of
-#: :meth:`~repro.net.host.Host.allocate_port`'s per-host counter.
-FLOW_PORT_BASE = 10_000
-FLOW_DST_PORT = 80
 
 
 @dataclass
@@ -289,18 +283,19 @@ class ScheduledFlows:
                     f"flow {flow.flow_id}: {flow.src!r} -> {flow.dst!r} names a "
                     f"host that is not in topology {topology.name!r}"
                 )
-            src_port = flow.src_port or FLOW_PORT_BASE + flow.flow_id
             trace = None
             if tracer is not None:
-                trace = tracer.register_flow(flow.flow_id, key=(flow.src, src_port))
+                trace = tracer.register_flow(
+                    flow.flow_id, key=(flow.src, flow.src_port)
+                )
             dst_host = hosts.get(flow.dst)
             if dst_host is not None:
                 dst_host.register_receiver(
                     TcpReceiver(
                         host=dst_host,
                         peer=flow.src,
-                        src_port=FLOW_DST_PORT,
-                        dst_port=src_port,
+                        src_port=flow.dst_port,
+                        dst_port=flow.src_port,
                         config=tcp,
                     )
                 )
@@ -310,8 +305,8 @@ class ScheduledFlows:
             sender = TcpSender(
                 host=src_host,
                 dst=flow.dst,
-                src_port=src_port,
-                dst_port=FLOW_DST_PORT,
+                src_port=flow.src_port,
+                dst_port=flow.dst_port,
                 total_bytes=flow.size_bytes,
                 config=tcp,
                 on_complete=self._completion_tap(flow, trace),
@@ -344,3 +339,52 @@ class ScheduledFlows:
     def completed_fcts(self) -> list[float]:
         """FCTs of locally sent flows, in completion order."""
         return self._fcts
+
+
+# ----------------------------------------------------------------------
+# Pre-drawing a schedule from the live generator
+# ----------------------------------------------------------------------
+class FlowSchedule(list):
+    """A pre-drawn flow schedule: a list of :class:`FlowSpec` that also
+    counts the arrivals remote-traffic elision dropped (``elided``) —
+    flows no PDES worker sees, so only the coordinator can report them."""
+
+    elided = 0
+
+
+def draw_flow_schedule(
+    topology: Topology,
+    seed: int,
+    duration_s: float,
+    build: Callable[[Simulator, Network], TrafficGenerator],
+) -> FlowSchedule:
+    """Pre-draw the flows the live generator launches in ``duration_s``.
+
+    ``build(sim, network)`` makes the :class:`TrafficGenerator` a live
+    run would make; it runs here against a network that is only its
+    topology (enough to calibrate load; no flow is ever opened), on a
+    simulator seeded like the live one, with a ``flow_dispatch`` hook
+    that claims every flow its filter keeps *after* all randomness is
+    drawn.  Named RNG streams make the recorded (src, dst, size, start)
+    of every flow bit-identical to the live run's, and ``elided``
+    equals its ``flows_elided``.  Each flow's ``src_port`` is the one
+    its source host would allocate
+    (:func:`~repro.net.host.host_port_counters`), so every engine hashes
+    it onto the path DES gives it.
+    """
+    sim = Simulator(seed=seed)
+    flows = FlowSchedule()
+    ports = host_port_counters()
+
+    def dispatch(src: str, dst: str, size_bytes: int) -> bool:
+        flows.append(
+            FlowSpec(len(flows), src, dst, size_bytes, sim.now, next(ports[src]))
+        )
+        return True
+
+    generator = build(sim, SimpleNamespace(topology=topology))
+    generator.flow_dispatch = dispatch
+    generator.start()
+    sim.run(until=duration_s)
+    flows.elided = generator.flows_elided
+    return flows

@@ -43,7 +43,7 @@ class FakeContext:
 def _spec(flow_id, src, dst, size_bytes=125_000, start_time=0.0):
     return FlowSpec(
         flow_id=flow_id, src=src, dst=dst,
-        size_bytes=size_bytes, start_time=start_time,
+        size_bytes=size_bytes, start_time=start_time, src_port=10_000 + flow_id,
     )
 
 

@@ -241,3 +241,82 @@ class TestAccounting:
         sim.run()
         assert sim.wallclock_elapsed > 0
         assert sim.sim_seconds_per_second() > 0
+
+
+class TestTiesByCause:
+    """``order_ties_by_cause``: the one-process order, carried across a
+    PDES barrier."""
+
+    @staticmethod
+    def _program(sim: Simulator, seed: int) -> list:
+        """A tie-heavy event cascade whose draws follow execution order,
+        so any reordering changes the trace.  An event scheduled for its
+        parent's own instant never has a lower priority value."""
+        import random
+
+        rng = random.Random(seed)
+        trace = []
+
+        def event(label: int, priority: int) -> None:
+            trace.append((sim.now, label))
+            if len(trace) < 400:
+                for _ in range(rng.randint(1, 3)):
+                    delay = rng.choice((0.0, 0.0, 1.0, 2.0))
+                    if delay == 0.0:
+                        child = priority + rng.choice((0, 1))
+                    else:
+                        child = rng.choice((-1, 0, 1))
+                    sim.schedule(
+                        delay, event, rng.randrange(1000), child, priority=child
+                    )
+
+        for label in range(6):
+            priority = rng.choice((-10, 0, 3))
+            sim.schedule_at(
+                rng.choice((0.0, 1.0)), event, label, priority, priority=priority
+            )
+        return trace
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_process_order_unchanged(self, seed):
+        plain, causal = Simulator(), Simulator()
+        expected = self._program(plain, seed)
+        got = self._program(causal, seed)
+        causal.order_ties_by_cause()
+        plain.run()
+        causal.run()
+        assert got == expected
+
+    def test_barrier_message_keeps_its_place_in_a_tie(self):
+        """In one process, X (scheduled at t=1) runs before Y (scheduled
+        at t=2) at their common time 3.  A worker that receives X at a
+        barrier after scheduling Y runs X first only by its cause."""
+        sender = Simulator()
+        carried = []
+
+        def hop() -> None:  # a cut link's zero-delay delivery
+            carried.append(sender.running_cause(2))
+
+        sender.schedule_at(1.0, lambda: sender.schedule(0.0, hop))
+        sender.order_ties_by_cause()
+        sender.run()
+
+        for by_cause, expected in ((True, ["X", "Y"]), (False, ["Y", "X"])):
+            receiver = Simulator()
+            fired = []
+            receiver.schedule_at(2.0, lambda: receiver.schedule(1.0, fired.append, "Y"))
+            if by_cause:
+                receiver.order_ties_by_cause()
+            receiver.run(until=2.5)
+            receiver.schedule_at(
+                3.0, fired.append, "X", cause=carried[0] if by_cause else None
+            )
+            receiver.run()
+            assert fired == expected
+
+    def test_no_cause_unless_ordered_by_cause(self):
+        sim = Simulator()
+        causes = []
+        sim.schedule(1.0, lambda: causes.append(sim.running_cause(4)))
+        sim.run()
+        assert causes == [None]

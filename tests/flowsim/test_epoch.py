@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flowsim import EpochFlowSimulator, FlowLevelSimulator, FlowSpec
+from repro.flowsim import EpochFlowSimulator, FlowSpec
 from repro.flowsim.workload import generate_workload
 from repro.obs import MetricsRegistry
 from repro.traffic.distributions import web_search_sizes
@@ -14,7 +14,7 @@ def _spec(flow_id=0, src="server-c0-t0-s0", dst="server-c1-t0-s0",
           size_bytes=1_000_000, start_time=0.0) -> FlowSpec:
     return FlowSpec(
         flow_id=flow_id, src=src, dst=dst,
-        size_bytes=size_bytes, start_time=start_time,
+        size_bytes=size_bytes, start_time=start_time, src_port=10_000 + flow_id,
     )
 
 
@@ -109,7 +109,7 @@ class TestBatchOnlineEquivalence:
         )
         assert len(flows) > 10
 
-        batch = FlowLevelSimulator(small_clos).run(flows)
+        batch = EpochFlowSimulator(small_clos).run(flows)
 
         engine = EpochFlowSimulator(small_clos)
         online: list = []

@@ -4,19 +4,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flowsim.simulator import FlowLevelSimulator, FlowSpec
+from repro.flowsim import EpochFlowSimulator, FlowSpec
 from repro.flowsim.workload import generate_workload
 from repro.topology.clos import ClosParams, build_clos, server_name
 from repro.traffic.distributions import web_search_sizes
 
 
 def _spec(flow_id, src, dst, size, start=0.0):
-    return FlowSpec(flow_id=flow_id, src=src, dst=dst, size_bytes=size, start_time=start)
+    return FlowSpec(
+        flow_id=flow_id, src=src, dst=dst, size_bytes=size, start_time=start,
+        src_port=10_000 + flow_id,
+    )
 
 
 class TestFlowLevelSimulator:
     def test_single_flow_line_rate(self, small_clos):
-        simulator = FlowLevelSimulator(small_clos)
+        simulator = EpochFlowSimulator(small_clos)
         size = 10_000_000
         src, dst = server_name(0, 0, 0), server_name(1, 0, 0)
         results = simulator.run([_spec(0, src, dst, size)])
@@ -31,7 +34,7 @@ class TestFlowLevelSimulator:
             _spec(0, server_name(0, 0, 1), dst, size),
             _spec(1, server_name(0, 0, 2), dst, size),
         ]
-        results = FlowLevelSimulator(small_clos).run(flows)
+        results = EpochFlowSimulator(small_clos).run(flows)
         # Both bottlenecked at the shared ToR->server link: 5 Gbps each.
         for result in results:
             assert result.fct == pytest.approx(size * 8 / 5e9)
@@ -45,7 +48,7 @@ class TestFlowLevelSimulator:
             _spec(0, server_name(0, 0, 1), dst, size, start=0.0),
             _spec(1, server_name(0, 0, 2), dst, size, start=solo_fct / 2),
         ]
-        results = FlowLevelSimulator(small_clos).run(flows)
+        results = EpochFlowSimulator(small_clos).run(flows)
         first = next(r for r in results if r.spec.flow_id == 0)
         assert first.fct > solo_fct
         assert first.fct < 2 * solo_fct
@@ -55,7 +58,7 @@ class TestFlowLevelSimulator:
         flows = generate_workload(
             small_clos, duration_s=0.01, load=0.3, sizes=web_search_sizes(), seed=2
         )
-        results = FlowLevelSimulator(small_clos).run(flows)
+        results = EpochFlowSimulator(small_clos).run(flows)
         assert len(results) == len(flows)
         assert {r.spec.flow_id for r in results} == {f.flow_id for f in flows}
         for result in results:
@@ -64,12 +67,12 @@ class TestFlowLevelSimulator:
     def test_duplicate_flow_ids_rejected(self, small_clos):
         src, dst = server_name(0, 0, 0), server_name(0, 0, 1)
         with pytest.raises(ValueError):
-            FlowLevelSimulator(small_clos).run(
+            EpochFlowSimulator(small_clos).run(
                 [_spec(1, src, dst, 100), _spec(1, dst, src, 100)]
             )
 
     def test_empty_workload(self, small_clos):
-        assert FlowLevelSimulator(small_clos).run([]) == []
+        assert EpochFlowSimulator(small_clos).run([]) == []
 
     def test_much_faster_than_packet_sim(self, small_clos):
         """The whole point of flow-level simulation: event count is
@@ -77,7 +80,7 @@ class TestFlowLevelSimulator:
         flows = generate_workload(
             small_clos, duration_s=0.02, load=0.3, sizes=web_search_sizes(), seed=3
         )
-        simulator = FlowLevelSimulator(small_clos)
+        simulator = EpochFlowSimulator(small_clos)
         simulator.run(flows)
         # Rate recomputations = arrivals + completions = 2 per flow.
         assert simulator.rate_recomputations <= 2 * len(flows)
@@ -92,7 +95,34 @@ class TestWorkloadPersistence:
         )
         path = tmp_path / "workload.json"
         save_workload(flows, path)
-        assert load_workload(path) == flows
+        assert load_workload(path) == flows  # ports included
+
+    def test_file_without_ports_gets_per_host_numbering(self, tmp_path):
+        import json
+
+        from repro.flowsim.workload import load_workload
+
+        rows = [
+            {"flow_id": i, "src": src, "dst": "d", "size_bytes": 10, "start_time": 0.0}
+            for i, src in enumerate(["a", "b", "a", "a", "b"])
+        ]
+        (tmp_path / "w.json").write_text(json.dumps(rows))
+        ports = [f.src_port for f in load_workload(tmp_path / "w.json")]
+        assert ports == [10_000, 10_000, 10_001, 10_002, 10_001]
+
+    def test_shared_source_port_rejected_naming_both_flows(self, tmp_path):
+        import json
+
+        from repro.flowsim.workload import load_workload
+
+        row = {"src": "a", "dst": "b", "size_bytes": 10, "start_time": 0.0}
+        rows = [
+            {**row, "flow_id": 4, "src_port": 10_003},
+            {**row, "flow_id": 9, "src_port": 10_003},
+        ]
+        (tmp_path / "bad.json").write_text(json.dumps(rows))
+        with pytest.raises(ValueError, match="flows 4 and 9 share source port a:10003"):
+            load_workload(tmp_path / "bad.json")
 
     def test_duplicate_ids_rejected_on_load(self, tmp_path):
         import json

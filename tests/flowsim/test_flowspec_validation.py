@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.flowsim import (
-    FlowLevelSimulator,
+    EpochFlowSimulator,
     FlowSpec,
     validate_flow_spec,
     validate_flow_specs,
@@ -22,6 +22,7 @@ def _spec(**overrides) -> FlowSpec:
         start_time=0.0,
     )
     base.update(overrides)
+    base.setdefault("src_port", 10_000 + base["flow_id"])
     return FlowSpec(**base)
 
 
@@ -88,16 +89,16 @@ class TestValidateFlowSpecs:
 
 class TestSimulatorRejectsMalformedWorkloads:
     def test_run_rejects_zero_size(self, small_clos):
-        simulator = FlowLevelSimulator(small_clos)
+        simulator = EpochFlowSimulator(small_clos)
         with pytest.raises(ValueError, match="size_bytes"):
             simulator.run([_spec(size_bytes=0)])
 
     def test_run_rejects_unknown_endpoint(self, small_clos):
-        simulator = FlowLevelSimulator(small_clos)
+        simulator = EpochFlowSimulator(small_clos)
         with pytest.raises(ValueError, match="not in the topology"):
             simulator.run([_spec(dst="nowhere")])
 
     def test_run_rejects_duplicate_ids(self, small_clos):
-        simulator = FlowLevelSimulator(small_clos)
+        simulator = EpochFlowSimulator(small_clos)
         with pytest.raises(ValueError, match="duplicate"):
             simulator.run([_spec(flow_id=3), _spec(flow_id=3)])

@@ -3,8 +3,8 @@
 Regression for a flow-identity bug: the fluid tier used to hash flows
 with a synthetic ``10_000 + flow_id`` source port while the packet tier
 hashed the host-allocated ephemeral port, so a promoted flow could be
-charged on one path and transmitted on another.  Specs now carry the
-real port pair; both tiers must name the same links.
+charged on one path and transmitted on another.  Every spec now carries
+its real port pair; both tiers must name the same links.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.flowsim.simulator import FlowSpec
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.topology.clos import ClosParams, build_clos
-from repro.topology.routing import EcmpRouting, ecmp_hash, name_key
+from repro.topology.routing import EcmpRouting
 
 SRC, DST = "server-c0-t0-s0", "server-c1-t1-s3"
 
@@ -40,16 +40,6 @@ def test_fluid_links_match_packet_path_for_real_ports():
             start_time=0.0, src_port=src_port, dst_port=80,
         )
         assert fluid._flow_links(spec) == _packet_links(routing, src_port, 80)
-
-
-def test_legacy_specs_fall_back_to_synthetic_port():
-    topology = build_clos(ClosParams(clusters=2))
-    routing = EcmpRouting(topology)
-    fluid = EpochFlowSimulator(topology, routing=routing)
-    spec = FlowSpec(flow_id=3, src=SRC, dst=DST, size_bytes=10_000, start_time=0.0)
-    expected_hash = ecmp_hash(name_key(SRC), name_key(DST), 10_003, 80)
-    path = routing.path(SRC, DST, expected_hash)
-    assert fluid._flow_links(spec) == list(zip(path[:-1], path[1:]))
 
 
 def test_diversion_port_matches_later_packet_launch():

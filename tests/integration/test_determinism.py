@@ -13,7 +13,8 @@ from repro.core.micro import MicroModelConfig
 from repro.core.pipeline import ExperimentConfig, run_full_simulation
 from repro.core.training import train_cluster_model
 from repro.core.features import RegionFeatureExtractor
-from repro.flowsim.simulator import FlowLevelSimulator
+from repro.core.world import build_world
+from repro.flowsim import EpochFlowSimulator
 from repro.flowsim.workload import generate_workload
 from repro.topology.clos import ClosParams, build_clos
 from repro.traffic.distributions import web_search_sizes
@@ -71,8 +72,24 @@ def test_trained_weights_bit_identical():
 def test_flow_level_deterministic():
     topo = build_clos(CONFIG.clos)
     flows = generate_workload(topo, 0.004, 0.2, web_search_sizes(), seed=91)
-    a = FlowLevelSimulator(topo).run(flows)
-    b = FlowLevelSimulator(topo).run(flows)
+    a = EpochFlowSimulator(topo).run(flows)
+    b = EpochFlowSimulator(topo).run(flows)
     assert [(r.spec.flow_id, r.completion_time) for r in a] == [
         (r.spec.flow_id, r.completion_time) for r in b
+    ]
+
+
+def test_pre_drawn_workload_is_the_live_generators():
+    """The same seed, drawn ahead or live: the same flows in the same
+    order."""
+    world = build_world(CONFIG)
+    world.run()
+    live = world.traffic.flows
+    topology = build_clos(CONFIG.clos)
+    drawn = generate_workload(
+        topology, CONFIG.duration_s, CONFIG.load, CONFIG.sizes(), CONFIG.seed
+    )
+    assert live
+    assert [(f.src, f.dst, f.size_bytes, f.start_time) for f in drawn] == [
+        (r.src, r.dst, r.size_bytes, r.start_time) for r in live
     ]

@@ -140,8 +140,8 @@ GOLDEN = {
     "sharded_outcome": "9a6f2d47680ec639a668a2846cdd9892b05bfc70947c590858039d10733c25f1",
     "validate_report": "a42ff6565a82de98cb278997f38c1a1d9a39f66643850d57d2c281b6f5404c16",
     "trained_weights": "3a6053d3b0102216d763e6d080f8e269bcd60fc12b10f73455dc511f0a97b332",
-    "pdes_plain_1": "cae1ce8bb6d68e113c35e09ce645c390397747528e529b22417e9114e57e5b39",
-    "pdes_plain_2": "cae1ce8bb6d68e113c35e09ce645c390397747528e529b22417e9114e57e5b39",
+    "pdes_plain_1": "7887dc630b4f3addcb484d60aac1f30ab8850302cf7fe96072eb34b8cef3280f",
+    "pdes_plain_2": "7887dc630b4f3addcb484d60aac1f30ab8850302cf7fe96072eb34b8cef3280f",
 }
 
 #: ``events_executed`` per seeded scenario, recorded beside the hashes:

@@ -34,7 +34,7 @@ _DOOMED_RUN = textwrap.dedent(
     from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 
     topology = build_leaf_spine(LeafSpineParams(tors=2, spines=2, servers_per_tor=2))
-    flows = [FlowSpec(0, "server-t0-s0", "no-such-host", 10_000, 0.0)]
+    flows = [FlowSpec(0, "server-t0-s0", "no-such-host", 10_000, 0.0, 10_000)]
     try:
         run_parallel_simulation(topology, flows, PdesConfig(workers=2, duration_s=0.001))
     except WorkerCrashError as error:

@@ -26,7 +26,7 @@ from repro.pdes import (
     resolve_window,
     run_hybrid_sharded,
 )
-from repro.pdes.worker import FLOW_PORT_BASE
+from repro.net.host import FLOW_PORT_BASE
 from repro.topology.clos import ClosParams, build_clos
 from repro.topology.partition import cluster_of, partition_hybrid
 

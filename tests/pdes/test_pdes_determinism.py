@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.pipeline import ExperimentConfig, run_full_simulation
 from repro.flowsim.workload import generate_workload
 from repro.pdes.engine import PdesConfig, run_parallel_simulation
+from repro.topology.clos import ClosParams, build_clos
 from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 from repro.traffic.distributions import EmpiricalSizeDistribution, UNIFORM_SMALL_CDF
 
@@ -53,3 +55,50 @@ def test_parallel_matches_single_thread_outcomes(world):
     assert single.flows_completed == parallel.flows_completed == len(flows)
     for a, b in zip(sorted(single.fcts), sorted(parallel.fcts)):
         assert a == pytest.approx(b, rel=1e-9)
+
+
+#: The lattice edge DES ≡ plain PDES: one workload, one port rule.
+LATTICE = ExperimentConfig(
+    clos=ClosParams(clusters=4), load=0.25, duration_s=0.003, seed=1
+)
+
+
+@pytest.fixture(scope="module")
+def lattice():
+    topology = build_clos(LATTICE.clos)
+    flows = generate_workload(
+        topology, LATTICE.duration_s, LATTICE.load, LATTICE.sizes(), LATTICE.seed
+    )
+    return topology, flows, run_full_simulation(LATTICE).result
+
+
+def _outcome(result, events=True):
+    return (
+        result.flows_completed,
+        result.drops,
+        result.events_executed if events else None,
+        sorted(result.fcts),
+    )
+
+
+@pytest.mark.parametrize("engine", ["single_threaded", "1_worker", "2_workers"])
+def test_plain_pdes_runs_the_des_simulation(lattice, engine):
+    """The pre-drawn schedule puts every flow on the path DES gives it,
+    so the plain engines *are* DES.  Two workers execute extra events
+    (window barriers) but reach the same outcome."""
+    from repro.pdes.engine import run_single_threaded
+
+    topology, flows, des = lattice
+    if engine == "single_threaded":
+        result = run_single_threaded(
+            topology, flows, LATTICE.duration_s, seed=LATTICE.seed
+        )
+    else:
+        workers = 1 if engine == "1_worker" else 2
+        config = PdesConfig(
+            workers=workers, duration_s=LATTICE.duration_s, seed=LATTICE.seed
+        )
+        result = run_parallel_simulation(topology, flows, config)
+    events = engine != "2_workers"
+    assert des.flows_completed > 0 and des.drops > 0
+    assert _outcome(result, events) == _outcome(des, events)

@@ -147,6 +147,17 @@ class TestFailureHandling:
         assert manifests[1].attempts == 2
 
 
+class TestPoolShutdown:
+    def test_drained_pool_is_joined_before_submit_returns(self, tmp_path):
+        """No worker (and no management thread) is left for the
+        interpreter's exit hook to reap."""
+        import multiprocessing
+
+        manifests = _submit(TINY_SIMULATE, tmp_path, workers=1, retries=0)
+        assert [m.status for m in manifests] == ["completed", "completed"]
+        assert multiprocessing.active_children() == []
+
+
 class TestTimeouts:
     def test_hung_run_times_out_and_sweep_continues(self, tmp_path):
         spec = copy.deepcopy(TINY_SIMULATE)
