@@ -18,6 +18,7 @@ import pytest
 from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import ks_distance
+from repro.core.pipeline import ExperimentConfig
 from repro.flowsim import EpochFlowSimulator
 from repro.flowsim.workload import generate_workload
 from repro.pdes.engine import run_single_threaded
@@ -35,7 +36,9 @@ def test_flowsim_vs_packet(benchmark):
         topo, duration_s=DURATION_S, load=LOAD, sizes=web_search_sizes(), seed=SEED
     )
     # Packet-level: run far past the workload window so flows finish.
-    packet = run_single_threaded(topo, flows, duration_s=10 * DURATION_S, seed=SEED)
+    packet = run_single_threaded(
+        ExperimentConfig(duration_s=10 * DURATION_S, seed=SEED), topology=topo, flows=flows
+    )
 
     fluid_wall_s = 0.0
 

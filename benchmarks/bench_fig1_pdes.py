@@ -20,8 +20,9 @@ import pytest
 
 from benchmarks.conftest import bench_scale, full_sweep, write_result
 from repro.analysis.reporting import format_series, format_table
+from repro.core.pipeline import ExperimentConfig
 from repro.flowsim.workload import generate_workload
-from repro.pdes.engine import PdesConfig, run_parallel_simulation, run_single_threaded
+from repro.pdes.engine import HybridShardConfig, run_parallel_simulation, run_single_threaded
 from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 from repro.traffic.distributions import web_search_sizes
 
@@ -48,17 +49,16 @@ def _workload(size: int):
 def test_fig1_point(benchmark, mode: str, size: int):
     """One (mode, size) point of Figure 1."""
     topo, flows = _workload(size)
+    config = ExperimentConfig(duration_s=DURATION_S, seed=SEED)
 
     if mode == "single":
         def run():
-            return run_single_threaded(topo, flows, duration_s=DURATION_S, seed=SEED)
+            return run_single_threaded(config, topology=topo, flows=flows)
     else:
-        workers = int(mode.split("-")[1])
+        shard = HybridShardConfig(workers=int(mode.split("-")[1]))
 
         def run():
-            return run_parallel_simulation(
-                topo, flows, PdesConfig(workers=workers, duration_s=DURATION_S, seed=SEED)
-            )
+            return run_parallel_simulation(config, shard, topology=topo, flows=flows)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _results[(mode, size)] = result.sim_seconds_per_second

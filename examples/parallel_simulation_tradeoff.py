@@ -17,8 +17,9 @@ Run:  python examples/parallel_simulation_tradeoff.py
 from __future__ import annotations
 
 from repro.analysis.reporting import format_table
+from repro.core.pipeline import ExperimentConfig
 from repro.flowsim.workload import generate_workload
-from repro.pdes.engine import PdesConfig, run_parallel_simulation, run_single_threaded
+from repro.pdes.engine import HybridShardConfig, run_parallel_simulation, run_single_threaded
 from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 from repro.traffic.distributions import web_search_sizes
 
@@ -37,11 +38,12 @@ def main() -> None:
         )
         print(f"leaf-spine {size}x{size} ({len(topo.servers())} servers, "
               f"{len(flows)} flows)...")
-        single = run_single_threaded(topo, flows, duration_s=DURATION_S, seed=9)
+        config = ExperimentConfig(duration_s=DURATION_S, seed=9)
+        single = run_single_threaded(config, topology=topo, flows=flows)
         row = [f"{size}x{size}", f"{single.sim_seconds_per_second:.2e}"]
         for workers in WORKER_COUNTS:
             parallel = run_parallel_simulation(
-                topo, flows, PdesConfig(workers=workers, duration_s=DURATION_S, seed=9)
+                config, HybridShardConfig(workers=workers), topology=topo, flows=flows
             )
             row.append(f"{parallel.sim_seconds_per_second:.2e}")
             print(f"  {workers} workers: {parallel.pdes['messages']:,} "

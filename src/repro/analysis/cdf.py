@@ -23,11 +23,6 @@ class EmpiricalCdf:
     def __len__(self) -> int:
         return int(self._values.size)
 
-    @property
-    def sorted_samples(self) -> np.ndarray:
-        """Sorted sample values (copy)."""
-        return self._values.copy()
-
     def evaluate(self, x: float | np.ndarray) -> np.ndarray | float:
         """F(x), vectorized."""
         result = np.searchsorted(self._values, np.asarray(x), side="right") / self._values.size

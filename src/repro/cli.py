@@ -41,7 +41,7 @@ from repro.analysis.reporting import format_table
 from repro.analysis.stats import percentile_summary
 from repro.core.features import FEATURE_NAMES
 from repro.core.micro import MicroModelConfig
-from repro.core.pipeline import ExperimentConfig, RunResult, train_reusable_model
+from repro.core.pipeline import RunResult, train_reusable_model
 from repro.core.training import TrainedClusterModel
 from repro.des.errors import SimulationError
 from repro.pdes.engine import WorkerCrashError
@@ -210,7 +210,9 @@ def spec_from_args(args: argparse.Namespace) -> dict:
     ``train`` and a ``validate`` without ``--model`` add the
     ``training`` / ``micro`` tables of the model they train.
     """
-    stage = "pdes-hybrid" if args.command == "pdes" else args.command
+    stage = args.command
+    if stage == "pdes" and args.hybrid:
+        stage = "pdes-hybrid"
     experiment, hybrid = _experiment_table(args), _hybrid_table(stage, args)
     spec = {"stage": stage, "experiment": experiment, "hybrid": hybrid}
     if stage == "train":
@@ -388,34 +390,20 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
 
 def _cmd_pdes(args: argparse.Namespace) -> int:
     if args.hybrid:
-        return _cmd_pdes_hybrid(args)
-    stray = [
-        action.option_strings[0]
-        for action in args.hybrid_only
-        if getattr(args, action.dest) != action.default
-    ]
-    if stray:
-        raise ValueError(f"{', '.join(stray)} requires --hybrid")
-
-    # Classic full-fidelity PDES (the Figure 1 reproduction).
-    from repro.pdes import PdesConfig, run_parallel_simulation
-
-    config = experiment_from_dict(_experiment_table(args))
-    topology, flows = _generated_workload(config)
-    pdes_config = PdesConfig(
-        workers=args.workers, duration_s=config.duration_s,
-        window_s=args.window_s, seed=config.seed,
-    )
-    result = run_parallel_simulation(topology, flows, pdes_config, net_config=config.net)
-    _print_run(result, f"parallel DES ({args.workers} workers): {args.clusters} clusters")
-    return 0
-
-
-def _cmd_pdes_hybrid(args: argparse.Namespace) -> int:
-    if args.model is None:
-        raise ValueError("--hybrid requires --model")
-    _, run, metrics = _run(args, _load_model(args.model))
-    _print_run(run.result, f"sharded hybrid ({args.workers} workers): {args.clusters} clusters")
+        if args.model is None:
+            raise ValueError("--hybrid requires --model")
+        model, engine = _load_model(args.model), "sharded hybrid"
+    else:
+        stray = [
+            action.option_strings[0]
+            for action in args.hybrid_only
+            if getattr(args, action.dest) != action.default
+        ]
+        if stray:
+            raise ValueError(f"{', '.join(stray)} requires --hybrid")
+        model, engine = None, "parallel DES"  # the Figure 1 engine
+    _, run, metrics = _run(args, model)
+    _print_run(run.result, f"{engine} ({args.workers} workers): {args.clusters} clusters")
     return _finish(args, run, metrics)
 
 
@@ -466,30 +454,20 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
     return _finish(args, run, metrics)
 
 
-def _generated_workload(config: ExperimentConfig):
-    """``(topology, flows)``: the experiment as a pre-drawn flow list —
-    the flows and ports ``repro simulate`` launches."""
-    from repro.core.hybrid import HybridConfig
-    from repro.pdes import extract_flow_schedule
-
-    topology = build_clos(config.clos)
-    kept = HybridConfig(elide_remote_traffic=False)
-    return topology, extract_flow_schedule(topology, config, kept)
-
-
 def _cmd_flowsim(args: argparse.Namespace) -> int:
     from repro.flowsim import EpochFlowSimulator
     from repro.flowsim.workload import load_workload
+    from repro.pdes import extract_flow_schedule
 
     config = experiment_from_dict(_experiment_table(args))
+    topology = build_clos(config.clos)
     if args.workload:
-        topology = build_clos(config.clos)
         try:
             flows = load_workload(args.workload)
         except (OSError, ValueError, TypeError) as error:
             raise ValueError(f"cannot load workload: {error}") from None
     else:
-        topology, flows = _generated_workload(config)
+        flows = extract_flow_schedule(topology, config)
     metrics = _metrics_from_args(args)
     simulator = EpochFlowSimulator(topology, metrics=metrics)
     started = time.perf_counter()
@@ -993,14 +971,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard the hybrid simulation (full-fidelity region split "
         "across workers, cluster models colocated with their attachment "
         "points); requires --model")
+    model = arg("--model", default=None, help="model bundle directory (with --hybrid)")
+    arg("--worker-metrics", action="store_true", dest="metrics",
+        help="collect a per-worker metrics snapshot")
     # Flags that only mean something with --hybrid (rejected without it).
-    hybrid_only = [
-        arg("--model", default=None, help="model bundle directory (with --hybrid)"),
-        arg("--worker-metrics", action="store_true", dest="metrics",
-            help="collect a per-worker metrics snapshot (hybrid mode)"),
-        *_add_hybrid_arguments(pdes),
-        *_add_trace_arguments(pdes),
-    ]
+    hybrid_only = [model, *_add_hybrid_arguments(pdes)]
+    _add_trace_arguments(pdes)
     pdes.set_defaults(hybrid_only=hybrid_only)
 
     cascade = _stage(

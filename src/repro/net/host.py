@@ -128,10 +128,6 @@ class Host(Entity):
         """Register an externally constructed receiver for data demux."""
         self._receivers[(receiver.peer, receiver.src_port, receiver.dst_port)] = receiver
 
-    def close_flow(self, sender: TcpSender) -> None:
-        """Remove a completed flow's demux entries (memory hygiene)."""
-        self._senders.pop((sender.dst, sender.src_port, sender.dst_port), None)
-
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
@@ -150,9 +146,3 @@ class Host(Entity):
             return
         # Late packets for closed flows land here; count, don't crash.
         self.unmatched_packets += 1
-
-    # ------------------------------------------------------------------
-    @property
-    def active_senders(self) -> list[TcpSender]:
-        """Senders that have started and not completed."""
-        return [s for s in self._senders.values() if s.started_at is not None and not s.completed]

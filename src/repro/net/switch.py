@@ -148,10 +148,6 @@ class Switch(Entity):
         self.packets_forwarded += 1
         port.enqueue(packet)
 
-    def total_dropped(self) -> int:
-        """Packets dropped across all output queues of this switch."""
-        return sum(port.stats.dropped for port in self.ports.values())
-
     def total_queued_bytes(self) -> int:
         """Bytes currently queued across all output ports."""
         return sum(port.queued_bytes for port in self.ports.values())

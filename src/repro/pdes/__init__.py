@@ -30,33 +30,27 @@ here; one container cannot be several machines, but the synchronization
 economics (messages + barriers vs. per-partition event work) are the
 same mechanism measured on one host.
 
-:mod:`repro.pdes.hybrid_shard` runs the hybrid simulator on the same
-worker and coordinator: the full-fidelity region is partitioned across
-workers and every approximated cluster runs as a model shard colocated
-with the worker owning its attachment point.
+:mod:`repro.pdes.hybrid_shard` runs the hybrid simulator through the
+same front door's body, worker and coordinator: the full-fidelity
+region is partitioned across workers and every approximated cluster
+runs as a model shard colocated with the worker owning its attachment
+point.
 """
 
 from repro.core.world import outcome_signature
 from repro.pdes.engine import (
-    PdesConfig,
+    HybridShardConfig,
+    PdesHybridResult,
     WorkerCrashError,
+    extract_flow_schedule,
     resolve_window,
     run_parallel_simulation,
     run_single_threaded,
 )
-from repro.pdes.hybrid_shard import (
-    HybridShardConfig,
-    ModelRef,
-    PdesHybridResult,
-    extract_flow_schedule,
-    model_egress_lookahead,
-    resolve_hybrid_window,
-    run_hybrid_sharded,
-)
+from repro.pdes.hybrid_shard import ModelRef, model_egress_lookahead, run_hybrid_sharded
 from repro.pdes.worker import ShardStats
 
 __all__ = [
-    "PdesConfig",
     "resolve_window",
     "run_parallel_simulation",
     "run_single_threaded",
@@ -68,6 +62,5 @@ __all__ = [
     "extract_flow_schedule",
     "model_egress_lookahead",
     "outcome_signature",
-    "resolve_hybrid_window",
     "run_hybrid_sharded",
 ]

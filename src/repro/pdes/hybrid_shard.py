@@ -46,36 +46,33 @@ by ~1e-11 s; 52 flows completing instead of 55), most likely a
 same-time event order a window barrier cannot reproduce (DESIGN.md
 §11).
 
-Each worker reports its ``world.result()``; :func:`run_hybrid_sharded`
-combines them with :meth:`~repro.core.world.RunResult.merge` into a
-:class:`PdesHybridResult`.
+Everything else — the window, the plan, the coordinator, the merge
+into a :class:`~repro.pdes.engine.PdesHybridResult` — is the plain
+engine's body (:mod:`repro.pdes.engine`); this module holds only what
+a model adds: :class:`ModelRef`, :func:`model_egress_lookahead` and
+the hybrid partitioner's call.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.cluster_model import MIN_REGION_LATENCY_S
-from repro.core.hybrid import HybridConfig, check_model_width, hot_path_summary
+from repro.core.hybrid import HybridConfig, check_model_width
 from repro.core.training import TrainedClusterModel
-from repro.core.world import ExperimentConfig, RunResult, make_generator
-from repro.obs.trace import DEFAULT_TRACE_CAPACITY, merge_traces
-from repro.pdes.engine import PdesConfig, pdes_counters, resolve_window, run_workers
-from repro.pdes.worker import ShardPlan, ShardStats
+from repro.core.world import ExperimentConfig
+from repro.pdes.engine import (
+    HybridShardConfig,
+    PdesHybridResult,
+    _run_sharded,
+    extract_flow_schedule,
+)
 from repro.topology.clos import build_clos
-from repro.topology.graph import Topology
 from repro.topology.partition import partition_hybrid
-from repro.traffic.apps import FlowSchedule, draw_flow_schedule
 
 
-# ----------------------------------------------------------------------
-# Configuration and payload types
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ModelRef:
     """A trained model by artifact path, not by pickled engine.
@@ -96,108 +93,6 @@ class ModelRef:
         return TrainedClusterModel.load(self.path)
 
 
-@dataclass(frozen=True)
-class HybridShardConfig:
-    """Options of a sharded hybrid run.
-
-    Attributes
-    ----------
-    workers:
-        Worker processes.  ``1`` exercises the identical machinery
-        (process, pipes, windowed loop) with no exchanges.
-    window_s:
-        Synchronization window; ``None`` selects the maximum safe
-        lookahead (min cut-link delay, further bounded by the
-        model-egress lookahead).  Larger values are **rejected**.
-    worker_timeout_s:
-        Wall-clock budget for any single parent-side wait (setup or
-        run); a worker silent past this raises
-        :class:`WorkerCrashError` instead of hanging.
-    metrics:
-        Build a per-worker :class:`~repro.obs.MetricsRegistry` and
-        include its snapshot in each worker's stats.  Metrics never
-        schedule events, so outcomes are identical on and off.
-    trace:
-        Build a per-worker :class:`~repro.obs.trace.FlightRecorder`
-        and include its events in each worker's stats (merged by the
-        coordinator).  The recorder stamps sim time only and draws no
-        randomness, so outcomes are identical on and off.
-    trace_capacity:
-        Flight-recorder ring size per worker; oldest records evict
-        first when a run outgrows it.
-    inject_crash:
-        Test hook: worker index that raises mid-window (``None`` off).
-    """
-
-    workers: int = 2
-    window_s: Optional[float] = None
-    worker_timeout_s: float = 300.0
-    metrics: bool = False
-    trace: bool = False
-    trace_capacity: int = DEFAULT_TRACE_CAPACITY
-    inject_crash: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        # NaN passes a plain ``<= 0`` test, and a NaN window never
-        # reaches its horizon: the window loop would spin forever.
-        if self.window_s is not None and not (
-            math.isfinite(self.window_s) and self.window_s > 0
-        ):
-            raise ValueError(f"window_s must be positive and finite, got {self.window_s}")
-        if not (math.isfinite(self.worker_timeout_s) and self.worker_timeout_s > 0):
-            raise ValueError(
-                "worker_timeout_s must be positive and finite, "
-                f"got {self.worker_timeout_s}"
-            )
-        if self.trace_capacity < 1:
-            raise ValueError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}"
-            )
-
-
-# ----------------------------------------------------------------------
-# Flow-schedule extraction
-# ----------------------------------------------------------------------
-def extract_flow_schedule(
-    topology: Topology,
-    config: ExperimentConfig,
-    hybrid: HybridConfig,
-) -> FlowSchedule:
-    """Pre-draw the exact flow schedule of a hybrid experiment.
-
-    :func:`~repro.traffic.apps.draw_flow_schedule` of the generator
-    :func:`make_generator` builds for ``config``, with the hybrid's
-    elision filter: the flows, ports and ``elided`` count the
-    single-process hybrid would launch.
-    """
-    cluster_of = {node.name: node.cluster for node in topology.servers()}
-    full = hybrid.full_cluster
-
-    def flow_filter(src: str, dst: str) -> bool:
-        if not hybrid.elide_remote_traffic:
-            return True
-        return cluster_of[src] == full or cluster_of[dst] == full
-
-    if config.collective is not None:
-        # Collective chunk launches are gated on flow completions the
-        # shim cannot produce; sharded runs reject collectives up front
-        # (see run_hybrid_sharded) and extraction ignores them.
-        config = dataclasses.replace(config, collective=None)
-    return draw_flow_schedule(
-        topology,
-        config.seed,
-        config.duration_s,
-        lambda sim, network: make_generator(
-            sim, network, config, flow_filter=flow_filter
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
-# Lookahead
-# ----------------------------------------------------------------------
 def model_egress_lookahead(hybrid: HybridConfig) -> float:
     """Safe lookahead of model egress crossing a shard boundary.
 
@@ -208,8 +103,9 @@ def model_egress_lookahead(hybrid: HybridConfig) -> float:
     after the arrival (the batcher clamps its window to
     ``MIN_REGION_LATENCY_S``).  The remaining guaranteed slack between
     decision and delivery is the usable lookahead.  Non-positive means
-    batching ate the entire causality margin; :func:`resolve_window`
-    rejects that configuration outright.
+    batching ate the entire causality margin;
+    :func:`~repro.pdes.engine.resolve_window` rejects that
+    configuration outright.
     """
     batch_eff = 0.0
     if hybrid.batch_window_s > 0:
@@ -217,94 +113,6 @@ def model_egress_lookahead(hybrid: HybridConfig) -> float:
     return MIN_REGION_LATENCY_S - batch_eff
 
 
-def resolve_hybrid_window(
-    topology: Topology,
-    partitions: list[set[str]],
-    config: PdesConfig,
-    hybrid: HybridConfig,
-) -> float:
-    """Window for a sharded hybrid: cut-link delay AND model lookahead.
-
-    The model-egress bound only binds when there is a shard boundary
-    for egress to cross (more than one worker and at least one
-    approximated cluster); a 1-worker shard is windowed like a plain
-    single-partition run.
-    """
-    lookahead: Optional[float] = None
-    if len(partitions) > 1 and len(topology.cluster_ids()) > 1:
-        lookahead = model_egress_lookahead(hybrid)
-    return resolve_window(topology, partitions, config, model_lookahead_s=lookahead)
-
-
-# ----------------------------------------------------------------------
-# Results
-# ----------------------------------------------------------------------
-def _pdes_key(key: str) -> property:
-    return property(lambda self: self.pdes[key], doc=f"``pdes[{key!r}]``")
-
-
-@dataclass
-class PdesHybridResult(RunResult):
-    """A sharded hybrid run: the merged :class:`RunResult` plus the
-    workers' own reports.
-
-    Its other names are one-line reads of ``pdes`` or ``worker_stats``:
-    what the ledger adapter, the goldens and the shard tests read."""
-
-    worker_stats: list[ShardStats] = field(default_factory=list)
-
-    window_s = _pdes_key("window_s")
-    windows = _pdes_key("windows")
-    cut_links = _pdes_key("cut_links")
-    exchanges = _pdes_key("exchanges")
-    messages = _pdes_key("messages")
-    stall_seconds = _pdes_key("stall_seconds")
-    lookahead_violations = _pdes_key("lookahead_violations")
-    invariant_violations = _pdes_key("invariant_violations")
-
-    @property
-    def trace_recorded(self) -> int:
-        return self.pdes["trace"]["recorded"]
-
-    @property
-    def trace_evicted(self) -> int:
-        return self.pdes["trace"]["evicted"]
-
-    @property
-    def max_worker_cpu_seconds(self) -> float:
-        """CPU seconds of the busiest worker (the parallel critical path).
-
-        Core-count independent: on a host with fewer cores than
-        workers, wall-clock cannot show the split, but the busiest
-        worker's CPU time bounds the wall-clock achievable with enough
-        cores."""
-        return max(s.cpu_seconds for s in self.worker_stats)
-
-    def merged_hot_path_counters(self, wallclock_s: Optional[float] = None) -> dict:
-        """``hot_path`` with its ratios taken at ``wallclock_s``."""
-        return hot_path_summary(self.hot_path, wallclock_s)
-
-    def determinism_signature(self) -> str:
-        """Byte-comparable per-worker state (wall-clock excluded)."""
-        return json.dumps(
-            [s.deterministic_view() for s in self.worker_stats], sort_keys=True
-        )
-
-    def merged_trace(self) -> list[dict]:
-        """All workers' flight-recorder events in causal merge order.
-
-        Sorted by (sim time, worker, per-worker sequence) — see
-        :func:`repro.obs.trace.merge_traces`.  Empty when the run was
-        not traced.
-        """
-        return merge_traces(
-            [s.trace_events for s in self.worker_stats if s.trace_events]
-        )
-
-
-# ----------------------------------------------------------------------
-# Parent orchestration
-# ----------------------------------------------------------------------
 def _ensure_model_ref(
     model: Union[TrainedClusterModel, ModelRef], scratch_dir: Optional[str]
 ) -> ModelRef:
@@ -355,42 +163,21 @@ def run_hybrid_sharded(
             "single_black_box mode cannot be sharded: the one "
             "rest-of-network model has nowhere to split"
         )
-    if config.collective is not None:
-        raise ValueError(
-            "collective workloads cannot be sharded: gated chunk sends "
-            "depend on cross-worker flow completions; run them under the "
-            "hybrid or cascade engines"
-        )
     check_model_width(model)
     topology = build_clos(config.clos)
     partitions = partition_hybrid(topology, hybrid.full_cluster, shard.workers)
-    pdes_config = PdesConfig(
-        workers=shard.workers,
-        duration_s=config.duration_s,
-        window_s=shard.window_s,
-        seed=config.seed,
-    )
-    window = resolve_hybrid_window(topology, partitions, pdes_config, hybrid)
-    flows = extract_flow_schedule(topology, config, hybrid)
-    model_ref = _ensure_model_ref(model, scratch_dir)
-
-    plan = ShardPlan(
+    # Model egress bounds the window only where it can cross a shard
+    # boundary: more than one worker and an approximated cluster.
+    lookahead = None
+    if len(partitions) > 1 and len(topology.cluster_ids()) > 1:
+        lookahead = model_egress_lookahead(hybrid)
+    return _run_sharded(
         config,
+        shard,
         topology,
         partitions,
-        flows,
-        window,
-        model_ref=model_ref,
-        hybrid_config=hybrid,
-        metrics=shard.metrics,
-        trace_capacity=shard.trace_capacity if shard.trace else None,
-        inject_crash=shard.inject_crash,
-    )
-    stats, elapsed = run_workers(plan, shard.worker_timeout_s)
-    return PdesHybridResult.merge(
-        [s.result for s in stats],
-        wallclock_seconds=elapsed,
-        pdes=pdes_counters(plan, stats),
-        flows_elided=flows.elided,
-        worker_stats=stats,
+        extract_flow_schedule(topology, config, hybrid),
+        model_lookahead_s=lookahead,
+        model_ref=_ensure_model_ref(model, scratch_dir),
+        hybrid=hybrid,
     )

@@ -48,8 +48,8 @@ if TYPE_CHECKING:
 #: The hot-path block of a stage that runs no model.
 _ZERO_COUNTERS = hot_path_summary({})
 
-#: Flight-recorder keys of the in-process traced stages (the sharded
-#: stage has them as :class:`~repro.pdes.HybridShardConfig` fields).
+#: Flight-recorder keys of the in-process traced stages (the parallel
+#: stages have them as :class:`~repro.pdes.HybridShardConfig` fields).
 TRACE_KEYS = ("trace", "trace_capacity")
 _TRACED_STAGES = ("hybrid", "cascade")
 
@@ -62,6 +62,7 @@ def _stage_config_types(stage: str) -> dict[str, type]:
 
     return {
         "hybrid": {"hybrid": HybridConfig},
+        "pdes": {"shard": HybridShardConfig},
         "pdes-hybrid": {"hybrid": HybridConfig, "shard": HybridShardConfig},
         "cascade": {"cascade": CascadeConfig},
         "validate": {"validate": ValidateConfig},
@@ -115,7 +116,7 @@ class StageRun:
     """What one stage produced, before a manifest or a table renders it.
 
     ``result`` is the entrypoint's result: a :class:`RunResult`
-    (simulate, hybrid, pdes-hybrid — the last as its
+    (simulate, hybrid, pdes, pdes-hybrid — the last two as its
     ``PdesHybridResult`` subclass), ``CascadeResult``,
     ``DifferentialResult`` (validate), the per-direction
     evaluations (evaluate) or the model itself (train).  ``detail`` is
@@ -176,14 +177,18 @@ def run_stage(
         ))
 
     trace = None  # (events, recorded, evicted, workers) when traced
-    if stage == "pdes-hybrid":
-        from repro.pdes import run_hybrid_sharded
+    if stage in ("pdes", "pdes-hybrid"):
+        from repro.pdes import run_hybrid_sharded, run_parallel_simulation
 
-        result = run_hybrid_sharded(
-            experiment, model, shard=configs["shard"], hybrid=configs["hybrid"]
-        )
+        shard = configs["shard"]
+        if stage == "pdes":
+            result = run_parallel_simulation(experiment, shard)
+        else:
+            result = run_hybrid_sharded(
+                experiment, model, shard=shard, hybrid=configs["hybrid"]
+            )
         run = StageRun(result)
-        if configs["shard"].trace:
+        if shard.trace:
             trace = (
                 result.merged_trace(), result.trace_recorded,
                 result.trace_evicted, result.pdes["workers"],
@@ -308,7 +313,7 @@ def _summarize_run(stage: str, run: StageRun) -> tuple[dict[str, Any], dict[str,
             "fluid_fct": _sample_summary(run.result.fluid_fcts),
         }
         return summary, result.hot_path
-    # simulate, hybrid, pdes-hybrid: the stage's result is a RunResult.
+    # simulate, hybrid, pdes, pdes-hybrid: the stage's result is a RunResult.
     return _summarize_result(run.result), run.result.hot_path
 
 

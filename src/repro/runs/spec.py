@@ -2,8 +2,9 @@
 
 A :class:`ScenarioSpec` is the JSON/TOML-loadable description of one
 sweep: a base :class:`~repro.core.pipeline.ExperimentConfig`, a
-pipeline stage (``simulate`` / ``train`` / ``hybrid`` / ``cascade``
-/ ``evaluate`` / ``validate``), and sweep axes.  :meth:`ScenarioSpec.expand` turns it into an ordered
+pipeline stage (``simulate`` / ``train`` / ``hybrid`` / ``pdes`` /
+``pdes-hybrid`` / ``cascade`` / ``evaluate`` / ``validate``), and sweep
+axes.  :meth:`ScenarioSpec.expand` turns it into an ordered
 list of :class:`RunRequest` objects — the unit the scheduler dispatches
 to worker processes and the manifest layer records.
 
@@ -44,6 +45,7 @@ STAGES = (
     "simulate",
     "train",
     "hybrid",
+    "pdes",
     "pdes-hybrid",
     "cascade",
     "evaluate",
@@ -208,6 +210,7 @@ class ScenarioSpec:
         The stage's options: fields of
         :class:`~repro.core.hybrid.HybridConfig` (``hybrid``; plus
         :class:`~repro.pdes.HybridShardConfig` for ``pdes-hybrid``),
+        :class:`~repro.pdes.HybridShardConfig` alone (``pdes``),
         :class:`~repro.cascade.CascadeConfig` (``cascade``) or
         :class:`~repro.validate.ValidateConfig` (``validate``), and
         ``trace`` / ``trace_capacity`` on the traced stages; no block

@@ -49,24 +49,9 @@ class FatTreeParams:
         return self.k
 
     @property
-    def edges_per_pod(self) -> int:
-        """Edge (ToR) switches per pod."""
-        return self.k // 2
-
-    @property
-    def aggs_per_pod(self) -> int:
-        """Aggregation switches per pod."""
-        return self.k // 2
-
-    @property
     def cores(self) -> int:
         """Core switches: (k/2)^2."""
         return (self.k // 2) ** 2
-
-    @property
-    def servers_per_edge(self) -> int:
-        """Servers per edge switch."""
-        return self.k // 2
 
     @property
     def total_servers(self) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from repro.topology.graph import NodeRole, Topology
 
@@ -115,12 +115,6 @@ class RoutingConfig:
                 raise ValueError(f"unknown routing keys: {sorted(unknown)}")
             return cls(**raw)
         raise TypeError(f"routing must be a policy name or dict, got {type(raw).__name__}")
-
-
-class PortLoad(Protocol):
-    """Callable giving the queued bytes on the port toward a neighbor."""
-
-    def __call__(self, neighbor: str) -> int: ...
 
 
 class EcmpRouting:

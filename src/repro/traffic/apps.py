@@ -226,11 +226,6 @@ class TrafficGenerator(Entity):
         return record
 
     # ------------------------------------------------------------------
-    @property
-    def flows_in_flight(self) -> int:
-        """Flows started but not yet completed."""
-        return self.flows_started - self.flows_completed
-
     def completed_fcts(self) -> list[float]:
         """FCTs of all completed flows (seconds)."""
         return [r.fct for r in self.flows if r.fct is not None]

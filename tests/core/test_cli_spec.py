@@ -76,6 +76,16 @@ class TestArgvToConfig:
             "--trace-capacity", "64",
         ])["trace"] == 64
 
+    def test_pdes_command_is_the_pdes_or_pdes_hybrid_stage(self):
+        parse = build_parser().parse_args
+        assert spec_from_args(parse(["pdes"]))["stage"] == "pdes"
+        assert spec_from_args(parse(["pdes", "--hybrid", "--model", "m"]))["stage"] == (
+            "pdes-hybrid"
+        )
+
+    def test_pdes_defaults(self):
+        assert _configs(["pdes"]) == {"shard": HybridShardConfig()}
+
     def test_pdes_hybrid_defaults(self):
         configs = _configs(["pdes", "--hybrid", "--model", "m"])
         assert configs == {"hybrid": HybridConfig(), "shard": HybridShardConfig()}
@@ -225,6 +235,10 @@ EQUIVALENT = {
     "hybrid": (
         ["hybrid", "--model", "m", "--duration", "0.002", "--seed", "9"],
         lambda: load_spec(SPECS / "ci_smoke.json"),
+    ),
+    "pdes": (
+        ["pdes", "--clusters", "4", "--duration", "0.003", "--workers", "2", "--trace"],
+        lambda: load_spec(SPECS / "pdes_plain_smoke.json"),
     ),
     "pdes-hybrid": (
         ["pdes", "--hybrid", "--model", "m", "--clusters", "3", "--duration", "0.002",

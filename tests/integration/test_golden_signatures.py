@@ -35,7 +35,6 @@ from repro.obs import MetricsRegistry
 from repro.obs.trace import FlightRecorder
 from repro.pdes import (
     HybridShardConfig,
-    PdesConfig,
     run_hybrid_sharded,
     run_parallel_simulation,
 )
@@ -325,7 +324,8 @@ def test_plain_pdes(workers):
         seed=131,
     )
     result = run_parallel_simulation(
-        topology, flows, PdesConfig(workers=workers, duration_s=0.05, seed=131)
+        ExperimentConfig(duration_s=0.05, seed=131), HybridShardConfig(workers=workers),
+        topology=topology, flows=flows,
     )
     assert result.flows_completed == len(flows)
     _check(

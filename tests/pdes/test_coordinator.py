@@ -29,14 +29,18 @@ from repro.topology.clos import ClosParams
 #: during setup, before it reports ready.
 _DOOMED_RUN = textwrap.dedent(
     """
+    from repro.core.pipeline import ExperimentConfig
     from repro.flowsim.simulator import FlowSpec
-    from repro.pdes import PdesConfig, WorkerCrashError, run_parallel_simulation
+    from repro.pdes import HybridShardConfig, WorkerCrashError, run_parallel_simulation
     from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 
     topology = build_leaf_spine(LeafSpineParams(tors=2, spines=2, servers_per_tor=2))
     flows = [FlowSpec(0, "server-t0-s0", "no-such-host", 10_000, 0.0, 10_000)]
     try:
-        run_parallel_simulation(topology, flows, PdesConfig(workers=2, duration_s=0.001))
+        run_parallel_simulation(
+            ExperimentConfig(duration_s=0.001, seed=0), HybridShardConfig(workers=2),
+            topology=topology, flows=flows,
+        )
     except WorkerCrashError as error:
         print("WorkerCrashError", error.worker_index, error.error_type, error.message)
     else:
@@ -67,6 +71,17 @@ def test_plain_engine_worker_death_raises_instead_of_hanging():
     assert worker_index in ("0", "1")
     assert error_type == "ValueError"
     assert "no-such-host" in " ".join(message)
+
+
+def test_plain_engine_wait_is_timed_out():
+    """The plain engine waits with the shard's ``worker_timeout_s`` too:
+    silence past it raises instead of blocking forever."""
+    from repro.pdes import HybridShardConfig, WorkerCrashError, run_parallel_simulation
+
+    config = ExperimentConfig(clos=ClosParams(clusters=2), duration_s=0.001)
+    with pytest.raises(WorkerCrashError) as excinfo:
+        run_parallel_simulation(config, HybridShardConfig(workers=2, worker_timeout_s=1e-9))
+    assert excinfo.value.error_type == "Timeout"
 
 
 def test_zero_wallclock_rates_are_zero_not_inf():

@@ -19,10 +19,8 @@ from repro.core.pipeline import ExperimentConfig, run_hybrid_simulation
 from repro.pdes import (
     HybridShardConfig,
     ModelRef,
-    PdesConfig,
     extract_flow_schedule,
     model_egress_lookahead,
-    resolve_hybrid_window,
     resolve_window,
     run_hybrid_sharded,
 )
@@ -159,16 +157,10 @@ def _partitioned(workers=2, hybrid=HYBRID):
     return topology, partitions
 
 
-def _pdes_config(window_s=None):
-    return PdesConfig(
-        workers=2, duration_s=EXPERIMENT.duration_s, window_s=window_s, seed=1
-    )
-
-
 def test_oversized_window_rejected_by_cut_link_delay():
     topology, partitions = _partitioned()
     with pytest.raises(ValueError, match="minimum cut-link delay"):
-        resolve_window(topology, partitions, _pdes_config(window_s=1.0))
+        resolve_window(topology, partitions, 1.0, EXPERIMENT.duration_s)
 
 
 def test_oversized_window_rejected_by_model_lookahead():
@@ -180,11 +172,12 @@ def test_oversized_window_rejected_by_model_lookahead():
     )
     topology, partitions = _partitioned(hybrid=hybrid)
     with pytest.raises(ValueError, match="hybrid model-egress lookahead"):
-        resolve_hybrid_window(
+        resolve_window(
             topology,
             partitions,
-            _pdes_config(window_s=MIN_REGION_LATENCY_S * 0.9),
-            hybrid,
+            MIN_REGION_LATENCY_S * 0.9,
+            EXPERIMENT.duration_s,
+            model_egress_lookahead(hybrid),
         )
 
 
@@ -195,25 +188,26 @@ def test_batching_consuming_entire_margin_rejected():
     assert model_egress_lookahead(hybrid) == 0.0
     topology, partitions = _partitioned(hybrid=hybrid)
     with pytest.raises(ValueError, match="no safe synchronization window"):
-        resolve_hybrid_window(topology, partitions, _pdes_config(), hybrid)
+        resolve_window(
+            topology, partitions, None, EXPERIMENT.duration_s,
+            model_egress_lookahead(hybrid),
+        )
 
 
 def test_default_window_respects_tighter_bound():
     hybrid = HybridConfig(elide_remote_traffic=False, batch_window_s=4e-7)
     topology, partitions = _partitioned(hybrid=hybrid)
-    window = resolve_hybrid_window(topology, partitions, _pdes_config(), hybrid)
+    lookahead = model_egress_lookahead(hybrid)
+    duration = EXPERIMENT.duration_s
+    window = resolve_window(topology, partitions, None, duration, lookahead)
     assert window == pytest.approx(MIN_REGION_LATENCY_S - 4e-7)
     # An explicit window at the bound is accepted; just above is not.
     assert (
-        resolve_hybrid_window(
-            topology, partitions, _pdes_config(window_s=window), hybrid
-        )
+        resolve_window(topology, partitions, window, duration, lookahead)
         == window
     )
     with pytest.raises(ValueError, match="exceeds"):
-        resolve_hybrid_window(
-            topology, partitions, _pdes_config(window_s=window * 1.25), hybrid
-        )
+        resolve_window(topology, partitions, window * 1.25, duration, lookahead)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -221,21 +215,20 @@ def test_non_finite_window_and_timeout_rejected(value):
     """A NaN window never reaches its horizon (``time > nan`` is always
     False), so cross-worker packets would never be exchanged."""
     with pytest.raises(ValueError, match="window_s"):
-        PdesConfig(window_s=value)
-    with pytest.raises(ValueError, match="window_s"):
         HybridShardConfig(window_s=value)
     with pytest.raises(ValueError, match="worker_timeout_s"):
         HybridShardConfig(worker_timeout_s=value)
 
 
-def test_single_worker_has_no_model_bound():
+def test_single_worker_has_no_model_bound(trained_bundle):
     """A 1-worker shard has no cut to cross; the window falls back to
     the run duration and batching imposes no constraint."""
-    topology, partitions = _partitioned(workers=1)
     hybrid = HybridConfig(
         elide_remote_traffic=False, batch_window_s=MIN_REGION_LATENCY_S
     )
-    window = resolve_hybrid_window(topology, partitions, _pdes_config(), hybrid)
+    window = run_hybrid_sharded(
+        EXPERIMENT, trained_bundle, HybridShardConfig(workers=1), hybrid
+    ).window_s
     assert window == EXPERIMENT.duration_s
 
 

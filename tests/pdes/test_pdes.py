@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.pipeline import ExperimentConfig
 from repro.flowsim.simulator import FlowSpec
 from repro.flowsim.workload import generate_workload
-from repro.pdes.engine import PdesConfig, run_parallel_simulation, run_single_threaded
+from repro.pdes.engine import HybridShardConfig, run_parallel_simulation, run_single_threaded
 from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 from repro.traffic.distributions import EmpiricalSizeDistribution, UNIFORM_SMALL_CDF
 
@@ -35,7 +36,9 @@ def leafspine():
 class TestSingleThreaded:
     def test_flows_complete(self, leafspine):
         flows = _small_workload(leafspine)
-        result = run_single_threaded(leafspine, flows, duration_s=0.02)
+        result = run_single_threaded(
+            ExperimentConfig(duration_s=0.02, seed=0), topology=leafspine, flows=flows
+        )
         assert result.flows_completed > 0
         assert result.flows_completed <= len(flows)
         assert result.events_executed > 0
@@ -43,7 +46,9 @@ class TestSingleThreaded:
 
     def test_all_flows_complete_with_headroom(self, leafspine):
         flows = _small_workload(leafspine, duration=0.002, load=0.1)
-        result = run_single_threaded(leafspine, flows, duration_s=1.0)
+        result = run_single_threaded(
+            ExperimentConfig(duration_s=1.0, seed=0), topology=leafspine, flows=flows
+        )
         assert result.flows_completed == len(flows)
 
 
@@ -51,16 +56,18 @@ class TestParallel:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_matches_single_thread_flow_completions(self, leafspine, workers):
         flows = _small_workload(leafspine, duration=0.002, load=0.15)
-        single = run_single_threaded(leafspine, flows, duration_s=0.02)
+        config = ExperimentConfig(duration_s=0.02, seed=0)
+        single = run_single_threaded(config, topology=leafspine, flows=flows)
         parallel = run_parallel_simulation(
-            leafspine, flows, PdesConfig(workers=workers, duration_s=0.02)
+            config, HybridShardConfig(workers=workers), topology=leafspine, flows=flows
         )
         assert parallel.flows_completed == single.flows_completed == len(flows)
 
     def test_cross_partition_messages_flow(self, leafspine):
         flows = _small_workload(leafspine, duration=0.002)
         result = run_parallel_simulation(
-            leafspine, flows, PdesConfig(workers=2, duration_s=0.02)
+            ExperimentConfig(duration_s=0.02, seed=0), HybridShardConfig(workers=2),
+            topology=leafspine, flows=flows,
         )
         assert result.pdes["messages"] > 0
         assert result.pdes["cut_links"] > 0
@@ -68,7 +75,8 @@ class TestParallel:
     def test_one_worker_degenerate_case(self, leafspine):
         flows = _small_workload(leafspine, duration=0.001, load=0.1)
         result = run_parallel_simulation(
-            leafspine, flows, PdesConfig(workers=1, duration_s=0.02)
+            ExperimentConfig(duration_s=0.02, seed=0), HybridShardConfig(workers=1),
+            topology=leafspine, flows=flows,
         )
         assert result.flows_completed == len(flows)
         assert result.pdes["messages"] == 0
@@ -76,7 +84,8 @@ class TestParallel:
     def test_rtt_and_fct_stats_collected(self, leafspine):
         flows = _small_workload(leafspine, duration=0.003)
         result = run_parallel_simulation(
-            leafspine, flows, PdesConfig(workers=2, duration_s=0.02)
+            ExperimentConfig(duration_s=0.02, seed=0), HybridShardConfig(workers=2),
+            topology=leafspine, flows=flows,
         )
         assert len(result.fcts) == result.flows_completed
         assert all(f > 0 for f in result.fcts)
@@ -86,15 +95,16 @@ class TestParallel:
         flows = _small_workload(leafspine, duration=0.001)
         with pytest.raises(ValueError):
             run_parallel_simulation(
-                leafspine,
-                flows,
-                PdesConfig(workers=2, duration_s=0.01, window_s=1.0),
+                ExperimentConfig(duration_s=0.01, seed=0),
+                HybridShardConfig(workers=2, window_s=1.0),
+                topology=leafspine,
+                flows=flows,
             )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PdesConfig(workers=0)
+            HybridShardConfig(workers=0)
         with pytest.raises(ValueError):
-            PdesConfig(duration_s=0.0)
+            ExperimentConfig(duration_s=0.0)
         with pytest.raises(ValueError):
-            PdesConfig(window_s=-1.0)
+            HybridShardConfig(window_s=-1.0)

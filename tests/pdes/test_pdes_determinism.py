@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.pipeline import ExperimentConfig, run_full_simulation
 from repro.flowsim.workload import generate_workload
-from repro.pdes.engine import PdesConfig, run_parallel_simulation
+from repro.pdes.engine import HybridShardConfig, run_parallel_simulation
 from repro.topology.clos import ClosParams, build_clos
 from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 from repro.traffic.distributions import EmpiricalSizeDistribution, UNIFORM_SMALL_CDF
@@ -31,9 +31,10 @@ def world():
 
 def test_parallel_run_reproducible(world):
     topo, flows = world
-    config = PdesConfig(workers=2, duration_s=0.02, seed=131)
-    first = run_parallel_simulation(topo, flows, config)
-    second = run_parallel_simulation(topo, flows, config)
+    config = ExperimentConfig(duration_s=0.02, seed=131)
+    shard = HybridShardConfig(workers=2)
+    first = run_parallel_simulation(config, shard, topology=topo, flows=flows)
+    second = run_parallel_simulation(config, shard, topology=topo, flows=flows)
     assert first.flows_completed == second.flows_completed
     assert first.drops == second.drops
     assert first.events_executed == second.events_executed
@@ -48,9 +49,10 @@ def test_parallel_matches_single_thread_outcomes(world):
     from repro.pdes.engine import run_single_threaded
 
     topo, flows = world
-    single = run_single_threaded(topo, flows, duration_s=0.02, seed=131)
+    config = ExperimentConfig(duration_s=0.02, seed=131)
+    single = run_single_threaded(config, topology=topo, flows=flows)
     parallel = run_parallel_simulation(
-        topo, flows, PdesConfig(workers=2, duration_s=0.02, seed=131)
+        config, HybridShardConfig(workers=2), topology=topo, flows=flows
     )
     assert single.flows_completed == parallel.flows_completed == len(flows)
     for a, b in zip(sorted(single.fcts), sorted(parallel.fcts)):
@@ -90,15 +92,40 @@ def test_plain_pdes_runs_the_des_simulation(lattice, engine):
 
     topology, flows, des = lattice
     if engine == "single_threaded":
-        result = run_single_threaded(
-            topology, flows, LATTICE.duration_s, seed=LATTICE.seed
-        )
+        result = run_single_threaded(LATTICE, topology=topology, flows=flows)
     else:
         workers = 1 if engine == "1_worker" else 2
-        config = PdesConfig(
-            workers=workers, duration_s=LATTICE.duration_s, seed=LATTICE.seed
+        result = run_parallel_simulation(
+            LATTICE, HybridShardConfig(workers=workers), topology=topology, flows=flows
         )
-        result = run_parallel_simulation(topology, flows, config)
     events = engine != "2_workers"
     assert des.flows_completed > 0 and des.drops > 0
     assert _outcome(result, events) == _outcome(des, events)
+
+
+def test_tracing_does_not_perturb_plain_outcomes():
+    """A traced plain run reaches the untraced run's outcome, and its
+    merged trace shows every cut-link delivery at or after its send."""
+    untraced = run_parallel_simulation(LATTICE, HybridShardConfig(workers=2))
+    traced = run_parallel_simulation(
+        LATTICE, HybridShardConfig(workers=2, trace=True, trace_capacity=100_000)
+    )
+    assert _outcome(traced, events=False) == _outcome(untraced, events=False)
+    assert traced.trace_evicted == 0
+
+    def key(record, sender, receiver):
+        args = record["args"]
+        return (record["trace"], args["window"], args["target"], sender, receiver)
+
+    sends: dict[tuple, list[float]] = {}
+    recvs = []
+    for record in traced.merged_trace():
+        if record["name"] == "exchange.send":
+            link = key(record, record["worker"], record["args"]["peer"])
+            sends.setdefault(link, []).append(record["t0"])
+        elif record["name"] == "exchange.recv":
+            recvs.append((key(record, record["args"]["peer"], record["worker"]), record["t0"]))
+    assert recvs, "a 2-worker plain run exchanged no packets"
+    for link, received_at in recvs:
+        assert sends.get(link), f"exchange.recv without its send: {link}"
+        assert max(sends[link]) <= received_at

@@ -174,6 +174,11 @@ ROUND_TRIP = {
         "hybrid": {"batch_window_s": 1e-6, "memoize_inference": True, "trace": True},
         "sweep": {"clusters": [2, 4], "hidden_size": [4, 8]},
     },
+    "pdes": {
+        "experiment": {"clusters": 4, "duration_s": 0.003, "seed": 5},
+        "hybrid": {"workers": 2, "trace": True},
+        "sweep": {"workers": [1, 2]},
+    },
     "pdes-hybrid": {
         "hybrid": {"workers": 2, "trace": True, "elide_remote_traffic": False},
     },

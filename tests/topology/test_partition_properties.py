@@ -12,13 +12,12 @@ window never exceeds any cut-link delay or the model-egress lookahead
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pdes import PdesConfig, resolve_window
+from repro.pdes import resolve_window
 from repro.topology.clos import ClosParams, build_clos
 from repro.topology.leafspine import LeafSpineParams, build_leaf_spine
 from repro.topology.partition import (
@@ -121,9 +120,8 @@ def test_resolved_window_never_exceeds_lookahead_bound(
     topology, workers, lookahead
 ):
     partitions = partition_for_workers(topology, workers)
-    config = PdesConfig(workers=workers, duration_s=0.01, window_s=None, seed=0)
     window = resolve_window(
-        topology, partitions, config, model_lookahead_s=lookahead
+        topology, partitions, None, 0.01, model_lookahead_s=lookahead
     )
     assert window > 0
     owner = owner_map(partitions)
@@ -137,6 +135,7 @@ def test_resolved_window_never_exceeds_lookahead_bound(
         resolve_window(
             topology,
             partitions,
-            replace(config, window_s=window * 1.5),
+            window * 1.5,
+            0.01,
             model_lookahead_s=lookahead,
         )
