@@ -129,6 +129,7 @@ GOLDEN = {
     "des_factory": "22b2067ceb28771d682e289891b6c570c68ee683d93a15df06332334325bc6bd",
     "hybrid_inline": "2bbade58d61c1641e98f9f55cc9dcb675a3c4c4a4449ad71f2d10f0490a03044",
     "hybrid_factory": "3d21072ec6c5242948e2a8189b2cc5b778ff10aed5b1c953af1dfaf9c61b9805",
+    "hybrid_elided": "1a083bda40a349173a6c7c96fef45981efc0ce0397d239454c7544b79e756c6a",
     "hybrid_batched_memo": "2bbade58d61c1641e98f9f55cc9dcb675a3c4c4a4449ad71f2d10f0490a03044",
     "hybrid_collective_f32": "acdd6941f8843f80babacc20a34e0c8ae0635211bdc492be457175486a69858d",
     "cascade_result": "cc6e5bf3eadba8349214aaa29f3b54a5873076e1937c5734027d2ab6db766006",
@@ -151,6 +152,7 @@ GOLDEN_EVENTS = {
     "des_factory": 71_995,
     "hybrid_inline": 67_785,
     "hybrid_factory": 43_923,
+    "hybrid_elided": 36_502,
     "hybrid_batched_memo": 72_168,
     "hybrid_collective_f32": 111_102,
     "cascade_result": 201_618,
@@ -196,14 +198,15 @@ def test_des_is_the_world_with_no_model(taps):
 
 
 # ----------------------------------------------------------------------
-# Hybrid: inline inference, every scenario axis, batched + memoized f64
-# and f32
+# Hybrid: inline inference, every scenario axis, the paper's elided
+# configuration, batched + memoized f64 and f32
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "name,config,hybrid",
     [
         ("hybrid_inline", PLAIN, KEEP_REMOTE),
         ("hybrid_factory", FACTORY, None),
+        ("hybrid_elided", PLAIN, None),
         ("hybrid_batched_memo", PLAIN, BATCHED_MEMO),
         ("hybrid_collective_f32", COLLECTIVE_F32, BATCHED_MEMO_F32),
     ],
