@@ -32,6 +32,7 @@ shows what each transition actually moved.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -77,7 +78,7 @@ class TierAdapter(ABC):
         ``ctx`` is the cascade context — anything exposing
         ``fluid`` (an :class:`~repro.flowsim.epoch.EpochFlowSimulator`),
         ``cluster_of(server) -> int``,
-        ``launch_carried_flow(src, dst, size_bytes)``,
+        ``launch_carried_flow(flow_spec)``,
         ``inflight_packet_flows(region) -> int`` and
         ``macro_label(region) -> str | None`` — the
         :class:`~repro.cascade.simulation.CascadeSimulation` in
@@ -101,10 +102,10 @@ class FlowsimToHybridAdapter(TierAdapter):
             bytes_total += remaining_bytes
             # At least one byte: a fluid flow at the knife edge of
             # completion still needs a real packet exchange to finish.
+            # Its id and port stay, so the packet flow keeps its trace
+            # and hashes onto the path the fluid tier charged.
             size = max(int(math.ceil(remaining_bytes)), 1)
-            # Reuse the port reserved at diversion time so the packet
-            # flow hashes onto the path the fluid tier charged.
-            ctx.launch_carried_flow(spec.src, spec.dst, size, src_port=spec.src_port)
+            ctx.launch_carried_flow(dataclasses.replace(spec, size_bytes=size))
         return Handoff(
             region=region,
             from_tier=self.from_tier,

@@ -145,7 +145,6 @@ class CascadeSimulation:
 
         # ---- Accounting ----------------------------------------------
         self.generator: Optional[TrafficGenerator] = None
-        self._next_fluid_flow_id = 0
         self._carried_record_ids: set[int] = set()
         self._inflight_by_region: dict[int, int] = {
             region: 0 for region in self.regions
@@ -178,48 +177,33 @@ class CascadeSimulation:
             return Tier.DES
         return self.controller.tiers[region]
 
-    def dispatch_flow(self, src: str, dst: str, size_bytes: int) -> bool:
+    def dispatch_flow(self, flow: FlowSpec) -> bool:
         """``TrafficGenerator.flow_dispatch`` hook.
 
         Flows with both endpoints in flowsim-tier regions go fluid
-        (True: the generator opens no packet flow); everything else
+        (True: the generator opens no packet flow) as the generator
+        numbered them: DES's id and source port, so the fluid path
+        charger hashes onto DES's ECMP path and a promotion relaunches
+        the flow on exactly the links already charged.  Everything else
         stays on the packet path and is attributed to the DES tier if
         it touches the focal cluster, else to the hybrid tier.
         """
-        src_cluster = self._cluster_of[src]
-        dst_cluster = self._cluster_of[dst]
+        src_cluster = self._cluster_of[flow.src]
+        dst_cluster = self._cluster_of[flow.dst]
         if (
             self.tier_of(src_cluster) is Tier.FLOWSIM
             and self.tier_of(dst_cluster) is Tier.FLOWSIM
         ):
-            # Reserve the source port the packet tier *would* have
-            # allocated, so the fluid path charger hashes onto the same
-            # ECMP path and a later promotion handoff relaunches the
-            # flow on exactly the links already charged.  This also
-            # keeps per-host port sequences identical whether a flow is
-            # diverted or launched.
-            src_port = self.hybrid.network.host(src).allocate_port()
-            spec = FlowSpec(
-                flow_id=self._next_fluid_flow_id,
-                src=src,
-                dst=dst,
-                size_bytes=size_bytes,
-                start_time=self.sim.now,
-                src_port=src_port,
-            )
-            self._next_fluid_flow_id += 1
             if self._tracer is not None:
                 self._tracer.event(
                     "tier.dispatch",
-                    trace=self._tracer.register_flow(
-                        spec.flow_id, domain="fluid"
-                    ),
+                    trace=self._tracer.trace_for_flow(flow.flow_id),
                     tier=Tier.FLOWSIM.label,
-                    src=src,
-                    dst=dst,
-                    size=size_bytes,
+                    src=flow.src,
+                    dst=flow.dst,
+                    size=flow.size_bytes,
                 )
-            self.fluid.admit(spec)
+            self.fluid.admit(flow)
             self._tier_flows[Tier.FLOWSIM] += 1
             return True
         if self.focal_cluster in (src_cluster, dst_cluster):
@@ -241,7 +225,7 @@ class CascadeSimulation:
         if self._tracer is not None:
             self._tracer.event(
                 "flow.complete",
-                trace=self._tracer.trace_for_flow(spec.flow_id, domain="fluid"),
+                trace=self._tracer.trace_for_flow(spec.flow_id),
                 t=now,
                 fct=fct,
                 size=spec.size_bytes,
@@ -280,13 +264,11 @@ class CascadeSimulation:
     def cluster_of(self, server: str) -> int:
         return self._cluster_of[server]
 
-    def launch_carried_flow(
-        self, src: str, dst: str, size_bytes: int, src_port: Optional[int] = None
-    ) -> FlowRecord:
+    def launch_carried_flow(self, flow: FlowSpec) -> FlowRecord:
         assert self.generator is not None, "attach_generator first"
-        record = self.generator.launch_flow(src, dst, size_bytes, src_port=src_port)
+        record = self.generator.launch_flow(flow)
         self._carried_record_ids.add(id(record))
-        for cluster in {self._cluster_of[src], self._cluster_of[dst]} - {
+        for cluster in {self._cluster_of[flow.src], self._cluster_of[flow.dst]} - {
             self.focal_cluster
         }:
             self._inflight_by_region[cluster] += 1

@@ -719,7 +719,7 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
     meta, records = _load_trace_file(args.run)
     target = args.flow
     if target.isdigit() and meta.get("seed") is not None:
-        target = trace_id(int(meta["seed"]), int(target), domain=args.domain)
+        target = trace_id(int(meta["seed"]), int(target))
     events = flow_events(records, target)
     if not events:
         print(f"no trace records for flow {args.flow!r}")
@@ -972,11 +972,10 @@ def build_parser() -> argparse.ArgumentParser:
         "across workers, cluster models colocated with their attachment "
         "points); requires --model")
     model = arg("--model", default=None, help="model bundle directory (with --hybrid)")
-    arg("--worker-metrics", action="store_true", dest="metrics",
-        help="collect a per-worker metrics snapshot")
     # Flags that only mean something with --hybrid (rejected without it).
     hybrid_only = [model, *_add_hybrid_arguments(pdes)]
     _add_trace_arguments(pdes)
+    _add_metrics_argument(pdes)
     pdes.set_defaults(hybrid_only=hybrid_only)
 
     cascade = _stage(
@@ -1117,9 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
     arg = trace_show.add_argument
     arg("flow", help="flow id (integer, resolved via the trace's seed) or "
         "a trace-id hex prefix")
-    arg("--domain", choices=("flow", "fluid"), default="flow",
-        help="id domain when flow is an integer (packet flows vs the "
-        "cascade's fluid flows)")
     arg = trace_export.add_argument
     arg("--format", choices=("chrome",), default="chrome",
         help="output format (chrome://tracing / Perfetto JSON)")

@@ -26,9 +26,11 @@ from repro.topology.routing import EcmpRouting
 class FlowSpec:
     """One flow to simulate: endpoints, size, arrival time, and ports.
 
-    ``src_port``/``dst_port`` carry the flow's real transport ports —
-    the source port is the one its host allocates — so every engine
-    hashes the flow onto the *same* ECMP path.
+    A generated flow's ``flow_id`` and ``src_port`` are assigned once,
+    at arrival (:meth:`~repro.traffic.apps.TrafficGenerator.number_flow`):
+    the generator's arrival index and the port its source host
+    allocates, so every engine gives the flow the same id and trace id
+    and hashes it onto the *same* ECMP path.
     """
 
     flow_id: int

@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 
 from repro.flowsim.simulator import FlowSpec, check_flow_identities
-from repro.net.host import host_port_counters
+from repro.net.host import host_shims
 from repro.topology.graph import Topology
 from repro.traffic.apps import TrafficGenerator, draw_flow_schedule
 from repro.traffic.arrivals import PoissonArrivals, arrival_rate_for_load
@@ -86,10 +86,10 @@ def load_workload(path: str | Path) -> list[FlowSpec]:
     shared (src, src_port) pairs are refused.
     """
     rows = json.loads(Path(path).read_text())
-    ports = host_port_counters()
+    hosts = host_shims()
     flows = [
         FlowSpec(**row) if "src_port" in row
-        else FlowSpec(**row, src_port=next(ports[row.get("src")]))
+        else FlowSpec(**row, src_port=hosts[row.get("src")].allocate_port())
         for row in rows
     ]
     try:

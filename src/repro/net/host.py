@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Callable, Iterator, Optional
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 from repro.des.entities import Entity
 from repro.des.kernel import Simulator
@@ -24,18 +25,20 @@ from repro.net.tcp.sender import TcpSender
 #: Connection demux key: (peer name, local port, remote port).
 ConnKey = tuple[str, int, int]
 
-#: First ephemeral source port of every host.  Each host numbers the
-#: flows it opens from here in launch order; a pre-drawn schedule
-#: replays that numbering (:func:`host_port_counters`), so a flow hashes
-#: onto the same ECMP path whichever engine carries it.
+#: First ephemeral source port of every host.  The traffic generator
+#: takes each arrival's port from its source host, in arrival order,
+#: elided and diverted arrivals included, so a flow hashes onto the
+#: same ECMP path whichever engine carries it.
 FLOW_PORT_BASE = 10_000
 
 
-def host_port_counters() -> defaultdict[str, Iterator[int]]:
-    """One :meth:`Host.allocate_port` counter per host name, created on
-    first use: ``next(counters[src])`` is the port ``src`` would give
-    its next flow."""
-    return defaultdict(lambda: itertools.count(FLOW_PORT_BASE))
+def host_shims() -> defaultdict[str, SimpleNamespace]:
+    """A stand-in per host name, created on first use, that has only
+    :meth:`Host.allocate_port`: what numbering a pre-drawn schedule
+    needs of a host."""
+    return defaultdict(
+        lambda: SimpleNamespace(allocate_port=itertools.count(FLOW_PORT_BASE).__next__)
+    )
 
 
 class Host(Entity):
@@ -87,10 +90,9 @@ class Host(Entity):
         """Create sender (here) and receiver (at ``dst_host``) for a flow.
 
         Returns the sender; call :meth:`TcpSender.start` to begin.
-        ``src_port`` pins an already-reserved ephemeral port (tier
-        handoffs allocate it at diversion time so the fluid and packet
-        tiers hash the flow identically); by default a fresh one is
-        drawn from the per-host counter.
+        ``src_port`` pins an already-allocated ephemeral port (the
+        traffic generator's, taken at arrival); by default a fresh one
+        is drawn from the per-host counter.
         """
         if src_port is None:
             src_port = self.allocate_port()

@@ -366,6 +366,18 @@ class MetricsRegistry:
         """
         return self.enabled
 
+    def merge_snapshot(self, snapshot: dict[str, Any], **labels: Any) -> None:
+        """Fold another registry's :meth:`snapshot` (a PDES worker's) in,
+        each counter and gauge under its own labels plus ``labels``.
+        Histograms and spans arrive as summaries, which do not add up;
+        they stay in the snapshot."""
+        for entry in snapshot.get("counters", ()):
+            merged = {**entry.get("labels", {}), **labels}
+            self.counter(entry["name"], **merged).inc(entry["value"])
+        for entry in snapshot.get("gauges", ()):
+            merged = {**entry.get("labels", {}), **labels}
+            self.gauge(entry["name"], **merged).set(entry["value"])
+
     # ------------------------------------------------------------------
     # Probe sample stream
     # ------------------------------------------------------------------

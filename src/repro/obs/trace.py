@@ -87,14 +87,14 @@ TRACE_SCHEMA_VERSION = 1
 CHROME_REQUIRED_KEYS = ("name", "cat", "ph", "ts", "pid", "tid")
 
 
-def trace_id(seed: int, flow_id: int, domain: str = "flow") -> str:
+def trace_id(seed: int, flow_id: int) -> str:
     """Stable 64-bit hex trace id for one flow of a seeded run.
 
-    Derived purely from ``(seed, domain, flow id)`` — ``domain``
-    namespaces id spaces that count independently (packet-level flows
-    vs. cascade fluid flows) so they can never collide.
+    Derived purely from ``(seed, flow id)``; the flow id is the traffic
+    generator's arrival index, which every engine and tier shares, so a
+    flow keeps its trace id in DES, the elided hybrid and the cascade.
     """
-    payload = f"{int(seed)}:{domain}:{int(flow_id)}"
+    payload = f"{int(seed)}:flow:{int(flow_id)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -139,33 +139,27 @@ class FlightRecorder:
         self._sid = 0  # span/event id counter (assigned at begin time)
         self._stack: list[dict] = []  # open begin() frames, innermost last
         self._flow_keys: dict[Any, str] = {}  # e.g. (src, src_port) -> trace id
-        self._flow_ids: dict[tuple, str] = {}  # (domain, flow_id) -> trace id
+        self._flow_ids: dict[int, str] = {}  # flow_id -> trace id
 
     # -- identity ------------------------------------------------------
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the sim-time clock (for recorders built before the sim)."""
         self._clock = clock
 
-    def trace_for_flow(self, flow_id: int, domain: str = "flow") -> str:
+    def trace_for_flow(self, flow_id: int) -> str:
         """The flow's stable trace id (memoized)."""
-        key = (domain, int(flow_id))
-        tid = self._flow_ids.get(key)
+        tid = self._flow_ids.get(flow_id)
         if tid is None:
-            tid = trace_id(self.seed, flow_id, domain)
-            self._flow_ids[key] = tid
+            tid = self._flow_ids[flow_id] = trace_id(self.seed, flow_id)
         return tid
 
-    def register_flow(
-        self, flow_id: int, key: Any = None, domain: str = "flow"
-    ) -> str:
+    def register_flow(self, flow_id: int, key: Any) -> str:
         """Bind a runtime lookup ``key`` (e.g. ``(src, src_port)``) to a flow.
 
         Hot paths that only see packets resolve the trace id through
         :meth:`trace_for_key` with the packet's flow identity.
         """
-        tid = self.trace_for_flow(flow_id, domain)
-        if key is not None:
-            self._flow_keys[key] = tid
+        tid = self._flow_keys[key] = self.trace_for_flow(flow_id)
         return tid
 
     def trace_for_key(self, key: Any) -> Optional[str]:

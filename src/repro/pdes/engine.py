@@ -35,6 +35,7 @@ from typing import Optional
 from repro.core.hybrid import HybridConfig, hot_path_summary, matched_load
 from repro.core.world import ExperimentConfig, RunResult, build_world, make_generator
 from repro.flowsim.simulator import FlowSpec
+from repro.obs import MetricsRegistry
 from repro.obs.trace import DEFAULT_TRACE_CAPACITY, merge_traces
 from repro.pdes.worker import ShardPlan, ShardStats, shard_worker_main
 from repro.topology.clos import build_clos
@@ -64,10 +65,6 @@ class HybridShardConfig:
         Wall-clock budget for any single parent-side wait (setup or
         run); a worker silent past this raises
         :class:`WorkerCrashError` instead of hanging.
-    metrics:
-        Build a per-worker :class:`~repro.obs.MetricsRegistry` and
-        include its snapshot in each worker's stats.  Metrics never
-        schedule events, so outcomes are identical on and off.
     trace:
         Build a per-worker :class:`~repro.obs.trace.FlightRecorder`
         and include its events in each worker's stats (merged by the
@@ -83,7 +80,6 @@ class HybridShardConfig:
     workers: int = 2
     window_s: Optional[float] = None
     worker_timeout_s: float = 300.0
-    metrics: bool = False
     trace: bool = False
     trace_capacity: int = DEFAULT_TRACE_CAPACITY
     inject_crash: Optional[int] = None
@@ -436,11 +432,14 @@ def _run_sharded(
     model_lookahead_s: Optional[float] = None,
     model_ref: Optional[object] = None,
     hybrid: HybridConfig = HybridConfig(),
+    metrics: Optional[MetricsRegistry] = None,
 ) -> PdesHybridResult:
     """The body of both parallel runs: window, plan, workers, merge.
 
-    The keywords are the hybrid's (see :class:`ShardPlan`); without
-    them this is the plain engine.
+    ``model_ref`` and ``hybrid`` are the hybrid's (see
+    :class:`ShardPlan`); without them this is the plain engine.  With
+    ``metrics``, every worker keeps a registry whose counters and
+    gauges are merged into ``metrics`` under the worker's label.
     """
     if config.collective is not None:
         raise ValueError(
@@ -459,11 +458,14 @@ def _run_sharded(
         window,
         model_ref=model_ref,
         hybrid_config=hybrid,
-        metrics=shard.metrics,
+        metrics=metrics is not None,
         trace_capacity=shard.trace_capacity if shard.trace else None,
         inject_crash=shard.inject_crash,
     )
     stats, elapsed = run_workers(plan, shard.worker_timeout_s)
+    if metrics is not None:
+        for worker in stats:
+            metrics.merge_snapshot(worker.metrics_snapshot, worker=worker.worker_index)
     return PdesHybridResult.merge(
         [s.result for s in stats],
         wallclock_seconds=elapsed,
@@ -479,14 +481,16 @@ def run_parallel_simulation(
     *,
     topology: Optional[Topology] = None,
     flows: Optional[list[FlowSpec]] = None,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> PdesHybridResult:
     """Run ``config`` at full fidelity across ``shard.workers`` processes.
 
     As in :func:`~repro.core.world.build_world`, ``topology`` replaces
     ``build_clos(config.clos)`` (the Figure 1 engine runs arbitrary
-    graphs) and ``flows`` replaces the experiment's drawn schedule
+    graphs), ``flows`` replaces the experiment's drawn schedule
     (:func:`extract_flow_schedule`: the flows ``repro simulate``
-    launches).
+    launches) and ``metrics`` collects every worker's counters and
+    gauges.
     """
     shard = shard or HybridShardConfig()
     if topology is None:
@@ -494,7 +498,7 @@ def run_parallel_simulation(
     if flows is None:
         flows = extract_flow_schedule(topology, config)
     partitions = partition_for_workers(topology, shard.workers)
-    return _run_sharded(config, shard, topology, partitions, flows)
+    return _run_sharded(config, shard, topology, partitions, flows, metrics=metrics)
 
 
 def run_single_threaded(

@@ -22,10 +22,8 @@ Determinism contract (the test pack's foundation):
 * The flow schedule is extracted once, up front, by running the real
   :class:`~repro.traffic.apps.TrafficGenerator` with a
   ``flow_dispatch`` hook that claims every flow after all randomness
-  is drawn (:func:`~repro.traffic.apps.draw_flow_schedule`).
-  Ephemeral source ports are numbered in schedule order per source
-  host, exactly as :meth:`~repro.net.host.Host.open_flow` allocates
-  them.
+  is drawn (:func:`~repro.traffic.apps.draw_flow_schedule`), each with
+  the id and source port the live generator numbers it with.
 * Cross-worker packets keep their exact single-process timestamps: the
   sending port's propagation delay is zeroed and the
   :class:`~repro.pdes.stub.RemoteStub` re-adds the real link delay, so
@@ -56,13 +54,15 @@ the hybrid partitioner's call.
 from __future__ import annotations
 
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.core.cluster_model import MIN_REGION_LATENCY_S
 from repro.core.hybrid import HybridConfig, check_model_width
 from repro.core.training import TrainedClusterModel
 from repro.core.world import ExperimentConfig
+from repro.obs import MetricsRegistry
 from repro.pdes.engine import (
     HybridShardConfig,
     PdesHybridResult,
@@ -113,15 +113,19 @@ def model_egress_lookahead(hybrid: HybridConfig) -> float:
     return MIN_REGION_LATENCY_S - batch_eff
 
 
-def _ensure_model_ref(
+@contextmanager
+def _model_ref(
     model: Union[TrainedClusterModel, ModelRef], scratch_dir: Optional[str]
-) -> ModelRef:
-    """Turn an in-memory model into an on-disk reference if needed."""
+) -> Iterator[ModelRef]:
+    """``model`` as an on-disk reference for the run's duration: an
+    in-memory model is saved to a ``pdes-model-*`` temp directory that
+    is removed when the run ends, failed or not."""
     if isinstance(model, ModelRef):
-        return model
-    directory = tempfile.mkdtemp(prefix="pdes-model-", dir=scratch_dir)
-    model.save(directory)
-    return ModelRef(path=str(directory))
+        yield model
+        return
+    with tempfile.TemporaryDirectory(prefix="pdes-model-", dir=scratch_dir) as directory:
+        model.save(directory)
+        yield ModelRef(path=directory)
 
 
 def run_hybrid_sharded(
@@ -130,6 +134,7 @@ def run_hybrid_sharded(
     shard: Optional[HybridShardConfig] = None,
     hybrid: Optional[HybridConfig] = None,
     scratch_dir: Optional[str] = None,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> PdesHybridResult:
     """Run one hybrid experiment sharded across PDES workers.
 
@@ -140,7 +145,7 @@ def run_hybrid_sharded(
         meaning to :func:`~repro.core.pipeline.run_hybrid_simulation`.
     model:
         The reusable trained cluster model, either in memory (saved to
-        a scratch directory automatically) or as a :class:`ModelRef`
+        a scratch directory for the run) or as a :class:`ModelRef`
         pointing at a stored artifact (e.g. a registry entry).
     shard:
         Worker count / window / crash-safety options.
@@ -150,6 +155,9 @@ def run_hybrid_sharded(
         mappings are not supported through the process boundary.
     scratch_dir:
         Where to save an in-memory model (default: system temp).
+    metrics:
+        Registry that collects every worker's counters and gauges,
+        each under its worker's label.
 
     Wall-clock is measured from the moment all workers are released to
     the moment the last reports done — setup (process spawn, topology
@@ -171,13 +179,15 @@ def run_hybrid_sharded(
     lookahead = None
     if len(partitions) > 1 and len(topology.cluster_ids()) > 1:
         lookahead = model_egress_lookahead(hybrid)
-    return _run_sharded(
-        config,
-        shard,
-        topology,
-        partitions,
-        extract_flow_schedule(topology, config, hybrid),
-        model_lookahead_s=lookahead,
-        model_ref=_ensure_model_ref(model, scratch_dir),
-        hybrid=hybrid,
-    )
+    with _model_ref(model, scratch_dir) as model_ref:
+        return _run_sharded(
+            config,
+            shard,
+            topology,
+            partitions,
+            extract_flow_schedule(topology, config, hybrid),
+            model_lookahead_s=lookahead,
+            model_ref=model_ref,
+            hybrid=hybrid,
+            metrics=metrics,
+        )

@@ -123,9 +123,11 @@ class ShardPlan:
     ``model_ref`` is anything with a ``load()`` returning the trained
     bundle (each worker loads it from disk instead of inheriting
     multi-megabyte weight arrays through the spawn payload); ``None``
-    is the plain engine.  ``trace_capacity`` (not ``None``) gives each
-    worker a flight recorder of that ring size; ``inject_crash`` is a
-    test hook naming the worker that raises mid-window.
+    is the plain engine.  ``metrics`` gives each worker a registry
+    whose snapshot rides in its stats.  ``trace_capacity`` (not
+    ``None``) gives each worker a flight recorder of that ring size;
+    ``inject_crash`` is a test hook naming the worker that raises
+    mid-window.
     """
 
     config: ExperimentConfig

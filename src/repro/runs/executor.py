@@ -182,10 +182,11 @@ def run_stage(
 
         shard = configs["shard"]
         if stage == "pdes":
-            result = run_parallel_simulation(experiment, shard)
+            result = run_parallel_simulation(experiment, shard, metrics=metrics)
         else:
             result = run_hybrid_sharded(
-                experiment, model, shard=shard, hybrid=configs["hybrid"]
+                experiment, model, shard=shard, hybrid=configs["hybrid"],
+                metrics=metrics,
             )
         run = StageRun(result)
         if shard.trace:

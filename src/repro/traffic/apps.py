@@ -15,6 +15,7 @@ work was skipped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -22,7 +23,7 @@ from typing import Callable, Optional, Sequence
 from repro.des.entities import Entity
 from repro.des.kernel import Simulator
 from repro.flowsim.simulator import FlowSpec
-from repro.net.host import host_port_counters
+from repro.net.host import host_shims
 from repro.net.network import Network
 from repro.net.tcp.receiver import TcpReceiver
 from repro.net.tcp.sender import TcpSender
@@ -34,11 +35,13 @@ from repro.traffic.matrix import TrafficMatrix
 
 @dataclass
 class FlowRecord:
-    """Bookkeeping for one generated flow.
+    """Bookkeeping for one launched packet flow.
 
-    ``flow_id`` is the launch-order index — the identity shared by the
-    flight recorder, the PDES flow schedule, and the cascade's
-    scoring-window flow lists (``-1`` only for hand-built records).
+    ``flow_id`` is the generator's arrival index, not its launch index:
+    every arrival (and collective launch) is numbered once, elided and
+    diverted ones included, so a flow has the same id, trace id and
+    ``src_port`` in DES, the elided hybrid, the cascade and a pre-drawn
+    schedule (``-1`` only for hand-built records).
     """
 
     src: str
@@ -47,6 +50,7 @@ class FlowRecord:
     start_time: float
     completion_time: Optional[float] = None
     flow_id: int = -1
+    src_port: int = -1
 
     @property
     def fct(self) -> Optional[float]:
@@ -73,22 +77,21 @@ class TrafficGenerator(Entity):
         Optional predicate ``(src, dst) -> bool``; flows for which it
         returns False are skipped (but counted in ``flows_elided``).
     flow_dispatch:
-        Optional hook ``(src, dst, size_bytes) -> bool`` consulted for
-        every flow the filter keeps.  Returning True claims the flow
-        for an external engine (the cascade's fluid tier); it is
-        counted in ``flows_diverted`` and no packet flow is opened.
-        Returning False leaves the flow on the packet path.  The hook
-        runs *after* all randomness is drawn, so diverting flows never
-        perturbs the seeded workload.
+        Optional hook ``(FlowSpec) -> bool`` consulted with every
+        arrival the filter keeps, already numbered (:meth:`number_flow`).
+        Returning True claims the flow for an external engine (the
+        cascade's fluid tier); it is counted in ``flows_diverted`` and
+        no packet flow is opened.  Returning False leaves the flow on
+        the packet path.  The hook runs *after* all randomness is
+        drawn, so diverting flows never perturbs the seeded workload.
     max_flows:
         Stop generating after this many arrivals (None = unbounded).
     tracer:
         Optional :class:`~repro.obs.trace.FlightRecorder`.  Every
         launched flow gets a ``flow.admit`` record (and a registered
         ``(src, src_port)`` lookup key so hot paths can attribute its
-        packets) plus a ``flow.complete`` record with its FCT.  The
-        flow id is the launch-order index — the same identity the PDES
-        flow schedule uses.
+        packets) plus a ``flow.complete`` record with its FCT, under
+        the trace id of its arrival index.
     """
 
     def __init__(
@@ -99,7 +102,7 @@ class TrafficGenerator(Entity):
         sizes: EmpiricalSizeDistribution,
         arrivals: PoissonArrivals,
         flow_filter: Optional[Callable[[str, str], bool]] = None,
-        flow_dispatch: Optional[Callable[[str, str, int], bool]] = None,
+        flow_dispatch: Optional[Callable[[FlowSpec], bool]] = None,
         max_flows: Optional[int] = None,
         tracer=None,
     ) -> None:
@@ -128,6 +131,7 @@ class TrafficGenerator(Entity):
         self._arrival_rng = sim.rng.stream("traffic.arrivals")
         self._pair_rng = sim.rng.stream("traffic.pairs")
         self._size_rng = sim.rng.stream("traffic.sizes")
+        self._flow_ids = itertools.count()
         self._started = False
 
     def start(self) -> None:
@@ -153,52 +157,55 @@ class TrafficGenerator(Entity):
         # fair full-vs-hybrid comparisons (same seed, same flows).
         src, dst = self.matrix.sample_pair(self._pair_rng)
         size = int(self.sizes.sample(self._size_rng))
+        # Numbered before the filter and the hook, so an elided or
+        # diverted arrival takes the id and port DES launches it with.
+        flow = self.number_flow(src, dst, max(size, 1))
         if self.flow_filter is not None and not self.flow_filter(src, dst):
             self.flows_elided += 1
-        elif self.flow_dispatch is not None and self.flow_dispatch(
-            src, dst, max(size, 1)
-        ):
+        elif self.flow_dispatch is not None and self.flow_dispatch(flow):
             self.flows_diverted += 1
         else:
-            self.launch_flow(src, dst, max(size, 1))
+            self.launch_flow(flow)
         # Scheduled after the counters update so max_flows is exact;
         # the gap comes from an independent named stream, so ordering
         # relative to the pair/size draws cannot perturb the workload.
         self._schedule_next_arrival()
 
-    def launch_flow(
-        self,
-        src: str,
-        dst: str,
-        size_bytes: int,
-        src_port: Optional[int] = None,
-        on_complete: Optional[Callable[[FlowRecord], None]] = None,
-    ) -> FlowRecord:
-        """Open one packet flow now; returns its record.
+    def number_flow(self, src: str, dst: str, size_bytes: int) -> FlowSpec:
+        """A new flow's identity, assigned once whatever carries it: the
+        next id of the counter every arrival and collective launch
+        shares, and its source host's next port."""
+        port = self.network.host(src).allocate_port()
+        return FlowSpec(next(self._flow_ids), src, dst, size_bytes, self.now, port)
 
-        Public so tier adapters can relaunch handed-off flows (with
-        their remaining bytes) through the exact same TCP path and
-        bookkeeping as generated flows.  ``src_port`` pins the source
-        port (tier handoffs reuse the port reserved at diversion time
-        so the packet flow hashes onto the path the fluid tier already
-        charged); ``on_complete`` is a per-flow completion tap invoked
-        after the shared bookkeeping (collective chunk gating uses it).
+    def launch_flow(
+        self, flow: FlowSpec, on_complete: Optional[Callable[[FlowRecord], None]] = None
+    ) -> FlowRecord:
+        """Open ``flow`` (from :meth:`number_flow`) as a packet flow now;
+        returns its record.
+
+        Public so tier adapters can relaunch a handed-off flow (its
+        remaining bytes, under its own id and port, so it hashes onto
+        the path the fluid tier charged) through the exact same TCP
+        path and bookkeeping as generated flows.  ``on_complete`` is a
+        per-flow completion tap invoked after the shared bookkeeping
+        (collective chunk gating uses it).
         """
-        flow_id = len(self.flows)
         record = FlowRecord(
-            src=src,
-            dst=dst,
-            size_bytes=size_bytes,
+            src=flow.src,
+            dst=flow.dst,
+            size_bytes=flow.size_bytes,
             start_time=self.now,
-            flow_id=flow_id,
+            flow_id=flow.flow_id,
+            src_port=flow.src_port,
         )
         self.flows.append(record)
         self.flows_started += 1
-        src_host = self.network.host(src)
-        dst_host = self.network.host(dst)
+        src_host = self.network.host(flow.src)
+        dst_host = self.network.host(flow.dst)
         trace = None
         if self._tracer is not None:
-            trace = self._tracer.trace_for_flow(flow_id)
+            trace = self._tracer.trace_for_flow(flow.flow_id)
 
         flow_tap = on_complete
 
@@ -215,12 +222,19 @@ class TrafficGenerator(Entity):
                 flow_tap(record)
 
         sender = src_host.open_flow(
-            dst_host, size_bytes, on_complete=handle_complete, src_port=src_port
+            dst_host,
+            flow.size_bytes,
+            on_complete=handle_complete,
+            src_port=flow.src_port,
         )
         if trace is not None:
-            self._tracer.register_flow(flow_id, key=(src, sender.src_port))
+            self._tracer.register_flow(flow.flow_id, key=(flow.src, flow.src_port))
             self._tracer.event(
-                "flow.admit", trace=trace, src=src, dst=dst, size=size_bytes
+                "flow.admit",
+                trace=trace,
+                src=flow.src,
+                dst=flow.dst,
+                size=flow.size_bytes,
             )
         sender.start()
         return record
@@ -357,27 +371,25 @@ def draw_flow_schedule(
 
     ``build(sim, network)`` makes the :class:`TrafficGenerator` a live
     run would make; it runs here against a network that is only its
-    topology (enough to calibrate load; no flow is ever opened), on a
-    simulator seeded like the live one, with a ``flow_dispatch`` hook
-    that claims every flow its filter keeps *after* all randomness is
-    drawn.  Named RNG streams make the recorded (src, dst, size, start)
-    of every flow bit-identical to the live run's, and ``elided``
-    equals its ``flows_elided``.  Each flow's ``src_port`` is the one
-    its source host would allocate
-    (:func:`~repro.net.host.host_port_counters`), so every engine hashes
-    it onto the path DES gives it.
+    topology and a port counter per host
+    (:func:`~repro.net.host.host_shims`; enough to calibrate load and
+    number flows, no flow is ever opened), on a simulator seeded like
+    the live one, with a ``flow_dispatch`` hook that appends every
+    numbered arrival its filter keeps.  Named RNG streams make every
+    flow's (src, dst, size, start) bit-identical to the live run's,
+    and the generator numbers its id and ``src_port`` as the live one
+    does, so every engine gives it DES's identity and ECMP path;
+    ``elided`` equals the live ``flows_elided``.
     """
     sim = Simulator(seed=seed)
     flows = FlowSchedule()
-    ports = host_port_counters()
 
-    def dispatch(src: str, dst: str, size_bytes: int) -> bool:
-        flows.append(
-            FlowSpec(len(flows), src, dst, size_bytes, sim.now, next(ports[src]))
-        )
+    def dispatch(flow: FlowSpec) -> bool:
+        flows.append(flow)
         return True
 
-    generator = build(sim, SimpleNamespace(topology=topology))
+    network = SimpleNamespace(topology=topology, host=host_shims().__getitem__)
+    generator = build(sim, network)
     generator.flow_dispatch = dispatch
     generator.start()
     sim.run(until=duration_s)

@@ -196,7 +196,8 @@ class CollectiveWorkload(Entity):
             self.chunks_completed += 1
             on_done(record)
 
-        self.generator.launch_flow(src, dst, size_bytes, on_complete=complete)
+        flow = self.generator.number_flow(src, dst, size_bytes)
+        self.generator.launch_flow(flow, on_complete=complete)
 
     # ------------------------------------------------------------------
     # Iteration driver

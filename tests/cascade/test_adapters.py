@@ -18,7 +18,7 @@ class FakeContext:
 
     def __init__(self, topology) -> None:
         self.fluid = EpochFlowSimulator(topology)
-        self.launched: list[tuple[str, str, int]] = []
+        self.launched: list[FlowSpec] = []
         self.inflight = {1: 4, 2: 0}
         self.macro = {1: "elevated", 2: None}
 
@@ -26,12 +26,8 @@ class FakeContext:
         # server-c<N>-t...-s... -> N
         return int(server.split("-")[1][1:])
 
-    def launch_carried_flow(
-        self, src: str, dst: str, size_bytes: int, src_port=None
-    ):
-        self.launched.append((src, dst, size_bytes))
-        self.launched_ports = getattr(self, "launched_ports", [])
-        self.launched_ports.append(src_port)
+    def launch_carried_flow(self, flow: FlowSpec):
+        self.launched.append(flow)
 
     def inflight_packet_flows(self, region: int) -> int:
         return self.inflight[region]
@@ -62,17 +58,19 @@ class TestFlowsimToHybrid:
         ctx.fluid.admit(_spec(0, "server-c0-t0-s0", "server-c1-t0-s0"))
         ctx.fluid.step_to(50e-6)  # half the 100 us transfer at 10 Gbps
         handoff = FlowsimToHybridAdapter().transfer(1, ctx)
-        (src, dst, size), = ctx.launched
-        assert size == pytest.approx(62_500, abs=1)
+        (flow,) = ctx.launched
+        assert flow.size_bytes == pytest.approx(62_500, abs=1)
         assert handoff.bytes_transferred == pytest.approx(62_500, rel=1e-6)
+        # The relaunch is the same flow: its arrival id and port stay.
+        assert (flow.flow_id, flow.src_port) == (0, 10_000)
 
     def test_nearly_done_flow_still_carries_one_byte(self, small_clos):
         ctx = FakeContext(small_clos)
         ctx.fluid.admit(_spec(0, "server-c0-t0-s0", "server-c1-t0-s0"))
         ctx.fluid.step_to(100e-6 - 1e-12)  # a sliver of bytes left
         handoff = FlowsimToHybridAdapter().transfer(1, ctx)
-        (_, _, size), = ctx.launched
-        assert size >= 1
+        (flow,) = ctx.launched
+        assert flow.size_bytes >= 1
         assert handoff.flows_transferred == 1
 
     def test_handoff_records_macro_state(self, small_clos):

@@ -13,6 +13,7 @@ from repro.cascade import (
 )
 from repro.core.pipeline import ExperimentConfig
 from repro.des.kernel import Simulator
+from repro.flowsim import FlowSpec
 from repro.obs import MetricsRegistry
 from repro.topology.clos import ClosParams, build_clos
 
@@ -36,6 +37,11 @@ def cascade_run(trained_bundle):
     return result, cascade_sim, metrics
 
 
+def _arrival(src: str, dst: str) -> FlowSpec:
+    """A generator-numbered arrival, as ``flow_dispatch`` receives it."""
+    return FlowSpec(0, src, dst, 10_000, 0.0, 10_000)
+
+
 class TestDispatch:
     """Tier-routing of new flows, on an unstarted cascade."""
 
@@ -51,25 +57,19 @@ class TestDispatch:
             assert fresh.tier_of(region) is Tier.FLOWSIM
 
     def test_background_flow_diverted_to_fluid(self, fresh):
-        claimed = fresh.dispatch_flow(
-            "server-c1-t0-s0", "server-c2-t0-s0", 10_000
-        )
+        claimed = fresh.dispatch_flow(_arrival("server-c1-t0-s0", "server-c2-t0-s0"))
         assert claimed is True
         assert fresh.fluid.active_flows == 1
 
     def test_focal_flow_stays_on_packet_path(self, fresh):
-        claimed = fresh.dispatch_flow(
-            "server-c0-t0-s0", "server-c1-t0-s0", 10_000
-        )
+        claimed = fresh.dispatch_flow(_arrival("server-c0-t0-s0", "server-c1-t0-s0"))
         assert claimed is False
         assert fresh.fluid.active_flows == 0
         assert fresh.per_tier_flows()["des"] == 1
 
     def test_hybrid_region_flow_stays_on_packet_path(self, fresh):
         fresh.controller.tiers[1] = Tier.HYBRID
-        claimed = fresh.dispatch_flow(
-            "server-c1-t0-s0", "server-c2-t0-s0", 10_000
-        )
+        claimed = fresh.dispatch_flow(_arrival("server-c1-t0-s0", "server-c2-t0-s0"))
         assert claimed is False
         assert fresh.per_tier_flows()["hybrid"] == 1
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cascade import CascadeConfig, TierBudget, run_cascade_simulation
 from repro.core.pipeline import ExperimentConfig
-from repro.obs.trace import FlightRecorder, trace_id
+from repro.obs.trace import FlightRecorder
 from repro.topology.clos import ClosParams
 from repro.validate.windows import RegionWindows, SlidingWindow
 
@@ -99,16 +99,19 @@ class TestCascadeTraceRecords:
         dispatches = [r for r in records if r["name"] == "tier.dispatch"]
         assert dispatches, "no fluid diversion was traced"
         assert all(r["args"]["tier"] == "flowsim" for r in dispatches)
-        # Fluid flows trace under the "fluid" id domain, ids dense from 0.
-        fluid_ids = {
-            trace_id(EXPERIMENT.seed, n, "fluid")
-            for n in range(cascade_sim._next_fluid_flow_id)
-        }
-        assert {r["trace"] for r in dispatches} <= fluid_ids
+        # A fluid flow traces under its arrival id, once per diversion;
+        # a packet record of it can only be a later promotion relaunch.
+        dispatched = {r["trace"]: r["seq"] for r in dispatches}
+        assert len(dispatched) == cascade_sim.generator.flows_diverted
+        assert all(
+            r["seq"] > dispatched[r["trace"]]
+            for r in records
+            if r["name"] == "flow.admit" and r["trace"] in dispatched
+        )
         completions = [
             r
             for r in records
-            if r["name"] == "flow.complete" and r["trace"] in fluid_ids
+            if r["name"] == "flow.complete" and r["trace"] in dispatched
         ]
         assert completions, "no fluid completion was traced"
         assert all("fct" in r["args"] for r in completions)

@@ -1,6 +1,7 @@
 """Plain ``repro pdes`` rejects the flags that only mean something with
 ``--hybrid`` (it used to accept them, exit 0 and ignore them), and
-takes the worker-metrics and trace flags both engines share."""
+takes the metrics and trace flags both engines share: ``--metrics-out``
+collects every worker's metrics and sets no shard field."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ def test_plain_pdes_rejects_hybrid_only_flags(flag, capsys):
     (["--trace"], HybridShardConfig(trace=True)),
     (["--trace-out", "trace.jsonl"], HybridShardConfig(trace=True)),
     (["--trace-capacity", "8"], HybridShardConfig(trace_capacity=8)),
-    (["--worker-metrics"], HybridShardConfig(metrics=True)),
+    (["--metrics-out", "metrics.jsonl"], HybridShardConfig()),
 ])
 def test_plain_pdes_takes_worker_metrics_and_trace_flags(flag, shard):
     spec = spec_from_args(build_parser().parse_args(["pdes", *flag]))

@@ -93,11 +93,11 @@ class TestArgvToConfig:
     def test_pdes_hybrid_flags(self):
         configs = _configs([
             "pdes", "--hybrid", "--model", "m", "--workers", "3",
-            "--window", "2e-7", "--worker-metrics", "--trace",
+            "--window", "2e-7", "--metrics-out", "m.jsonl", "--trace",
             "--trace-capacity", "32", "--keep-remote-traffic", "--batch-window", "1e-7",
         ])
         assert configs["shard"] == HybridShardConfig(
-            workers=3, window_s=2e-7, metrics=True, trace=True, trace_capacity=32
+            workers=3, window_s=2e-7, trace=True, trace_capacity=32
         )
         assert configs["hybrid"] == HybridConfig(
             elide_remote_traffic=False, batch_window_s=1e-7

@@ -43,16 +43,16 @@ def test_fluid_links_match_packet_path_for_real_ports():
 
 
 def test_diversion_port_matches_later_packet_launch():
-    """The cascade reserves the host's next ephemeral port at diversion
-    time; a packet flow launched with that port must traverse exactly
-    the links the fluid tier charged."""
+    """The generator takes the host's next ephemeral port at arrival,
+    before the cascade diverts the flow; a packet flow launched with
+    that port must traverse exactly the links the fluid tier charged."""
     topology = build_clos(ClosParams(clusters=2))
     sim = Simulator(seed=5)
     routing = EcmpRouting(topology)
     network = Network(sim, topology, routing=routing)
     fluid = EpochFlowSimulator(topology, routing=routing)
 
-    src_port = network.host(SRC).allocate_port()  # what dispatch_flow does
+    src_port = network.host(SRC).allocate_port()  # what number_flow does
     spec = FlowSpec(
         flow_id=0, src=SRC, dst=DST, size_bytes=50_000,
         start_time=0.0, src_port=src_port, dst_port=80,

@@ -129,11 +129,11 @@ GOLDEN = {
     "des_factory": "22b2067ceb28771d682e289891b6c570c68ee683d93a15df06332334325bc6bd",
     "hybrid_inline": "2bbade58d61c1641e98f9f55cc9dcb675a3c4c4a4449ad71f2d10f0490a03044",
     "hybrid_factory": "3d21072ec6c5242948e2a8189b2cc5b778ff10aed5b1c953af1dfaf9c61b9805",
-    "hybrid_elided": "1a083bda40a349173a6c7c96fef45981efc0ce0397d239454c7544b79e756c6a",
+    "hybrid_elided": "e6650adc41b3fc6bb41c7411ee627dcd1f15518672a382698d2ddd75c6e0b1b4",
     "hybrid_batched_memo": "2bbade58d61c1641e98f9f55cc9dcb675a3c4c4a4449ad71f2d10f0490a03044",
     "hybrid_collective_f32": "acdd6941f8843f80babacc20a34e0c8ae0635211bdc492be457175486a69858d",
     "cascade_result": "cc6e5bf3eadba8349214aaa29f3b54a5873076e1937c5734027d2ab6db766006",
-    "cascade_decision_log": "8ff117c10f8d624543cd2a29979eae77d93c29dec610f06b7198d2bd81334883",
+    "cascade_decision_log": "6aaf70f9214f9a5c77c1f7924a5e2c7735a6616eaceb672b2fb102bc3f552ccb",
     "cascade_fluid_fcts": "12a258fbc73952d94b64a9d3b8c4975b888745a00c22972aa29df13fd7ca1092",
     "sharded_1_determinism": "c9738b38295fe47a8e7b6f52e6cd735a6e0bc826b2f4b094bf779afa74de0d75",
     "sharded_2_determinism": "bbcf54608280972d08c34b6376a9e08c4aadb9377b3c063669d790de811dc330",
@@ -152,7 +152,7 @@ GOLDEN_EVENTS = {
     "des_factory": 71_995,
     "hybrid_inline": 67_785,
     "hybrid_factory": 43_923,
-    "hybrid_elided": 36_502,
+    "hybrid_elided": 36_701,
     "hybrid_batched_memo": 72_168,
     "hybrid_collective_f32": 111_102,
     "cascade_result": 201_618,

@@ -224,8 +224,9 @@ class TestReadThroughCounters:
         sharded = run_hybrid_sharded(
             BATCHED_RUN,
             trained_bundle,
-            shard=HybridShardConfig(workers=2, metrics=True),
+            shard=HybridShardConfig(workers=2),
             hybrid=BATCHED_MEMO,
+            metrics=MetricsRegistry(enabled=True),
         )
         per_cluster = _cluster_fields(hybrid.models.values())
         clusters_seen = set()

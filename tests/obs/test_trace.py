@@ -3,7 +3,7 @@
 The tracing contract mirrors the metrics layer's: RNG-free, sim-time
 stamped, bounded, and byte-stable for a seeded run.  Pinned here:
 
-1. trace ids are pure functions of ``(seed, domain, flow id)``;
+1. trace ids are pure functions of ``(seed, flow id)``;
 2. the ring evicts oldest-first with an exact eviction count
    (property-tested over arbitrary capacity/record-count pairs);
 3. ``begin``/``end`` obey strict stack discipline — nesting is
@@ -48,15 +48,10 @@ def test_trace_id_is_stable_and_seed_scoped():
     assert trace_id(7, 3) != trace_id(7, 4)
 
 
-def test_trace_id_domains_never_collide():
-    """Packet-flow id 5 and fluid-flow id 5 are different flows."""
-    assert trace_id(7, 5, "flow") != trace_id(7, 5, "fluid")
-
-
 def test_recorder_memoizes_flow_ids():
     rec = FlightRecorder(seed=7)
     assert rec.trace_for_flow(3) == trace_id(7, 3)
-    assert rec.trace_for_flow(3, "fluid") == trace_id(7, 3, "fluid")
+    assert rec.trace_for_flow(3) is rec.trace_for_flow(3)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from repro.core.hybrid import HybridConfig
 from repro.core.micro import MicroModelConfig
 from repro.core.pipeline import ExperimentConfig
+from repro.obs import MetricsRegistry
 from repro.pdes import HybridShardConfig, WorkerCrashError, run_hybrid_sharded
 from repro.runs.executor import execute_run
 from repro.runs.spec import RunRequest
@@ -68,22 +69,30 @@ def test_different_seeds_differ(trained_bundle):
 def test_metrics_do_not_perturb_outcomes(trained_bundle):
     """MetricsRegistry counters never schedule events, so the
     deterministic view is identical with observability on and off."""
+    registry = MetricsRegistry(enabled=True)
     on = run_hybrid_sharded(
         _experiment(3),
         trained_bundle,
-        shard=HybridShardConfig(workers=2, metrics=True),
+        shard=HybridShardConfig(workers=2),
         hybrid=HYBRID,
+        metrics=registry,
     )
     off = run_hybrid_sharded(
         _experiment(3),
         trained_bundle,
-        shard=HybridShardConfig(workers=2, metrics=False),
+        shard=HybridShardConfig(workers=2),
         hybrid=HYBRID,
     )
     assert on.determinism_signature() == off.determinism_signature()
     assert on.outcome_signature() == off.outcome_signature()
     assert all(s.metrics_snapshot is not None for s in on.worker_stats)
     assert all(s.metrics_snapshot is None for s in off.worker_stats)
+    windows = {
+        c["labels"]["worker"]: c["value"]
+        for c in registry.snapshot()["counters"]
+        if c["name"] == "pdes.windows"
+    }
+    assert windows == {"0": on.windows, "1": on.windows}
 
 
 def test_merged_counters_report_every_worker(trained_bundle):

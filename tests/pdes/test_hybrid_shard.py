@@ -11,6 +11,8 @@ model-egress bound below the physical cut-link delay.
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
 from repro.core.cluster_model import MIN_REGION_LATENCY_S
@@ -19,6 +21,7 @@ from repro.core.pipeline import ExperimentConfig, run_hybrid_simulation
 from repro.pdes import (
     HybridShardConfig,
     ModelRef,
+    WorkerCrashError,
     extract_flow_schedule,
     model_egress_lookahead,
     resolve_window,
@@ -324,3 +327,22 @@ def test_flow_schedule_elision_is_a_filter_not_a_reseed():
         return (flow.src, flow.dst, flow.size_bytes, flow.start_time)
 
     assert {key(f) for f in elided} <= {key(f) for f in kept_all}
+
+
+def test_in_memory_model_leaves_no_temp_dir(trained_bundle, tmp_path, monkeypatch):
+    """The workers load an in-memory model from a ``pdes-model-*`` temp
+    directory that goes when the run ends, a failed run's included."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    result = run_hybrid_sharded(
+        EXPERIMENT, trained_bundle, shard=HybridShardConfig(workers=1), hybrid=HYBRID
+    )
+    assert result.flows_completed > 0
+    with pytest.raises(WorkerCrashError):
+        run_hybrid_sharded(
+            EXPERIMENT,
+            trained_bundle,
+            shard=HybridShardConfig(workers=1, inject_crash=0),
+            hybrid=HYBRID,
+        )
+    assert list(tmp_path.glob("pdes-model-*")) == []

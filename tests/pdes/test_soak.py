@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.hybrid import HybridConfig
 from repro.core.pipeline import ExperimentConfig
+from repro.obs import MetricsRegistry
 from repro.pdes import HybridShardConfig, run_hybrid_sharded
 from repro.topology.clos import ClosParams
 
@@ -40,8 +41,9 @@ def test_four_worker_32_cluster_soak(trained_bundle, tmp_path):
     result = run_hybrid_sharded(
         config,
         trained_bundle,
-        shard=HybridShardConfig(workers=4, metrics=True),
+        shard=HybridShardConfig(workers=4),
         hybrid=HybridConfig(elide_remote_traffic=False),
+        metrics=MetricsRegistry(enabled=True),
     )
     elapsed = time.monotonic() - started
     assert elapsed < WALL_BUDGET_S, f"soak blew the budget: {elapsed:.1f}s"

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.micro import MicroModelConfig
 from repro.core.pipeline import ExperimentConfig
+from repro.obs import read_jsonl
 from repro.runs.executor import execute_run
 from repro.runs.spec import RunRequest
 from repro.topology.clos import ClosParams
@@ -66,3 +67,28 @@ def test_sharded_manifest_has_every_hybrid_key(tmp_path, registry, elide):
         assert sharded["result"][key] == single["result"][key], key
     assert len(sharded["result"]["failure_events"]) == 2
     assert sharded["result"]["pdes"]["workers"] == 2
+
+
+def test_pdes_manifest_and_metrics_carry_every_workers_loop(tmp_path):
+    """A parallel stage's workers collect into the run's registry: the
+    manifest's snapshot and its ``metrics.jsonl`` both carry each
+    worker's window and exchange counts."""
+    manifest = execute_run(_request("pdes", {"workers": 2}), str(tmp_path), None, attempt=1)
+    assert manifest["status"] == "completed", manifest.get("error")
+    expected = {
+        (f"pdes.{key}", str(index)): row[key]
+        for index, row in enumerate(manifest["result"]["pdes"]["per_worker"])
+        for key in ("windows", "exchanges")
+    }
+    assert all(expected.values())
+
+    def loop_counters(counters) -> dict:
+        return {
+            (c["name"], c["labels"]["worker"]): c["value"]
+            for c in counters
+            if c["name"] in ("pdes.windows", "pdes.exchanges")
+        }
+
+    assert loop_counters(manifest["metrics"]["counters"]) == expected
+    records = read_jsonl(manifest["artifacts"]["metrics"])
+    assert loop_counters(r for r in records if r["type"] == "counter") == expected

@@ -151,10 +151,10 @@ class TestTrafficGenerator:
         capped runs generate arrivals forever."""
         diverted = []
 
-        def dispatch(src, dst, size):
+        def dispatch(flow):
             take = len(diverted) % 2 == 0  # claim every other arrival
             if take:
-                diverted.append((src, dst, size))
+                diverted.append(flow)
             return take
 
         sim = Simulator(seed=6)
