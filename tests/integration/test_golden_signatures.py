@@ -198,17 +198,17 @@ def test_des_is_the_world_with_no_model(taps):
 
 
 # ----------------------------------------------------------------------
-# Hybrid: inline inference, every scenario axis, the paper's elided
-# configuration, batched + memoized f64 and f32
+# Hybrid: inline inference, every scenario axis, batched + memoized f64
+# and f32, the paper's elided configuration
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "name,config,hybrid",
     [
         ("hybrid_inline", PLAIN, KEEP_REMOTE),
         ("hybrid_factory", FACTORY, None),
-        ("hybrid_elided", PLAIN, None),
         ("hybrid_batched_memo", PLAIN, BATCHED_MEMO),
         ("hybrid_collective_f32", COLLECTIVE_F32, BATCHED_MEMO_F32),
+        ("hybrid_elided", PLAIN, None),
     ],
 )
 def test_hybrid(trained_bundle, name, config, hybrid):
